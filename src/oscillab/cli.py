@@ -97,10 +97,14 @@ def _parse_params(pairs) -> dict:
 
 
 def _resolve_weight(args):
-    """Weight from --weight CSV, or generated from --gen over --grid."""
+    """Weight from --weight CSV, or generated from --gen over --grid.
+
+    Returns (weight, domain, base): base is the --base family over the
+    uniform measure when the generator needed it, else None.
+    """
     if getattr(args, "weight", None):
         w = read_weight(args.weight)
-        return w, w.domain
+        return w, w.domain, None
     if not getattr(args, "gen", None):
         raise BadParams("provide --weight FILE or --gen KIND with --grid")
     domain = _parse_grid(args.grid, getattr(args, "split", False))
@@ -108,21 +112,22 @@ def _resolve_weight(args):
     base = build_base(domain, measure, args.base, args.min_scale)
     w = generate_weight(args.gen, _parse_params(args.param), args.seed, domain,
                         base=base, measure=measure)
-    return w, domain
+    return w, domain, base
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 def cmd_constant(args, cfg: RunConfig) -> int:
-    w, domain = _resolve_weight(args)
+    w, domain, base = _resolve_weight(args)
     measure = Measure.uniform(domain)
     payload: dict = {"kind": args.kind, "weight_digest": w.digest,
                      "grid": list(domain.sides)}
     if args.kind == "doubling":
         payload["value"] = doubling_constant(w, measure)
     else:
-        base = build_base(domain, measure, args.base, args.min_scale)
+        if base is None:
+            base = build_base(domain, measure, args.base, args.min_scale)
         payload["base"] = {"kind": base.kind, "id": base.base_id,
                            "sets": len(base)}
         if args.kind == "ap":
@@ -385,7 +390,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_gen(args, cfg: RunConfig) -> int:
-    w, domain = _resolve_weight(args)
+    w, domain, _ = _resolve_weight(args)
     write_weight(args.out, w)
     payload = {"written": str(args.out), "weight_digest": w.digest,
                "grid": list(domain.sides),

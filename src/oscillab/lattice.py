@@ -1,16 +1,32 @@
 """Finite grid domains, cell-mass measures, and axis-aligned box families.
 
 Everything downstream reduces integrals to weighted sums over cells and
-suprema to maxima over a finite family of boxes.  Sums go through one
-correctly rounded primitive and every family carries a canonical order,
-so repeated runs are bit-reproducible.
+suprema to maxima over a finite family of boxes.  Sums are correctly
+rounded and every family carries a canonical order, so repeated runs are
+bit-reproducible.
+
+Two summation primitives share one contract.  ``fsum`` adds one array with
+``math.fsum``.  ``box_sums`` adds one array over many boxes at once, with
+O(cells) set-up and O(1) exact work per box: each cell becomes an exact
+Python int scaled by a common power of two, a zero-padded cumulative table
+is taken per axis, and each box sum is got from its corners by
+inclusion-exclusion and one correctly rounded int-to-float division
+(summed-area tables, Crow 1984).  On finite cells the result is the exact
+sum rounded once, so it equals ``math.fsum`` over the box bit for bit;
+an exact sum beyond the float range raises ``OverflowError`` as ``fsum``
+does.  The one difference: ``fsum`` can raise "intermediate overflow" on
+partial sums whose exact total is finite, and ``box_sums`` returns that
+total.  With a non-finite cell in ``values`` every box goes through
+``fsum``, which gives inf, nan or ``ValueError`` (inf + -inf).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +48,55 @@ def fsum(values) -> float:
     """
     arr = np.ascontiguousarray(values, dtype=float)
     return math.fsum(arr.ravel().tolist())
+
+
+# Boxes per block of exact big-int arithmetic in ``box_sums``; bounds the
+# object-array temporaries on large families.
+_BOX_BLOCK = 4096
+
+
+def box_sums(values, lo, hi) -> np.ndarray:
+    """Correctly rounded sum of ``values`` over each box ``lo[i] <= cell < hi[i]``.
+
+    ``lo`` and ``hi`` are integer arrays of shape (boxes, dims).  Element i
+    equals ``math.fsum(values[box_i].ravel())`` bit for bit; see the module
+    docstring for the contract.
+    """
+    values = np.asarray(values, dtype=float)
+    lo = np.asarray(lo, dtype=np.intp).reshape(-1, values.ndim)
+    hi = np.asarray(hi, dtype=np.intp).reshape(-1, values.ndim)
+    if not np.isfinite(values).all():
+        return np.array([fsum(values[tuple(map(slice, l, h))])
+                         for l, h in zip(lo.tolist(), hi.tolist())], dtype=float)
+    # Cell x == mant * 2**(expo - 53) exactly, with mant an integer below
+    # 2**53; scaled by 2**(53 - low) it is the exact int mant << (expo - low).
+    frac, expo = np.frexp(values)
+    mant = (frac * 2.0 ** 53).astype(np.int64)
+    live = mant != 0
+    if not live.any():
+        return np.zeros(len(lo))
+    low = int(expo[live].min())
+    table = np.zeros(tuple(n + 1 for n in values.shape), dtype=object)
+    inner = table[(slice(1, None),) * values.ndim]
+    inner[...] = mant.astype(object) << np.maximum(expo - low, 0).astype(object)
+    for axis in range(values.ndim):
+        np.cumsum(inner, axis=axis, out=inner)
+    shift = low - 53
+    scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
+    out = np.empty(len(lo))
+    for start in range(0, len(lo), _BOX_BLOCK):
+        l = lo[start:start + _BOX_BLOCK].T
+        h = hi[start:start + _BOX_BLOCK].T
+        if values.ndim == 1:
+            acc = table[h[0]] - table[l[0]]
+        else:
+            acc = (table[h[0], h[1]] - table[l[0], h[1]]
+                   - table[h[0], l[1]] + table[l[0], l[1]])
+        if scale != 1:
+            acc *= scale
+        # int / int is correctly rounded, subnormal and overflow included.
+        out[start:start + len(acc)] = acc / den
+    return out
 
 
 def _is_pow2(n: int) -> bool:
@@ -95,21 +160,25 @@ class GridDomain:
         return cls(tuple(d["sides"]), tuple(split) if split else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseSet:
-    """Half-open axis-aligned box of whole cells: lo <= cell < hi."""
+    """Half-open axis-aligned box of whole cells: lo <= cell < hi.
+
+    Slotted: a family can hold tens of thousands of boxes, and an instance
+    dict would take twice the memory of the box itself.
+    """
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
 
     def __post_init__(self):
-        lo = tuple(int(x) for x in self.lo)
-        hi = tuple(int(x) for x in self.hi)
+        lo = tuple(map(int, self.lo))
+        hi = tuple(map(int, self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:
             raise BadParams(f"corner ranks differ: {lo} vs {hi}")
-        if any(l < 0 for l in lo) or any(h <= l for l, h in zip(lo, hi)):
+        if min(lo) < 0 or not all(map(operator.lt, lo, hi)):
             raise BadParams(f"empty or negative box {lo}..{hi}")
 
     @property
@@ -248,12 +317,28 @@ class BaseFamily:
         full = self.domain.full_box()
         return full if full in set(self.sets) else None
 
+    def corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) integer arrays of shape (sets, dims), in ``sets`` order.
+
+        ``build_base`` hands over the arrays it built the sets from; a family
+        made any other way builds them on first use.
+        """
+        cached = getattr(self, "_corners", None)
+        if cached is None:
+            lo = np.array([b.lo for b in self.sets], dtype=np.intp)
+            hi = np.array([b.hi for b in self.sets], dtype=np.intp)
+            lo.setflags(write=False)
+            hi.setflags(write=False)
+            cached = (lo, hi)
+            object.__setattr__(self, "_corners", cached)
+        return cached
+
     def set_masses(self, measure: Measure) -> np.ndarray:
         """Per-set measure, aligned with ``sets``; cached per measure digest."""
         key = measure.digest
         got = self._mass_cache.get(key)
         if got is None:
-            got = np.array([fsum(measure.masses[b.slices()]) for b in self.sets])
+            got = box_sums(measure.masses, *self.corners())
             got.setflags(write=False)
             self._mass_cache[key] = got
         return got
@@ -263,63 +348,62 @@ class BaseFamily:
                 "min_scale": self.min_scale}
 
 
-def _axis_dyadic_intervals(side: int, min_scale: int):
-    out = []
-    level = side.bit_length() - 1
-    for s in range(min_scale, level + 1):
-        step = 1 << s
-        for lo in range(0, side, step):
-            out.append((lo, lo + step))
-    return out
+def _lengths(side: int, min_scale: int, dyadic: bool) -> list[int]:
+    """Interval lengths along one axis, longest first."""
+    if dyadic:
+        return [1 << s for s in range(side.bit_length() - 1, min_scale - 1, -1)]
+    return list(range(side, (1 << min_scale) - 1, -1))
 
 
-def _axis_all_intervals(side: int, min_len: int):
-    out = []
-    for length in range(min_len, side + 1):
-        for lo in range(0, side - length + 1):
-            out.append((lo, lo + length))
-    return out
+def _boxes_by_shape(sides, shapes, dyadic: bool):
+    """Corner arrays (lo, hi) of every box of each shape, shape by shape,
+    corners in row-major order; dyadic boxes sit at multiples of their sides.
+
+    With the shapes in descending order this is the canonical order
+    (``BaseSet.sort_key``).
+    """
+    los = [np.empty((0, len(sides)), dtype=np.intp)]
+    his = [los[0]]
+    for shape in shapes:
+        axes = [np.arange(0, n - s + 1, s if dyadic else 1, dtype=np.intp)
+                for n, s in zip(sides, shape)]
+        lo = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        los.append(lo.reshape(-1, len(sides)))
+        his.append(los[-1] + np.array(shape, dtype=np.intp))
+    return np.concatenate(los), np.concatenate(his)
 
 
-def _candidate_sets(domain: GridDomain, kind: str, min_scale: int) -> list[BaseSet]:
+def dyadic_lattice(domain: GridDomain, min_scale: int = 0):
+    """Corner arrays of every product of per-axis dyadic intervals."""
+    per_axis = [_lengths(s, min_scale, True) for s in domain.sides]
+    return _boxes_by_shape(domain.sides, itertools.product(*per_axis), True)
+
+
+def _candidate_corners(domain: GridDomain, kind: str, min_scale: int):
+    """Corner arrays of every box of the kind, in canonical order."""
     sides = domain.sides
-    if kind == "dyadic-cubes":
-        if domain.dims == 1:
-            return [BaseSet((lo,), (hi,))
-                    for lo, hi in _axis_dyadic_intervals(sides[0], min_scale)]
-        if sides[0] != sides[1]:
+    dyadic = kind in DYADIC_KINDS
+    if kind in CUBE_KINDS:
+        if dyadic and domain.dims == 2 and sides[0] != sides[1]:
             raise BadParams("dyadic-cubes in 2-d needs a square domain "
                             "(the full domain must itself be a cube)")
-        out = []
-        level = sides[0].bit_length() - 1
-        for s in range(min_scale, level + 1):
-            step = 1 << s
-            for i in range(0, sides[0], step):
-                for j in range(0, sides[1], step):
-                    out.append(BaseSet((i, j), (i + step, j + step)))
-        return out
-    if kind == "all-cubes":
-        min_len = 1 << min_scale
-        if domain.dims == 1:
-            return [BaseSet((lo,), (hi,))
-                    for lo, hi in _axis_all_intervals(sides[0], min_len)]
-        out = []
-        for length in range(min_len, min(sides) + 1):
-            for i in range(0, sides[0] - length + 1):
-                for j in range(0, sides[1] - length + 1):
-                    out.append(BaseSet((i, j), (i + length, j + length)))
-        return out
-    # Rectangle kinds: product of one interval per factor of the split.
-    if domain.dims != 2 or domain.split is None:
+        shapes = [(n,) * domain.dims
+                  for n in _lengths(min(sides), min_scale, dyadic)]
+    elif domain.dims != 2 or domain.split is None:
         raise BadParams(f"{kind} needs a 2-d domain with a declared split")
-    if kind == "dyadic-rectangles":
-        ax0 = _axis_dyadic_intervals(sides[0], min_scale)
-        ax1 = _axis_dyadic_intervals(sides[1], min_scale)
     else:
-        min_len = 1 << min_scale
-        ax0 = _axis_all_intervals(sides[0], min_len)
-        ax1 = _axis_all_intervals(sides[1], min_len)
-    return [BaseSet((a0, b0), (a1, b1)) for a0, a1 in ax0 for b0, b1 in ax1]
+        # Rectangle kinds: product of one interval per factor of the split.
+        shapes = itertools.product(*(_lengths(s, min_scale, dyadic)
+                                     for s in sides))
+    return _boxes_by_shape(sides, shapes, dyadic)
+
+
+def _box_tuple(lo: np.ndarray, hi: np.ndarray) -> tuple[BaseSet, ...]:
+    # Column lists of ints, not one list per row: a row list per box would
+    # double the memory the boxes themselves take.
+    d = lo.shape[1]
+    return tuple(BaseSet(row[:d], row[d:])
+                 for row in zip(*lo.T.tolist(), *hi.T.tolist()))
 
 
 def build_base(domain: GridDomain, measure: Measure, kind: str,
@@ -341,22 +425,23 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     if (1 << min_scale) > usable:
         raise BadParams(f"min_scale {min_scale} exceeds the domain scale")
 
-    candidates = _candidate_sets(domain, kind, min_scale)
-    full = domain.full_box()
-    kept, dropped = [], 0
-    for b in candidates:
-        if fsum(measure.masses[b.slices()]) > 0.0:
-            kept.append(b)
-        else:
-            if kind in DYADIC_KINDS and b == full:
-                raise ZeroMassBaseSet("the full domain is mandated for dyadic "
-                                      "kinds but has zero mass")
-            dropped += 1
-    if not kept:
+    lo, hi = _candidate_corners(domain, kind, min_scale)
+    keep = box_sums(measure.masses, lo, hi) > 0.0
+    if kind in DYADIC_KINDS:
+        full = np.all(lo == 0, axis=1) & np.all(hi == domain.sides, axis=1)
+        if np.any(full & ~keep):
+            raise ZeroMassBaseSet("the full domain is mandated for dyadic "
+                                  "kinds but has zero mass")
+    dropped = int(np.count_nonzero(~keep))
+    if dropped == len(keep):
         raise EmptyBase("no base set has positive mass")
-    kept.sort(key=BaseSet.sort_key)
-    return BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
-                      sets=tuple(kept), dropped_zero_mass=dropped)
+    lo, hi = lo[keep], hi[keep]
+    family = BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
+                        sets=_box_tuple(lo, hi), dropped_zero_mass=dropped)
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    object.__setattr__(family, "_corners", (lo, hi))
+    return family
 
 
 def average(f: np.ndarray, box: BaseSet, measure: Measure) -> float:
@@ -381,14 +466,7 @@ def iter_dyadic_boxes(domain: GridDomain, min_scale: int = 0):
     For 1-d this is the binary tree of intervals; for 2-d it includes
     mixed-scale boxes, which is the lattice single-axis doubling lives on.
     """
-    per_axis = [_axis_dyadic_intervals(s, min_scale) for s in domain.sides]
-    if domain.dims == 1:
-        for lo, hi in per_axis[0]:
-            yield BaseSet((lo,), (hi,))
-    else:
-        for a0, a1 in per_axis[0]:
-            for b0, b1 in per_axis[1]:
-                yield BaseSet((a0, b0), (a1, b1))
+    yield from _box_tuple(*dyadic_lattice(domain, min_scale))
 
 
 def axis_parent(box: BaseSet, axis: int, domain: GridDomain) -> BaseSet | None:
@@ -462,7 +540,10 @@ def read_field_csv(path) -> tuple[GridDomain, np.ndarray]:
         flat.extend(float(tok) for tok in ln.replace(",", " ").split())
     if len(flat) != domain.num_cells:
         raise BadParams(f"{path}: expected {domain.num_cells} cells, got {len(flat)}")
-    return domain, np.array(flat).reshape(domain.sides)
+    values = np.array(flat).reshape(domain.sides)
+    if not np.all(np.isfinite(values)):
+        raise BadParams(f"{path}: every cell must be finite")
+    return domain, values
 
 
 def write_domain_json(path, domain: GridDomain) -> None:

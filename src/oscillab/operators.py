@@ -1,9 +1,12 @@
 """Maximal operators over a base family and the iterated-maximal weight
 construction (geometric series of maximal iterates).
 
-The dyadic mode aggregates scale by scale, costing O(cells x scales) rather
-than O(cells x family size); centered mode only sees odd-sided cubes whose
-center cell is the evaluation point; uncentered mode sees every member.
+Every mode takes all the base averages from one exact box-sum pass
+(``lattice.box_sums``).  Centered mode only sees odd-sided cubes, each
+scored at its center cell.  The dyadic and uncentered modes share one path:
+boxes are grouped by shape and each group is spread over the cells it
+covers by a separable sliding max, costing O(cells x log side) per shape.
+Dyadic mode differs only in the base kinds it accepts.
 """
 
 from __future__ import annotations
@@ -80,25 +83,54 @@ def maximal(f: np.ndarray, base: BaseFamily, measure: Measure,
         raise BadParams(f"field shape {f.shape} != domain {base.domain.sides}")
     if not np.all(np.isfinite(f)):
         raise BadParams("field values must be finite")
-    absfm = np.abs(f) * measure.masses
+    lo, hi = base.corners()
+    avg = lattice.box_sums(np.abs(f) * measure.masses, lo, hi) \
+        / base.set_masses(measure)
+    side = hi - lo
     out = np.zeros(base.domain.sides)
-    set_masses = base.set_masses(measure)
-    if kind.mode == "centered":
-        for box, mass in zip(base.sets, set_masses):
-            s = box.sides()[0]
-            if s % 2 == 0 and s > 1:
-                continue
-            avg = fsum(absfm[box.slices()]) / mass
-            center = tuple(l + (s - 1) // 2 for l in box.lo)
-            if avg > out[center]:
-                out[center] = avg
-    else:
-        for box, mass in zip(base.sets, set_masses):
-            avg = fsum(absfm[box.slices()]) / mass
-            sl = box.slices()
-            np.maximum(out[sl], avg, out=out[sl])
+    # Runs of boxes of one shape; a canonical family has one run per shape.
+    cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(side)]):
+        shape = side[a].tolist()
+        if kind.mode != "centered":
+            np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape,
+                                        base.domain.sides), out=out)
+        elif shape[0] % 2 == 1:
+            # Distinct boxes of one shape have distinct centers.
+            center = tuple((lo[a:b] + (shape[0] - 1) // 2).T)
+            out[center] = np.maximum(out[center], avg[a:b])
     out[measure.masses == 0.0] = 0.0
     return out
+
+
+def _spread_max(avg: np.ndarray, lo: np.ndarray, shape, sides) -> np.ndarray:
+    """Per cell, the largest of ``avg`` over the boxes of one shape (corners
+    ``lo``) that cover it, 0 where none does; ``avg`` must be >= 0.
+
+    The averages sit on a grid indexed by corner, padded by side - 1 on both
+    ends of each axis; a sliding max of width side per axis then leaves, at
+    cell c, the max over corners c - side + 1 .. c.
+    """
+    grid = np.zeros(tuple(n + s - 1 for n, s in zip(sides, shape)))
+    grid[tuple((lo + np.subtract(shape, 1)).T)] = avg
+    for axis, s in enumerate(shape):
+        grid = _window_max(grid, s, axis)
+    return grid
+
+
+def _window_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
+    """out[i] = max(a[i:i + s]) along one axis, by doubling the window:
+    O(len x log s)."""
+    lead = (slice(None),) * axis
+    width = 1
+    while 2 * width <= s:
+        a = np.maximum(a[lead + (slice(None, -width),)],
+                       a[lead + (slice(width, None),)])
+        width *= 2
+    if width < s:
+        a = np.maximum(a[lead + (slice(None, width - s),)],
+                       a[lead + (slice(s - width, None),)])
+    return a
 
 
 def lp_norm(f: np.ndarray, p: float, measure: Measure) -> float:

@@ -96,10 +96,16 @@ def _needs_log_space(values: np.ndarray, exponents) -> bool:
     return any(abs(e) * top > _LOG_LIMIT for e in exponents)
 
 
-def _avg_pow(values, masses, box, e, mass_of_box) -> float:
-    """Plain-space mean of values**e over the box."""
-    sl = box.slices()
-    return fsum((values[sl] ** e) * masses[sl]) / mass_of_box
+def _plain_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
+                 set_masses: np.ndarray) -> list[np.ndarray]:
+    """Per exponent e, the mean of w**e over each base set.
+
+    numpy's ``**`` gives the same bits on the whole grid as on each box's
+    slice, so these equal the per-box means bit for bit.
+    """
+    lo, hi = base.corners()
+    return [lattice.box_sums(w.values ** e * measure.masses, lo, hi) / set_masses
+            for e in exponents]
 
 
 def _log_avg_pow(logv, masses, box, e, log_mass) -> float:
@@ -144,9 +150,12 @@ def muckenhoupt_constant(w: Weight, p: float, base: BaseFamily,
                 best, arg = val, box
         result = _finite_or_raise(math.exp(best), "A_p constant")
     else:
-        for box, mass in zip(base.sets, set_masses):
-            val = (_avg_pow(w.values, measure.masses, box, 1.0, mass)
-                   * _avg_pow(w.values, measure.masses, box, e, mass) ** (p - 1.0))
+        # The power stays a per-box scalar: numpy's vectorised pow can differ
+        # from the scalar one in the last bit.
+        mean_1, mean_e = _plain_means(w, (1.0, e), base, measure,
+                                      set_masses)
+        for box, m1, me in zip(base.sets, mean_1, mean_e):
+            val = m1 * me ** (p - 1.0)
             if val > best:
                 best, arg = val, box
         result = _finite_or_raise(best, "A_p constant")
@@ -175,9 +184,10 @@ def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
                 best, arg = val, box
         result = _finite_or_raise(math.exp(best), "reverse Holder constant")
     else:
-        for box, mass in zip(base.sets, set_masses):
-            val = (_avg_pow(w.values, measure.masses, box, delta, mass) ** (1.0 / delta)
-                   / _avg_pow(w.values, measure.masses, box, 1.0, mass))
+        mean_d, mean_1 = _plain_means(w, (delta, 1.0), base, measure,
+                                      set_masses)
+        for box, md, m1 in zip(base.sets, mean_d, mean_1):
+            val = md ** (1.0 / delta) / m1
             if val > best:
                 best, arg = val, box
         result = _finite_or_raise(best, "reverse Holder constant")
@@ -218,32 +228,28 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
     Runs over the full per-axis dyadic lattice of the domain down to single
     cells.  A step of a stopping-time walk that bisects d axes then has
     weighted-mass ratio at most D^d.  Children of zero weighted mass are
-    skipped (they never enter a walk); returns at least 1.
+    skipped (they never enter a walk); returns at least 1.  Raises
+    ``OverflowGuard`` when a ratio leaves the float range.
     """
     domain = w.domain
     wm = w.values * measure.masses
+    lo, hi = lattice.dyadic_lattice(domain)
+    child = lattice.box_sums(wm, lo, hi)
     best = 1.0
-    cache: dict[BaseSet, float] = {}
-
-    def wmass(box: BaseSet) -> float:
-        got = cache.get(box)
-        if got is None:
-            got = fsum(wm[box.slices()])
-            cache[box] = got
-        return got
-
-    for box in lattice.iter_dyadic_boxes(domain):
-        child = wmass(box)
-        if child <= 0.0:
+    for axis in range(domain.dims):
+        side = hi[:, axis] - lo[:, axis]
+        pick = (2 * side <= domain.sides[axis]) & (child > 0.0)
+        if not np.any(pick):
             continue
-        for axis in range(domain.dims):
-            parent = lattice.axis_parent(box, axis, domain)
-            if parent is None:
-                continue
-            ratio = wmass(parent) / child
-            if ratio > best:
-                best = ratio
-    return best
+        # The dyadic parent along this axis: the side doubled.
+        step = 2 * side[pick]
+        plo, phi = lo[pick], hi[pick]
+        plo[:, axis] = plo[:, axis] // step * step
+        phi[:, axis] = plo[:, axis] + step
+        with np.errstate(over="ignore"):  # an infinite ratio raises below
+            ratios = lattice.box_sums(wm, plo, phi) / child[pick]
+        best = max(best, float(np.max(ratios)))
+    return _finite_or_raise(best, "doubling constant")
 
 
 @dataclass(frozen=True)

@@ -237,3 +237,41 @@ def brute_sharp(f, masses, boxes) -> float:
         med = brute_weighted_median(vals, ms)
         best = max(best, float(np.sum(np.abs(vals - med) * ms) / np.sum(ms)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# base families
+# ---------------------------------------------------------------------------
+
+
+def brute_base(sides, masses: np.ndarray, kind: str, min_scale: int = 0):
+    """Boxes of one base kind with positive mass, in canonical order (sides
+    descending, then corner), and the number dropped for zero mass.
+
+    Raises ``ZeroMassBaseSet`` when a dyadic kind's full domain has no mass.
+    """
+    from oscillab.errors import ZeroMassBaseSet
+
+    min_len = 1 << min_scale
+    if kind == "dyadic-cubes":
+        boxes = brute_dyadic_cubes(tuple(sides))
+    elif kind == "dyadic-rectangles":
+        boxes = brute_dyadic_rectangles(tuple(sides))
+    elif len(sides) == 1:
+        boxes = brute_all_intervals(sides[0])
+    elif kind == "all-cubes":
+        boxes = {((i, j), (i + n, j + n)) for n in range(1, min(sides) + 1)
+                 for i in range(sides[0] - n + 1)
+                 for j in range(sides[1] - n + 1)}
+    else:
+        xs = brute_all_intervals(sides[0])
+        ys = brute_all_intervals(sides[1])
+        boxes = {((x[0][0], y[0][0]), (x[1][0], y[1][0])) for x in xs for y in ys}
+    boxes = [b for b in boxes
+             if all(h - l >= min_len for l, h in zip(b[0], b[1]))]
+    kept = [b for b in boxes if box_sum(masses, b) > 0]
+    full = ((0,) * len(sides), tuple(sides))
+    if kind.startswith("dyadic") and full in boxes and full not in kept:
+        raise ZeroMassBaseSet("full domain has zero mass")
+    kept.sort(key=lambda b: (tuple(l - h for l, h in zip(*b)), b[0]))
+    return kept, len(boxes) - len(kept)

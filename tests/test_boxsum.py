@@ -1,0 +1,270 @@
+"""The exact box-sum engine and the paths routed through it.
+
+``lattice.box_sums`` must equal ``math.fsum`` over each box bit for bit, so
+every comparison here is on the float bits, not within a tolerance.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oscillab import (GridDomain, Measure, MaximalKind, Weight, build_base,
+                      doubling_constant, maximal, muckenhoupt_constant,
+                      reverse_holder_constant)
+from oscillab.errors import EmptyBase, OscillabError, ZeroMassBaseSet
+from oscillab.lattice import BASE_KINDS, box_sums, iter_dyadic_boxes
+
+import oracles
+
+GRIDS = ((8,), (16,), (4, 4), (8, 8), (4, 8))
+
+
+def _fsum_per_box(values, boxes) -> np.ndarray:
+    return np.array([math.fsum(values[b.slices()].ravel().tolist())
+                     for b in boxes])
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _domain(sides) -> GridDomain:
+    return GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+
+
+def _family(sides, kind, min_scale, measure=None):
+    """The base family, or None where the kind does not fit the grid."""
+    dom = _domain(sides)
+    measure = measure or Measure.uniform(dom)
+    try:
+        return build_base(dom, measure, kind, min_scale)
+    except OscillabError:
+        return None
+
+
+# Cells from 1e-300 to 1e300 in magnitude, both signs, zeros and subnormals.
+# Cells are drawn from a small pool, with signs, so boxes often cancel to
+# zero or to a subnormal remainder.
+_magnitudes = st.builds(lambda m, e: m * 10.0 ** e,
+                        st.floats(1.0, 9.999), st.integers(-300, 299))
+_pool_value = st.one_of(st.just(0.0), st.sampled_from([1.0, 0.5, 3.0]),
+                        _magnitudes,
+                        st.integers(1, 2 ** 20).map(lambda k: k * 5e-324))
+
+
+@st.composite
+def _grid_values(draw):
+    sides = draw(st.sampled_from(GRIDS))
+    pool = draw(st.lists(_pool_value, min_size=1, max_size=4))
+    n = int(np.prod(sides))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    values = np.array([s * pool[i] for s, i in zip(signs, picks)])
+    return sides, values.reshape(sides)
+
+
+class TestBoxSums:
+    @given(_grid_values(), st.sampled_from(BASE_KINDS), st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_box_fsum_bit_for_bit(self, grid, kind, min_scale):
+        sides, values = grid
+        base = _family(sides, kind, min_scale)
+        if base is None:
+            return
+        got = box_sums(values, *base.corners())
+        assert _bits(got) == _bits(_fsum_per_box(values, base.sets))
+
+    @given(_grid_values())
+    @settings(max_examples=100, deadline=None)
+    def test_dyadic_lattice_and_single_cells(self, grid):
+        sides, values = grid
+        boxes = list(iter_dyadic_boxes(_domain(sides)))
+        lo = np.array([b.lo for b in boxes])
+        hi = np.array([b.hi for b in boxes])
+        assert _bits(box_sums(values, lo, hi)) == _bits(_fsum_per_box(values, boxes))
+        # One-cell boxes give the cell itself, except that fsum turns -0.0
+        # into 0.0.
+        cells = np.argwhere(np.ones(sides, dtype=bool))
+        assert _bits(box_sums(values, cells, cells + 1)) \
+            == _bits(values.ravel() + 0.0)
+
+    def test_subnormal_results(self):
+        tiny = 5e-324
+        values = np.array([1e300, -1e300, 3 * tiny, -tiny, 0.5, -0.5, tiny, 0.0])
+        lo = np.array([[0], [2], [0], [4], [3]])
+        hi = np.array([[3], [4], [8], [6], [7]])
+        got = box_sums(values, lo, hi)
+        assert _bits(got) == _bits([3 * tiny, 2 * tiny, 3 * tiny, 0.0, 0.0])
+        assert got[0] == 1.5e-323
+
+    def test_exact_overflow_raises_like_fsum(self):
+        values = np.array([1e308, 1e308, -1e308])
+        with pytest.raises(OverflowError):
+            math.fsum(values[:2].tolist())
+        with pytest.raises(OverflowError):
+            box_sums(values, [[0]], [[2]])
+        # fsum overflows on a partial sum here; the engine returns the exact,
+        # representable total.
+        with pytest.raises(OverflowError):
+            math.fsum(values.tolist())
+        assert box_sums(values, [[0]], [[3]])[0] == 1e308
+
+    def test_non_finite_cells_follow_fsum(self):
+        values = np.array([1.0, math.inf, 2.0, math.nan, -math.inf, 4.0])
+        lo = np.array([[0], [0], [2], [2], [4], [3]])
+        hi = np.array([[1], [2], [3], [4], [5], [6]])
+        got = box_sums(values, lo, hi)
+        assert got[0] == 1.0 and got[2] == 2.0
+        assert got[1] == math.inf and got[4] == -math.inf
+        assert math.isnan(got[3]) and math.isnan(got[5])
+        with pytest.raises(ValueError):
+            math.fsum(values[1:5].tolist())
+        with pytest.raises(ValueError):
+            box_sums(values, [[1]], [[5]])
+
+    def test_all_zero_and_empty(self):
+        zeros = np.zeros((4, 4))
+        assert _bits(box_sums(zeros, [[0, 0]], [[4, 4]])) == _bits([0.0])
+        assert box_sums(np.ones(4), np.empty((0, 1), int),
+                        np.empty((0, 1), int)).shape == (0,)
+
+
+@st.composite
+def _general_masses(draw):
+    """A measure on one of the grids with some cells of zero mass."""
+    sides = draw(st.sampled_from(GRIDS))
+    n = int(np.prod(sides))
+    cells = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.25, 3.5, 1e-300]),
+                          min_size=n, max_size=n))
+    masses = np.array(cells).reshape(sides)
+    if not np.any(masses > 0):
+        masses.flat[draw(st.integers(0, n - 1))] = 2.0
+    return sides, masses
+
+
+class TestBuildBase:
+    @given(_general_masses(), st.sampled_from(BASE_KINDS), st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, grid, kind, min_scale):
+        sides, masses = grid
+        dom = _domain(sides)
+        try:
+            base = build_base(dom, Measure.general(dom, masses), kind, min_scale)
+        except EmptyBase:
+            base = None
+        except OscillabError:
+            return  # the kind does not fit this grid or scale
+        want, dropped = oracles.brute_base(sides, masses, kind, min_scale)
+        if base is None:
+            assert want == []
+            return
+        assert [(b.lo, b.hi) for b in base.sets] == want
+        assert base.dropped_zero_mass == dropped
+        lo, hi = base.corners()
+        assert [tuple(r) for r in lo] == [b[0] for b in want]
+        assert [tuple(r) for r in hi] == [b[1] for b in want]
+
+    @pytest.mark.parametrize("kind", BASE_KINDS)
+    def test_zero_mass_full_domain(self, kind):
+        # A valid measure always has mass on the full domain, so bypass the
+        # constructor's check to reach the mandated-member guard.
+        dom = _domain((4, 4))
+        measure = Measure.uniform(dom)
+        object.__setattr__(measure, "masses", np.zeros((4, 4)))
+        if kind.startswith("dyadic"):
+            with pytest.raises(ZeroMassBaseSet):
+                oracles.brute_base((4, 4), measure.masses, kind)
+            with pytest.raises(ZeroMassBaseSet):
+                build_base(dom, measure, kind)
+        else:
+            assert oracles.brute_base((4, 4), measure.masses, kind)[0] == []
+            with pytest.raises(EmptyBase):
+                build_base(dom, measure, kind)
+
+
+_weights = st.lists(st.floats(-4.0, 4.0), min_size=64, max_size=64).map(
+    lambda xs: np.exp(np.array(xs)))
+
+
+class TestRoutedPaths:
+    """Each path through the engine against the per-box loop it replaced."""
+
+    @given(_weights, st.sampled_from(GRIDS), st.sampled_from(BASE_KINDS),
+           st.floats(1.1, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_plain_space_constants(self, cells, sides, kind, p):
+        base = _family(sides, kind, 0)
+        if base is None:
+            return
+        dom, measure = base.domain, Measure.uniform(base.domain)
+        values = cells[:dom.num_cells].reshape(sides)
+        m = measure.masses
+        ap = rh = -math.inf
+        e = -1.0 / (p - 1.0)
+        for box, mass in zip(base.sets, base.set_masses(measure)):
+            sl = box.slices()
+            a = math.fsum((values[sl] * m[sl]).ravel().tolist()) / mass
+            b = math.fsum((values[sl] ** e * m[sl]).ravel().tolist()) / mass
+            d = math.fsum((values[sl] ** p * m[sl]).ravel().tolist()) / mass
+            ap = max(ap, a * b ** (p - 1.0))
+            rh = max(rh, d ** (1.0 / p) / a)
+        assert _bits([muckenhoupt_constant(Weight(dom, values), p, base, measure)]) \
+            == _bits([ap])
+        assert _bits([reverse_holder_constant(Weight(dom, values), p, base,
+                                              measure)]) == _bits([rh])
+
+    @given(_general_masses(), st.sampled_from(BASE_KINDS),
+           st.sampled_from(["dyadic", "centered", "uncentered"]),
+           st.integers(0, 1), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_maximal(self, grid, kind, mode, min_scale, seed):
+        sides, masses = grid
+        dom = _domain(sides)
+        measure = Measure.general(dom, masses)
+        base = _family(sides, kind, min_scale, measure)
+        if base is None or (mode == "dyadic" and not kind.startswith("dyadic")) \
+                or (mode == "centered" and not kind.endswith("cubes")):
+            return
+        f = np.random.default_rng(seed).standard_normal(sides)
+        absfm = np.abs(f) * masses
+        want = np.zeros(sides)
+        for box, mass in zip(base.sets, base.set_masses(measure)):
+            avg = math.fsum(absfm[box.slices()].ravel().tolist()) / mass
+            s = box.sides()[0]
+            if mode != "centered":
+                want[box.slices()] = np.maximum(want[box.slices()], avg)
+            elif s % 2 == 1:
+                center = tuple(l + (s - 1) // 2 for l in box.lo)
+                want[center] = max(want[center], avg)
+        want[masses == 0.0] = 0.0
+        assert _bits(maximal(f, base, measure, MaximalKind(mode))) == _bits(want)
+
+    @given(_general_masses(), _weights)
+    @settings(max_examples=60, deadline=None)
+    def test_doubling(self, grid, cells):
+        sides, masses = grid
+        dom = _domain(sides)
+        values = cells[:dom.num_cells].reshape(sides)
+        wm = values * masses
+        want = 1.0
+        for box in iter_dyadic_boxes(dom):
+            child = math.fsum(wm[box.slices()].ravel().tolist())
+            if child <= 0.0:
+                continue
+            for axis in range(dom.dims):
+                lo, hi = list(box.lo), list(box.hi)
+                s = hi[axis] - lo[axis]
+                if 2 * s > sides[axis]:
+                    continue
+                lo[axis] = lo[axis] // (2 * s) * (2 * s)
+                hi[axis] = lo[axis] + 2 * s
+                parent = math.fsum(
+                    wm[tuple(map(slice, lo, hi))].ravel().tolist())
+                want = max(want, parent / child)
+        got = doubling_constant(Weight(dom, values), Measure.general(dom, masses))
+        assert _bits([got]) == _bits([want])

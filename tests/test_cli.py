@@ -77,6 +77,17 @@ class TestNormCommand:
         assert rep["p"] == 2.0
         assert rep["extremal_set"]
 
+    def test_non_finite_cell_exits_three(self, tmp_path, capsys):
+        field = tmp_path / "f.csv"
+        values = np.arange(8.0)
+        values[3] = math.nan
+        write_field_csv(field, GridDomain((8,)), values)
+        out = tmp_path / "norm.json"
+        rc = main(["norm", "--field", str(field), "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
+
 
 class TestConstantCommand:
     def test_generated_weight_constant(self, tmp_path):
@@ -88,6 +99,17 @@ class TestConstantCommand:
         rep = json.loads(out.read_text())
         assert rep["value"] >= 1.0
         assert rep["kind"] == "ap"
+
+    def test_doubling_overflow_exits_three(self, tmp_path, capsys):
+        weight = tmp_path / "w.csv"
+        write_field_csv(weight, GridDomain((4,)),
+                        np.array([1e300, 1e-300, 1.0, 1.0]))
+        out = tmp_path / "c.json"
+        rc = main(["constant", "--kind", "doubling", "--weight", str(weight),
+                   "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "representable" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
