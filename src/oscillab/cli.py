@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
-                     OscillabError)
+                     OscillabError, OverflowGuard)
 from .lattice import GridDomain, Measure, build_base, read_field_csv
 from .oscillation import (CenteredDiff, DualHardy, jn_exp_moment,
                           oscillation_norm, tl_equivalence_probe)
@@ -162,6 +162,9 @@ def cmd_norm(args, cfg: RunConfig) -> int:
         measure = Measure.uniform(domain)
         base = build_base(domain, measure, args.base, args.min_scale)
         rep = oscillation_norm(values, CenteredDiff(), w, args.p, base, measure)
+    if not math.isfinite(rep.value):
+        raise OverflowGuard("the norm left the representable range; "
+                            "rescale the field")
     payload = {"norm": rep.value, "p": rep.p, "spec": args.spec,
                "weight_digest": rep.weight_id,
                "extremal_set": rep.extremal_set.label(),
@@ -502,7 +505,9 @@ def main(argv=None) -> int:
     except (EmptyCorpus, AllDegenerate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OscillabError as exc:
+    except (OscillabError, OverflowError) as exc:
+        # An OverflowError is an exact sum or a power past the float range:
+        # the condition OverflowGuard names, so it shares its exit code.
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -99,6 +99,11 @@ def box_sums(values, lo, hi) -> np.ndarray:
     return out
 
 
+# Cells per gathered block in ``BaseFamily.shape_runs``; bounds the
+# (boxes, cells) temporaries of the shape-grouped kernels.
+_GATHER_CELLS = 1 << 14
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -332,6 +337,34 @@ class BaseFamily:
             cached = (lo, hi)
             object.__setattr__(self, "_corners", cached)
         return cached
+
+    def shape_runs(self):
+        """Yield (start, stop, idx) over ``sets`` in order, one run of boxes
+        of one shape at a time: row i of idx holds the flat (row-major) cell
+        indices of set ``start + i``, in the box's own row-major order.
+
+        A run longer than ``_GATHER_CELLS`` cells comes in several blocks.
+        The family caches one corner index per set and one offset pattern
+        per run, not the index blocks themselves.
+        """
+        runs = getattr(self, "_shape_runs", None)
+        if runs is None:
+            lo, hi = self.corners()
+            sides = hi - lo
+            first = np.ravel_multi_index(tuple(lo.T), self.domain.sides)
+            cuts = np.flatnonzero(np.any(sides[1:] != sides[:-1], axis=1)) + 1
+            bounds = [0, *cuts.tolist(), len(lo)]
+            runs = []
+            for start, stop in zip(bounds, bounds[1:]):
+                cells = np.indices(sides[start]).reshape(self.domain.dims, -1)
+                offsets = np.ravel_multi_index(tuple(cells), self.domain.sides)
+                runs.append((start, stop, first[start:stop, None], offsets))
+            object.__setattr__(self, "_shape_runs", runs)
+        for start, stop, first, offsets in runs:
+            rows = max(1, _GATHER_CELLS // len(offsets))
+            for a in range(start, stop, rows):
+                b = min(a + rows, stop)
+                yield a, b, first[a - start:b - start] + offsets
 
     def set_masses(self, measure: Measure) -> np.ndarray:
         """Per-set measure, aligned with ``sets``; cached per measure digest."""

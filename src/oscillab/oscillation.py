@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic, ZeroMass)
-from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, fsum,
-                      simultaneous_children)
+from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, box_sums,
+                      fsum, simultaneous_children)
 from .weights import Weight
 
 
@@ -79,70 +79,139 @@ class NormReport:
     per_set: tuple | None = None
 
 
-def _local_field(f, spec, base_set: BaseSet, measure: Measure,
-                 domain: GridDomain) -> np.ndarray:
-    """The oscillation field of one base set, as a full-grid array that is
-    only consulted on the set's own cells."""
-    sl = base_set.slices()
-    if isinstance(spec, CenteredDiff):
-        arr = np.asarray(f, dtype=float)
-        m = measure.masses if spec.v is None else measure.masses * spec.v.values
-        denom = fsum(m[sl])
-        if denom <= 0.0:
-            raise ZeroMass(f"no mass on {base_set.label()}")
-        c = fsum((arr * m)[sl]) / denom
-        return np.abs(arr - c)
-    if isinstance(spec, DualHardy):
-        arr = np.asarray(f, dtype=float)
-        if measure.kind != "density-over-uniform" or not np.array_equal(
-                measure.masses, spec.w.values):
-            raise IncompatibleSpec(
-                "the reciprocal-weight rule needs the ambient measure to be "
-                "the density measure of the same weight")
-        c = float(np.mean(arr[sl]))
-        return np.abs(arr - c) / spec.w.values
-    if isinstance(spec, TLSeq):
-        if not isinstance(f, TLSequence):
-            raise IncompatibleSpec("sequence rule needs a cube-indexed sequence")
-        total = float(domain.num_cells)
-        n = float(domain.dims)
-        out = np.zeros(domain.sides)
-        for cube, s in f.items_canonical():
-            if s == 0.0 or not base_set.contains_box(cube):
-                continue
-            size_norm = cube.cell_count() / total
-            coef = (size_norm ** (-0.5 - spec.alpha / n)) * abs(s)
-            out[cube.slices()] += coef ** spec.q
-        return out
-    raise IncompatibleSpec(f"unknown oscillation rule {type(spec).__name__}")
+def _sequence_field(f, spec: TLSeq, base_set: BaseSet,
+                    domain: GridDomain) -> np.ndarray:
+    """The TLSeq oscillation field of one base set, as a full-grid array
+    that is only consulted on the set's own cells."""
+    if not isinstance(f, TLSequence):
+        raise IncompatibleSpec("sequence rule needs a cube-indexed sequence")
+    total = float(domain.num_cells)
+    n = float(domain.dims)
+    out = np.zeros(domain.sides)
+    for cube, s in f.items_canonical():
+        if s == 0.0 or not base_set.contains_box(cube):
+            continue
+        size_norm = cube.cell_count() / total
+        coef = (size_norm ** (-0.5 - spec.alpha / n)) * abs(s)
+        out[cube.slices()] += coef ** spec.q
+    return out
 
 
 def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
                      measure: Measure, per_set: bool = False) -> NormReport:
-    """max over base sets of ((1/w-mass) sum local^p w m)^(1/p)."""
+    """max over base sets of ((1/w-mass) sum local^p w m)^(1/p).
+
+    ``CenteredDiff`` and ``DualHardy`` run as a shape-grouped kernel: one
+    ``box_sums`` pass per linear array (the w-masses, and the centre
+    numerators and masses of ``CenteredDiff``), then the boxes in runs of
+    one shape, each gathered as (boxes, cells) blocks so that local^p w m
+    is one numpy expression per block, and one ``math.fsum`` per box.  The
+    ``DualHardy`` centre, a plain cell mean, stays one reduction per box.
+    ``TLSeq`` builds its field box by box.  Either way the result, the
+    extremal set (the first strict maximum in canonical order) and the
+    first error in canonical order are those of a box-by-box loop; only an
+    overflow in a linear sum differs, as ``box_sums`` differs from ``fsum``
+    (see ``lattice``).
+    """
     if not p > 0:
         raise ExponentOutOfRange(f"the norm exponent must be positive, got {p}")
     if isinstance(spec, TLSeq) and base.kind != "dyadic-cubes":
         raise IncompatibleSpec("sequence norms are defined over dyadic cubes")
     wm = w.values * measure.masses
+    if isinstance(spec, (CenteredDiff, DualHardy)):
+        vals, failure = _grouped_means(np.asarray(f, dtype=float), spec, wm,
+                                       p, base, measure)
+    else:
+        vals, failure = _sequence_means(f, spec, wm, p, base), None
     best = -1.0
     best_set = None
     rows = [] if per_set else None
-    for box in base.sets:
-        sl = box.slices()
-        wmass = fsum(wm[sl])
-        if wmass <= 0.0:
-            raise ZeroMass(f"no weighted mass on {box.label()}")
-        local = _local_field(f, spec, box, measure, base.domain)
-        val = fsum(((local ** p) * wm)[sl]) / wmass
+    for box, val in zip(base.sets, vals):
         if rows is not None:
             rows.append((box, val ** (1.0 / p)))
         if val > best:
             best = val
             best_set = box
+    if failure is not None:
+        raise failure
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
                       extremal_set=best_set,
                       per_set=tuple(rows) if rows is not None else None)
+
+
+def _sequence_means(f, spec, wm: np.ndarray, p: float, base: BaseFamily):
+    """Yield each box's w-mean of local^p, box by box."""
+    for box in base.sets:
+        sl = box.slices()
+        wmass = fsum(wm[sl])
+        if wmass <= 0.0:
+            raise ZeroMass(f"no weighted mass on {box.label()}")
+        if not isinstance(spec, TLSeq):
+            raise IncompatibleSpec(
+                f"unknown oscillation rule {type(spec).__name__}")
+        local = _sequence_field(f, spec, box, base.domain)
+        yield fsum(((local ** p) * wm)[sl]) / wmass
+
+
+def _grouped_means(arr: np.ndarray, spec, wm: np.ndarray, p: float,
+                   base: BaseFamily, measure: Measure):
+    """Each box's w-mean of local^p, up to the first box that fails a check,
+    and that box's error (None when every box passes).
+
+    The boxes before the failing one are still evaluated, so that an
+    overflow they raise comes first, as it would in a box-by-box loop.
+    """
+    lo, hi = base.corners()
+    wmass = box_sums(wm, lo, hi)
+    zero = wmass <= 0.0
+    if isinstance(spec, CenteredDiff):
+        if spec.v is None:
+            m, mass = measure.masses, base.set_masses(measure)
+        else:
+            m = measure.masses * spec.v.values
+            mass = box_sums(m, lo, hi)
+        bad = np.flatnonzero(zero | (mass <= 0.0))
+        stop = int(bad[0]) if len(bad) else len(base)
+        # Boxes from the failing one on may have no mass; their centres
+        # are never used.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centre = box_sums(arr * m, lo, hi) / mass
+        scale = None
+    else:
+        compatible = (measure.kind == "density-over-uniform"
+                      and np.array_equal(measure.masses, spec.w.values))
+        bad = np.flatnonzero(zero)
+        stop = 0 if not compatible else int(bad[0]) if len(bad) else len(base)
+        # The plain mean, np.mean's way: np.add.reduce over the box's own
+        # view (its summation order depends on the view's layout, so this
+        # stays box by box), then one division by the cell count.
+        views = (arr[box.slices()] for box in base.sets[:stop])
+        centre = np.array([float(np.add.reduce(v, axis=None)) / v.size
+                           for v in views])
+        scale = spec.w.values.ravel()
+    flat, wm_flat = arr.ravel(), wm.ravel()
+    wmass = wmass.tolist()
+    vals = []
+    for start, _, idx in base.shape_runs():
+        if start >= stop:
+            break
+        idx = idx[:stop - start]
+        local = np.abs(flat[idx] - centre[start:start + len(idx), None])
+        if scale is not None:
+            local = local / scale[idx]
+        terms = (local ** p) * wm_flat[idx]
+        vals.extend(math.fsum(row) / wmass[k]
+                    for k, row in enumerate(terms.tolist(), start))
+    if stop == len(base):
+        return vals, None
+    box = base.sets[stop]
+    if zero[stop]:
+        return vals, ZeroMass(f"no weighted mass on {box.label()}")
+    if isinstance(spec, DualHardy):
+        return vals, IncompatibleSpec(
+            "the reciprocal-weight rule needs the ambient measure to be "
+            "the density measure of the same weight")
+    return vals, ZeroMass(f"no mass on {box.label()}")
 
 
 def weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
@@ -284,6 +353,12 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
 
     The default eta is 2 e^(D^2), D the doubling constant of w dm; at that
     scale a covering recursion caps the moment at 2e independently of f.
+
+    Cost: one ``box_sums`` pass each for the w-masses and the centre
+    numerators, then the boxes in runs of one shape, each gathered as
+    (boxes, cells) blocks so that exp(min(osc, N)/eta - shift) w m is one
+    numpy expression per block, and one ``math.fsum`` per box; the results
+    equal a box-by-box loop bit for bit.
     """
     if big_n <= 0:
         raise BadParams(f"the truncation level must be positive, got {big_n}")
@@ -298,25 +373,29 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
         eta = 2.0 * math.exp(dw * dw)
     if eta <= 0:
         raise BadParams(f"the tempering scale must be positive, got {eta}")
+    # Every box has positive w-mass: the norm above raised otherwise.
+    lo, hi = base.corners()
+    wmass = box_sums(wm, lo, hi)
+    centre = box_sums(f * wm, lo, hi) / wmass
+    flat, wm_flat = f.ravel(), wm.ravel()
+    wmass, centres = wmass.tolist(), centre.tolist()
     best_log = -math.inf
-    best_set = None
-    best_osc = None
-    for box in base.sets:
-        sl = box.slices()
-        wmass = fsum(wm[sl])
-        if wmass <= 0.0:
-            raise ZeroMass(f"no weighted mass on {box.label()}")
-        c = fsum((f * wm)[sl]) / wmass
-        osc = np.abs(f[sl] - c) / bmo
+    best = None
+    for start, _, idx in base.shape_runs():
+        osc = np.abs(flat[idx] - centre[start:start + len(idx), None]) / bmo
         ex = np.minimum(osc, big_n) / eta
-        shift = float(np.max(ex))
-        log_t = shift + math.log(fsum(np.exp(ex - shift) * wm[sl])) \
-            - math.log(wmass)
-        if log_t > best_log:
-            best_log = log_t
-            best_set = box
-            best_osc = (osc, wm[sl], wmass)
-    osc, wms, wmass = best_osc
+        shift = ex.max(axis=1)
+        terms = np.exp(ex - shift[:, None]) * wm_flat[idx]
+        for k, (sh, row) in enumerate(zip(shift.tolist(), terms.tolist()),
+                                      start):
+            log_t = sh + math.log(math.fsum(row)) - math.log(wmass[k])
+            if log_t > best_log:
+                best_log = log_t
+                best = k
+    best_set = base.sets[best]
+    sl = best_set.slices()
+    osc = np.abs(f[sl] - centres[best]) / bmo
+    wms, wmass = wm[sl], wmass[best]
     grid = np.linspace(0.0, float(np.max(osc)), 33)
     xs, ys = [], []
     for lam in grid[:-1]:

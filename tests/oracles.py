@@ -275,3 +275,124 @@ def brute_base(sides, masses: np.ndarray, kind: str, min_scale: int = 0):
         raise ZeroMassBaseSet("full domain has zero mass")
     kept.sort(key=lambda b: (tuple(l - h for l, h in zip(*b)), b[0]))
     return kept, len(boxes) - len(kept)
+
+
+# ---------------------------------------------------------------------------
+# per-box oscillation loops
+# ---------------------------------------------------------------------------
+#
+# The box-at-a-time loops ``oscillation_norm`` (CenteredDiff, DualHardy) and
+# ``jn_exp_moment`` ran before they became shape-grouped kernels, kept as
+# the bit-for-bit reference for those kernels.  Two edits only: the TLSeq
+# branches are left out, and the jn loop's norm call goes to
+# ``per_box_osc_norm``.
+
+
+def _per_box_local_field(f, spec, base_set, measure):
+    from oscillab.errors import IncompatibleSpec, ZeroMass
+    from oscillab.lattice import fsum
+    from oscillab.oscillation import CenteredDiff, DualHardy
+
+    sl = base_set.slices()
+    if isinstance(spec, CenteredDiff):
+        arr = np.asarray(f, dtype=float)
+        m = measure.masses if spec.v is None else measure.masses * spec.v.values
+        denom = fsum(m[sl])
+        if denom <= 0.0:
+            raise ZeroMass(f"no mass on {base_set.label()}")
+        c = fsum((arr * m)[sl]) / denom
+        return np.abs(arr - c)
+    if isinstance(spec, DualHardy):
+        arr = np.asarray(f, dtype=float)
+        if measure.kind != "density-over-uniform" or not np.array_equal(
+                measure.masses, spec.w.values):
+            raise IncompatibleSpec(
+                "the reciprocal-weight rule needs the ambient measure to be "
+                "the density measure of the same weight")
+        c = float(np.mean(arr[sl]))
+        return np.abs(arr - c) / spec.w.values
+    raise IncompatibleSpec(f"unknown oscillation rule {type(spec).__name__}")
+
+
+def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
+    from oscillab.errors import ExponentOutOfRange, ZeroMass
+    from oscillab.lattice import fsum
+    from oscillab.oscillation import NormReport
+
+    if not p > 0:
+        raise ExponentOutOfRange(f"the norm exponent must be positive, got {p}")
+    wm = w.values * measure.masses
+    best = -1.0
+    best_set = None
+    rows = [] if per_set else None
+    for box in base.sets:
+        sl = box.slices()
+        wmass = fsum(wm[sl])
+        if wmass <= 0.0:
+            raise ZeroMass(f"no weighted mass on {box.label()}")
+        local = _per_box_local_field(f, spec, box, measure)
+        val = fsum(((local ** p) * wm)[sl]) / wmass
+        if rows is not None:
+            rows.append((box, val ** (1.0 / p)))
+        if val > best:
+            best = val
+            best_set = box
+    return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
+                      extremal_set=best_set,
+                      per_set=tuple(rows) if rows is not None else None)
+
+
+def per_box_jn_exp_moment(f, base, w, measure, eta=None, big_n=64.0):
+    import math
+
+    from oscillab.errors import BadParams, DegenerateInput, ZeroMass
+    from oscillab.lattice import fsum
+    from oscillab.oscillation import CenteredDiff, JNReport
+    from oscillab.weights import doubling_constant
+
+    if big_n <= 0:
+        raise BadParams(f"the truncation level must be positive, got {big_n}")
+    f = np.asarray(f, dtype=float)
+    wm = w.values * measure.masses
+    bmo = per_box_osc_norm(f, CenteredDiff(), w, 1.0, base, measure).value
+    if bmo <= 0.0:
+        raise DegenerateInput("constant fields have no oscillation to probe")
+    dw = doubling_constant(w, measure)
+    if eta is None:
+        eta = 2.0 * math.exp(dw * dw)
+    if eta <= 0:
+        raise BadParams(f"the tempering scale must be positive, got {eta}")
+    best_log = -math.inf
+    best_set = None
+    best_osc = None
+    for box in base.sets:
+        sl = box.slices()
+        wmass = fsum(wm[sl])
+        if wmass <= 0.0:
+            raise ZeroMass(f"no weighted mass on {box.label()}")
+        c = fsum((f * wm)[sl]) / wmass
+        osc = np.abs(f[sl] - c) / bmo
+        ex = np.minimum(osc, big_n) / eta
+        shift = float(np.max(ex))
+        log_t = shift + math.log(fsum(np.exp(ex - shift) * wm[sl])) \
+            - math.log(wmass)
+        if log_t > best_log:
+            best_log = log_t
+            best_set = box
+            best_osc = (osc, wm[sl], wmass)
+    osc, wms, wmass = best_osc
+    grid = np.linspace(0.0, float(np.max(osc)), 33)
+    xs, ys = [], []
+    for lam in grid[:-1]:
+        surv = fsum(wms[osc > lam])
+        if surv > 0:
+            xs.append(lam)
+            ys.append(math.log(surv / wmass))
+    if len(xs) >= 2:
+        slope, intercept = np.polyfit(xs, ys, 1)
+        c1_hat, c2_hat = math.exp(intercept), -float(slope)
+    else:
+        c1_hat, c2_hat = math.nan, math.nan
+    return JNReport(t_value=math.exp(best_log), eta=float(eta),
+                    big_n=float(big_n), dw=dw, bmo_norm=bmo,
+                    extremal_set=best_set, c1_hat=c1_hat, c2_hat=c2_hat)

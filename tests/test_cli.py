@@ -89,6 +89,28 @@ class TestNormCommand:
         assert "finite" in capsys.readouterr().err
 
 
+    def test_intermediate_overflow_exits_three(self, tmp_path, capsys):
+        field = tmp_path / "f.csv"
+        write_field_csv(field, GridDomain((4,)),
+                        np.array([1e308, -1e308, 1e308, -1e308]))
+        out = tmp_path / "norm.json"
+        rc = main(["norm", "--field", str(field), "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "overflow" in capsys.readouterr().err
+
+    def test_infinite_norm_of_finite_field_exits_three(self, tmp_path, capsys):
+        field = tmp_path / "f.csv"
+        write_field_csv(field, GridDomain((4,)),
+                        np.array([1e200, -1e200, 3e200, 1.0]))
+        out = tmp_path / "norm.json"
+        rc = main(["norm", "--field", str(field), "--p", "2",
+                   "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "representable" in capsys.readouterr().err
+
+
 class TestConstantCommand:
     def test_generated_weight_constant(self, tmp_path):
         out = tmp_path / "c.json"
@@ -110,6 +132,18 @@ class TestConstantCommand:
         assert rc == 3
         assert not out.exists()
         assert "representable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["a1", "doubling"])
+    def test_exact_sum_overflow_exits_three(self, tmp_path, capsys, kind):
+        weight = tmp_path / "w.csv"
+        write_field_csv(weight, GridDomain((4,)),
+                        np.array([1e308, 1e308, 1.0, 1.0]))
+        out = tmp_path / "c.json"
+        rc = main(["constant", "--kind", kind, "--weight", str(weight),
+                   "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "too large" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
