@@ -8,9 +8,9 @@ against constants computed from the same data.
 
 from . import errors
 from .config import RunConfig, parse_config
-from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, average,
-                      build_base, fsum, iter_dyadic_boxes,
-                      read_field_csv, simultaneous_children, write_field_csv)
+from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, build_base,
+                      fsum, iter_dyadic_boxes, read_field_csv,
+                      simultaneous_children, write_field_csv)
 from .operators import MaximalKind, lp_norm, maximal, rubio_de_francia
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
@@ -18,8 +18,7 @@ from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           weighted_median)
 from .reports import CertificateReport, Check, ConstantEstimate, make_check
 from .verify import (TheoremId, build_majorant, certify, estimate_constant,
-                     inputs_digest, necessity_constant_report, run_suite,
-                     theorem_from_string)
+                     inputs_digest, run_suite, theorem_from_string)
 from .weights import (SelfImprovementParams, Weight, a1_constant, conjugate,
                       doubling_constant, generate_weight,
                       muckenhoupt_constant, power_bump_check, read_weight,
@@ -31,11 +30,11 @@ __all__ = [
     "BaseFamily", "BaseSet", "CenteredDiff", "CertificateReport", "Check",
     "ConstantEstimate", "DualHardy", "GridDomain", "MaximalKind", "Measure",
     "RunConfig", "SelfImprovementParams", "TLSeq", "TLSequence", "TheoremId",
-    "Weight", "a1_constant", "average", "build_base", "build_majorant",
+    "Weight", "a1_constant", "build_base", "build_majorant",
     "certify", "conjugate", "cz_selection", "doubling_constant", "errors",
     "estimate_constant", "fsum", "generate_weight", "inputs_digest",
     "iter_dyadic_boxes", "jn_exp_moment", "lp_norm", "make_check", "maximal",
-    "muckenhoupt_constant", "necessity_constant_report", "oscillation_norm",
+    "muckenhoupt_constant", "oscillation_norm",
     "parse_config", "power_bump_check", "read_field_csv", "read_weight",
     "reverse_holder_constant", "rubio_de_francia", "run_suite",
     "self_improvement", "sharp_oscillation", "simultaneous_children",

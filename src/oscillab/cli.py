@@ -15,13 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import RunConfig, parse_config
@@ -30,8 +26,8 @@ from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
 from .lattice import GridDomain, Measure, build_base, read_field_csv
 from .oscillation import (CenteredDiff, DualHardy, jn_exp_moment,
                           oscillation_norm, tl_equivalence_probe)
-from .verify import (TheoremId, build_majorant, certify, estimate_constant,
-                     inputs_digest, theorem_from_string)
+from .verify import (TheoremId, build_majorant, estimate_constant,
+                     inputs_digest, run_suite, theorem_from_string)
 from .weights import (SelfImprovementParams, Weight, a1_constant, conjugate,
                       doubling_constant, generate_weight,
                       muckenhoupt_constant, read_weight,
@@ -42,17 +38,6 @@ _CONSTANT_KINDS = ("ap", "rh", "a1", "doubling")
 
 def _now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _threads() -> int:
-    raw = os.environ.get("OSCILLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise BadParams(f"OSCILLAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise BadParams(f"OSCILLAB_THREADS must be at least 1, got {n}")
-    return n
 
 
 def _envelope(cfg: RunConfig, payload: dict) -> dict:
@@ -163,7 +148,7 @@ def cmd_norm(args, cfg: RunConfig) -> int:
         base = build_base(domain, measure, args.base, args.min_scale)
         rep = oscillation_norm(values, CenteredDiff(), w, args.p, base, measure)
     if not math.isfinite(rep.value):
-        raise OverflowGuard("the norm left the representable range; "
+        raise OverflowGuard("the norm left the representable float range; "
                             "rescale the field")
     payload = {"norm": rep.value, "p": rep.p, "spec": args.spec,
                "weight_digest": rep.weight_id,
@@ -171,19 +156,6 @@ def cmd_norm(args, cfg: RunConfig) -> int:
                "base": {"kind": base.kind, "sets": len(base)}}
     _emit(_dump(_envelope(cfg, payload)), args.out)
     return 0
-
-
-def _one_trial(theorem: TheoremId, seed: int, trial: int, tol: float) -> dict:
-    from . import corpus
-
-    inputs = corpus.sample_inputs(theorem, seed, trial)
-    try:
-        report = certify(theorem, inputs, tol)
-    except DegenerateInput as exc:
-        return {"trial": trial, "degenerate": str(exc)}
-    out = report.to_dict()
-    out["trial"] = trial
-    return out
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
@@ -199,35 +171,21 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    any_failures = 0
-    with ThreadPoolExecutor(max_workers=_threads()) as ex:
-        for tid in suites:
-            futures = [ex.submit(_one_trial, tid, cfg.seed, i, cfg.tol)
-                       for i in range(cfg.trials)]
-            results = [f.result() for f in futures]
-            suite_dir = out_dir / tid.value
-            suite_dir.mkdir(parents=True, exist_ok=True)
-            failures = 0
-            degenerate = 0
-            worst = math.inf
-            for i, res in enumerate(results):
-                (suite_dir / f"trial_{i:04d}.json").write_text(
-                    _dump(_envelope(cfg, res)))
-                if "degenerate" in res:
-                    degenerate += 1
-                    continue
-                if not res["pass"]:
-                    failures += 1
-                for c in res["checks"]:
-                    if c["status"] == "skipped" or c.get("rhs") is None:
-                        continue
-                    rel = (c["rhs"] - c["lhs"]) / max(abs(c["rhs"]), 1e-300)
-                    worst = min(worst, rel)
-            any_failures += failures
-            rows.append({"suite": tid.value, "trials": cfg.trials,
-                         "failures": failures, "degenerate_skipped": degenerate,
-                         "min_relative_slack":
-                             worst if math.isfinite(worst) else ""})
+    for tid in suites:
+        run = run_suite(tid, cfg.trials, seed=cfg.seed, tol=cfg.tol)
+        suite_dir = out_dir / tid.value
+        suite_dir.mkdir(parents=True, exist_ok=True)
+        for i, record in enumerate(run["records"]):
+            res = ({"degenerate": record} if isinstance(record, str)
+                   else record.to_dict())
+            res["trial"] = i
+            (suite_dir / f"trial_{i:04d}.json").write_text(
+                _dump(_envelope(cfg, res)))
+        slack = run["min_relative_slack"]
+        rows.append({"suite": tid.value, "trials": run["trials"],
+                     "failures": run["failures"],
+                     "degenerate_skipped": run["degenerate_skipped"],
+                     "min_relative_slack": "" if slack is None else slack})
     lines = ["suite,trials,failures,degenerate_skipped,min_relative_slack"]
     for r in rows:
         slack = r["min_relative_slack"]
@@ -235,10 +193,11 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                                str(r["degenerate_skipped"]),
                                _num(slack) if isinstance(slack, float) else ""]))
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
-    summary = _envelope(cfg, {"suites": rows, "pass": any_failures == 0})
+    passed = all(r["failures"] == 0 for r in rows)
+    summary = _envelope(cfg, {"suites": rows, "pass": passed})
     (out_dir / "summary.json").write_text(_dump(summary))
     sys.stdout.write(_dump(summary))
-    return 0 if any_failures == 0 else 1
+    return 0 if passed else 1
 
 
 def _num(x) -> str:
@@ -297,7 +256,7 @@ def _sweep_c1p(args, cfg: RunConfig):
             f, base, measure = item["f"], item["base"], item["measure"]
             unit = Weight.unit(base.domain)
             try:
-                u, _, _ = build_majorant(f, base, measure, p)
+                u = build_majorant(f, base, measure, p)[0]
             except DegenerateInput:
                 continue
             rh_u = reverse_holder_constant(u, gain, base, measure)
@@ -408,7 +367,6 @@ def cmd_info(args, cfg: RunConfig) -> int:
         "package": "oscillab",
         "suites": [t.value for t in TheoremId],
         "constant_kinds": list(_CONSTANT_KINDS),
-        "threads": _threads(),
         "config": {"seed": cfg.seed, "trials": cfg.trials, "tol": cfg.tol,
                    "out": cfg.out, "suite": cfg.suite},
     }
@@ -505,10 +463,13 @@ def main(argv=None) -> int:
     except (EmptyCorpus, AllDegenerate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (OscillabError, OverflowError) as exc:
-        # An OverflowError is an exact sum or a power past the float range:
-        # the condition OverflowGuard names, so it shares its exit code.
+    except OscillabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        # The condition OverflowGuard names, so it shares its exit code.
+        print(f"error: a sum or power left the float range ({exc}); "
+              "rescale the input", file=sys.stderr)
         return 3
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadParams, EmptyBase, ZeroMass, ZeroMassBaseSet
+from .errors import BadParams, EmptyBase, ZeroMassBaseSet
 
 BASE_KINDS = ("dyadic-cubes", "all-cubes", "dyadic-rectangles", "all-rectangles")
 DYADIC_KINDS = ("dyadic-cubes", "dyadic-rectangles")
@@ -202,16 +202,9 @@ class BaseSet:
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
 
-    def contains_cell(self, cell: tuple[int, ...]) -> bool:
-        return all(l <= c < h for l, c, h in zip(self.lo, cell, self.hi))
-
     def contains_box(self, other: "BaseSet") -> bool:
         return all(l <= ol and oh <= h
                    for l, h, ol, oh in zip(self.lo, self.hi, other.lo, other.hi))
-
-    def is_dyadic(self) -> bool:
-        """Corner and side aligned to the side's own scale, per axis."""
-        return all(_is_pow2(s) and l % s == 0 for l, s in zip(self.lo, self.sides()))
 
     def sort_key(self):
         # Canonical order: scale descending, then lexicographic corner.
@@ -222,10 +215,6 @@ class BaseSet:
 
     def to_dict(self) -> dict:
         return {"lo": list(self.lo), "hi": list(self.hi)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BaseSet":
-        return cls(tuple(d["lo"]), tuple(d["hi"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,10 +306,6 @@ class BaseFamily:
 
     def __iter__(self):
         return iter(self.sets)
-
-    def full_domain_member(self) -> BaseSet | None:
-        full = self.domain.full_box()
-        return full if full in set(self.sets) else None
 
     def corners(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) integer arrays of shape (sets, dims), in ``sets`` order.
@@ -477,22 +462,6 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     return family
 
 
-def average(f: np.ndarray, box: BaseSet, measure: Measure) -> float:
-    """Measure-weighted mean of ``f`` over ``box``, correctly rounded."""
-    sl = box.slices()
-    mass = fsum(measure.masses[sl])
-    if mass <= 0.0:
-        raise ZeroMass(f"set {box.label()} has zero mass")
-    f = np.asarray(f, dtype=float)
-    return fsum(f[sl] * measure.masses[sl]) / mass
-
-
-def weighted_box_sum(f: np.ndarray, box: BaseSet, weights: np.ndarray) -> float:
-    """Correctly rounded sum of f * weights over the box."""
-    sl = box.slices()
-    return fsum(np.asarray(f, dtype=float)[sl] * weights[sl])
-
-
 def iter_dyadic_boxes(domain: GridDomain, min_scale: int = 0):
     """All products of per-axis dyadic intervals (the full dyadic lattice).
 
@@ -542,7 +511,7 @@ def simultaneous_children(box: BaseSet) -> list[BaseSet]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: cell fields as CSV, descriptors as JSON.
+# Serialization: cell fields as CSV.
 
 def write_field_csv(path, domain: GridDomain, values: np.ndarray) -> None:
     """Header line ``dims,side0[,side1]`` then one value per cell, row-major."""
@@ -577,11 +546,3 @@ def read_field_csv(path) -> tuple[GridDomain, np.ndarray]:
     if not np.all(np.isfinite(values)):
         raise BadParams(f"{path}: every cell must be finite")
     return domain, values
-
-
-def write_domain_json(path, domain: GridDomain) -> None:
-    Path(path).write_text(json.dumps(domain.to_dict(), sort_keys=True, indent=2) + "\n")
-
-
-def read_domain_json(path) -> GridDomain:
-    return GridDomain.from_dict(json.loads(Path(path).read_text()))

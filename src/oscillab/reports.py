@@ -67,10 +67,6 @@ class CertificateReport:
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
 
-    def worst_slack(self) -> float:
-        slacks = [c.slack for c in self.checks if c.slack is not None]
-        return min(slacks) if slacks else 0.0
-
     def failing(self) -> list[Check]:
         return [c for c in self.checks if c.status == FAIL]
 

@@ -27,7 +27,7 @@ from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           sharp_oscillation, tl_equivalence_probe)
 from .reports import (DEFAULT_TOL, FAIL, PASS, CertificateReport, Check,
                       ConstantEstimate, make_check, skipped_check)
-from .weights import (SelfImprovementParams, Weight, a1_constant, conjugate,
+from .weights import (SelfImprovementParams, Weight, conjugate,
                       doubling_constant, muckenhoupt_constant,
                       reverse_holder_constant, self_improvement)
 
@@ -131,6 +131,37 @@ def _worst_pair(rows):
 # ---------------------------------------------------------------------------
 # Suite: weighted vs plain norms through a single averaging step.
 
+def _holder_chain(f, spec, w: Weight, base: BaseFamily, measure: Measure,
+                  p0: float, q: float, p: float, labels, tol: float):
+    """The A_q / reverse-Holder chain between the w-weighted and the plain
+    oscillation norm, for one rule, base and measure.
+
+    Three checks, labelled in order by ``labels``: the weighted norm at 1
+    against RH_{p0'} times the plain norm at p0; the plain norm at 1/q
+    against A_q times the weighted norm at 1; the weighted norm at p against
+    RH_{p0/(p0-p)}^(1/p) times the plain norm at p0.  The caller validates
+    the exponents.  Returns (checks, meta).
+    """
+    unit = Weight.unit(base.domain)
+    rh_dual = reverse_holder_constant(w, conjugate(p0), base, measure)
+    weighted_1 = _norm(f, spec, w, 1.0, base, measure)
+    plain_p0 = _norm(f, spec, unit, p0, base, measure)
+    checks = [make_check(labels[0], weighted_1, rh_dual * plain_p0, tol)]
+
+    aq = muckenhoupt_constant(w, q, base, measure)
+    plain_low = _norm(f, spec, unit, 1.0 / q, base, measure)
+    checks.append(make_check(labels[1], plain_low, aq * weighted_1, tol))
+
+    rh_mid = reverse_holder_constant(w, p0 / (p0 - p), base, measure)
+    weighted_p = _norm(f, spec, w, p, base, measure)
+    checks.append(make_check(labels[2], weighted_p,
+                             (rh_mid ** (1.0 / p)) * plain_p0, tol))
+
+    meta = {"p0": p0, "q": q, "p": p, "rh_dual": rh_dual, "aq": aq,
+            "rh_mid": rh_mid}
+    return checks, meta
+
+
 def _certify_holder_bridge(inputs: dict, tol: float):
     f, w, base, measure, p0, q = _need(inputs, "f", "w", "base", "measure",
                                        "p0", "q")
@@ -140,29 +171,10 @@ def _certify_holder_bridge(inputs: dict, tol: float):
         raise ExponentOutOfRange(f"need p0 > 1 and q > 1, got {p0}, {q}")
     if not 0.0 < p < p0:
         raise ExponentOutOfRange(f"need 0 < p < p0, got p={p}, p0={p0}")
-    spec = CenteredDiff()
-    unit = Weight.unit(base.domain)
-    checks = []
-
-    rh_dual = reverse_holder_constant(w, conjugate(p0), base, measure)
-    lhs = _norm(f, spec, w, 1.0, base, measure)
-    rhs = rh_dual * _norm(f, spec, unit, p0, base, measure)
-    checks.append(make_check("weighted_vs_plain_highpower", lhs, rhs, tol))
-
-    aq = muckenhoupt_constant(w, q, base, measure)
-    lhs2 = _norm(f, spec, unit, 1.0 / q, base, measure)
-    rhs2 = aq * _norm(f, spec, w, 1.0, base, measure)
-    checks.append(make_check("plain_lowpower_vs_weighted", lhs2, rhs2, tol))
-
-    r = p0 / (p0 - p)
-    rh_mid = reverse_holder_constant(w, r, base, measure)
-    lhs3 = _norm(f, spec, w, p, base, measure)
-    rhs3 = (rh_mid ** (1.0 / p)) * _norm(f, spec, unit, p0, base, measure)
-    checks.append(make_check("weighted_midpower_vs_plain", lhs3, rhs3, tol))
-
-    meta = {"p0": p0, "q": q, "p": p, "rh_dual": rh_dual, "aq": aq,
-            "rh_mid": rh_mid}
-    return checks, meta
+    return _holder_chain(f, CenteredDiff(), w, base, measure, p0, q, p,
+                         ("weighted_vs_plain_highpower",
+                          "plain_lowpower_vs_weighted",
+                          "weighted_midpower_vs_plain"), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +261,9 @@ def build_majorant(f, base: BaseFamily, measure: Measure, p: float,
     """Majorant weight for the sufficiency route: seed the iterated-maximal
     series with the (p-1)-th power of the extremal set's oscillation.
 
-    Returns (majorant weight, extremal set, plain p-norm value).
+    Returns (majorant weight, extremal set, plain p-norm value, |f - c| on
+    the extremal set's cells, seed), the seed being that oscillation to the
+    (p-1)-th power on the extremal set and 0 elsewhere.
     """
     p = float(p)
     if not p > 1.0:
@@ -267,19 +281,15 @@ def build_majorant(f, base: BaseFamily, measure: Measure, p: float,
     g[star.slices()] = local_star ** (p - 1.0)
     u = operators.rubio_de_francia(g, conjugate(p), base, measure,
                                    operators.MaximalKind("dyadic"), tol=tol)
-    return u, star, rep.value
+    return u, star, rep.value, local_star, g
 
 
 def _certify_majorant_sufficiency(inputs: dict, tol: float):
     f, base, measure, p = _need(inputs, "f", "base", "measure", "p")
     p = float(p)
     f = np.asarray(f, dtype=float)
-    unit = Weight.unit(base.domain)
     spec = CenteredDiff()
-    u, star, plain_norm = build_majorant(f, base, measure, p)
-    local_star = _centered_local(f, star, measure)
-    g = np.zeros(base.domain.sides)
-    g[star.slices()] = local_star ** (p - 1.0)
+    u, star, plain_norm, local_star, g = build_majorant(f, base, measure, p)
     dual = conjugate(p)
     prov = u.provenance["checks"]
     b = float(u.provenance["norm_bound"])
@@ -339,6 +349,30 @@ def _certify_log_convexity(inputs: dict, tol: float):
 # ---------------------------------------------------------------------------
 # Suite: the two-weight equivalence band.
 
+def _split(f, v: Weight, w: Weight, base: BaseFamily, measure: Measure,
+           p: float, q: float, delta: float, tol: float,
+           per_set: bool = False):
+    """The two-weight split: C = RH_delta(v) * A_q(w)^(1/(q delta')) and the
+    ``split_global`` check ||f||_{v,eps}^eps <= C (||f||_{w,p}^p)^(1/(q delta'))
+    with eps = p/(q delta'), both norms centred in the v-reweighted measure.
+
+    Returns (check, split_c, rh_v, aq_w, rep_l, rep_r), the last two the
+    norm reports at eps and at p (with rows when ``per_set``).
+    """
+    ddual = conjugate(delta)
+    eps = p / (q * ddual)
+    spec_v = CenteredDiff(v)
+    rh_v = reverse_holder_constant(v, delta, base, measure)
+    aq_w = muckenhoupt_constant(w, q, base, measure)
+    split_c = rh_v * aq_w ** (1.0 / (q * ddual))
+    rep_l = oscillation_norm(f, spec_v, v, eps, base, measure, per_set=per_set)
+    rep_r = oscillation_norm(f, spec_v, w, p, base, measure, per_set=per_set)
+    check = make_check(
+        "split_global", rep_l.value ** eps,
+        split_c * (rep_r.value ** p) ** (1.0 / (q * ddual)), tol)
+    return check, split_c, rh_v, aq_w, rep_l, rep_r
+
+
 def _certify_two_weight_band(inputs: dict, tol: float):
     f, v, w, base, measure, p, q, delta = _need(
         inputs, "f", "v", "w", "base", "measure", "p", "q", "delta")
@@ -353,22 +387,15 @@ def _certify_two_weight_band(inputs: dict, tol: float):
     spec_1 = CenteredDiff()
     unit = Weight.unit(base.domain)
 
-    rh_v = reverse_holder_constant(v, delta, base, measure)
-    aq_w = muckenhoupt_constant(w, q, base, measure)
-    split_c = rh_v * aq_w ** (1.0 / (q * ddual))
-
-    rep_l = oscillation_norm(f, spec_v, v, eps, base, measure, per_set=True)
-    rep_r = oscillation_norm(f, spec_v, w, p, base, measure, per_set=True)
+    split_global, split_c, rh_v, aq_w, rep_l, rep_r = _split(
+        f, v, w, base, measure, p, q, delta, tol, per_set=True)
     rows = []
     for (box, val_l), (_, val_r) in zip(rep_l.per_set, rep_r.per_set):
         lhs_b = val_l ** eps
         rhs_b = split_c * (val_r ** p) ** (1.0 / (q * ddual))
         rows.append((box, lhs_b, rhs_b))
     lhs_w, rhs_w, arg = _worst_pair(rows)
-    checks = [make_check("split_worst_set", lhs_w, rhs_w, tol)]
-    checks.append(make_check(
-        "split_global", rep_l.value ** eps,
-        split_c * (rep_r.value ** p) ** (1.0 / (q * ddual)), tol))
+    checks = [make_check("split_worst_set", lhs_w, rhs_w, tol), split_global]
 
     bmo = _norm(f, spec_1, unit, 1.0, base, measure)
     sharp = sharp_oscillation(f, base, measure).value
@@ -413,10 +440,8 @@ def _certify_reciprocal_rule(inputs: dict, tol: float):
     f = np.asarray(f, dtype=float)
     mu_w = Measure.density(base.domain, w.values)
     base_w = build_base(base.domain, mu_w, base.kind, base.min_scale)
-    spec = DualHardy(w)
-    unit = Weight.unit(base.domain)
-
-    rep = oscillation_norm(f, spec, unit, 1.0, base_w, mu_w)
+    rep = oscillation_norm(f, DualHardy(w), Weight.unit(base.domain), 1.0,
+                           base_w, mu_w)
     direct = -math.inf
     for box in base_w.sets:
         sl = box.slices()
@@ -425,27 +450,13 @@ def _certify_reciprocal_rule(inputs: dict, tol: float):
         direct = max(direct, val)
     gap = abs(rep.value - direct)
     scale = max(abs(rep.value), abs(direct), 1e-300)
-    checks = [make_check("direct_formula_match", gap, tol * scale, 0.0)]
-
-    rh_dual = reverse_holder_constant(v, conjugate(p0), base_w, mu_w)
-    lhs = _norm(f, spec, v, 1.0, base_w, mu_w)
-    rhs = rh_dual * _norm(f, spec, unit, p0, base_w, mu_w)
-    checks.append(make_check("reciprocal_weighted_vs_plain", lhs, rhs, tol))
-
-    aq = muckenhoupt_constant(v, q, base_w, mu_w)
-    lhs2 = _norm(f, spec, unit, 1.0 / q, base_w, mu_w)
-    rhs2 = aq * _norm(f, spec, v, 1.0, base_w, mu_w)
-    checks.append(make_check("reciprocal_lowpower_vs_weighted", lhs2, rhs2, tol))
-
-    r = p0 / (p0 - p)
-    rh_mid = reverse_holder_constant(v, r, base_w, mu_w)
-    lhs3 = _norm(f, spec, v, p, base_w, mu_w)
-    rhs3 = (rh_mid ** (1.0 / p)) * _norm(f, spec, unit, p0, base_w, mu_w)
-    checks.append(make_check("reciprocal_midpower_vs_plain", lhs3, rhs3, tol))
-
-    meta = {"p0": p0, "q": q, "p": p, "rh_dual": rh_dual, "aq": aq,
-            "rh_mid": rh_mid, "norm_value": rep.value}
-    return checks, meta
+    checks, meta = _holder_chain(f, DualHardy(w), v, base_w, mu_w, p0, q, p,
+                                 ("reciprocal_weighted_vs_plain",
+                                  "reciprocal_lowpower_vs_weighted",
+                                  "reciprocal_midpower_vs_plain"), tol)
+    meta["norm_value"] = rep.value
+    return [make_check("direct_formula_match", gap, tol * scale, 0.0),
+            *checks], meta
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +506,9 @@ def _certify_rectangle_decay(inputs: dict, tol: float):
 
     if all(k in inputs for k in ("v", "q", "delta")):
         v, q, delta = inputs["v"], float(inputs["q"]), float(inputs["delta"])
-        ddual = conjugate(delta)
         p = float(inputs.get("p", 1.0))
-        eps = p / (q * ddual)
-        split_c = (reverse_holder_constant(v, delta, base, measure)
-                   * muckenhoupt_constant(w, q, base, measure) ** (1.0 / (q * ddual)))
-        spec_v = CenteredDiff(v)
-        lhs = _norm(f, spec_v, v, eps, base, measure) ** eps
-        rhs = split_c * (_norm(f, spec_v, w, p, base, measure) ** p) ** (1.0 / (q * ddual))
-        checks.append(make_check("split_global", lhs, rhs, tol))
+        check, split_c, *_ = _split(f, v, w, base, measure, p, q, delta, tol)
+        checks.append(check)
         meta.update({"q": q, "delta": delta, "p": p, "split_constant": split_c})
     return checks, meta
 
@@ -573,21 +578,26 @@ def certify(theorem: TheoremId | str, inputs: dict,
 
 def run_suite(theorem: TheoremId | str, trials: int, seed: int = 0,
               tol: float = DEFAULT_TOL) -> dict:
-    """Certify ``trials`` sampled instances; returns reports and a tally."""
+    """Certify ``trials`` sampled instances; the one verify driver.
+
+    Returns the tally with ``records``, one per trial in order: its
+    ``CertificateReport``, or the reason string of the ``DegenerateInput``
+    that skipped it.  ``reports`` holds the reports alone.
+    """
     from . import corpus
 
     if isinstance(theorem, str):
         theorem = theorem_from_string(theorem)
     if trials < 1:
         raise BadParams(f"need at least one trial, got {trials}")
-    reports = []
-    skipped = 0
+    records = []
     for trial in range(trials):
         inputs = corpus.sample_inputs(theorem, seed, trial)
         try:
-            reports.append(certify(theorem, inputs, tol))
-        except DegenerateInput:
-            skipped += 1
+            records.append(certify(theorem, inputs, tol))
+        except DegenerateInput as exc:
+            records.append(str(exc))
+    reports = [r for r in records if not isinstance(r, str)]
     failures = sum(1 for r in reports if not r.passed)
     worst = math.inf
     for r in reports:
@@ -597,15 +607,16 @@ def run_suite(theorem: TheoremId | str, trials: int, seed: int = 0,
             rel = (c.rhs - c.lhs) / max(abs(c.rhs), 1e-300)
             worst = min(worst, rel)
     return {"theorem": theorem.value, "trials": trials, "seed": seed,
-            "tol": tol, "reports": reports, "failures": failures,
-            "degenerate_skipped": skipped,
+            "tol": tol, "records": records, "reports": reports,
+            "failures": failures,
+            "degenerate_skipped": len(records) - len(reports),
             "min_relative_slack": worst if math.isfinite(worst) else None}
 
 
 # ---------------------------------------------------------------------------
 # Corpus-level constant estimation.
 
-ESTIMATE_KINDS = ("c_pq", "b_wv", "psi")
+ESTIMATE_KINDS = ("c_pq", "psi")
 
 
 def _corpus_digest(corpus) -> str:
@@ -619,10 +630,10 @@ def _corpus_digest(corpus) -> str:
 
 
 def estimate_constant(kind: str, corpus, args: dict) -> ConstantEstimate:
-    """Empirical extremal ratio over a corpus of instances.
+    """Empirical extremal ratio over a corpus of instances, for the two
+    kinds the ``sweep`` command tabulates.
 
     ``c_pq``: plain norm at p over plain norm at q.
-    ``b_wv``: plain oscillation norm over the two-weight norm (needs v per item).
     ``psi``: weighted norm over the plain norm at the improved dual exponent,
     restricted to items whose strength constant at p is at most t.
     """
@@ -644,16 +655,6 @@ def estimate_constant(kind: str, corpus, args: dict) -> ConstantEstimate:
                 skipped += 1
                 continue
             values.append(hi / lo)
-        elif kind == "b_wv":
-            v = item.get("v")
-            if v is None:
-                skipped += 1
-                continue
-            denom = _norm(f, CenteredDiff(v), w, float(args["p"]), base, measure)
-            if denom <= 0.0:
-                skipped += 1
-                continue
-            values.append(_norm(f, spec, unit, 1.0, base, measure) / denom)
         else:  # psi
             p, t = float(args["p"]), float(args["t"])
             if muckenhoupt_constant(w, p, base, measure) > t:
@@ -674,29 +675,3 @@ def estimate_constant(kind: str, corpus, args: dict) -> ConstantEstimate:
                             args={k: float(v) if isinstance(v, (int, float)) else v
                                   for k, v in args.items()},
                             n_used=len(values), n_skipped=skipped)
-
-
-def necessity_constant_report(f, w, w0, p: float, delta: float,
-                              base: BaseFamily, measure: Measure) -> dict:
-    """Realized two-weight comparison in the direction that has no
-    single-instance certificate; reported, never asserted.
-
-    The forward direction (certified in the weight-swap suite) bounds the
-    target norm by the source norm; this report records the reverse ratio so
-    corpus sweeps can watch that it stays bounded.
-    """
-    p, delta = float(p), float(delta)
-    spec = CenteredDiff()
-    r = p * conjugate(delta)
-    n_w = _norm(f, spec, w, 1.0, base, measure)
-    n_w0r = _norm(f, spec, w0, r, base, measure)
-    forward_c = (muckenhoupt_constant(w0, p, base, measure) ** (1.0 / r)
-                 * reverse_holder_constant(w, delta, base, measure))
-    return {
-        "r": r,
-        "forward_constant": forward_c,
-        "forward_realized": (n_w / n_w0r) if n_w0r > 0 else 0.0,
-        "reverse_realized": (n_w0r / n_w) if n_w > 0 else math.inf,
-        "target_norm": n_w,
-        "source_norm": n_w0r,
-    }

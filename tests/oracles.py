@@ -331,7 +331,9 @@ def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
         if wmass <= 0.0:
             raise ZeroMass(f"no weighted mass on {box.label()}")
         local = _per_box_local_field(f, spec, box, measure)
-        val = fsum(((local ** p) * wm)[sl]) / wmass
+        # A power past the float range is inf, silently, as in the kernel.
+        with np.errstate(over="ignore"):
+            val = fsum(((local ** p) * wm)[sl]) / wmass
         if rows is not None:
             rows.append((box, val ** (1.0 / p)))
         if val > best:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oscillab import GridDomain, write_field_csv
+from oscillab import GridDomain, corpus, run_suite, write_field_csv
 from oscillab.cli import main
 
 
@@ -55,6 +56,22 @@ class TestExitCodes:
         rc = main(["sweep", "--quantity", "c1p", "--corpus", str(corpus_dir),
                    "--out", str(tmp_path / "s")])
         assert rc == 4
+
+    @pytest.mark.parametrize("argv, values", [
+        (["norm", "--p", "2", "--field"], [1e200, -1e200, 3e200, 1.0]),
+        (["constant", "--kind", "a1", "--weight"], [1e308, 1e308, 1.0, 1.0]),
+    ], ids=["norm-power", "a1-sum"])
+    def test_overflow_names_float_range_without_warning(self, tmp_path, capsys,
+                                                        argv, values):
+        data = tmp_path / "data.csv"
+        write_field_csv(data, GridDomain((4,)), np.array(values))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, str(data), "--out", str(tmp_path / "o.json")])
+        assert rc == 3
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        err = capsys.readouterr().err
+        assert "float range" in err and "rescale" in err
 
     def test_empty_corpus_dir_exits_four(self, tmp_path):
         corpus_dir = tmp_path / "empty"
@@ -160,6 +177,47 @@ class TestVerifyCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pass"] is True
         assert (out / "summary.csv").exists()
+
+    def test_writes_run_suite_records_and_tally(self, tmp_path):
+        out = tmp_path / "v"
+        rc = main(["verify", "--suite", "log-convexity", "--trials", "6",
+                   "--seed", "2", "--out", str(out)])
+        run = run_suite("log-convexity", 6, seed=2)
+        assert rc == (0 if run["failures"] == 0 else 1)
+        slack = run["min_relative_slack"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["suites"] == [{
+            "suite": "log-convexity", "trials": 6, "failures": run["failures"],
+            "degenerate_skipped": run["degenerate_skipped"],
+            "min_relative_slack": "" if slack is None else slack}]
+        for i, record in enumerate(run["records"]):
+            want = ({"degenerate": record} if isinstance(record, str)
+                    else record.to_dict())
+            want["trial"] = i
+            trial = json.loads(
+                (out / "log-convexity" / f"trial_{i:04d}.json").read_text())
+            assert {key: trial[key] for key in want} == want
+
+    def test_degenerate_trial_recorded_and_counted(self, tmp_path,
+                                                   monkeypatch):
+        sample = corpus.sample_inputs
+
+        def constant_field(theorem, seed, trial):
+            inputs = sample(theorem, seed, trial)
+            return {**inputs, "f": np.zeros_like(inputs["f"])}
+
+        monkeypatch.setattr(corpus, "sample_inputs", constant_field)
+        out = tmp_path / "v"
+        rc = main(["verify", "--suite", "majorant-sufficiency", "--trials",
+                   "2", "--seed", "7", "--out", str(out)])
+        assert rc == 0
+        trial = json.loads(
+            (out / "majorant-sufficiency" / "trial_0000.json").read_text())
+        assert trial["degenerate"] == "a constant field majorizes trivially"
+        assert trial["trial"] == 0 and "checks" not in trial
+        row, = json.loads((out / "summary.json").read_text())["suites"]
+        assert row["degenerate_skipped"] == 2
+        assert row["failures"] == 0 and row["min_relative_slack"] == ""
 
     def test_all_suites_deterministic(self, tmp_path):
         # identical configuration means identical bytes, so the rerun goes

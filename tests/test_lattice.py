@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (GridDomain, Measure, average, build_base, fsum,
+from oscillab import (GridDomain, Measure, build_base, fsum,
                       iter_dyadic_boxes, read_field_csv, simultaneous_children,
                       write_field_csv)
 from oscillab.errors import BadParams as _BadParams
-from oscillab.lattice import BaseSet, axis_parent, weighted_box_sum
+from oscillab.lattice import BaseSet, axis_parent
 
 import oracles
 
@@ -145,23 +145,6 @@ class TestMeasure:
 
 
 class TestAverages:
-    @given(st.lists(st.floats(-5, 5), min_size=8, max_size=8),
-           st.integers(0, 6))
-    @settings(max_examples=30, deadline=None)
-    def test_average_matches_direct_quotient(self, vals, start):
-        dom = GridDomain((8,))
-        mea = Measure.uniform(dom)
-        f = np.array(vals)
-        box = BaseSet((start,), (start + 2,))
-        want = oracles.box_avg(f, mea.masses, ((start,), (start + 2,)))
-        assert average(f, box, mea) == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_weighted_box_sum_is_plain_dot(self):
-        f = np.array([1.0, 2.0, 4.0, 8.0])
-        wts = np.array([1.0, 0.5, 0.25, 0.125])
-        box = BaseSet((1,), (4,))
-        assert weighted_box_sum(f, box, wts) == pytest.approx(1.0 + 1.0 + 1.0)
-
     def test_fsum_sums_exactly(self):
         # 0.1 added ten times misses 1.0 in naive left-to-right float order;
         # the compensated path lands on the correctly rounded value.
