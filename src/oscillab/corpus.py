@@ -193,9 +193,9 @@ def sample_inputs(theorem: TheoremId, seed: int, trial: int) -> dict:
         unit_bias = rng.random() < 0.4
         w = Weight.unit(domain) if unit_bias \
             else _sample_weight(rng, domain, base, measure)
-        k = int(rng.integers(1, min(10, len(base.sets)) + 1))
-        picks = rng.choice(len(base.sets), size=k, replace=False)
-        coeffs = {base.sets[int(i)]: float(np.round(rng.normal(0.0, 2.0), 6))
+        k = int(rng.integers(1, min(10, len(base)) + 1))
+        picks = rng.choice(len(base), size=k, replace=False)
+        coeffs = {base.box(int(i)): float(np.round(rng.normal(0.0, 2.0), 6))
                   for i in picks}
         coeffs = {b: s if s != 0.0 else 1.0 for b, s in coeffs.items()}
         del inputs["f"]

@@ -5,6 +5,10 @@ suprema to maxima over a finite family of boxes.  Sums are correctly
 rounded and every family carries a canonical order, so repeated runs are
 bit-reproducible.
 
+A family is its corner arrays, ``BaseFamily.lo`` and ``hi``, in canonical
+order; every reduction reads them, and ``BaseSet`` objects are built only
+on demand.
+
 Two summation primitives share one contract.  ``fsum`` adds one array with
 ``math.fsum``.  ``box_sums`` adds one array over many boxes at once, with
 O(cells) set-up and O(1) exact work per box: each cell becomes an exact
@@ -22,6 +26,7 @@ total.  With a non-finite cell in ``values`` every box goes through
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -139,16 +144,10 @@ class GridDomain:
 
     @property
     def num_cells(self) -> int:
-        n = 1
-        for s in self.sides:
-            n *= s
-        return n
-
-    def levels(self) -> tuple[int, ...]:
-        return tuple(s.bit_length() - 1 for s in self.sides)
+        return math.prod(self.sides)
 
     def max_level(self) -> int:
-        return max(self.levels())
+        return max(self.sides).bit_length() - 1
 
     def full_box(self) -> "BaseSet":
         return BaseSet((0,) * self.dims, self.sides)
@@ -194,10 +193,7 @@ class BaseSet:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
 
     def cell_count(self) -> int:
-        n = 1
-        for s in self.sides():
-            n *= s
-        return n
+        return math.prod(self.sides())
 
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
@@ -256,17 +252,13 @@ class Measure:
     def total_mass(self) -> float:
         return fsum(self.masses)
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
-        cached = getattr(self, "_digest", None)
-        if cached is None:
-            h = hashlib.sha256()
-            h.update(repr(self.domain.sides).encode())
-            h.update(self.kind.encode())
-            h.update(self.masses.tobytes())
-            cached = h.hexdigest()[:16]
-            object.__setattr__(self, "_digest", cached)
-        return cached
+        h = hashlib.sha256()
+        h.update(repr(self.domain.sides).encode())
+        h.update(self.kind.encode())
+        h.update(self.masses.tobytes())
+        return h.hexdigest()[:16]
 
     def mass_of(self, box: BaseSet) -> float:
         return fsum(self.masses[box.slices()])
@@ -276,6 +268,11 @@ class Measure:
 class BaseFamily:
     """Canonically ordered family of boxes attached to one domain.
 
+    The family is its corner arrays: ``lo`` and ``hi`` are read-only
+    integer arrays of shape (sets, dims), box i being lo[i] <= cell < hi[i].
+    ``box(i)`` builds one ``BaseSet``; ``sets`` builds the whole tuple on
+    first access and caches it.
+
     Each member has positive measure for the measure it was built against;
     zero-mass candidates are dropped (and counted) at construction.
     """
@@ -283,53 +280,54 @@ class BaseFamily:
     kind: str
     domain: GridDomain
     min_scale: int
-    sets: tuple[BaseSet, ...]
+    lo: np.ndarray
+    hi: np.ndarray
     dropped_zero_mass: int = 0
     _mass_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
+    def __post_init__(self):
+        self.lo.setflags(write=False)
+        self.hi.setflags(write=False)
+
+    @functools.cached_property
     def base_id(self) -> str:
-        cached = getattr(self, "_base_id", None)
-        if cached is None:
-            h = hashlib.sha256()
-            token = json.dumps(
-                {"kind": self.kind, "domain": self.domain.to_dict(),
-                 "min_scale": self.min_scale, "n": len(self.sets)},
-                sort_keys=True)
-            h.update(token.encode())
-            cached = h.hexdigest()[:12]
-            object.__setattr__(self, "_base_id", cached)
-        return cached
+        token = json.dumps(
+            {"kind": self.kind, "domain": self.domain.to_dict(),
+             "min_scale": self.min_scale, "n": len(self)}, sort_keys=True)
+        return hashlib.sha256(token.encode()).hexdigest()[:12]
+
+    @functools.cached_property
+    def sets(self) -> tuple[BaseSet, ...]:
+        """Every member as a ``BaseSet``, in canonical order; built once."""
+        return _box_tuple(self.lo, self.hi)
+
+    def box(self, i: int) -> BaseSet:
+        """Member i as a ``BaseSet``, without building ``sets``."""
+        return BaseSet(self.lo[i].tolist(), self.hi[i].tolist())
+
+    def slices(self):
+        """Each member's tuple of slices, in order, without building ``sets``."""
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        return (tuple(map(slice, l, h)) for l, h in zip(lo, hi))
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.lo)
 
     def __iter__(self):
         return iter(self.sets)
 
     def corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) integer arrays of shape (sets, dims), in ``sets`` order.
-
-        ``build_base`` hands over the arrays it built the sets from; a family
-        made any other way builds them on first use.
-        """
-        cached = getattr(self, "_corners", None)
-        if cached is None:
-            lo = np.array([b.lo for b in self.sets], dtype=np.intp)
-            hi = np.array([b.hi for b in self.sets], dtype=np.intp)
-            lo.setflags(write=False)
-            hi.setflags(write=False)
-            cached = (lo, hi)
-            object.__setattr__(self, "_corners", cached)
-        return cached
+        """(lo, hi), the family's read-only corner arrays."""
+        return self.lo, self.hi
 
     def shape_runs(self):
-        """Yield (start, stop, idx) over ``sets`` in order, one run of boxes
-        of one shape at a time: row i of idx holds the flat (row-major) cell
-        indices of set ``start + i``, in the box's own row-major order.
+        """Yield (start, stop, idx) over the members in order, one run of
+        boxes of one shape at a time: row i of idx holds the flat (row-major)
+        cell indices of member ``start + i``, in the box's own row-major
+        order.
 
         A run longer than ``_GATHER_CELLS`` cells comes in several blocks.
-        The family caches one corner index per set and one offset pattern
+        The family caches one corner index per member and one offset pattern
         per run, not the index blocks themselves.
         """
         runs = getattr(self, "_shape_runs", None)
@@ -352,7 +350,7 @@ class BaseFamily:
                 yield a, b, first[a - start:b - start] + offsets
 
     def set_masses(self, measure: Measure) -> np.ndarray:
-        """Per-set measure, aligned with ``sets``; cached per measure digest."""
+        """Per-member measure, in canonical order; cached per measure digest."""
         key = measure.digest
         got = self._mass_cache.get(key)
         if got is None:
@@ -454,12 +452,11 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     if dropped == len(keep):
         raise EmptyBase("no base set has positive mass")
     lo, hi = lo[keep], hi[keep]
-    family = BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
-                        sets=_box_tuple(lo, hi), dropped_zero_mass=dropped)
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    object.__setattr__(family, "_corners", (lo, hi))
-    return family
+    # One check of all kept corners stands in for validating each BaseSet.
+    if np.any(lo < 0) or np.any(lo >= hi) or np.any(hi > domain.sides):
+        raise BadParams("a candidate box is empty or leaves the domain")
+    return BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
+                      lo=lo, hi=hi, dropped_zero_mass=dropped)
 
 
 def iter_dyadic_boxes(domain: GridDomain, min_scale: int = 0):
@@ -491,23 +488,14 @@ def simultaneous_children(box: BaseSet) -> list[BaseSet]:
     Returns [] for a single cell.  If only one axis is still divisible the
     step degenerates to a single bisection.
     """
-    splittable = [a for a, s in enumerate(box.sides()) if s >= 2]
-    if not splittable:
+    halves = []
+    for l, h in zip(box.lo, box.hi):
+        mid = (l + h) // 2
+        halves.append([(l, mid), (mid, h)] if h - l >= 2 else [(l, h)])
+    if max(map(len, halves)) == 1:
         return []
-    pieces = [box]
-    for a in splittable:
-        nxt = []
-        for b in pieces:
-            mid = b.lo[a] + (b.hi[a] - b.lo[a]) // 2
-            lo1, hi1 = list(b.lo), list(b.hi)
-            hi1[a] = mid
-            lo2, hi2 = list(b.lo), list(b.hi)
-            lo2[a] = mid
-            nxt.append(BaseSet(tuple(lo1), tuple(hi1)))
-            nxt.append(BaseSet(tuple(lo2), tuple(hi2)))
-        pieces = nxt
-    pieces.sort(key=BaseSet.sort_key)
-    return pieces
+    pieces = [BaseSet(*zip(*parts)) for parts in itertools.product(*halves)]
+    return sorted(pieces, key=BaseSet.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (BadParams, DegenerateInput, EmptySequence,
-                     ExponentOutOfRange, IncompatibleSpec, NotDyadic, ZeroMass)
+                     ExponentOutOfRange, IncompatibleSpec, NotDyadic,
+                     OverflowGuard, ZeroMass)
 from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, box_sums,
                       fsum, simultaneous_children)
 from .weights import Weight
@@ -113,8 +114,8 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
     overflow in a linear sum differs, as ``box_sums`` differs from ``fsum``
     (see ``lattice``).
     """
-    if not p > 0:
-        raise ExponentOutOfRange(f"the norm exponent must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ExponentOutOfRange(f"the norm exponent must be positive and finite, got {p}")
     if isinstance(spec, TLSeq) and base.kind != "dyadic-cubes":
         raise IncompatibleSpec("sequence norms are defined over dyadic cubes")
     wm = w.values * measure.masses
@@ -122,21 +123,20 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
         vals, failure = _grouped_means(np.asarray(f, dtype=float), spec, wm,
                                        p, base, measure)
     else:
-        vals, failure = _sequence_means(f, spec, wm, p, base), None
+        vals, failure = list(_sequence_means(f, spec, wm, p, base)), None
     best = -1.0
-    best_set = None
-    rows = [] if per_set else None
-    for box, val in zip(base.sets, vals):
-        if rows is not None:
-            rows.append((box, val ** (1.0 / p)))
+    best_i = None
+    for i, val in enumerate(vals):
         if val > best:
             best = val
-            best_set = box
+            best_i = i
     if failure is not None:
         raise failure
+    rows = tuple((box, val ** (1.0 / p)) for box, val in zip(base, vals)) \
+        if per_set else None
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
-                      extremal_set=best_set,
-                      per_set=tuple(rows) if rows is not None else None)
+                      extremal_set=None if best_i is None else base.box(best_i),
+                      per_set=rows)
 
 
 def _sequence_means(f, spec, wm: np.ndarray, p: float, base: BaseFamily):
@@ -185,11 +185,17 @@ def _grouped_means(arr: np.ndarray, spec, wm: np.ndarray, p: float,
         # The plain mean, np.mean's way: np.add.reduce over the box's own
         # view (its summation order depends on the view's layout, so this
         # stays box by box), then one division by the cell count.
-        views = (arr[box.slices()] for box in base.sets[:stop])
-        centre = np.array([float(np.add.reduce(v, axis=None)) / v.size
-                           for v in views])
+        views = (arr[sl] for _, sl in zip(range(stop), base.slices()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = np.array([float(np.add.reduce(v, axis=None)) / v.size
+                               for v in views])
+        if not np.isfinite(centre).all():
+            raise OverflowGuard("a plain cell mean left the float range")
         scale = spec.w.values.ravel()
     flat, wm_flat = arr.ravel(), wm.ravel()
+    # Cells without mass are left out of the terms: their |f - c|^p may be
+    # inf, and inf * 0 would make the box NaN.
+    dead = None if wm_flat.all() else wm_flat == 0.0
     wmass = wmass.tolist()
     vals = []
     # A power past the float range gives inf, which the caller reports as a
@@ -203,12 +209,14 @@ def _grouped_means(arr: np.ndarray, spec, wm: np.ndarray, p: float,
             local = np.abs(flat[idx] - centre[start:start + len(idx), None])
             if scale is not None:
                 local = local / scale[idx]
+            if dead is not None:
+                local[dead[idx]] = 0.0
             terms = (local ** p) * wm_flat[idx]
             vals.extend(math.fsum(row) / wmass[k]
                         for k, row in enumerate(terms.tolist(), start))
     if stop == len(base):
         return vals, None
-    box = base.sets[stop]
+    box = base.box(stop)
     if zero[stop]:
         return vals, ZeroMass(f"no weighted mass on {box.label()}")
     if isinstance(spec, DualHardy):
@@ -396,7 +404,7 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
             if log_t > best_log:
                 best_log = log_t
                 best = k
-    best_set = base.sets[best]
+    best_set = base.box(best)
     sl = best_set.slices()
     osc = np.abs(f[sl] - centres[best]) / bmo
     wms, wmass = wm[sl], wmass[best]

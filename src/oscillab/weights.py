@@ -8,6 +8,7 @@ base id), so one run never recomputes (or re-rounds) the same number.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -25,6 +26,8 @@ from .reports import CertificateReport, make_check
 # the constant is computed in log space instead.
 _OVERFLOW_LIMIT = 1e300
 _LOG_LIMIT = math.log(_OVERFLOW_LIMIT)
+# Above this magnitude even exponent * log(cell) is unsafe in log space.
+_SPAN_LIMIT = 1e307
 
 SELF_IMPROVEMENT_SETTINGS = ("euclidean-cubes", "rectangles", "homogeneous",
                              "non-doubling")
@@ -61,16 +64,12 @@ class Weight:
     def unit(cls, domain: GridDomain) -> "Weight":
         return cls(domain, np.ones(domain.sides), provenance={"kind": "unit"})
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
-        cached = getattr(self, "_digest", None)
-        if cached is None:
-            h = hashlib.sha256()
-            h.update(repr(self.domain.sides).encode())
-            h.update(self.values.tobytes())
-            cached = h.hexdigest()[:12]
-            object.__setattr__(self, "_digest", cached)
-        return cached
+        h = hashlib.sha256()
+        h.update(repr(self.domain.sides).encode())
+        h.update(self.values.tobytes())
+        return h.hexdigest()[:12]
 
     def record(self, key):
         return self._records.get(key)
@@ -92,8 +91,10 @@ class ConstantRecord:
 
 
 def _needs_log_space(values: np.ndarray, exponents) -> bool:
-    top = float(np.max(np.abs(np.log(values))))
-    return any(abs(e) * top > _LOG_LIMIT for e in exponents)
+    top = max(abs(e) for e in exponents) * float(np.max(np.abs(np.log(values))))
+    if top > _SPAN_LIMIT:
+        raise OverflowGuard("an exponent times a log-weight left the float range")
+    return top > _LOG_LIMIT
 
 
 def _plain_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
@@ -108,9 +109,8 @@ def _plain_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
             for e in exponents]
 
 
-def _log_avg_pow(logv, masses, box, e, log_mass) -> float:
-    """log of the mean of exp(e*logv) over the box, overflow-safe."""
-    sl = box.slices()
+def _log_avg_pow(logv, masses, sl, e, log_mass) -> float:
+    """log of the mean of exp(e*logv) over the box ``sl``, overflow-safe."""
     m = masses[sl]
     pos = m > 0
     a = e * logv[sl][pos] + np.log(m[pos])
@@ -131,8 +131,8 @@ def muckenhoupt_constant(w: Weight, p: float, base: BaseFamily,
     Always >= 1 by Jensen; equals 1 exactly on single cells.  Requires p > 1.
     Records the attaining set on the weight's cache.
     """
-    if not p > 1.0:
-        raise ExponentOutOfRange(f"the A_p functional needs p > 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ExponentOutOfRange(f"the A_p functional needs a finite p > 1, got {p}")
     key = ("ap", float(p), base.base_id, measure.digest)
     got = w.record(key)
     if got is not None:
@@ -142,32 +142,32 @@ def muckenhoupt_constant(w: Weight, p: float, base: BaseFamily,
     best, arg = -math.inf, None
     if _needs_log_space(w.values, (1.0, e, p - 1.0)):
         logv = np.log(w.values)
-        for box, mass in zip(base.sets, set_masses):
+        for i, (sl, mass) in enumerate(zip(base.slices(), set_masses)):
             lm = math.log(mass)
-            val = (_log_avg_pow(logv, measure.masses, box, 1.0, lm)
-                   + (p - 1.0) * _log_avg_pow(logv, measure.masses, box, e, lm))
+            val = (_log_avg_pow(logv, measure.masses, sl, 1.0, lm)
+                   + (p - 1.0) * _log_avg_pow(logv, measure.masses, sl, e, lm))
             if val > best:
-                best, arg = val, box
+                best, arg = val, i
         result = _finite_or_raise(math.exp(best), "A_p constant")
     else:
         # The power stays a per-box scalar: numpy's vectorised pow can differ
         # from the scalar one in the last bit.
         mean_1, mean_e = _plain_means(w, (1.0, e), base, measure,
                                       set_masses)
-        for box, m1, me in zip(base.sets, mean_1, mean_e):
+        for i, (m1, me) in enumerate(zip(mean_1, mean_e)):
             val = m1 * me ** (p - 1.0)
             if val > best:
-                best, arg = val, box
+                best, arg = val, i
         result = _finite_or_raise(best, "A_p constant")
-    w._records[key] = ConstantRecord(result, arg)
+    w._records[key] = ConstantRecord(result, base.box(arg))
     return result
 
 
 def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
                             measure: Measure) -> float:
     """Largest over the base of (mean of w^delta)^(1/delta) / (mean of w)."""
-    if not delta > 1.0:
-        raise ExponentOutOfRange(f"the reverse Holder functional needs delta > 1, got {delta}")
+    if not 1.0 < delta < math.inf:
+        raise ExponentOutOfRange(f"the reverse Holder functional needs a finite delta > 1, got {delta}")
     key = ("rh", float(delta), base.base_id, measure.digest)
     got = w.record(key)
     if got is not None:
@@ -176,22 +176,22 @@ def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
     best, arg = -math.inf, None
     if _needs_log_space(w.values, (1.0, delta)):
         logv = np.log(w.values)
-        for box, mass in zip(base.sets, set_masses):
+        for i, (sl, mass) in enumerate(zip(base.slices(), set_masses)):
             lm = math.log(mass)
-            val = (_log_avg_pow(logv, measure.masses, box, delta, lm) / delta
-                   - _log_avg_pow(logv, measure.masses, box, 1.0, lm))
+            val = (_log_avg_pow(logv, measure.masses, sl, delta, lm) / delta
+                   - _log_avg_pow(logv, measure.masses, sl, 1.0, lm))
             if val > best:
-                best, arg = val, box
+                best, arg = val, i
         result = _finite_or_raise(math.exp(best), "reverse Holder constant")
     else:
         mean_d, mean_1 = _plain_means(w, (delta, 1.0), base, measure,
                                       set_masses)
-        for box, md, m1 in zip(base.sets, mean_d, mean_1):
+        for i, (md, m1) in enumerate(zip(mean_d, mean_1)):
             val = md ** (1.0 / delta) / m1
             if val > best:
-                best, arg = val, box
+                best, arg = val, i
         result = _finite_or_raise(best, "reverse Holder constant")
-    w._records[key] = ConstantRecord(result, arg)
+    w._records[key] = ConstantRecord(result, base.box(arg))
     return result
 
 
@@ -213,9 +213,10 @@ def a1_constant(w: Weight, base: BaseFamily, measure: Measure,
     mw = operators.maximal(w.values, base, measure, operators.MaximalKind(mode))
     live = measure.masses > 0
     ratios = np.zeros(w.values.shape)
-    ratios[live] = mw[live] / w.values[live]
+    with np.errstate(over="ignore"):  # an infinite ratio raises below
+        ratios[live] = mw[live] / w.values[live]
     flat_idx = int(np.argmax(ratios.ravel()))
-    result = float(ratios.ravel()[flat_idx])
+    result = _finite_or_raise(float(ratios.ravel()[flat_idx]), "A_1 constant")
     cell = np.unravel_index(flat_idx, w.values.shape)
     arg = BaseSet(tuple(int(c) for c in cell), tuple(int(c) + 1 for c in cell))
     w._records[key] = ConstantRecord(result, arg)

@@ -283,9 +283,11 @@ def brute_base(sides, masses: np.ndarray, kind: str, min_scale: int = 0):
 #
 # The box-at-a-time loops ``oscillation_norm`` (CenteredDiff, DualHardy) and
 # ``jn_exp_moment`` ran before they became shape-grouped kernels, kept as
-# the bit-for-bit reference for those kernels.  Two edits only: the TLSeq
-# branches are left out, and the jn loop's norm call goes to
-# ``per_box_osc_norm``.
+# the bit-for-bit reference for those kernels.  Three edits: the TLSeq
+# branches are left out, the jn loop's norm call goes to
+# ``per_box_osc_norm``, and ``per_box_osc_norm`` leaves cells without mass
+# out of the terms (their |f - c|^p may be inf, and inf * 0 made the box
+# NaN, which then dropped out of the maximum).
 
 
 def _per_box_local_field(f, spec, base_set, measure):
@@ -315,12 +317,14 @@ def _per_box_local_field(f, spec, base_set, measure):
 
 
 def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
+    import math
+
     from oscillab.errors import ExponentOutOfRange, ZeroMass
     from oscillab.lattice import fsum
     from oscillab.oscillation import NormReport
 
-    if not p > 0:
-        raise ExponentOutOfRange(f"the norm exponent must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ExponentOutOfRange(f"the norm exponent must be positive and finite, got {p}")
     wm = w.values * measure.masses
     best = -1.0
     best_set = None
@@ -330,7 +334,8 @@ def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
         wmass = fsum(wm[sl])
         if wmass <= 0.0:
             raise ZeroMass(f"no weighted mass on {box.label()}")
-        local = _per_box_local_field(f, spec, box, measure)
+        local = np.where(wm > 0.0, _per_box_local_field(f, spec, box, measure),
+                         0.0)
         # A power past the float range is inf, silently, as in the kernel.
         with np.errstate(over="ignore"):
             val = fsum(((local ** p) * wm)[sl]) / wmass

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab import GridDomain, corpus, run_suite, write_field_csv
+from oscillab.lattice import BASE_KINDS
 from oscillab.cli import main
 
 
@@ -318,3 +325,82 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "majorant-sufficiency" in out
         assert "sequence-spaces" in out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the input boundary: any CSV of at most 16 cells and any flag values
+# must end in a clean exit code, never in an escaped exception.
+
+_GRIDS = ((1,), (2,), (4,), (8,), (16,), (1, 2), (2, 2), (2, 4), (4, 2),
+          (4, 4), (2, 8), (1, 16))
+_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308,
+                     1.7976931348623157e308, 5e-324, 1e-300, 1e300,
+                     math.nan, math.inf, -math.inf]))
+# Weights must be positive, so half the files draw from positive cells.
+_positive_cells = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=True),
+    st.sampled_from([1.0, 2.0, 0.5, 1e308, 1e-308, 5e-324, 1e300, 1e-300]))
+_exponents = st.sampled_from(["0.5", "1", "2", "3.7", "40", "1.0000001", "0",
+                              "-1", "nan", "inf", "1e-300", "1e308"])
+_min_scales = st.sampled_from(["0", "1", "2", "5", "-1"])
+
+
+@st.composite
+def _csv_text(draw):
+    """A field CSV of at most 16 cells; the cell count may miss the header."""
+    sides = draw(st.sampled_from(_GRIDS))
+    n = math.prod(sides)
+    count = draw(st.one_of(st.just(n), st.integers(0, 16)))
+    pool = draw(st.sampled_from([_cells, _positive_cells]))
+    cells = draw(st.lists(pool, min_size=count, max_size=count))
+    head = ",".join(map(str, (len(sides), *sides)))
+    return "\n".join([head, *map(repr, cells)]) + "\n"
+
+
+@st.composite
+def _command(draw):
+    """(argv template, files): '{f}', '{w}' and '{o}' name the field, the
+    weight and the output file."""
+    which = draw(st.sampled_from(["norm", "constant", "gen"]))
+    files = {"w": draw(_csv_text())}
+    if which == "gen":
+        return ["gen", "--weight", "{w}", "--out", "{o}.csv"], files
+    common = ["--base", draw(st.sampled_from(BASE_KINDS)),
+              "--min-scale", draw(_min_scales), "--out", "{o}.json"]
+    if which == "constant":
+        return ["constant", "--kind", draw(st.sampled_from(
+                    ["ap", "rh", "a1", "doubling"])),
+                "--weight", "{w}", "--p", draw(_exponents),
+                "--delta", draw(_exponents),
+                "--mode", draw(st.sampled_from(
+                    ["auto", "dyadic", "centered", "uncentered"])),
+                *common], files
+    files["f"] = draw(_csv_text())
+    weight = ["--weight", "{w}"] if draw(st.booleans()) else []
+    return ["norm", "--field", "{f}", "--p", draw(_exponents),
+            "--spec", draw(st.sampled_from(["centered", "reciprocal"])),
+            *weight, *common], files
+
+
+class TestFuzz:
+    @given(_command())
+    @settings(max_examples=400, deadline=None)
+    def test_small_csvs_exit_cleanly(self, command):
+        argv, files = command
+        with tempfile.TemporaryDirectory() as tmp:
+            names = {"o": str(Path(tmp, "out"))}
+            for key, text in files.items():
+                names[key] = str(Path(tmp, f"{key}.csv"))
+                Path(names[key]).write_text(text)
+            argv = [a.format(**names) for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -10,11 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (GridDomain, Measure, build_base, fsum,
-                      iter_dyadic_boxes, read_field_csv, simultaneous_children,
+from oscillab import (CenteredDiff, DualHardy, GridDomain, MaximalKind,
+                      Measure, Weight, a1_constant, build_base, fsum,
+                      iter_dyadic_boxes, jn_exp_moment, lattice, maximal,
+                      muckenhoupt_constant, oscillation_norm, read_field_csv,
+                      reverse_holder_constant, simultaneous_children,
                       write_field_csv)
+from oscillab.cli import main
 from oscillab.errors import BadParams as _BadParams
-from oscillab.lattice import BaseSet, axis_parent
+from oscillab.errors import OscillabError
+from oscillab.lattice import BASE_KINDS, BaseSet, axis_parent
 
 import oracles
 
@@ -177,3 +182,95 @@ class TestFieldCsv:
         dom = GridDomain((4,))
         with pytest.raises(Exception):
             write_field_csv(tmp_path / "bad.csv", dom, np.zeros(5))
+
+
+_LAZY_GRIDS = ((4,), (8,), (16,), (4, 4), (4, 8), (8, 8))
+
+
+class TestLazySets:
+    """A family is its corner arrays; ``BaseSet``s are built on demand."""
+
+    @given(st.sampled_from(_LAZY_GRIDS), st.sampled_from(BASE_KINDS),
+           st.integers(0, 2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sets_match_brute_force_and_box(self, sides, kind, min_scale,
+                                            data):
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        n = int(np.prod(sides))
+        masses = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n)))
+        masses = masses.reshape(sides)
+        masses.flat[-1] = 1.0  # some mass, so the measure is valid
+        try:
+            base = build_base(dom, Measure.general(dom, masses), kind,
+                              min_scale)
+        except OscillabError:
+            return  # the kind does not fit, or no set has mass
+        boxes = [base.box(i) for i in range(len(base))]
+        assert "sets" not in vars(base)
+        want, _ = oracles.brute_base(sides, masses, kind, min_scale)
+        assert [(b.lo, b.hi) for b in base.sets] == want
+        assert base.sets == tuple(boxes)
+        assert base.sets is base.sets
+        assert len(base) == len(base.lo) == len(base.hi) == len(want)
+        for corners in base.corners():
+            assert corners.dtype == np.intp
+            with pytest.raises(ValueError):
+                corners[0, 0] = 0
+
+
+@pytest.fixture
+def refuse_sets(monkeypatch):
+    """Make building any family's ``sets`` fail the test."""
+    def refuse(lo, hi):
+        raise AssertionError("BaseFamily.sets was built")
+    monkeypatch.setattr(lattice, "_box_tuple", refuse)
+
+
+class TestCornerArraysOnly:
+    """Paths that read only the corner arrays never build ``sets``."""
+
+    @pytest.mark.parametrize("sides, kind", [
+        ((16,), "dyadic-cubes"), ((16,), "all-cubes"),
+        ((8, 8), "dyadic-rectangles"), ((8, 8), "all-rectangles")])
+    @pytest.mark.parametrize("spread", [1.0, 200.0], ids=["plain", "log"])
+    def test_constants_and_maximal(self, refuse_sets, sides, kind, spread):
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, kind)
+        rng = np.random.default_rng(5)
+        w = Weight(dom, np.exp(rng.uniform(-spread, spread, sides)))
+        # At spread 200 both constants need log space: 200 * 5 > log(1e300).
+        assert muckenhoupt_constant(w, 1.2, base, mea) >= 1.0
+        assert reverse_holder_constant(w, 5.0, base, mea) >= 1.0
+        assert w.record(("ap", 1.2, base.base_id, mea.digest)).argmax
+        modes = ["uncentered"] + (["dyadic"] if kind.startswith("dyadic")
+                                  else ["centered"] * (kind == "all-cubes"))
+        for mode in modes:
+            maximal(w.values, base, mea, MaximalKind(mode))
+            a1_constant(w, base, mea, mode=mode)
+
+    @pytest.mark.parametrize("kind", ["dyadic-cubes", "all-cubes"])
+    def test_oscillation_norms(self, refuse_sets, kind):
+        dom = GridDomain((8, 8), split=(1, 1))
+        rng = np.random.default_rng(6)
+        f = rng.normal(size=(8, 8))
+        w = Weight(dom, rng.uniform(0.5, 2.0, (8, 8)))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, kind)
+        for spec in (CenteredDiff(), CenteredDiff(w)):
+            assert oscillation_norm(f, spec, w, 2.0, base, mea).extremal_set
+        assert jn_exp_moment(f, base, w, mea).extremal_set
+        dens = Measure.density(dom, w.values)
+        base_w = build_base(dom, dens, kind)
+        assert oscillation_norm(f, DualHardy(w), Weight.unit(dom), 1.0,
+                                base_w, dens).extremal_set
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "ap", "--gen", "random-log-bounded", "--grid", "64"],
+        ["--kind", "rh", "--gen", "power", "--grid", "16x16",
+         "--base", "all-cubes"],
+        ["--kind", "a1", "--gen", "rubio-a1", "--grid", "8x8", "--split",
+         "--base", "dyadic-rectangles"]])
+    def test_cli_constant(self, refuse_sets, tmp_path, argv):
+        assert main(["constant", *argv, "--out", str(tmp_path / "c.json")]) == 0

@@ -7,6 +7,8 @@ their bits, errors on their type and message.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,7 +90,7 @@ def _same_norm(got, want):
 
 class TestOscillationNormKernel:
     @given(_instance(), st.sampled_from(POWERS),
-           st.sampled_from(["plain", "reweighted", "reciprocal"]),
+           st.sampled_from(["plain", "reweighted", "reciprocal", "massless"]),
            st.booleans())
     @settings(max_examples=250, deadline=None)
     def test_bit_identical_to_per_box_loop(self, inst, p, rule, per_set):
@@ -96,6 +98,12 @@ class TestOscillationNormKernel:
         if rule == "reciprocal":
             spec, norm_w, measure = DualHardy(w), Weight.unit(dom), \
                 Measure.density(dom, w.values)
+        elif rule == "massless":
+            # No mass where v <= 1: such cells must not count.
+            masses = np.where(v.values > 1.0, v.values, 0.0)
+            masses.flat[0] = 1.0
+            spec, norm_w, measure = CenteredDiff(), w, \
+                Measure.general(dom, masses)
         else:
             spec = CenteredDiff() if rule == "plain" else CenteredDiff(v)
             norm_w, measure = w, Measure.uniform(dom)
@@ -194,3 +202,21 @@ class TestErrorPrecedence:
         # the measure mismatch.
         got = self._both(f, DualHardy(w), Weight.unit(dom), 2.0, base, mea)
         assert got == ("raised", ZeroMass, "no weighted mass on 0:4x0:4")
+
+
+class TestZeroMassCells:
+    def test_overflowing_cell_without_mass_is_left_out(self):
+        # |f - c|^2 overflows on the massless last cell; inf * 0 once made
+        # 0:4 and 2:4 NaN, and the norm fell to 0.5 on 0:2.
+        dom = GridDomain((4,))
+        mea = Measure.general(dom, np.array([1.0, 1.0, 1.0, 0.0]))
+        base = build_base(dom, mea, "dyadic-cubes")
+        args = (np.array([1.0, 2.0, 3.0, 1e200]), CenteredDiff(),
+                Weight.unit(dom), 2.0, base, mea)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oscillation_norm(*args, per_set=True)
+            want = oracles.per_box_osc_norm(*args, per_set=True)
+        assert _bits(got.value) == _bits((2.0 / 3.0) ** 0.5)
+        assert got.extremal_set.label() == "0:4"
+        _same_norm(("ok", got), ("ok", want))
