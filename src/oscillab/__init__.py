@@ -9,8 +9,8 @@ against constants computed from the same data.
 from . import errors
 from .config import RunConfig, parse_config
 from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, build_base,
-                      fsum, iter_dyadic_boxes, read_field_csv,
-                      simultaneous_children, write_field_csv)
+                      fsum, read_field_csv, simultaneous_children,
+                      write_field_csv)
 from .operators import MaximalKind, lp_norm, maximal, rubio_de_francia
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
@@ -33,7 +33,7 @@ __all__ = [
     "Weight", "a1_constant", "build_base", "build_majorant",
     "certify", "conjugate", "cz_selection", "doubling_constant", "errors",
     "estimate_constant", "fsum", "generate_weight", "inputs_digest",
-    "iter_dyadic_boxes", "jn_exp_moment", "lp_norm", "make_check", "maximal",
+    "jn_exp_moment", "lp_norm", "make_check", "maximal",
     "muckenhoupt_constant", "oscillation_norm",
     "parse_config", "power_bump_check", "read_field_csv", "read_weight",
     "reverse_holder_constant", "rubio_de_francia", "run_suite",

@@ -48,7 +48,12 @@ def _envelope(cfg: RunConfig, payload: dict) -> dict:
 
 
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or an infinity in a report is a domain error."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowGuard(f"a report value is not finite ({exc})") from exc
+    return text + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,6 +105,51 @@ def box_sums(values, lo, hi) -> np.ndarray:
     return out
 
 
+def content_key(values) -> tuple:
+    """Cache key for an array's content: its shape and the sha256 of its
+    float64 bytes.  Rewriting an array in place changes its key."""
+    arr = np.ascontiguousarray(values, dtype=float)
+    return arr.shape, hashlib.sha256(arr.tobytes()).digest()
+
+
+class BoundedCache:
+    """At most ``bound`` entries; the least recently used goes first.
+
+    Every cache in oscillab is one of these, held by the instance it serves
+    (a ``BaseFamily`` or a ``Weight``), so nothing outlives that instance.
+    ``hits`` and ``misses`` count lookups.
+    """
+
+    __slots__ = ("bound", "hits", "misses", "_data")
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.hits = self.misses = 0
+        self._data: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def fetch(self, key, compute):
+        """The entry under ``key``; on a miss, ``compute()`` stored under it.
+        An exception from ``compute`` propagates and stores nothing."""
+        data = self._data
+        if key in data:
+            self.hits += 1
+            data.move_to_end(key)
+            return data[key]
+        self.misses += 1
+        got = data[key] = compute()
+        if len(data) > self.bound:
+            data.popitem(last=False)
+        return got
+
+
+# Entry bounds of the per-family caches (see ``BaseFamily``).
+SUMS_ENTRIES = 16
+NORM_ENTRIES = 32
+
+
 # Cells per gathered block in ``BaseFamily.shape_runs``; bounds the
 # (boxes, cells) temporaries of the shape-grouped kernels.
 _GATHER_CELLS = 1 << 14
@@ -157,11 +203,6 @@ class GridDomain:
         if self.split is not None:
             d["split"] = list(self.split)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridDomain":
-        split = d.get("split")
-        return cls(tuple(d["sides"]), tuple(split) if split else None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,9 +301,6 @@ class Measure:
         h.update(self.masses.tobytes())
         return h.hexdigest()[:16]
 
-    def mass_of(self, box: BaseSet) -> float:
-        return fsum(self.masses[box.slices()])
-
 
 @dataclass(frozen=True, eq=False)
 class BaseFamily:
@@ -275,6 +313,13 @@ class BaseFamily:
 
     Each member has positive measure for the measure it was built against;
     zero-mass candidates are dropped (and counted) at construction.
+
+    Two bounded caches live and die with the family, both keyed by content:
+    ``sums`` keeps up to ``SUMS_ENTRIES`` read-only result arrays, at most
+    16 x len x 8 bytes (4.2 MB for the 32,896 boxes of 256 all-cubes); and
+    ``oscillation.oscillation_norm`` keeps up to ``NORM_ENTRIES`` reports
+    in ``_norms``, each about 1 KB, plus about 250 bytes per member for a
+    report with ``per_set`` rows.
     """
 
     kind: str
@@ -283,7 +328,10 @@ class BaseFamily:
     lo: np.ndarray
     hi: np.ndarray
     dropped_zero_mass: int = 0
-    _mass_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _sums: BoundedCache = field(default_factory=lambda: BoundedCache(
+        SUMS_ENTRIES), compare=False, repr=False)
+    _norms: BoundedCache = field(default_factory=lambda: BoundedCache(
+        NORM_ENTRIES), compare=False, repr=False)
 
     def __post_init__(self):
         self.lo.setflags(write=False)
@@ -291,10 +339,22 @@ class BaseFamily:
 
     @functools.cached_property
     def base_id(self) -> str:
+        """Short label that reports print; members are not hashed, so two
+        families can share it.  Caches key on ``key``."""
         token = json.dumps(
             {"kind": self.kind, "domain": self.domain.to_dict(),
              "min_scale": self.min_scale, "n": len(self)}, sort_keys=True)
         return hashlib.sha256(token.encode()).hexdigest()[:12]
+
+    @functools.cached_property
+    def key(self) -> str:
+        """Content key: sha256 of kind, domain, min_scale and the corners."""
+        h = hashlib.sha256(json.dumps(
+            {"kind": self.kind, "domain": self.domain.to_dict(),
+             "min_scale": self.min_scale}, sort_keys=True).encode())
+        h.update(self.lo.tobytes())
+        h.update(self.hi.tobytes())
+        return h.hexdigest()
 
     @functools.cached_property
     def sets(self) -> tuple[BaseSet, ...]:
@@ -312,9 +372,6 @@ class BaseFamily:
 
     def __len__(self) -> int:
         return len(self.lo)
-
-    def __iter__(self):
-        return iter(self.sets)
 
     def corners(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), the family's read-only corner arrays."""
@@ -349,15 +406,24 @@ class BaseFamily:
                 b = min(a + rows, stop)
                 yield a, b, first[a - start:b - start] + offsets
 
-    def set_masses(self, measure: Measure) -> np.ndarray:
-        """Per-member measure, in canonical order; cached per measure digest."""
-        key = measure.digest
-        got = self._mass_cache.get(key)
-        if got is None:
-            got = box_sums(measure.masses, *self.corners())
+    def sums(self, values) -> np.ndarray:
+        """``box_sums(values, *self.corners())``, read-only, memoised in the
+        family's LRU of ``SUMS_ENTRIES`` results keyed by ``content_key``.
+
+        A miss costs one ``box_sums`` pass, a hit one sha256 of the array.
+        For the linear passes that repeat on one family (w-masses, centre
+        numerators, power means); an array built afresh on every call, such
+        as each maximal-series term, should call ``box_sums`` directly.
+        """
+        def compute():
+            got = box_sums(values, *self.corners())
             got.setflags(write=False)
-            self._mass_cache[key] = got
-        return got
+            return got
+        return self._sums.fetch(content_key(values), compute)
+
+    def set_masses(self, measure: Measure) -> np.ndarray:
+        """Per-member measure, in canonical order: ``sums(measure.masses)``."""
+        return self.sums(measure.masses)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "domain": self.domain.to_dict(),
@@ -457,29 +523,6 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
         raise BadParams("a candidate box is empty or leaves the domain")
     return BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
                       lo=lo, hi=hi, dropped_zero_mass=dropped)
-
-
-def iter_dyadic_boxes(domain: GridDomain, min_scale: int = 0):
-    """All products of per-axis dyadic intervals (the full dyadic lattice).
-
-    For 1-d this is the binary tree of intervals; for 2-d it includes
-    mixed-scale boxes, which is the lattice single-axis doubling lives on.
-    """
-    yield from _box_tuple(*dyadic_lattice(domain, min_scale))
-
-
-def axis_parent(box: BaseSet, axis: int, domain: GridDomain) -> BaseSet | None:
-    """Dyadic father of ``box`` along one axis (side doubled), or None at the top."""
-    s = box.sides()[axis]
-    if not (_is_pow2(s) and box.lo[axis] % s == 0):
-        raise BadParams(f"{box.label()} is not dyadic along axis {axis}")
-    if 2 * s > domain.sides[axis]:
-        return None
-    lo = list(box.lo)
-    hi = list(box.hi)
-    lo[axis] = (box.lo[axis] // (2 * s)) * (2 * s)
-    hi[axis] = lo[axis] + 2 * s
-    return BaseSet(tuple(lo), tuple(hi))
 
 
 def simultaneous_children(box: BaseSet) -> list[BaseSet]:

@@ -5,8 +5,10 @@ Every mode takes all the base averages from one exact box-sum pass
 (``lattice.box_sums``).  Centered mode only sees odd-sided cubes, each
 scored at its center cell.  The dyadic and uncentered modes share one path:
 boxes are grouped by shape and each group is spread over the cells it
-covers by a separable sliding max, costing O(cells x log side) per shape.
-Dyadic mode differs only in the base kinds it accepts.
+covers.  On a dyadic base kind the boxes of one shape tile the grid, so the
+spread is one broadcast maximum per shape, O(cells); on other kinds it is a
+separable sliding max, O(cells x log side) per shape.  Dyadic mode differs
+only in the base kinds it accepts.
 """
 
 from __future__ import annotations
@@ -87,20 +89,46 @@ def maximal(f: np.ndarray, base: BaseFamily, measure: Measure,
     avg = lattice.box_sums(np.abs(f) * measure.masses, lo, hi) \
         / base.set_masses(measure)
     side = hi - lo
-    out = np.zeros(base.domain.sides)
+    sides = base.domain.sides
+    out = np.zeros(sides)
+    tiled = base.kind in lattice.DYADIC_KINDS
     # Runs of boxes of one shape; a canonical family has one run per shape.
     cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
     for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(side)]):
         shape = side[a].tolist()
-        if kind.mode != "centered":
-            np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape,
-                                        base.domain.sides), out=out)
+        if kind.mode != "centered" and tiled:
+            _tile_max(out, avg[a:b], lo[a:b], shape)
+        elif kind.mode != "centered":
+            np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape, sides),
+                       out=out)
         elif shape[0] % 2 == 1:
             # Distinct boxes of one shape have distinct centers.
             center = tuple((lo[a:b] + (shape[0] - 1) // 2).T)
             out[center] = np.maximum(out[center], avg[a:b])
     out[measure.masses == 0.0] = 0.0
     return out
+
+
+def _tile_max(out: np.ndarray, avg: np.ndarray, lo: np.ndarray,
+              shape) -> None:
+    """``out`` = max(``out``, the average of the box covering each cell), for
+    boxes of one shape at multiples of their sides (a tiling of the grid,
+    less any boxes the family dropped); ``avg`` must be >= 0.
+
+    The averages sit on a grid of tiles, which broadcasts against ``out``
+    viewed as (tiles, side) per axis.  With no box dropped the averages,
+    in canonical (row-major corner) order, are that grid already.
+    """
+    grid = tuple(n // s for n, s in zip(out.shape, shape))
+    if len(avg) == math.prod(grid):
+        tiles = avg.reshape(grid)
+    else:
+        tiles = np.zeros(grid)
+        tiles[tuple((lo // shape).T)] = avg
+    blocks = [d for t, s in zip(grid, shape) for d in (t, s)]
+    view = out.reshape(blocks)
+    np.maximum(view, tiles.reshape([d for t in grid for d in (t, 1)]),
+               out=view)
 
 
 def _spread_max(avg: np.ndarray, lo: np.ndarray, shape, sides) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic,
                      OverflowGuard, ZeroMass)
-from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, box_sums,
+from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, content_key,
                       fsum, simultaneous_children)
 from .weights import Weight
 
@@ -102,28 +102,45 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
                      measure: Measure, per_set: bool = False) -> NormReport:
     """max over base sets of ((1/w-mass) sum local^p w m)^(1/p).
 
-    ``CenteredDiff`` and ``DualHardy`` run as a shape-grouped kernel: one
-    ``box_sums`` pass per linear array (the w-masses, and the centre
-    numerators and masses of ``CenteredDiff``), then the boxes in runs of
+    ``CenteredDiff`` and ``DualHardy`` run as a shape-grouped kernel: the
+    linear arrays (the w-masses, and the centre numerators and masses of
+    ``CenteredDiff``) are summed through ``base.sums``, one ``box_sums``
+    pass each on a miss of the family's cache, then the boxes in runs of
     one shape, each gathered as (boxes, cells) blocks so that local^p w m
     is one numpy expression per block, and one ``math.fsum`` per box.  The
     ``DualHardy`` centre, a plain cell mean, stays one reduction per box.
-    ``TLSeq`` builds its field box by box.  Either way the result, the
-    extremal set (the first strict maximum in canonical order) and the
-    first error in canonical order are those of a box-by-box loop; only an
-    overflow in a linear sum differs, as ``box_sums`` differs from ``fsum``
-    (see ``lattice``).
+    Their reports are memoised on the family (see ``BaseFamily``), keyed by
+    the content of f, the rule's weight, w and the measure, with p and
+    ``per_set``; a repeat costs a few array hashes, and an error is raised
+    anew each time.  ``TLSeq`` builds its field box by box, uncached.
+    Either way the result, the extremal set (the first strict maximum in
+    canonical order) and the first error in canonical order are those of a
+    box-by-box loop; only an overflow in a linear sum differs, as
+    ``box_sums`` differs from ``fsum`` (see ``lattice``).
     """
     if not 0 < p < math.inf:
         raise ExponentOutOfRange(f"the norm exponent must be positive and finite, got {p}")
     if isinstance(spec, TLSeq) and base.kind != "dyadic-cubes":
         raise IncompatibleSpec("sequence norms are defined over dyadic cubes")
-    wm = w.values * measure.masses
     if isinstance(spec, (CenteredDiff, DualHardy)):
-        vals, failure = _grouped_means(np.asarray(f, dtype=float), spec, wm,
-                                       p, base, measure)
-    else:
-        vals, failure = list(_sequence_means(f, spec, wm, p, base)), None
+        f = np.asarray(f, dtype=float)
+        rule = (("centered", None if spec.v is None else spec.v.digest)
+                if isinstance(spec, CenteredDiff) else ("dual", spec.w.digest))
+        # The type of p is part of the key: the report carries p as given.
+        key = (content_key(f), rule, w.digest, p, type(p), measure.digest,
+               per_set)
+        return base._norms.fetch(key, lambda: _norm_report(
+            *_grouped_means(f, spec, w.values * measure.masses, p, base,
+                            measure), p, w, base, per_set))
+    wm = w.values * measure.masses
+    return _norm_report(list(_sequence_means(f, spec, wm, p, base)), None, p,
+                        w, base, per_set)
+
+
+def _norm_report(vals, failure, p: float, w: Weight, base: BaseFamily,
+                 per_set: bool) -> NormReport:
+    """The report for per-box means ``vals``; raises ``failure`` (the first
+    failing box's error) once the boxes before it have been scanned."""
     best = -1.0
     best_i = None
     for i, val in enumerate(vals):
@@ -132,8 +149,8 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
             best_i = i
     if failure is not None:
         raise failure
-    rows = tuple((box, val ** (1.0 / p)) for box, val in zip(base, vals)) \
-        if per_set else None
+    rows = tuple((base.box(i), val ** (1.0 / p))
+                 for i, val in enumerate(vals)) if per_set else None
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
                       extremal_set=None if best_i is None else base.box(best_i),
                       per_set=rows)
@@ -161,21 +178,18 @@ def _grouped_means(arr: np.ndarray, spec, wm: np.ndarray, p: float,
     The boxes before the failing one are still evaluated, so that an
     overflow they raise comes first, as it would in a box-by-box loop.
     """
-    lo, hi = base.corners()
-    wmass = box_sums(wm, lo, hi)
+    wmass = base.sums(wm)
     zero = wmass <= 0.0
     if isinstance(spec, CenteredDiff):
-        if spec.v is None:
-            m, mass = measure.masses, base.set_masses(measure)
-        else:
-            m = measure.masses * spec.v.values
-            mass = box_sums(m, lo, hi)
+        m = measure.masses if spec.v is None \
+            else measure.masses * spec.v.values
+        mass = base.sums(m)
         bad = np.flatnonzero(zero | (mass <= 0.0))
         stop = int(bad[0]) if len(bad) else len(base)
         # Boxes from the failing one on may have no mass; their centres
         # are never used.
         with np.errstate(divide="ignore", invalid="ignore"):
-            centre = box_sums(arr * m, lo, hi) / mass
+            centre = base.sums(arr * m) / mass
         scale = None
     else:
         compatible = (measure.kind == "density-over-uniform"
@@ -344,7 +358,8 @@ def cz_selection(f: np.ndarray, root: BaseSet, w: Weight, lam: float,
 @dataclass(frozen=True)
 class JNReport:
     """Truncated exponential moment of normalized oscillations, with a
-    crude tail-decay fit on the extremal set."""
+    crude tail-decay fit on the extremal set (``c1_hat`` and ``c2_hat`` are
+    NaN when the fit has fewer than 2 points)."""
 
     t_value: float
     eta: float
@@ -366,11 +381,13 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     The default eta is 2 e^(D^2), D the doubling constant of w dm; at that
     scale a covering recursion caps the moment at 2e independently of f.
 
-    Cost: one ``box_sums`` pass each for the w-masses and the centre
-    numerators, then the boxes in runs of one shape, each gathered as
-    (boxes, cells) blocks so that exp(min(osc, N)/eta - shift) w m is one
-    numpy expression per block, and one ``math.fsum`` per box; the results
-    equal a box-by-box loop bit for bit.
+    Cost: the norm, the doubling constant, the w-masses and the centre
+    numerators come from the family's and the weight's caches (one
+    ``box_sums`` pass each on a miss), then the boxes in runs of one shape,
+    each gathered as (boxes, cells) blocks so that
+    exp(min(osc, N)/eta - shift) w m is one numpy expression per block, and
+    one ``math.fsum`` per box; the results equal a box-by-box loop bit for
+    bit.
     """
     if big_n <= 0:
         raise BadParams(f"the truncation level must be positive, got {big_n}")
@@ -386,9 +403,8 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     if eta <= 0:
         raise BadParams(f"the tempering scale must be positive, got {eta}")
     # Every box has positive w-mass: the norm above raised otherwise.
-    lo, hi = base.corners()
-    wmass = box_sums(wm, lo, hi)
-    centre = box_sums(f * wm, lo, hi) / wmass
+    wmass = base.sums(wm)
+    centre = base.sums(f * wm) / wmass
     flat, wm_flat = f.ravel(), wm.ravel()
     wmass, centres = wmass.tolist(), centre.tolist()
     best_log = -math.inf

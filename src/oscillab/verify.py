@@ -502,7 +502,9 @@ def _certify_rectangle_decay(inputs: dict, tol: float):
     meta = {"lam": lam, "doubling": dw, "selected": len(sel.selected),
             "avg_root": sel.avg_root, "outside_max": sel.outside_max,
             "exp_moment": jn.t_value, "eta": jn.eta, "bmo": bmo,
-            "tail_c1": jn.c1_hat, "tail_c2": jn.c2_hat}
+            # NaN when the tail fit had fewer than 2 points: written null.
+            "tail_c1": None if math.isnan(jn.c1_hat) else jn.c1_hat,
+            "tail_c2": None if math.isnan(jn.c2_hat) else jn.c2_hat}
 
     if all(k in inputs for k in ("v", "q", "delta")):
         v, q, delta = inputs["v"], float(inputs["q"]), float(inputs["delta"])

@@ -2,8 +2,13 @@
 doubling, the closed-form self-improvement schedule, and weight generators.
 
 Constants are exact finite maxima over the attached base family.  Every
-computed constant is cached on the weight, keyed by (kind, exponent,
-base id), so one run never recomputes (or re-rounds) the same number.
+computed A_p, reverse Holder and A_1 constant is recorded on the weight,
+keyed by (kind, exponent or mode, base id, measure digest, family key), so
+one run never recomputes (or re-rounds) the same number.  The family key
+hashes the members, which the base id (the label reports and sidecars
+print) does not.  The doubling constant is kept apart, in a bounded cache
+on the weight keyed by measure digest, so it never shows in
+``constants_cache`` output.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import numpy as np
 
 from . import lattice
 from .errors import BadParams, ExponentOutOfRange, OverflowGuard
-from .lattice import BaseFamily, BaseSet, GridDomain, Measure, fsum
+from .lattice import (BaseFamily, BaseSet, BoundedCache, GridDomain, Measure,
+                      fsum)
 from .reports import CertificateReport, make_check
 
 # Above this magnitude an exponentiated cell value is considered unsafe and
@@ -28,6 +34,8 @@ _OVERFLOW_LIMIT = 1e300
 _LOG_LIMIT = math.log(_OVERFLOW_LIMIT)
 # Above this magnitude even exponent * log(cell) is unsafe in log space.
 _SPAN_LIMIT = 1e307
+# Entry bound of each weight's doubling-constant cache (one float each).
+DOUBLING_ENTRIES = 8
 
 SELF_IMPROVEMENT_SETTINGS = ("euclidean-cubes", "rectangles", "homogeneous",
                              "non-doubling")
@@ -44,12 +52,19 @@ def conjugate(p: float) -> float:
 
 @dataclass(eq=False)
 class Weight:
-    """Strictly positive cell values plus a provenance tag and constant cache."""
+    """Strictly positive cell values plus a provenance tag and constant cache.
+
+    ``_records`` holds the recorded constants; ``_doubling`` holds up to
+    ``DOUBLING_ENTRIES`` doubling constants by measure digest, about 100
+    bytes each, for the life of the weight.
+    """
 
     domain: GridDomain
     values: np.ndarray
     provenance: dict = field(default_factory=dict)
     _records: dict = field(default_factory=dict, repr=False)
+    _doubling: BoundedCache = field(default_factory=lambda: BoundedCache(
+        DOUBLING_ENTRIES), repr=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -75,9 +90,10 @@ class Weight:
         return self._records.get(key)
 
     def cached_constants(self) -> dict:
+        """The records by label: kind|exponent|base_id|measure digest."""
         out = {}
         for key, rec in sorted(self._records.items(), key=lambda kv: repr(kv[0])):
-            out["|".join(str(k) for k in key)] = {
+            out["|".join(str(k) for k in key[:4])] = {
                 "value": float(rec.value),
                 "argmax": rec.argmax.label() if rec.argmax is not None else None,
             }
@@ -102,10 +118,10 @@ def _plain_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
     """Per exponent e, the mean of w**e over each base set.
 
     numpy's ``**`` gives the same bits on the whole grid as on each box's
-    slice, so these equal the per-box means bit for bit.
+    slice, so these equal the per-box means bit for bit.  The sums go
+    through the family's cache: w * m recurs across exponents.
     """
-    lo, hi = base.corners()
-    return [lattice.box_sums(w.values ** e * measure.masses, lo, hi) / set_masses
+    return [base.sums(w.values ** e * measure.masses) / set_masses
             for e in exponents]
 
 
@@ -133,7 +149,7 @@ def muckenhoupt_constant(w: Weight, p: float, base: BaseFamily,
     """
     if not 1.0 < p < math.inf:
         raise ExponentOutOfRange(f"the A_p functional needs a finite p > 1, got {p}")
-    key = ("ap", float(p), base.base_id, measure.digest)
+    key = ("ap", float(p), base.base_id, measure.digest, base.key)
     got = w.record(key)
     if got is not None:
         return got.value
@@ -168,7 +184,7 @@ def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
     """Largest over the base of (mean of w^delta)^(1/delta) / (mean of w)."""
     if not 1.0 < delta < math.inf:
         raise ExponentOutOfRange(f"the reverse Holder functional needs a finite delta > 1, got {delta}")
-    key = ("rh", float(delta), base.base_id, measure.digest)
+    key = ("rh", float(delta), base.base_id, measure.digest, base.key)
     got = w.record(key)
     if got is not None:
         return got.value
@@ -206,7 +222,7 @@ def a1_constant(w: Weight, base: BaseFamily, measure: Measure,
 
     if mode == "auto":
         mode = "dyadic" if base.kind in lattice.DYADIC_KINDS else "uncentered"
-    key = ("a1", mode, base.base_id, measure.digest)
+    key = ("a1", mode, base.base_id, measure.digest, base.key)
     got = w.record(key)
     if got is not None:
         return got.value
@@ -231,7 +247,15 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
     weighted-mass ratio at most D^d.  Children of zero weighted mass are
     skipped (they never enter a walk); returns at least 1.  Raises
     ``OverflowGuard`` when a ratio leaves the float range.
+
+    Cached on the weight by measure digest (see ``Weight``); the box sums
+    themselves are not, since the dyadic lattice is not a base family.
     """
+    return w._doubling.fetch(measure.digest,
+                             lambda: _doubling_constant(w, measure))
+
+
+def _doubling_constant(w: Weight, measure: Measure) -> float:
     domain = w.domain
     wm = w.values * measure.masses
     lo, hi = lattice.dyadic_lattice(domain)

@@ -8,6 +8,8 @@ genuinely different code paths.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -24,6 +26,15 @@ def dyadic_intervals(n: int) -> list[tuple[int, int]]:
             out.append((start, start + length))
         length //= 2
     return out
+
+
+def iter_dyadic_boxes(sides: tuple[int, ...]):
+    """Every product of per-axis dyadic intervals (the full dyadic lattice,
+    mixed scales included), as ``BaseSet``s."""
+    from oscillab.lattice import BaseSet
+
+    for parts in itertools.product(*(dyadic_intervals(n) for n in sides)):
+        yield BaseSet(tuple(lo for lo, _ in parts), tuple(hi for _, hi in parts))
 
 
 def brute_dyadic_cubes(sides: tuple[int, ...]) -> set[tuple[tuple, tuple]]:

@@ -17,7 +17,7 @@ from oscillab import (GridDomain, Measure, MaximalKind, Weight, build_base,
                       doubling_constant, maximal, muckenhoupt_constant,
                       reverse_holder_constant)
 from oscillab.errors import EmptyBase, OscillabError, ZeroMassBaseSet
-from oscillab.lattice import BASE_KINDS, box_sums, iter_dyadic_boxes
+from oscillab.lattice import BASE_KINDS, box_sums
 
 import oracles
 
@@ -83,7 +83,7 @@ class TestBoxSums:
     @settings(max_examples=100, deadline=None)
     def test_dyadic_lattice_and_single_cells(self, grid):
         sides, values = grid
-        boxes = list(iter_dyadic_boxes(_domain(sides)))
+        boxes = list(oracles.iter_dyadic_boxes(sides))
         lo = np.array([b.lo for b in boxes])
         hi = np.array([b.hi for b in boxes])
         assert _bits(box_sums(values, lo, hi)) == _bits(_fsum_per_box(values, boxes))
@@ -252,7 +252,7 @@ class TestRoutedPaths:
         values = cells[:dom.num_cells].reshape(sides)
         wm = values * masses
         want = 1.0
-        for box in iter_dyadic_boxes(dom):
+        for box in oracles.iter_dyadic_boxes(sides):
             child = math.fsum(wm[box.slices()].ravel().tolist())
             if child <= 0.0:
                 continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import GridDomain, corpus, run_suite, write_field_csv
+from oscillab import (GridDomain, cli, corpus, run_suite, verify,
+                      write_field_csv)
+from oscillab.errors import OverflowGuard
 from oscillab.lattice import BASE_KINDS
 from oscillab.cli import main
 
@@ -225,6 +228,29 @@ class TestVerifyCommand:
         row, = json.loads((out / "summary.json").read_text())["suites"]
         assert row["degenerate_skipped"] == 2
         assert row["failures"] == 0 and row["min_relative_slack"] == ""
+
+    def test_short_tail_fit_is_strict_json(self, tmp_path, monkeypatch):
+        # A tail fit of fewer than 2 points leaves NaN estimates; the report
+        # writes null there and parses as strict JSON.
+        fit = verify.jn_exp_moment
+
+        def short_tail(*args, **kwargs):
+            return dataclasses.replace(fit(*args, **kwargs), c1_hat=math.nan,
+                                       c2_hat=math.nan)
+
+        def refuse(token):
+            raise AssertionError(f"non-strict JSON token {token}")
+
+        monkeypatch.setattr(verify, "jn_exp_moment", short_tail)
+        out = tmp_path / "v"
+        assert main(["verify", "--suite", "rectangle-decay", "--trials", "2",
+                     "--seed", "0", "--out", str(out)]) in (0, 1)
+        metas = [json.loads(path.read_text(), parse_constant=refuse)["meta"]
+                 for path in sorted((out / "rectangle-decay").iterdir())]
+        assert metas and all(m["tail_c1"] is None and m["tail_c2"] is None
+                             for m in metas)
+        with pytest.raises(OverflowGuard):
+            cli._dump({"value": math.nan})
 
     def test_all_suites_deterministic(self, tmp_path):
         # identical configuration means identical bytes, so the rerun goes
