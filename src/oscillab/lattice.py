@@ -155,10 +155,6 @@ NORM_ENTRIES = 32
 _GATHER_CELLS = 1 << 14
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridDomain:
     """Finite grid of cells; each side is a power of two.
@@ -176,7 +172,7 @@ class GridDomain:
         if not 1 <= len(sides) <= 2:
             raise BadParams(f"only 1-d and 2-d grids are supported, got dims={len(sides)}")
         for s in sides:
-            if not _is_pow2(s):
+            if s < 1 or s & (s - 1):
                 raise BadParams(f"every side must be a power of two, got {s}")
         if self.split is not None:
             split = tuple(int(x) for x in self.split)
@@ -238,10 +234,6 @@ class BaseSet:
 
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
-
-    def contains_box(self, other: "BaseSet") -> bool:
-        return all(l <= ol and oh <= h
-                   for l, h, ol, oh in zip(self.lo, self.hi, other.lo, other.hi))
 
     def sort_key(self):
         # Canonical order: scale descending, then lexicographic corner.

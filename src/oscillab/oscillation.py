@@ -59,16 +59,33 @@ class TLSeq:
 
 @dataclass(frozen=True)
 class TLSequence:
-    """Coefficients indexed by dyadic cubes of a grid domain."""
+    """Coefficients indexed by dyadic cubes of a grid domain: each key is a
+    ``BaseSet`` with equal power-of-two sides and corners at multiples of
+    the side, inside the domain; any other key raises ``BadParams``."""
 
     domain: GridDomain
     coeffs: Mapping[BaseSet, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for cube in self.coeffs:
+            _cube_level(cube, self.domain)
 
     def items_canonical(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
 
     def support_size(self) -> int:
         return sum(1 for _, s in self.coeffs.items() if s != 0.0)
+
+
+def _cube_level(cube, domain: GridDomain) -> int:
+    """log2 of the side of ``cube`` if it is a dyadic cube of ``domain``."""
+    if isinstance(cube, BaseSet) and cube.dims == domain.dims:
+        side = cube.hi[0] - cube.lo[0]
+        if not side & (side - 1) and all(
+                h - l == side and l % side == 0 and h <= n
+                for l, h, n in zip(cube.lo, cube.hi, domain.sides)):
+            return side.bit_length() - 1
+    raise BadParams(f"sequence key {cube!r} is not a dyadic cube of {domain.sides}")
 
 
 @dataclass(frozen=True)
@@ -80,106 +97,80 @@ class NormReport:
     per_set: tuple | None = None
 
 
-def _sequence_field(f, spec: TLSeq, base_set: BaseSet,
-                    domain: GridDomain) -> np.ndarray:
-    """The TLSeq oscillation field of one base set, as a full-grid array
-    that is only consulted on the set's own cells."""
-    if not isinstance(f, TLSequence):
-        raise IncompatibleSpec("sequence rule needs a cube-indexed sequence")
-    total = float(domain.num_cells)
-    n = float(domain.dims)
-    out = np.zeros(domain.sides)
-    for cube, s in f.items_canonical():
-        if s == 0.0 or not base_set.contains_box(cube):
+def _level_fields(seq: TLSequence, spec: TLSeq) -> np.ndarray:
+    """Row k: the ``TLSeq`` field of any side-2^k base cube, on its cells:
+    0 + t_k + t_(k-1) + ... + t_0 in that order, t_j holding coef^q of the
+    side-2^j coefficient cube over each cell (0 if none).  This is, bit for
+    bit, the sum over a dyadic cube B of side 2^k in canonical order
+    (largest first): the coefficient cubes inside B that hold a cell are
+    those of side at most 2^k that hold it, one per side, and an added 0
+    changes no bits.  Cost: O(cells x levels^2)."""
+    domain = seq.domain
+    total, n = float(domain.num_cells), float(domain.dims)
+    t = np.zeros((domain.max_level() + 1, *domain.sides))
+    for cube, s in seq.items_canonical():
+        if s == 0.0:
             continue
         size_norm = cube.cell_count() / total
         coef = (size_norm ** (-0.5 - spec.alpha / n)) * abs(s)
-        out[cube.slices()] += coef ** spec.q
-    return out
+        t[(_cube_level(cube, domain), *cube.slices())] = coef ** spec.q
+    fields = np.zeros_like(t)
+    for k in range(len(t)):
+        for j in range(k, -1, -1):
+            fields[k] += t[j]
+    return fields
 
 
 def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
                      measure: Measure, per_set: bool = False) -> NormReport:
     """max over base sets of ((1/w-mass) sum local^p w m)^(1/p).
 
-    ``CenteredDiff`` and ``DualHardy`` run as a shape-grouped kernel: the
+    One shape-grouped kernel and one memo serve all three rules.  The
     linear arrays (the w-masses, and the centre numerators and masses of
-    ``CenteredDiff``) are summed through ``base.sums``, one ``box_sums``
-    pass each on a miss of the family's cache, then the boxes in runs of
-    one shape, each gathered as (boxes, cells) blocks so that local^p w m
-    is one numpy expression per block, and one ``math.fsum`` per box.  The
-    ``DualHardy`` centre, a plain cell mean, stays one reduction per box.
-    Their reports are memoised on the family (see ``BaseFamily``), keyed by
-    the content of f, the rule's weight, w and the measure, with p and
-    ``per_set``; a repeat costs a few array hashes, and an error is raised
-    anew each time.  ``TLSeq`` builds its field box by box, uncached.
-    Either way the result, the extremal set (the first strict maximum in
-    canonical order) and the first error in canonical order are those of a
-    box-by-box loop; only an overflow in a linear sum differs, as
-    ``box_sums`` differs from ``fsum`` (see ``lattice``).
+    ``CenteredDiff``) come from ``base.sums``; ``TLSeq`` reads one field per
+    level (``_level_fields``); the ``DualHardy`` centre, a plain cell mean,
+    stays one reduction per box.  Each run of boxes of one shape is then
+    gathered as (boxes, cells) blocks, local^p w m is one numpy expression
+    per block, and each box takes one ``math.fsum``.  Reports are memoised
+    on the family, keyed by the content of f (of the level fields, for
+    ``TLSeq``), the rule, w, the measure, p (and its type) and ``per_set``;
+    errors are raised anew.  Value, extremal set (the first strict maximum
+    in canonical order) and first error are those of a box-by-box loop,
+    except on overflow: ``box_sums`` differs from ``fsum`` (see
+    ``lattice``), and a ``TLSeq`` coefficient overflow precedes any
+    zero-mass check.
     """
     if not 0 < p < math.inf:
         raise ExponentOutOfRange(f"the norm exponent must be positive and finite, got {p}")
-    if isinstance(spec, TLSeq) and base.kind != "dyadic-cubes":
-        raise IncompatibleSpec("sequence norms are defined over dyadic cubes")
-    if isinstance(spec, (CenteredDiff, DualHardy)):
+    if isinstance(spec, TLSeq):
+        if base.kind != "dyadic-cubes":
+            raise IncompatibleSpec("sequence norms are defined over dyadic cubes")
+        if not isinstance(f, TLSequence):
+            raise IncompatibleSpec("sequence rule needs a cube-indexed sequence")
+        if f.domain != base.domain:
+            raise IncompatibleSpec("the sequence has another domain than the base")
+        f, rule = _level_fields(f, spec), ("sequence",)
+    elif isinstance(spec, (CenteredDiff, DualHardy)):
         f = np.asarray(f, dtype=float)
         rule = (("centered", None if spec.v is None else spec.v.digest)
                 if isinstance(spec, CenteredDiff) else ("dual", spec.w.digest))
-        # The type of p is part of the key: the report carries p as given.
-        key = (content_key(f), rule, w.digest, p, type(p), measure.digest,
-               per_set)
-        return base._norms.fetch(key, lambda: _norm_report(
-            *_grouped_means(f, spec, w.values * measure.masses, p, base,
-                            measure), p, w, base, per_set))
+    else:
+        raise IncompatibleSpec(f"unknown oscillation rule {type(spec).__name__}")
+    key = (content_key(f), rule, w.digest, p, type(p), measure.digest, per_set)
+    return base._norms.fetch(key, lambda: _grouped_report(
+        f, spec, w, p, base, measure, per_set))
+
+
+def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
+                    base: BaseFamily, measure: Measure,
+                    per_set: bool) -> NormReport:
+    """The kernel of ``oscillation_norm``.  On a box that fails a check it
+    raises that box's error once the boxes before it have been evaluated,
+    so that an overflow they raise comes first, as in a box-by-box loop."""
     wm = w.values * measure.masses
-    return _norm_report(list(_sequence_means(f, spec, wm, p, base)), None, p,
-                        w, base, per_set)
-
-
-def _norm_report(vals, failure, p: float, w: Weight, base: BaseFamily,
-                 per_set: bool) -> NormReport:
-    """The report for per-box means ``vals``; raises ``failure`` (the first
-    failing box's error) once the boxes before it have been scanned."""
-    best = -1.0
-    best_i = None
-    for i, val in enumerate(vals):
-        if val > best:
-            best = val
-            best_i = i
-    if failure is not None:
-        raise failure
-    rows = tuple((base.box(i), val ** (1.0 / p))
-                 for i, val in enumerate(vals)) if per_set else None
-    return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
-                      extremal_set=None if best_i is None else base.box(best_i),
-                      per_set=rows)
-
-
-def _sequence_means(f, spec, wm: np.ndarray, p: float, base: BaseFamily):
-    """Yield each box's w-mean of local^p, box by box."""
-    for box in base.sets:
-        sl = box.slices()
-        wmass = fsum(wm[sl])
-        if wmass <= 0.0:
-            raise ZeroMass(f"no weighted mass on {box.label()}")
-        if not isinstance(spec, TLSeq):
-            raise IncompatibleSpec(
-                f"unknown oscillation rule {type(spec).__name__}")
-        local = _sequence_field(f, spec, box, base.domain)
-        yield fsum(((local ** p) * wm)[sl]) / wmass
-
-
-def _grouped_means(arr: np.ndarray, spec, wm: np.ndarray, p: float,
-                   base: BaseFamily, measure: Measure):
-    """Each box's w-mean of local^p, up to the first box that fails a check,
-    and that box's error (None when every box passes).
-
-    The boxes before the failing one are still evaluated, so that an
-    overflow they raise comes first, as it would in a box-by-box loop.
-    """
     wmass = base.sums(wm)
     zero = wmass <= 0.0
+    centre = scale = levels = None
     if isinstance(spec, CenteredDiff):
         m = measure.masses if spec.v is None \
             else measure.masses * spec.v.values
@@ -190,8 +181,7 @@ def _grouped_means(arr: np.ndarray, spec, wm: np.ndarray, p: float,
         # are never used.
         with np.errstate(divide="ignore", invalid="ignore"):
             centre = base.sums(arr * m) / mass
-        scale = None
-    else:
+    elif isinstance(spec, DualHardy):
         compatible = (measure.kind == "density-over-uniform"
                       and np.array_equal(measure.masses, spec.w.values))
         bad = np.flatnonzero(zero)
@@ -206,6 +196,11 @@ def _grouped_means(arr: np.ndarray, spec, wm: np.ndarray, p: float,
         if not np.isfinite(centre).all():
             raise OverflowGuard("a plain cell mean left the float range")
         scale = spec.w.values.ravel()
+    else:
+        # TLSeq: arr stacks the level fields of ``_level_fields``.
+        bad = np.flatnonzero(zero)
+        stop = int(bad[0]) if len(bad) else len(base)
+        levels = arr.reshape(len(arr), -1)
     flat, wm_flat = arr.ravel(), wm.ravel()
     # Cells without mass are left out of the terms: their |f - c|^p may be
     # inf, and inf * 0 would make the box NaN.
@@ -220,24 +215,38 @@ def _grouped_means(arr: np.ndarray, spec, wm: np.ndarray, p: float,
             if start >= stop:
                 break
             idx = idx[:stop - start]
-            local = np.abs(flat[idx] - centre[start:start + len(idx), None])
-            if scale is not None:
-                local = local / scale[idx]
+            if levels is not None:
+                # A run of dyadic cubes of side 2^k reads level field k.
+                side = int(base.hi[start, 0] - base.lo[start, 0])
+                local = levels[side.bit_length() - 1][idx]
+            else:
+                local = np.abs(flat[idx] - centre[start:start + len(idx),
+                                                  None])
+                if scale is not None:
+                    local = local / scale[idx]
             if dead is not None:
                 local[dead[idx]] = 0.0
             terms = (local ** p) * wm_flat[idx]
             vals.extend(math.fsum(row) / wmass[k]
                         for k, row in enumerate(terms.tolist(), start))
-    if stop == len(base):
-        return vals, None
-    box = base.box(stop)
-    if zero[stop]:
-        return vals, ZeroMass(f"no weighted mass on {box.label()}")
-    if isinstance(spec, DualHardy):
-        return vals, IncompatibleSpec(
-            "the reciprocal-weight rule needs the ambient measure to be "
-            "the density measure of the same weight")
-    return vals, ZeroMass(f"no mass on {box.label()}")
+    if stop < len(base):
+        box = base.box(stop)
+        if zero[stop]:
+            raise ZeroMass(f"no weighted mass on {box.label()}")
+        if isinstance(spec, DualHardy):
+            raise IncompatibleSpec(
+                "the reciprocal-weight rule needs the ambient measure to be "
+                "the density measure of the same weight")
+        raise ZeroMass(f"no mass on {box.label()}")
+    best, best_i = -1.0, None
+    for i, val in enumerate(vals):
+        if val > best:
+            best, best_i = val, i
+    rows = tuple((base.box(i), val ** (1.0 / p))
+                 for i, val in enumerate(vals)) if per_set else None
+    return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
+                      extremal_set=None if best_i is None else base.box(best_i),
+                      per_set=rows)
 
 
 def weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
@@ -258,17 +267,15 @@ def sharp_oscillation(f: np.ndarray, base: BaseFamily,
                       measure: Measure) -> NormReport:
     """Worst average distance to the set's weighted median (exponent 1)."""
     f = np.asarray(f, dtype=float)
-    best = -1.0
-    best_set = None
-    for box in base.sets:
-        sl = box.slices()
+    best, best_i = -1.0, None
+    for i, sl in enumerate(base.slices()):
         m = measure.masses[sl]
         med = weighted_median(f[sl], m)
         val = fsum(np.abs(f[sl] - med) * m) / fsum(m)
         if val > best:
-            best = val
-            best_set = box
-    return NormReport(value=best, p=1.0, weight_id="median", extremal_set=best_set)
+            best, best_i = val, i
+    return NormReport(value=best, p=1.0, weight_id="median",
+                      extremal_set=None if best_i is None else base.box(best_i))
 
 
 @dataclass(frozen=True)

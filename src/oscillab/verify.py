@@ -202,7 +202,7 @@ def _certify_weight_swap(inputs: dict, tol: float):
     aq_w = muckenhoupt_constant(w, q, base, measure)
     rh_w0 = reverse_holder_constant(w0, sigma, base, measure)
     lhs2 = _norm(f, spec, w0, 1.0 / r2, base, measure)
-    rhs2 = aq_w * (rh_w0 ** r2) * _norm(f, spec, w, 1.0, base, measure)
+    rhs2 = aq_w * (rh_w0 ** r2) * lhs  # lhs is the w-norm at exponent 1
     checks.append(make_check("swap_backward", lhs2, rhs2, tol))
 
     lhs3 = _norm(f, spec, unit, 1.0, base, measure)
@@ -540,7 +540,7 @@ def _certify_sequence_spaces(inputs: dict, tol: float):
 
     a2 = muckenhoupt_constant(w, 2.0, base, measure)
     lhs2 = _norm(seq, spec, unit, 0.5, base, measure)
-    rhs2 = a2 * _norm(seq, spec, w, 1.0, base, measure)
+    rhs2 = a2 * lhs  # lhs is the w-norm at exponent 1
     checks.append(make_check("sequence_lowpower_vs_weighted", lhs2, rhs2, tol))
 
     finite = math.isfinite(probe.ratio) and probe.ratio > 0

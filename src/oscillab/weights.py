@@ -5,8 +5,8 @@ Constants are exact finite maxima over the attached base family.  Every
 computed A_p, reverse Holder and A_1 constant is recorded on the weight,
 keyed by (kind, exponent or mode, base id, measure digest, family key), so
 one run never recomputes (or re-rounds) the same number.  The family key
-hashes the members, which the base id (the label reports and sidecars
-print) does not.  The doubling constant is kept apart, in a bounded cache
+hashes the members, which the base id does not, so ``constants_cache``
+labels end in its first 8 hex digits.  The doubling constant is kept apart, in a bounded cache
 on the weight keyed by measure digest, so it never shows in
 ``constants_cache`` output.
 """
@@ -90,10 +90,10 @@ class Weight:
         return self._records.get(key)
 
     def cached_constants(self) -> dict:
-        """The records by label: kind|exponent|base_id|measure digest."""
+        """The records by label: kind|exponent|base_id|measure digest|key[:8]."""
         out = {}
         for key, rec in sorted(self._records.items(), key=lambda kv: repr(kv[0])):
-            out["|".join(str(k) for k in key[:4])] = {
+            out["|".join([*map(str, key[:4]), key[4][:8]])] = {
                 "value": float(rec.value),
                 "argmax": rec.argmax.label() if rec.argmax is not None else None,
             }

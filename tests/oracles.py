@@ -292,13 +292,13 @@ def brute_base(sides, masses: np.ndarray, kind: str, min_scale: int = 0):
 # per-box oscillation loops
 # ---------------------------------------------------------------------------
 #
-# The box-at-a-time loops ``oscillation_norm`` (CenteredDiff, DualHardy) and
-# ``jn_exp_moment`` ran before they became shape-grouped kernels, kept as
-# the bit-for-bit reference for those kernels.  Three edits: the TLSeq
-# branches are left out, the jn loop's norm call goes to
-# ``per_box_osc_norm``, and ``per_box_osc_norm`` leaves cells without mass
-# out of the terms (their |f - c|^p may be inf, and inf * 0 made the box
-# NaN, which then dropped out of the maximum).
+# The box-at-a-time loops ``oscillation_norm`` and ``jn_exp_moment`` ran
+# before they became shape-grouped kernels, kept as the bit-for-bit
+# reference for those kernels.  The TLSeq branches are split out into
+# ``per_box_tl_norm``, the jn loop's norm call goes to ``per_box_osc_norm``,
+# and both norm loops leave cells without mass out of the terms (their
+# local^p may be inf, and inf * 0 made the box NaN, which then dropped out
+# of the maximum).
 
 
 def _per_box_local_field(f, spec, base_set, measure):
@@ -348,6 +348,56 @@ def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
         local = np.where(wm > 0.0, _per_box_local_field(f, spec, box, measure),
                          0.0)
         # A power past the float range is inf, silently, as in the kernel.
+        with np.errstate(over="ignore"):
+            val = fsum(((local ** p) * wm)[sl]) / wmass
+        if rows is not None:
+            rows.append((box, val ** (1.0 / p)))
+        if val > best:
+            best = val
+            best_set = box
+    return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
+                      extremal_set=best_set,
+                      per_set=tuple(rows) if rows is not None else None)
+
+
+def per_box_tl_norm(seq, spec, w, p, base, measure, per_set=False):
+    """The ``TLSeq`` norm box by box: each box's field adds coef^q over
+    every nonzero coefficient cube inside the box, in canonical order."""
+    import math
+
+    from oscillab.errors import (ExponentOutOfRange, IncompatibleSpec,
+                                 ZeroMass)
+    from oscillab.lattice import fsum
+    from oscillab.oscillation import NormReport, TLSequence
+
+    if not 0 < p < math.inf:
+        raise ExponentOutOfRange(f"the norm exponent must be positive and finite, got {p}")
+    if base.kind != "dyadic-cubes":
+        raise IncompatibleSpec("sequence norms are defined over dyadic cubes")
+    domain = base.domain
+    total = float(domain.num_cells)
+    n = float(domain.dims)
+    wm = w.values * measure.masses
+    best = -1.0
+    best_set = None
+    rows = [] if per_set else None
+    for box in base.sets:
+        sl = box.slices()
+        wmass = fsum(wm[sl])
+        if wmass <= 0.0:
+            raise ZeroMass(f"no weighted mass on {box.label()}")
+        if not isinstance(seq, TLSequence):
+            raise IncompatibleSpec("sequence rule needs a cube-indexed sequence")
+        out = np.zeros(domain.sides)
+        for cube, s in seq.items_canonical():
+            inside = all(l <= cl and ch <= h for l, h, cl, ch
+                         in zip(box.lo, box.hi, cube.lo, cube.hi))
+            if s == 0.0 or not inside:
+                continue
+            size_norm = cube.cell_count() / total
+            coef = (size_norm ** (-0.5 - spec.alpha / n)) * abs(s)
+            out[cube.slices()] += coef ** spec.q
+        local = np.where(wm > 0.0, out, 0.0)
         with np.errstate(over="ignore"):
             val = fsum(((local ** p) * wm)[sl]) / wmass
         if rows is not None:

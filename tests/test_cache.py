@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, Weight,
-                      build_base, doubling_constant, jn_exp_moment,
+from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
+                      TLSequence, Weight, build_base, doubling_constant, jn_exp_moment,
                       muckenhoupt_constant, oscillation_norm,
                       reverse_holder_constant)
 from oscillab.errors import IncompatibleSpec, ZeroMass
@@ -81,6 +81,11 @@ class TestFamilyKey:
         assert muckenhoupt_constant(w, 2.0, fam_b, uniform) == 25.5025
         fresh = Weight(dom, w.values)
         assert muckenhoupt_constant(fresh, 2.0, fam_b, uniform) == 25.5025
+        # One constants_cache entry per family, though they share a base_id.
+        labels = list(w.cached_constants())
+        assert len(labels) == 2
+        assert {label.rsplit("|", 1)[1] for label in labels} \
+            == {fam_a.key[:8], fam_b.key[:8]}
 
     def test_key_is_content(self, line8):
         dom, mea, base = line8
@@ -91,7 +96,7 @@ class TestFamilyKey:
     def test_constants_cache_prints_base_id(self, alternating8):
         dom, mea, base, w = alternating8
         value = muckenhoupt_constant(w, 2.0, base, mea)
-        label = f"ap|2.0|{base.base_id}|{mea.digest}"
+        label = f"ap|2.0|{base.base_id}|{mea.digest}|{base.key[:8]}"
         assert w.cached_constants() == {
             label: {"value": value,
                     "argmax": w.record(("ap", 2.0, base.base_id, mea.digest,
@@ -130,6 +135,42 @@ class TestMemoisedEqualsFresh:
                                     fam2, mea2, per_set=per_set)
             assert _report_bits(got) == _report_bits(want)
         assert base._norms.hits >= 3
+
+    @given(_instance(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.5, 1.0, 2.0, 3.7]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_sequence_norm(self, inst, seed, p, per_set):
+        sides, _, _, wv, _, masses = inst
+        dom, measure, base = _fresh(sides, "dyadic-cubes", masses)
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(base), size=min(6, len(base)), replace=False)
+        coeffs = {base.box(int(i)): float(rng.normal()) for i in picks}
+        seq = TLSequence(dom, coeffs)
+        spec = TLSeq(alpha=0.4, q=1.5)
+        w = Weight(dom, wv)
+
+        def fresh_norm():
+            _, mea2, fam2 = _fresh(sides, "dyadic-cubes", masses)
+            return oscillation_norm(TLSequence(dom, dict(coeffs)),
+                                    TLSeq(alpha=0.4, q=1.5), Weight(dom, wv),
+                                    p, fam2, mea2, per_set=per_set)
+
+        # Warm the memo, including another exponent on the same sequence.
+        oscillation_norm(seq, spec, w, p + 1.0, base, measure)
+        first = oscillation_norm(seq, spec, w, p, base, measure,
+                                 per_set=per_set)
+        again = oscillation_norm(seq, spec, w, p, base, measure,
+                                 per_set=per_set)
+        assert base._norms.hits >= 1
+        assert _report_bits(again) == _report_bits(first) \
+            == _report_bits(fresh_norm())
+        # Rewriting the coefficient dict in place gives a fresh result.
+        top = first.extremal_set
+        coeffs[top] = 10.0 * (abs(coeffs.get(top, 0.0)) + 1.0)
+        rewritten = oscillation_norm(seq, spec, w, p, base, measure,
+                                     per_set=per_set)
+        assert rewritten.value != first.value
+        assert _report_bits(rewritten) == _report_bits(fresh_norm())
 
     @given(_instance(), st.floats(1.1, 4.0))
     @settings(max_examples=60, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain, MaximalKind,
-                      Measure, Weight, a1_constant, build_base, fsum,
+                      Measure, TLSeq, TLSequence, Weight, a1_constant, build_base, fsum,
                       jn_exp_moment, lattice, maximal,
                       muckenhoupt_constant, oscillation_norm, read_field_csv,
                       reverse_holder_constant, simultaneous_children,
@@ -261,6 +261,11 @@ class TestCornerArraysOnly:
         base_w = build_base(dom, dens, kind)
         assert oscillation_norm(f, DualHardy(w), Weight.unit(dom), 1.0,
                                 base_w, dens).extremal_set
+        if kind == "dyadic-cubes":
+            seq = TLSequence(dom, {base.box(i): float(rng.normal())
+                                   for i in (0, 3, 9, 40)})
+            assert oscillation_norm(seq, TLSeq(alpha=0.5, q=2.0), w, 1.5,
+                                    base, mea, per_set=True).extremal_set
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "ap", "--gen", "random-log-bounded", "--grid", "64"],

@@ -1,5 +1,6 @@
 """The shape-grouped oscillation kernels against the per-box loops they
-replaced (``oracles.per_box_osc_norm``, ``oracles.per_box_jn_exp_moment``).
+replaced (``oracles.per_box_osc_norm``, ``oracles.per_box_tl_norm``,
+``oracles.per_box_jn_exp_moment``).
 
 Values, extremal sets and errors must agree exactly: floats are compared on
 their bits, errors on their type and message.
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, Weight,
-                      build_base, jn_exp_moment, oscillation_norm)
+from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
+                      TLSequence, Weight, build_base, jn_exp_moment,
+                      oscillation_norm)
+from oscillab.lattice import BaseSet
 from oscillab.errors import IncompatibleSpec, OscillabError, ZeroMass
 
 import oracles
@@ -118,6 +121,52 @@ class TestOscillationNormKernel:
                      measure, per_set=per_set))
 
 
+@st.composite
+def _sequence_instance(draw):
+    """A sequence over some dyadic cubes of a 1-d or square grid, with zero
+    and huge coefficients, a weight, and a general measure whose zero-mass
+    cells may empty whole boxes."""
+    sides = draw(st.sampled_from(((8,), (16,), (32,), (64,), (4, 4), (8, 8))))
+    dom = _domain(sides)
+    cubes = [BaseSet(*box) for box in sorted(
+        oracles.brute_dyadic_cubes(sides))]
+    keys = draw(st.lists(st.sampled_from(cubes), min_size=1, max_size=12,
+                         unique=True))
+    coef = st.one_of(st.just(0.0), st.floats(-5.0, 5.0), _magnitudes)
+    seq = TLSequence(dom, {k: draw(coef) for k in keys})
+    n = int(np.prod(sides))
+    w = Weight(dom, np.array(draw(st.lists(_positive, min_size=n, max_size=n)))
+               .reshape(sides))
+    cell_mass = st.sampled_from([0.0, 1.0, 0.25, 3.0] if draw(st.booleans())
+                                else [1.0, 0.25, 3.0])
+    masses = np.array(draw(st.lists(cell_mass, min_size=n, max_size=n))
+                      ).reshape(sides)
+    masses.flat[draw(st.integers(0, n - 1))] = 1.0
+    spec = TLSeq(alpha=draw(st.floats(0.0, 1.5)), q=draw(st.floats(0.5, 3.0)))
+    return dom, seq, spec, w, Measure.general(dom, masses)
+
+
+class TestSequenceNormKernel:
+    @given(_sequence_instance(),
+           st.one_of(st.sampled_from([0.3, 1.0, 2.0, 40.0]),
+                     st.floats(0.3, 40.0)),
+           st.integers(0, 1), st.booleans(), st.booleans())
+    @settings(max_examples=250, deadline=None)
+    def test_bit_identical_to_per_box_loop(self, inst, p, min_scale, unit,
+                                           per_set):
+        dom, seq, spec, w, measure = inst
+        norm_w = Weight.unit(dom) if unit else w
+        try:
+            base = build_base(dom, measure, "dyadic-cubes", min_scale)
+        except OscillabError:
+            return  # the full domain has no mass
+        _same_norm(
+            _outcome(oscillation_norm, seq, spec, norm_w, p, base, measure,
+                     per_set=per_set),
+            _outcome(oracles.per_box_tl_norm, seq, spec, norm_w, p, base,
+                     measure, per_set=per_set))
+
+
 class TestJNKernel:
     @given(_instance(), st.sampled_from([None, 0.5, 3.0]),
            st.sampled_from([64.0, 2.0, 0.25]))
@@ -202,6 +251,19 @@ class TestErrorPrecedence:
         # the measure mismatch.
         got = self._both(f, DualHardy(w), Weight.unit(dom), 2.0, base, mea)
         assert got == ("raised", ZeroMass, "no weighted mass on 0:4x0:4")
+
+
+    def test_sequence_rule_zero_weighted_mass(self):
+        dom, mea, _, _ = self._line()
+        base = build_base(dom, mea, "dyadic-cubes")
+        w = Weight.unit(dom)
+        w.values = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        seq = TLSequence(dom, {BaseSet((4,), (8,)): 2.0,
+                               BaseSet((0,), (1,)): -1.0})
+        args = (seq, TLSeq(alpha=0.5, q=2.0), w, 2.0, base, mea)
+        got = _outcome(oscillation_norm, *args)
+        assert got == _outcome(oracles.per_box_tl_norm, *args)
+        assert got == ("raised", ZeroMass, "no weighted mass on 4:6")
 
 
 class TestZeroMassCells:

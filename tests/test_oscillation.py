@@ -307,6 +307,25 @@ class TestTLSequences:
         assert probe.unweighted_nu > 0
         assert probe.weighted_nu > 0
 
+    @pytest.mark.parametrize("sides, lo, hi", [
+        ((8,), (1,), (3,)),          # side 2 at an odd corner
+        ((8,), (0,), (3,)),          # side 3
+        ((8,), (8,), (16,)),         # outside the domain
+        ((4, 4), (0, 0), (2, 4)),    # a rectangle, not a cube
+        ((4, 4), (0,), (2,)),        # a 1-d key on a 2-d grid
+    ], ids=["misaligned", "not-pow2", "outside", "rectangle", "rank"])
+    def test_non_dyadic_key_rejected(self, sides, lo, hi):
+        dom = GridDomain(sides)
+        with pytest.raises(BadParams, match="is not a dyadic cube"):
+            TLSequence(dom, {BaseSet((0,) * len(sides), sides): 1.0,
+                             BaseSet(lo, hi): 0.5})
+
+    def test_sequence_on_another_grid_rejected(self):
+        dom, mea, base, w = self._fixture()
+        seq = TLSequence(GridDomain((16,)), {BaseSet((8,), (16,)): 1.0})
+        with pytest.raises(IncompatibleSpec, match="another domain"):
+            oscillation_norm(seq, TLSeq(alpha=0.5, q=2.0), w, 1.0, base, mea)
+
     def test_empty_sequence_rejected(self):
         dom, mea, base, w = self._fixture()
         with pytest.raises(EmptySequence):
