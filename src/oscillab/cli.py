@@ -13,6 +13,7 @@ byte-level comparisons can filter it out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -398,7 +399,10 @@ def _add_weight_source(sub, with_base=True):
         sub.add_argument("--min-scale", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and every call of ``main`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="oscillab",
         description="Discrete oscillation-space toolkit: weighted norms, "

@@ -13,15 +13,20 @@ Two summation primitives share one contract.  ``fsum`` adds one array with
 ``math.fsum``.  ``box_sums`` adds one array over many boxes at once, with
 O(cells) set-up and O(1) exact work per box: each cell becomes an exact
 Python int scaled by a common power of two, a zero-padded cumulative table
-is taken per axis, and each box sum is got from its corners by
-inclusion-exclusion and one correctly rounded int-to-float division
-(summed-area tables, Crow 1984).  On finite cells the result is the exact
-sum rounded once, so it equals ``math.fsum`` over the box bit for bit;
-an exact sum beyond the float range raises ``OverflowError`` as ``fsum``
-does.  The one difference: ``fsum`` can raise "intermediate overflow" on
-partial sums whose exact total is finite, and ``box_sums`` returns that
-total.  With a non-finite cell in ``values`` every box goes through
-``fsum``, which gives inf, nan or ``ValueError`` (inf + -inf).
+is taken per axis, and each box's exact int is got from its corners by
+inclusion-exclusion (summed-area tables, Crow 1984).  Each int is rounded
+once by ``float()``, and the whole result is scaled back by one exact
+``ldexp``; a sum in the subnormal range is a multiple of 2**-1074 and so
+already exact.  Where the cells span so many binary orders (about 970)
+that an int could pass the float range, each int is divided by the
+power of two instead, which rounds as correctly.  On finite cells the
+result is the exact sum rounded once, so it equals ``math.fsum`` over the
+box bit for bit; an exact sum beyond the float range raises
+``OverflowError`` as ``fsum`` does.  The one difference: ``fsum`` can
+raise "intermediate overflow" on partial sums whose exact total is
+finite, and ``box_sums`` returns that total.  With a non-finite cell in
+``values`` every box goes through ``fsum``, which gives inf, nan or
+``ValueError`` (inf + -inf).
 """
 
 from __future__ import annotations
@@ -66,7 +71,9 @@ def box_sums(values, lo, hi) -> np.ndarray:
 
     ``lo`` and ``hi`` are integer arrays of shape (boxes, dims).  Element i
     equals ``math.fsum(values[box_i].ravel())`` bit for bit; see the module
-    docstring for the contract.
+    docstring for the contract.  Each box's exact int is rounded by
+    ``float()`` and scaled by ``ldexp``, or divided where the cells'
+    exponent span nears the float range; ``OverflowError`` says "too large".
     """
     values = np.asarray(values, dtype=float)
     lo = np.asarray(lo, dtype=np.intp).reshape(-1, values.ndim)
@@ -87,6 +94,13 @@ def box_sums(values, lo, hi) -> np.ndarray:
     inner[...] = mant.astype(object) << np.maximum(expo - low, 0).astype(object)
     for axis in range(values.ndim):
         np.cumsum(inner, axis=axis, out=inner)
+    # The exact sum of a box is acc * 2**shift, with |acc| below
+    # 2**(top - low + 53 + values.size.bit_length()).  Unless that bound
+    # nears the float range, float(acc) rounds acc correctly and ldexp
+    # scales it exactly (a subnormal sum has fewer than 53 significant
+    # bits, so it is already exact); otherwise divide, as acc may not fit.
+    top = int(expo[live].max())
+    wide = top - low + 53 + values.size.bit_length() >= 1023
     shift = low - 53
     scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
     out = np.empty(len(lo))
@@ -98,10 +112,19 @@ def box_sums(values, lo, hi) -> np.ndarray:
         else:
             acc = (table[h[0], h[1]] - table[l[0], h[1]]
                    - table[h[0], l[1]] + table[l[0], l[1]])
+        if not wide:
+            out[start:start + len(acc)] = acc.astype(float)
+            continue
         if scale != 1:
             acc *= scale
         # int / int is correctly rounded, subnormal and overflow included.
         out[start:start + len(acc)] = acc / den
+    if wide:
+        return out
+    with np.errstate(over="ignore"):
+        out = np.ldexp(out, shift)
+    if np.isinf(out).any():
+        raise OverflowError("an exact box sum is too large for a float")
     return out
 
 
@@ -434,17 +457,21 @@ def _boxes_by_shape(sides, shapes, dyadic: bool):
     corners in row-major order; dyadic boxes sit at multiples of their sides.
 
     With the shapes in descending order this is the canonical order
-    (``BaseSet.sort_key``).
+    (``BaseSet.sort_key``).  One vectorised pass: box j of shape i has
+    corner digits j in row-major order against the per-axis corner counts.
     """
-    los = [np.empty((0, len(sides)), dtype=np.intp)]
-    his = [los[0]]
-    for shape in shapes:
-        axes = [np.arange(0, n - s + 1, s if dyadic else 1, dtype=np.intp)
-                for n, s in zip(sides, shape)]
-        lo = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        los.append(lo.reshape(-1, len(sides)))
-        his.append(los[-1] + np.array(shape, dtype=np.intp))
-    return np.concatenate(los), np.concatenate(his)
+    shapes = np.array(list(shapes), dtype=np.intp).reshape(-1, len(sides))
+    steps = shapes if dyadic else np.ones_like(shapes)
+    counts = np.maximum((np.array(sides, dtype=np.intp) - shapes) // steps + 1, 0)
+    per_shape = counts.prod(axis=1)
+    which = np.repeat(np.arange(len(shapes)), per_shape)
+    rank = np.arange(len(which)) - np.repeat(np.cumsum(per_shape) - per_shape,
+                                             per_shape)
+    lo = np.empty((len(which), len(sides)), dtype=np.intp)
+    for axis in reversed(range(len(sides))):
+        rank, digit = np.divmod(rank, counts[which, axis])
+        lo[:, axis] = digit * steps[which, axis]
+    return lo, lo + shapes[which]
 
 
 def dyadic_lattice(domain: GridDomain, min_scale: int = 0):

@@ -61,14 +61,18 @@ class TLSeq:
 class TLSequence:
     """Coefficients indexed by dyadic cubes of a grid domain: each key is a
     ``BaseSet`` with equal power-of-two sides and corners at multiples of
-    the side, inside the domain; any other key raises ``BadParams``."""
+    the side, inside the domain; any other key, or a coefficient that is
+    not finite, raises ``BadParams``."""
 
     domain: GridDomain
     coeffs: Mapping[BaseSet, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for cube in self.coeffs:
+        for cube, coef in self.coeffs.items():
             _cube_level(cube, self.domain)
+            if not math.isfinite(coef):
+                raise BadParams(f"sequence coefficient {coef!r} on "
+                                f"{cube.label()} is not finite")
 
     def items_canonical(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())

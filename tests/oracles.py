@@ -73,6 +73,21 @@ def box_cells(box) -> list[tuple[int, ...]]:
     return [(i, j) for i in range(lo[0], hi[0]) for j in range(lo[1], hi[1])]
 
 
+def boxes_by_shape_loop(sides, shapes, dyadic: bool):
+    """Corner arrays (lo, hi) of every box of each shape, one ``meshgrid``
+    per shape: the loop ``lattice._boxes_by_shape`` ran before it became one
+    vectorised pass, kept as its reference for values, order and dtype."""
+    los = [np.empty((0, len(sides)), dtype=np.intp)]
+    his = [los[0]]
+    for shape in shapes:
+        axes = [np.arange(0, n - s + 1, s if dyadic else 1, dtype=np.intp)
+                for n, s in zip(sides, shape)]
+        lo = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        los.append(lo.reshape(-1, len(sides)))
+        his.append(los[-1] + np.array(shape, dtype=np.intp))
+    return np.concatenate(los), np.concatenate(his)
+
+
 # ---------------------------------------------------------------------------
 # box sums and averages
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from oscillab import (GridDomain, Measure, MaximalKind, Weight, build_base,
                       doubling_constant, maximal, muckenhoupt_constant,
                       reverse_holder_constant)
 from oscillab.errors import EmptyBase, OscillabError, ZeroMassBaseSet
-from oscillab.lattice import BASE_KINDS, box_sums
+from oscillab.lattice import BASE_KINDS, BaseSet, box_sums
 
 import oracles
 
@@ -27,6 +27,12 @@ GRIDS = ((8,), (16,), (4, 4), (8, 8), (4, 8))
 def _fsum_per_box(values, boxes) -> np.ndarray:
     return np.array([math.fsum(values[b.slices()].ravel().tolist())
                      for b in boxes])
+
+
+def _intervals(n):
+    """Every interval of n cells, as ``BaseSet``s and as corner arrays."""
+    boxes = [BaseSet((i,), (j,)) for i in range(n) for j in range(i + 1, n + 1)]
+    return boxes, np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
 
 
 def _bits(a) -> bytes:
@@ -113,6 +119,41 @@ class TestBoxSums:
         with pytest.raises(OverflowError):
             math.fsum(values.tolist())
         assert box_sums(values, [[0]], [[3]])[0] == 1e308
+
+    # ``box_sums`` converts each exact box int with float() and scales it by
+    # a power of two, unless the exponent span top - low + 53 +
+    # size.bit_length() reaches 1023, where the int may pass the float
+    # range and it divides instead.  Here the span is k + 58 (frexp puts
+    # 2**k at exponent k + 1 and 0.5 at 0), so the switch is at k = 965.
+    @pytest.mark.parametrize("k", [960, 963, 964, 965, 966, 970, 971, 972,
+                                   973, 980, 1000, 1022])
+    def test_both_conversion_branches(self, k):
+        big = 2.0 ** k
+        values = np.array([big, 1.0, -big, -1.0, 3.0, big, -big * 0.75, 0.5])
+        expo = np.frexp(values)[1]
+        assert expo.max() - expo.min() + 53 + values.size.bit_length() \
+            == k + 58
+        boxes, lo, hi = _intervals(8)
+        assert _bits(box_sums(values, lo, hi)) == _bits(_fsum_per_box(values, boxes))
+
+    def test_overflow_in_either_branch(self):
+        values = np.array([1e308, 1e308, -1e308])  # span 55: float()
+        with pytest.raises(OverflowError, match="too large"):
+            box_sums(values, [[0]], [[2]])
+        values = np.array([2.0 ** 1023, 2.0 ** 1023, 1.0])  # span 1078: divide
+        with pytest.raises(OverflowError, match="too large"):
+            box_sums(values, [[0]], [[2]])
+        assert box_sums(values, [[1]], [[3]])[0] == 2.0 ** 1023
+
+    def test_fast_branch_subnormal_remainders(self):
+        tiny = 5e-324
+        values = np.array([2.0 ** -1000, 3 * tiny, -(2.0 ** -1000),
+                           1.5 * 2.0 ** -1022, -(2.0 ** -1022), 2.0 ** -1060])
+        boxes, lo, hi = _intervals(6)
+        got = box_sums(values, lo, hi)
+        assert _bits(got) == _bits(_fsum_per_box(values, boxes))
+        assert got[boxes.index(BaseSet((0,), (3,)))] == 3 * tiny
+        assert got[boxes.index(BaseSet((3,), (5,)))] == 2.0 ** -1023
 
     def test_non_finite_cells_follow_fsum(self):
         values = np.array([1.0, math.inf, 2.0, math.nan, -math.inf, 4.0])

@@ -344,6 +344,25 @@ class TestConfigFile:
         assert rc in (2, 3)
 
 
+class TestParserReuse:
+    def test_usage_error_leaves_next_call_unchanged(self, capsys):
+        # One parser serves every call of main in a process.
+        argv = ["constant", "--kind", "ap", "--gen", "power", "--grid", "8"]
+
+        def stdout_of_run():
+            assert main(argv) == 0
+            return [ln for ln in capsys.readouterr().out.splitlines()
+                    if "generated_at" not in ln]
+
+        first = stdout_of_run()
+        with pytest.raises(SystemExit) as exc:
+            main(["constant", "--kind", "zzz", "--p", "5", "--grid", "4"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert stdout_of_run() == first
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestInfo:
     def test_info_lists_suites(self, capsys):
         rc = main(["info"])

@@ -70,6 +70,44 @@ class TestDyadicEnumeration:
         assert cube_labels == oracles.brute_dyadic_cubes((4, 4))
         assert len(cube_labels) == 21
 
+    # all-rectangles stops at 32 per side: on 64 x 64 it has 4.3 million
+    # boxes, and the two sets of corner arrays would take over 250 MB.
+    @pytest.mark.parametrize("sides, split", [
+        *(((1 << k,), None) for k in range(9)),
+        *((s, split) for s in ((2, 2), (4, 4), (8, 8), (16, 16), (32, 32),
+                               (64, 64), (4, 8), (8, 4))
+          for split in (None, (1, 1))),
+    ])
+    def test_corners_equal_per_shape_loop(self, monkeypatch, sides, split):
+        dom = GridDomain(sides, split)
+        one_pass = lattice._boxes_by_shape
+
+        def both(build):
+            got = []
+            for pass_ in (one_pass, oracles.boxes_by_shape_loop):
+                monkeypatch.setattr(lattice, "_boxes_by_shape", pass_)
+                try:
+                    got.append(build())
+                except OscillabError as exc:
+                    got.append(f"{type(exc).__name__}: {exc}")
+            return got
+
+        for min_scale in range(4):
+            cases = [lambda: lattice.dyadic_lattice(dom, min_scale)]
+            cases += [lambda kind=kind: lattice._candidate_corners(
+                          dom, kind, min_scale)
+                      for kind in BASE_KINDS
+                      if kind != "all-rectangles" or max(sides) <= 32]
+            for build in cases:
+                got, want = both(build)
+                if isinstance(got, str) or isinstance(want, str):
+                    assert got == want
+                    continue
+                for g, w in zip(got, want):
+                    assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                    assert g.flags.c_contiguous
+                    assert np.array_equal(g, w)
+
     def test_children_partition_parent(self):
         box = BaseSet((0, 0), (4, 4))
         kids = simultaneous_children(box)

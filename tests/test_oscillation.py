@@ -320,6 +320,15 @@ class TestTLSequences:
             TLSequence(dom, {BaseSet((0,) * len(sides), sides): 1.0,
                              BaseSet(lo, hi): 0.5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # A NaN coefficient used to drop its boxes from the maximum (the
+        # norm read 64.0 on 4:5), and an inf one made the norm inf.
+        dom = GridDomain((8,))
+        with pytest.raises(BadParams, match="is not finite"):
+            TLSequence(dom, {BaseSet((0,), (2,)): bad,
+                             BaseSet((4,), (5,)): 1.0})
+
     def test_sequence_on_another_grid_rejected(self):
         dom, mea, base, w = self._fixture()
         seq = TLSequence(GridDomain((16,)), {BaseSet((8,), (16,)): 1.0})
