@@ -9,8 +9,7 @@ against constants computed from the same data.
 from . import errors
 from .config import RunConfig, parse_config
 from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, build_base,
-                      fsum, read_field_csv, simultaneous_children,
-                      write_field_csv)
+                      fsum, read_field_csv, write_field_csv)
 from .operators import MaximalKind, lp_norm, maximal, rubio_de_francia
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
@@ -37,7 +36,7 @@ __all__ = [
     "muckenhoupt_constant", "oscillation_norm",
     "parse_config", "power_bump_check", "read_field_csv", "read_weight",
     "reverse_holder_constant", "rubio_de_francia", "run_suite",
-    "self_improvement", "sharp_oscillation", "simultaneous_children",
-    "theorem_from_string", "tl_equivalence_probe", "weighted_median",
-    "write_field_csv", "write_weight",
+    "self_improvement", "sharp_oscillation", "theorem_from_string",
+    "tl_equivalence_probe", "weighted_median", "write_field_csv",
+    "write_weight",
 ]

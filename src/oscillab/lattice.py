@@ -323,8 +323,10 @@ class BaseFamily:
 
     The family is its corner arrays: ``lo`` and ``hi`` are read-only
     integer arrays of shape (sets, dims), box i being lo[i] <= cell < hi[i].
-    ``box(i)`` builds one ``BaseSet``; ``sets`` builds the whole tuple on
-    first access and caches it.
+    Code refers to a member by its index i; ``box(i)`` builds one
+    ``BaseSet``, for a box a report prints.  ``sets`` builds the whole
+    tuple on first access and caches it; no oscillab path reads it (the
+    benchmark tracer in ``perfbench`` does).
 
     Each member has positive measure for the measure it was built against;
     zero-mass candidates are dropped (and counted) at construction.
@@ -333,8 +335,8 @@ class BaseFamily:
     ``sums`` keeps up to ``SUMS_ENTRIES`` read-only result arrays, at most
     16 x len x 8 bytes (4.2 MB for the 32,896 boxes of 256 all-cubes); and
     ``oscillation.oscillation_norm`` keeps up to ``NORM_ENTRIES`` reports
-    in ``_norms``, each about 1 KB, plus about 250 bytes per member for a
-    report with ``per_set`` rows.
+    in ``_norms``, each about 1 KB, plus about 32 bytes per member (a float
+    and its tuple slot) for a report with ``per_set`` values.
     """
 
     kind: str
@@ -388,10 +390,6 @@ class BaseFamily:
     def __len__(self) -> int:
         return len(self.lo)
 
-    def corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi), the family's read-only corner arrays."""
-        return self.lo, self.hi
-
     def shape_runs(self):
         """Yield (start, stop, idx) over the members in order, one run of
         boxes of one shape at a time: row i of idx holds the flat (row-major)
@@ -404,7 +402,7 @@ class BaseFamily:
         """
         runs = getattr(self, "_shape_runs", None)
         if runs is None:
-            lo, hi = self.corners()
+            lo, hi = self.lo, self.hi
             sides = hi - lo
             first = np.ravel_multi_index(tuple(lo.T), self.domain.sides)
             cuts = np.flatnonzero(np.any(sides[1:] != sides[:-1], axis=1)) + 1
@@ -422,7 +420,7 @@ class BaseFamily:
                 yield a, b, first[a - start:b - start] + offsets
 
     def sums(self, values) -> np.ndarray:
-        """``box_sums(values, *self.corners())``, read-only, memoised in the
+        """``box_sums(values, self.lo, self.hi)``, read-only, memoised in the
         family's LRU of ``SUMS_ENTRIES`` results keyed by ``content_key``.
 
         A miss costs one ``box_sums`` pass, a hit one sha256 of the array.
@@ -431,7 +429,7 @@ class BaseFamily:
         as each maximal-series term, should call ``box_sums`` directly.
         """
         def compute():
-            got = box_sums(values, *self.corners())
+            got = box_sums(values, self.lo, self.hi)
             got.setflags(write=False)
             return got
         return self._sums.fetch(content_key(values), compute)
@@ -542,22 +540,6 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
         raise BadParams("a candidate box is empty or leaves the domain")
     return BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
                       lo=lo, hi=hi, dropped_zero_mass=dropped)
-
-
-def simultaneous_children(box: BaseSet) -> list[BaseSet]:
-    """Bisect every axis with at least two cells, preserving the aspect ratio.
-
-    Returns [] for a single cell.  If only one axis is still divisible the
-    step degenerates to a single bisection.
-    """
-    halves = []
-    for l, h in zip(box.lo, box.hi):
-        mid = (l + h) // 2
-        halves.append([(l, mid), (mid, h)] if h - l >= 2 else [(l, h)])
-    if max(map(len, halves)) == 1:
-        return []
-    pieces = [BaseSet(*zip(*parts)) for parts in itertools.product(*halves)]
-    return sorted(pieces, key=BaseSet.sort_key)
 
 
 # ---------------------------------------------------------------------------

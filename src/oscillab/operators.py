@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from . import lattice
-from .errors import (BadParams, IncompatibleBase, NonConvergence, ZeroInput)
+from .errors import (BadParams, IncompatibleBase, NonConvergence, OverflowGuard,
+                     ZeroInput)
 from .lattice import BaseFamily, Measure, fsum
 from .weights import Weight, conjugate
 
@@ -85,7 +86,7 @@ def maximal(f: np.ndarray, base: BaseFamily, measure: Measure,
         raise BadParams(f"field shape {f.shape} != domain {base.domain.sides}")
     if not np.all(np.isfinite(f)):
         raise BadParams("field values must be finite")
-    lo, hi = base.corners()
+    lo, hi = base.lo, base.hi
     avg = lattice.box_sums(np.abs(f) * measure.masses, lo, hi) \
         / base.set_masses(measure)
     side = hi - lo
@@ -163,10 +164,13 @@ def _window_max(a: np.ndarray, s: int, axis: int) -> np.ndarray:
 
 def lp_norm(f: np.ndarray, p: float, measure: Measure) -> float:
     """Weighted p-norm with the measure's cell masses."""
-    if p <= 0:
+    if not p > 0:
         raise BadParams(f"lp_norm needs p > 0, got {p}")
-    f = np.asarray(f, dtype=float)
-    return fsum((np.abs(f) ** p) * measure.masses) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        powered = np.abs(np.asarray(f, dtype=float)) ** p
+    if np.isinf(powered).any():
+        raise OverflowGuard(f"a power {p} of the field left the float range")
+    return fsum(powered * measure.masses) ** (1.0 / p)
 
 
 def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
@@ -182,9 +186,9 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     most 2b times itself up to the recorded truncation slack; those three
     facts are computed post hoc and stored in the provenance.
     """
-    if not p > 1.0:
-        raise BadParams(f"the series needs p > 1, got {p}")
-    if tol <= 0 or tol >= 1:
+    if not 1.0 < p < math.inf:
+        raise BadParams(f"the series needs 1 < p < inf, got {p}")
+    if not 0 < tol < 1:
         raise BadParams(f"tol must sit in (0, 1), got {tol}")
     _check_compat(base, kind)
     g = np.asarray(g, dtype=float)

@@ -10,7 +10,7 @@ over the family.
 from __future__ import annotations
 
 import math
-
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -19,9 +19,9 @@ import numpy as np
 from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic,
                      OverflowGuard, ZeroMass)
-from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, content_key,
-                      fsum, simultaneous_children)
-from .weights import Weight
+from .lattice import (DYADIC_KINDS, BaseFamily, BaseSet, GridDomain, Measure,
+                      box_sums, content_key, fsum)
+from .weights import Weight, doubling_constant
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,11 @@ class TLSeq:
     q: float
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise BadParams(f"the aggregation power must be positive, got {self.q}")
+        if not -math.inf < self.alpha < math.inf:
+            raise BadParams(f"the smoothness must be finite, got {self.alpha}")
+        if not 0 < self.q < math.inf:
+            raise BadParams("the aggregation power must be positive and "
+                            f"finite, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,10 @@ def _cube_level(cube, domain: GridDomain) -> int:
 
 @dataclass(frozen=True)
 class NormReport:
+    """A norm, its first maximising member as a ``BaseSet``, and with
+    ``per_set`` each member's own value (val^(1/p), a Python float) in the
+    family's canonical order: member i is ``base.box(i)``."""
+
     value: float
     p: float
     weight_id: str
@@ -246,8 +253,7 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
     for i, val in enumerate(vals):
         if val > best:
             best, best_i = val, i
-    rows = tuple((base.box(i), val ** (1.0 / p))
-                 for i, val in enumerate(vals)) if per_set else None
+    rows = tuple(val ** (1.0 / p) for val in vals) if per_set else None
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
                       extremal_set=None if best_i is None else base.box(best_i),
                       per_set=rows)
@@ -301,7 +307,7 @@ class CZSelection:
 
 def cz_selection(f: np.ndarray, root: BaseSet, w: Weight, lam: float,
                  base: BaseFamily, measure: Measure) -> CZSelection:
-    """Stopping-time selection below a root box.
+    """Stopping-time selection below a root box of the domain.
 
     Walk the simultaneous-bisection tree; keep a child the first time its
     weighted average of |f - c_root| exceeds lam.  Selected boxes are
@@ -310,60 +316,70 @@ def cz_selection(f: np.ndarray, root: BaseSet, w: Weight, lam: float,
     axes a bisection splits; cells never captured sit at or below lam in
     the pointwise-average sense (their singleton average is the value
     itself when min_scale is 0; here we report the max over leaves).
+
+    The walk goes one level at a time on corner arrays: every frontier box
+    is bisected on each axis of at least 2 cells, one axis after another;
+    the children's w-masses and sums of |f - c_root| w m come from two
+    ``box_sums`` calls, and masks sort them into invisible (no mass),
+    selected (average above lam) and walked on.  Cost: two ``box_sums``
+    passes per level, at most log2 of the longest side, over fewer than
+    2 x cells boxes in all; a ``BaseSet`` is built only for a selected box.
+    Every value equals a recursion with one ``fsum`` per box bit for bit.
     """
-    if base.kind not in ("dyadic-cubes", "dyadic-rectangles"):
+    if base.kind not in DYADIC_KINDS:
         raise NotDyadic("stopping-time selection needs a dyadic base")
-    if lam <= 0:
-        raise BadParams(f"the threshold must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise BadParams(f"the threshold must be positive and finite, got {lam}")
+    if root.dims != base.domain.dims or any(
+            map(operator.gt, root.hi, base.domain.sides)):
+        raise BadParams(f"the root {root.label()} is not a box of the domain")
     f = np.asarray(f, dtype=float)
     wm = w.values * measure.masses
     mass_root = fsum(wm[root.slices()])
     if mass_root <= 0:
         raise ZeroMass(f"no weighted mass on the root {root.label()}")
     c = fsum((f * wm)[root.slices()]) / mass_root
-    osc = np.abs(f - c)
-
-    def wavg(box: BaseSet) -> float:
-        sl = box.slices()
-        mass = fsum(wm[sl])
-        if mass <= 0:
-            return -1.0  # invisible; never selected
-        return fsum((osc * wm)[sl]) / mass
-
-    selected = []
+    owm = np.abs(f - c) * wm
+    avg_root = fsum(owm[root.slices()]) / mass_root
+    # The frontier: boxes walked into, with their averages.
+    lo, hi, avg = np.array([root.lo]), np.array([root.hi]), np.array([avg_root])
     leaves_max = 0.0
-
-    def walk(box: BaseSet):
-        nonlocal leaves_max
-        kids = simultaneous_children(box)
-        if not kids:
-            a = wavg(box)
-            if a > leaves_max:
-                leaves_max = a
-            return
-        for kid in kids:
-            a = wavg(kid)
-            if a < 0:
-                continue
-            if a > lam:
-                selected.append(kid)
-            else:
-                walk(kid)
-
-    avg_root = wavg(root)
-    walk(root)
-    selected.sort(key=lambda b: b.sort_key())
-    d_max = sum(1 for s in root.sides() if s >= 2)
-    realized = max((wavg(b) for b in selected), default=0.0) / lam
-    mass_selected = fsum(np.array([fsum(wm[b.slices()]) for b in selected])) \
-        if selected else 0.0
-    from .weights import doubling_constant
-    dw = doubling_constant(w, measure)
-    return CZSelection(selected=tuple(selected), lam=lam, root=root,
-                       avg_root=avg_root, dw=dw, d_max=d_max,
-                       realized_max_over_lam=realized,
-                       outside_max=leaves_max,
-                       mass_selected=mass_selected, mass_root=mass_root)
+    picked = [(lo[:0], hi[:0], avg[:0], avg[:0])]  # the root is never selected
+    while True:
+        split = hi - lo >= 2
+        leaf = ~split.any(axis=1)
+        if leaf.any():
+            leaves_max = max(leaves_max, float(avg[leaf].max()))
+        if leaf.all():
+            break
+        lo, hi, split = lo[~leaf], hi[~leaf], split[~leaf]
+        for axis in range(root.dims):
+            # The lower half stays in place, the upper half goes last.
+            twice = np.flatnonzero(split[:, axis])
+            mid = (lo[twice, axis] + hi[twice, axis]) // 2
+            lo, hi, split = (np.concatenate([a, a[twice]])
+                             for a in (lo, hi, split))
+            hi[twice, axis] = mid
+            lo[len(lo) - len(twice):, axis] = mid
+        mass = box_sums(wm, lo, hi)
+        visible = mass > 0
+        avg = np.divide(box_sums(owm, lo, hi), mass,
+                        out=np.full(len(mass), -1.0), where=visible)
+        chosen = avg > lam
+        picked.append((lo[chosen], hi[chosen], avg[chosen], mass[chosen]))
+        walk = visible & ~chosen
+        lo, hi, avg = lo[walk], hi[walk], avg[walk]
+    lo, hi, avg, mass = (np.concatenate(part) for part in zip(*picked))
+    # Canonical order (``BaseSet.sort_key``): sides descending, then corner.
+    order = np.lexsort(np.hstack([lo - hi, lo]).T[::-1])
+    selected = tuple(BaseSet(l, h) for l, h in
+                     zip(lo[order].tolist(), hi[order].tolist()))
+    return CZSelection(selected=selected, lam=lam, root=root,
+                       avg_root=avg_root, dw=doubling_constant(w, measure),
+                       d_max=sum(1 for s in root.sides() if s >= 2),
+                       realized_max_over_lam=max(avg.tolist(), default=0.0) / lam,
+                       outside_max=leaves_max, mass_selected=fsum(mass),
+                       mass_root=mass_root)
 
 
 @dataclass(frozen=True)
@@ -400,18 +416,17 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     one ``math.fsum`` per box; the results equal a box-by-box loop bit for
     bit.
     """
-    if big_n <= 0:
+    if not big_n > 0:
         raise BadParams(f"the truncation level must be positive, got {big_n}")
     f = np.asarray(f, dtype=float)
     wm = w.values * measure.masses
     bmo = oscillation_norm(f, CenteredDiff(), w, 1.0, base, measure).value
     if bmo <= 0.0:
         raise DegenerateInput("constant fields have no oscillation to probe")
-    from .weights import doubling_constant
     dw = doubling_constant(w, measure)
     if eta is None:
         eta = 2.0 * math.exp(dw * dw)
-    if eta <= 0:
+    if not eta > 0:
         raise BadParams(f"the tempering scale must be positive, got {eta}")
     # Every box has positive w-mass: the norm above raised otherwise.
     wmass = base.sums(wm)

@@ -21,7 +21,7 @@ from . import operators
 from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
                      ExponentOutOfRange, IncompatibleBase, MissingInput,
                      OverflowGuard)
-from .lattice import BaseFamily, BaseSet, Measure, build_base, fsum
+from .lattice import BaseFamily, Measure, build_base, fsum
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
                           sharp_oscillation, tl_equivalence_probe)
@@ -90,9 +90,9 @@ def _norm(f, spec, w, p, base, measure):
     return oscillation_norm(f, spec, w, p, base, measure).value
 
 
-def _centered_local(f: np.ndarray, box: BaseSet, measure: Measure) -> np.ndarray:
-    """|f - c| on the box's cells, c the ambient-measure mean over the box."""
-    sl = box.slices()
+def _centered_local(f: np.ndarray, sl: tuple, measure: Measure) -> np.ndarray:
+    """|f - c| on the cells of the box with slices ``sl``, c the
+    ambient-measure mean over the box."""
     m = measure.masses[sl]
     c = fsum(f[sl] * m) / fsum(m)
     return np.abs(f[sl] - c)
@@ -116,15 +116,15 @@ def _power_mean(local: np.ndarray, masses: np.ndarray, s: float) -> float:
     return math.exp(val / s)
 
 
-def _worst_pair(rows):
-    """(lhs, rhs, box) minimizing relative slack over rows of (box, lhs, rhs)."""
+def _worst_pair(lhs, rhs) -> int:
+    """Index of the first row of least relative slack (rhs - lhs) / |rhs|."""
     worst = None
     worst_rel = math.inf
-    for box, lhs, rhs in rows:
-        rel = (rhs - lhs) / max(abs(rhs), 1e-300)
+    for i, (l, r) in enumerate(zip(lhs, rhs)):
+        rel = (r - l) / max(abs(r), 1e-300)
         if rel < worst_rel:
             worst_rel = rel
-            worst = (lhs, rhs, box)
+            worst = i
     return worst
 
 
@@ -233,23 +233,21 @@ def _certify_gain_exponent(inputs: dict, tol: float):
 
     f = np.asarray(f, dtype=float)
     wm = w.values * measure.masses
-    rows = []
-    for box in base.sets:
-        sl = box.slices()
-        local = _centered_local(f, box, measure)
-        lhs_b = fsum(local * wm[sl]) / fsum(wm[sl])
-        rhs_b = rh_gain * _power_mean(local, measure.masses[sl], dual)
-        rows.append((box, lhs_b, rhs_b))
-    lhs_w, rhs_w, arg = _worst_pair(rows)
-    checks.append(make_check("improved_average_worst_set", lhs_w, rhs_w, tol))
-    lhs_g = max(r[1] for r in rows)
-    rhs_g = max(r[2] for r in rows)
-    checks.append(make_check("improved_average_global", lhs_g, rhs_g, tol))
+    lhs, rhs = [], []
+    for sl in base.slices():
+        local = _centered_local(f, sl, measure)
+        lhs.append(fsum(local * wm[sl]) / fsum(wm[sl]))
+        rhs.append(rh_gain * _power_mean(local, measure.masses[sl], dual))
+    worst = _worst_pair(lhs, rhs)
+    checks.append(make_check("improved_average_worst_set", lhs[worst],
+                             rhs[worst], tol))
+    checks.append(make_check("improved_average_global", max(lhs), max(rhs),
+                             tol))
 
     meta = {"p": p, "t_input": t_in, "strength": ap, "t_used": t_used,
             "gain_exponent": delta_exp, "gain_dual": dual, "cap": kcap,
             "rh_at_gain": rh_gain, "setting": params.setting,
-            "worst_set": arg.label()}
+            "worst_set": base.box(worst).label()}
     return checks, meta
 
 
@@ -276,7 +274,7 @@ def build_majorant(f, base: BaseFamily, measure: Measure, p: float,
     if rep.value <= 0.0:
         raise DegenerateInput("a constant field majorizes trivially")
     star = rep.extremal_set
-    local_star = _centered_local(f, star, measure)
+    local_star = _centered_local(f, star.slices(), measure)
     g = np.zeros(base.domain.sides)
     g[star.slices()] = local_star ** (p - 1.0)
     u = operators.rubio_de_francia(g, conjugate(p), base, measure,
@@ -389,13 +387,11 @@ def _certify_two_weight_band(inputs: dict, tol: float):
 
     split_global, split_c, rh_v, aq_w, rep_l, rep_r = _split(
         f, v, w, base, measure, p, q, delta, tol, per_set=True)
-    rows = []
-    for (box, val_l), (_, val_r) in zip(rep_l.per_set, rep_r.per_set):
-        lhs_b = val_l ** eps
-        rhs_b = split_c * (val_r ** p) ** (1.0 / (q * ddual))
-        rows.append((box, lhs_b, rhs_b))
-    lhs_w, rhs_w, arg = _worst_pair(rows)
-    checks = [make_check("split_worst_set", lhs_w, rhs_w, tol), split_global]
+    lhs = [val ** eps for val in rep_l.per_set]
+    rhs = [split_c * (val ** p) ** (1.0 / (q * ddual)) for val in rep_r.per_set]
+    worst = _worst_pair(lhs, rhs)
+    checks = [make_check("split_worst_set", lhs[worst], rhs[worst], tol),
+              split_global]
 
     bmo = _norm(f, spec_1, unit, 1.0, base, measure)
     sharp = sharp_oscillation(f, base, measure).value
@@ -423,7 +419,7 @@ def _certify_two_weight_band(inputs: dict, tol: float):
 
     meta = {"p": p, "q": q, "delta": delta, "eps": eps, "split_constant": split_c,
             "rh_v": rh_v, "aq_w": aq_w, "rho": rho, "band_target": target,
-            "plain_norm": bmo, "worst_set": arg.label()}
+            "plain_norm": bmo, "worst_set": base.box(worst).label()}
     return checks, meta
 
 
@@ -443,8 +439,7 @@ def _certify_reciprocal_rule(inputs: dict, tol: float):
     rep = oscillation_norm(f, DualHardy(w), Weight.unit(base.domain), 1.0,
                            base_w, mu_w)
     direct = -math.inf
-    for box in base_w.sets:
-        sl = box.slices()
+    for sl in base_w.slices():
         c = float(np.mean(f[sl]))
         val = fsum(np.abs(f[sl] - c)) / fsum(w.values[sl])
         direct = max(direct, val)

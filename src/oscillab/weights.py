@@ -6,9 +6,9 @@ computed A_p, reverse Holder and A_1 constant is recorded on the weight,
 keyed by (kind, exponent or mode, base id, measure digest, family key), so
 one run never recomputes (or re-rounds) the same number.  The family key
 hashes the members, which the base id does not, so ``constants_cache``
-labels end in its first 8 hex digits.  The doubling constant is kept apart, in a bounded cache
-on the weight keyed by measure digest, so it never shows in
-``constants_cache`` output.
+labels end in its first 8 hex digits.  The doubling constant is kept
+apart, in a bounded cache on the weight keyed by measure digest, so it
+never shows in ``constants_cache`` output.
 """
 
 from __future__ import annotations
@@ -371,31 +371,34 @@ def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
     params = dict(params or {})
     if kind == "power":
         a = float(params.get("exponent", 1.0))
-        if a <= -domain.dims:
-            raise BadParams(f"power exponent must exceed {-domain.dims}, got {a}")
-        if domain.dims == 1:
-            n = domain.sides[0]
-            x = (np.arange(n) + 0.5) / n
-            vals = x ** a
-        else:
-            n0, n1 = domain.sides
-            x = (np.arange(n0) + 0.5)[:, None] / n0
-            y = (np.arange(n1) + 0.5)[None, :] / n1
-            vals = (x ** 2 + y ** 2) ** (a / 2.0)
+        if not -domain.dims < a < math.inf:
+            raise BadParams(f"power exponent must be finite and exceed "
+                            f"{-domain.dims}, got {a}")
+        # A power past the float range is inf, which ``Weight`` rejects.
+        with np.errstate(over="ignore"):
+            if domain.dims == 1:
+                n = domain.sides[0]
+                x = (np.arange(n) + 0.5) / n
+                vals = x ** a
+            else:
+                n0, n1 = domain.sides
+                x = (np.arange(n0) + 0.5)[:, None] / n0
+                y = (np.arange(n1) + 0.5)[None, :] / n1
+                vals = (x ** 2 + y ** 2) ** (a / 2.0)
         return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
                                                 "params": {"exponent": a}})
     if kind == "random-log-bounded":
         bound = float(params.get("bound", 1.0))
-        if bound <= 0:
-            raise BadParams(f"log bound must be positive, got {bound}")
+        if not 0 < bound < math.inf:
+            raise BadParams(f"log bound must be positive and finite, got {bound}")
         rng = np.random.default_rng(seed)
         vals = np.exp(rng.uniform(-bound, bound, size=domain.sides))
         return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
                                                 "params": {"bound": bound}})
     if kind == "checkerboard":
         contrast = float(params.get("contrast", 2.0))
-        if contrast <= 0:
-            raise BadParams(f"contrast must be positive, got {contrast}")
+        if not 0 < contrast < math.inf:
+            raise BadParams(f"contrast must be positive and finite, got {contrast}")
         idx = np.indices(domain.sides).sum(axis=0)
         vals = np.where(idx % 2 == 0, contrast, 1.0 / contrast).astype(float)
         return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),

@@ -366,7 +366,7 @@ def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
         with np.errstate(over="ignore"):
             val = fsum(((local ** p) * wm)[sl]) / wmass
         if rows is not None:
-            rows.append((box, val ** (1.0 / p)))
+            rows.append(val ** (1.0 / p))
         if val > best:
             best = val
             best_set = box
@@ -416,7 +416,7 @@ def per_box_tl_norm(seq, spec, w, p, base, measure, per_set=False):
         with np.errstate(over="ignore"):
             val = fsum(((local ** p) * wm)[sl]) / wmass
         if rows is not None:
-            rows.append((box, val ** (1.0 / p)))
+            rows.append(val ** (1.0 / p))
         if val > best:
             best = val
             best_set = box
@@ -479,3 +479,91 @@ def per_box_jn_exp_moment(f, base, w, measure, eta=None, big_n=64.0):
     return JNReport(t_value=math.exp(best_log), eta=float(eta),
                     big_n=float(big_n), dw=dw, bmo_norm=bmo,
                     extremal_set=best_set, c1_hat=c1_hat, c2_hat=c2_hat)
+
+
+# ---------------------------------------------------------------------------
+# stopping time
+# ---------------------------------------------------------------------------
+#
+# The recursive Calderon-Zygmund selection ``cz_selection`` ran before it
+# became a level walk on corner arrays, with its bisection step, kept as
+# the bit-for-bit reference for the walk: one ``BaseSet`` and two ``fsum``s
+# per box visited.
+
+
+def simultaneous_children(box):
+    """Bisect every axis with at least two cells, preserving the aspect ratio.
+
+    Returns [] for a single cell.  If only one axis is still divisible the
+    step degenerates to a single bisection.
+    """
+    from oscillab.lattice import BaseSet
+
+    halves = []
+    for l, h in zip(box.lo, box.hi):
+        mid = (l + h) // 2
+        halves.append([(l, mid), (mid, h)] if h - l >= 2 else [(l, h)])
+    if max(map(len, halves)) == 1:
+        return []
+    pieces = [BaseSet(*zip(*parts)) for parts in itertools.product(*halves)]
+    return sorted(pieces, key=BaseSet.sort_key)
+
+
+def recursive_cz_selection(f, root, w, lam, base, measure):
+    from oscillab.errors import BadParams, NotDyadic, ZeroMass
+    from oscillab.lattice import fsum
+    from oscillab.oscillation import CZSelection
+    from oscillab.weights import doubling_constant
+
+    if base.kind not in ("dyadic-cubes", "dyadic-rectangles"):
+        raise NotDyadic("stopping-time selection needs a dyadic base")
+    if lam <= 0:
+        raise BadParams(f"the threshold must be positive, got {lam}")
+    f = np.asarray(f, dtype=float)
+    wm = w.values * measure.masses
+    mass_root = fsum(wm[root.slices()])
+    if mass_root <= 0:
+        raise ZeroMass(f"no weighted mass on the root {root.label()}")
+    c = fsum((f * wm)[root.slices()]) / mass_root
+    osc = np.abs(f - c)
+
+    def wavg(box):
+        sl = box.slices()
+        mass = fsum(wm[sl])
+        if mass <= 0:
+            return -1.0  # invisible; never selected
+        return fsum((osc * wm)[sl]) / mass
+
+    selected = []
+    leaves_max = 0.0
+
+    def walk(box):
+        nonlocal leaves_max
+        kids = simultaneous_children(box)
+        if not kids:
+            a = wavg(box)
+            if a > leaves_max:
+                leaves_max = a
+            return
+        for kid in kids:
+            a = wavg(kid)
+            if a < 0:
+                continue
+            if a > lam:
+                selected.append(kid)
+            else:
+                walk(kid)
+
+    avg_root = wavg(root)
+    walk(root)
+    selected.sort(key=lambda b: b.sort_key())
+    d_max = sum(1 for s in root.sides() if s >= 2)
+    realized = max((wavg(b) for b in selected), default=0.0) / lam
+    mass_selected = fsum(np.array([fsum(wm[b.slices()]) for b in selected])) \
+        if selected else 0.0
+    dw = doubling_constant(w, measure)
+    return CZSelection(selected=tuple(selected), lam=lam, root=root,
+                       avg_root=avg_root, dw=dw, d_max=d_max,
+                       realized_max_over_lam=realized,
+                       outside_max=leaves_max,
+                       mass_selected=mass_selected, mass_root=mass_root)

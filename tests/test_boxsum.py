@@ -82,7 +82,7 @@ class TestBoxSums:
         base = _family(sides, kind, min_scale)
         if base is None:
             return
-        got = box_sums(values, *base.corners())
+        got = box_sums(values, base.lo, base.hi)
         assert _bits(got) == _bits(_fsum_per_box(values, base.sets))
 
     @given(_grid_values())
@@ -206,9 +206,8 @@ class TestBuildBase:
             return
         assert [(b.lo, b.hi) for b in base.sets] == want
         assert base.dropped_zero_mass == dropped
-        lo, hi = base.corners()
-        assert [tuple(r) for r in lo] == [b[0] for b in want]
-        assert [tuple(r) for r in hi] == [b[1] for b in want]
+        assert [tuple(r) for r in base.lo] == [b[0] for b in want]
+        assert [tuple(r) for r in base.hi] == [b[1] for b in want]
 
     @pytest.mark.parametrize("kind", BASE_KINDS)
     def test_zero_mass_full_domain(self, kind):

@@ -37,8 +37,7 @@ def _domain(sides) -> GridDomain:
 
 
 def _report_bits(rep):
-    rows = None if rep.per_set is None else [
-        (box, _bits(val)) for box, val in rep.per_set]
+    rows = None if rep.per_set is None else [_bits(v) for v in rep.per_set]
     return _bits(rep.value), rep.extremal_set, rep.weight_id, rows
 
 

@@ -390,6 +390,12 @@ _positive_cells = st.one_of(
 _exponents = st.sampled_from(["0.5", "1", "2", "3.7", "40", "1.0000001", "0",
                               "-1", "nan", "inf", "1e-300", "1e308"])
 _min_scales = st.sampled_from(["0", "1", "2", "5", "-1"])
+# Generator parameters, by generator; values as the exponents, or -inf.
+_gen_params = st.sampled_from([
+    ("power", "exponent"), ("random-log-bounded", "bound"),
+    ("checkerboard", "contrast"), ("rubio-a1", "p"), ("rubio-a1", "tol"),
+    ("rubio-a1", "mode")])
+_param_values = st.one_of(_exponents, st.just("-inf"))
 
 
 @st.composite
@@ -408,10 +414,16 @@ def _csv_text(draw):
 def _command(draw):
     """(argv template, files): '{f}', '{w}' and '{o}' name the field, the
     weight and the output file."""
-    which = draw(st.sampled_from(["norm", "constant", "gen"]))
+    which = draw(st.sampled_from(["norm", "constant", "gen", "param"]))
     files = {"w": draw(_csv_text())}
     if which == "gen":
         return ["gen", "--weight", "{w}", "--out", "{o}.csv"], files
+    if which == "param":
+        gen, key = draw(_gen_params)
+        return ["gen", "--gen", gen, "--grid", draw(st.sampled_from(
+                    ["1", "4", "16", "2x2", "4x4"])),
+                "--param", f"{key}={draw(_param_values)}",
+                "--out", "{o}.csv"], {}
     common = ["--base", draw(st.sampled_from(BASE_KINDS)),
               "--min-scale", draw(_min_scales), "--out", "{o}.json"]
     if which == "constant":

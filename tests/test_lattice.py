@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain, MaximalKind,
-                      Measure, TLSeq, TLSequence, Weight, a1_constant, build_base, fsum,
+                      Measure, TLSeq, TLSequence, TheoremId, Weight,
+                      a1_constant, build_base, fsum,
                       jn_exp_moment, lattice, maximal,
                       muckenhoupt_constant, oscillation_norm, read_field_csv,
-                      reverse_holder_constant, simultaneous_children,
-                      write_field_csv)
+                      reverse_holder_constant, run_suite, write_field_csv)
 from oscillab.cli import main
 from oscillab.errors import BadParams as _BadParams
 from oscillab.errors import OscillabError
@@ -110,7 +110,7 @@ class TestDyadicEnumeration:
 
     def test_children_partition_parent(self):
         box = BaseSet((0, 0), (4, 4))
-        kids = simultaneous_children(box)
+        kids = oracles.simultaneous_children(box)
         assert len(kids) == 4
         cells = []
         for k in kids:
@@ -247,7 +247,7 @@ class TestLazySets:
         assert base.sets == tuple(boxes)
         assert base.sets is base.sets
         assert len(base) == len(base.lo) == len(base.hi) == len(want)
-        for corners in base.corners():
+        for corners in (base.lo, base.hi):
             assert corners.dtype == np.intp
             with pytest.raises(ValueError):
                 corners[0, 0] = 0
@@ -304,6 +304,11 @@ class TestCornerArraysOnly:
                                    for i in (0, 3, 9, 40)})
             assert oscillation_norm(seq, TLSeq(alpha=0.5, q=2.0), w, 1.5,
                                     base, mea, per_set=True).extremal_set
+
+    @pytest.mark.parametrize("suite", [t.value for t in TheoremId])
+    def test_certificates(self, refuse_sets, suite):
+        # No certificate path builds a family's ``sets``.
+        assert run_suite(suite, 8, seed=3)["reports"]
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "ap", "--gen", "random-log-bounded", "--grid", "64"],

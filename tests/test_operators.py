@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from oscillab import (GridDomain, MaximalKind, Measure, Weight, build_base,
                       lp_norm, maximal, rubio_de_francia)
-from oscillab.errors import BadParams, IncompatibleBase, ZeroInput
+from oscillab.errors import (BadParams, IncompatibleBase, OverflowGuard,
+                             ZeroInput)
 from oscillab.operators import default_norm_bound
 
 import oracles
@@ -95,6 +98,15 @@ class TestLpNorm:
         f = np.array(vals)
         assert lp_norm(f, p, mea) == pytest.approx(
             oracles.brute_lp(f, p, mea.masses), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("p, error", [
+        (math.nan, BadParams), (0.0, BadParams), (1e308, OverflowGuard)])
+    def test_bad_exponent_rejected(self, line8, p, error):
+        # |f|^1e308 once overflowed with numpy's RuntimeWarning, which a
+        # rubio-a1 weight with p = 1e308 raised through its provenance.
+        dom, mea, _ = line8
+        with pytest.raises(error):
+            lp_norm(np.arange(8.0), p, mea)
 
 
 class TestRubioDeFrancia:

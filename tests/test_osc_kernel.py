@@ -1,6 +1,7 @@
 """The shape-grouped oscillation kernels against the per-box loops they
 replaced (``oracles.per_box_osc_norm``, ``oracles.per_box_tl_norm``,
-``oracles.per_box_jn_exp_moment``).
+``oracles.per_box_jn_exp_moment``), and the stopping-time level walk
+against the recursion it replaced (``oracles.recursive_cz_selection``).
 
 Values, extremal sets and errors must agree exactly: floats are compared on
 their bits, errors on their type and message.
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
-                      TLSequence, Weight, build_base, jn_exp_moment,
-                      oscillation_norm)
+                      TLSequence, Weight, build_base, cz_selection,
+                      jn_exp_moment, oscillation_norm)
 from oscillab.lattice import BaseSet
 from oscillab.errors import IncompatibleSpec, OscillabError, ZeroMass
 
@@ -86,9 +87,9 @@ def _same_norm(got, want):
     if want.per_set is None:
         assert got.per_set is None
     else:
-        assert [b for b, _ in got.per_set] == [b for b, _ in want.per_set]
-        assert [_bits(x) for _, x in got.per_set] \
-            == [_bits(x) for _, x in want.per_set]
+        assert all(type(x) is float for x in got.per_set)
+        assert [_bits(x) for x in got.per_set] \
+            == [_bits(x) for x in want.per_set]
 
 
 class TestOscillationNormKernel:
@@ -190,6 +191,76 @@ class TestJNKernel:
         for name in ("t_value", "c1_hat", "c2_hat", "bmo_norm", "dw", "eta"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name))
         assert got.extremal_set == want.extremal_set
+
+
+@st.composite
+def _stopping_instance(draw):
+    """A field, weight and measure (maybe with zero-mass cells) on a 1-d,
+    square or non-square 2-d grid, a family of either dyadic kind (or, at
+    times, a kind the walk refuses), a root box and a threshold."""
+    sides = draw(st.sampled_from(((2,), (8,), (16,), (32,), (4, 4), (8, 8),
+                                  (16, 16), (4, 8), (8, 4), (2, 16))))
+    dom = _domain(sides)
+    n = int(np.prod(sides))
+    # Small noise with a few spikes, so that selections reach many levels.
+    f = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n,
+                               max_size=n))).reshape(sides)
+    for _ in range(draw(st.integers(0, 8))):
+        f.flat[draw(st.integers(0, n - 1))] = draw(st.one_of(
+            st.floats(-5.0, 5.0), st.floats(-50.0, 50.0), _cell))
+    w = Weight(dom, np.array(draw(st.lists(_positive, min_size=n, max_size=n)))
+               .reshape(sides))
+    cell_mass = st.sampled_from([0.0, 1.0, 0.25, 3.0] if draw(st.booleans())
+                                else [1.0, 0.25, 3.0])
+    masses = np.array(draw(st.lists(cell_mass, min_size=n, max_size=n))
+                      ).reshape(sides)
+    masses.flat[draw(st.integers(0, n - 1))] = 1.0
+    kind = "dyadic-rectangles" if len(sides) == 2 and (
+        sides[0] != sides[1] or draw(st.booleans())) else "dyadic-cubes"
+    kind = draw(st.sampled_from([kind] * 9 + ["all-cubes"]))
+    lam = 10.0 ** draw(st.floats(-2.0, 1.0))
+    return dom, f, w, Measure.general(dom, masses), kind, lam, draw(st.data())
+
+
+class TestStoppingTimeWalk:
+    @given(_stopping_instance())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_recursion(self, inst):
+        dom, f, w, measure, kind, lam, data = inst
+        try:
+            base = build_base(dom, measure, kind)
+        except OscillabError:
+            return  # the full domain has no mass
+        root = dom.full_box() if data.draw(st.booleans()) \
+            else base.box(data.draw(st.integers(0, len(base) - 1)))
+        got = _outcome(cz_selection, f, root, w, lam, base, measure)
+        want = _outcome(oracles.recursive_cz_selection, f, root, w, lam,
+                        base, measure)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got == want
+            return
+        got, want = got[1], want[1]
+        assert got.selected == want.selected
+        assert (got.root, got.lam, got.d_max) == (want.root, want.lam,
+                                                  want.d_max)
+        for name in ("avg_root", "realized_max_over_lam", "outside_max",
+                     "mass_selected", "mass_root", "dw"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name))
+            assert type(getattr(got, name)) is float
+
+    def test_average_at_threshold_walks_on(self):
+        # |f - c| = [1, 1, 1, 3]: 0:2 averages exactly lam, so it is walked
+        # into, not selected, and its cells are leaves at lam.
+        dom = GridDomain((4,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        args = (np.array([0.0, 0.0, 0.0, 4.0]), dom.full_box(),
+                Weight.unit(dom), 1.0, base, mea)
+        got = cz_selection(*args)
+        assert [b.label() for b in got.selected] == ["2:4"]
+        assert (got.outside_max, got.realized_max_over_lam) == (1.0, 2.0)
+        assert got == oracles.recursive_cz_selection(*args)
 
 
 class TestErrorPrecedence:

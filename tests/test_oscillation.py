@@ -95,8 +95,10 @@ class TestOscillationNorm:
         f = np.arange(8.0)
         r = oscillation_norm(f, CenteredDiff(), w, 2.0, base, mea, per_set=True)
         assert len(r.per_set) == 15
-        best = max(v for _, v in r.per_set)
+        assert all(type(v) is float for v in r.per_set)
+        best = max(r.per_set)
         assert best == pytest.approx(r.value, rel=1e-12)
+        assert base.box(r.per_set.index(best)) == r.extremal_set
 
 
 class TestSharpOscillation:
@@ -226,6 +228,15 @@ class TestJNExpMoment:
         with pytest.raises(BadParams):
             jn_exp_moment(f, base, w, mea, eta=0.0)
 
+    @pytest.mark.parametrize("name", ["big_n", "eta"])
+    def test_nan_params_rejected(self, line8, name):
+        # A NaN level or scale once left every box out of the maximum, and
+        # building the extremal set raised TypeError.
+        dom, mea, base = line8
+        with pytest.raises(BadParams, match="must be positive, got nan"):
+            jn_exp_moment(np.arange(8.0), base, Weight.unit(dom), mea,
+                          **{name: math.nan})
+
     def test_survival_fit_reported(self, line8):
         dom, mea, base = line8
         w = Weight.unit(dom)
@@ -279,6 +290,22 @@ class TestCZSelection:
         # cells never captured stay at or below the threshold
         assert sel.outside_max <= lam * (1 + 1e-10)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_threshold_rejected(self, square4, lam):
+        # A NaN threshold once selected nothing and reported a NaN ratio.
+        dom, mea, base = square4
+        with pytest.raises(BadParams, match="positive and finite"):
+            cz_selection(np.arange(16.0).reshape(4, 4), dom.full_box(),
+                         Weight.unit(dom), lam, base, mea)
+
+    @pytest.mark.parametrize("root", [BaseSet((0,), (4,)),
+                                      BaseSet((0, 2), (4, 6))])
+    def test_root_outside_domain_rejected(self, square4, root):
+        dom, mea, base = square4
+        with pytest.raises(BadParams, match="not a box of the domain"):
+            cz_selection(np.zeros((4, 4)), root, Weight.unit(dom), 1.0,
+                         base, mea)
+
 
 class TestTLSequences:
     def _fixture(self):
@@ -328,6 +355,14 @@ class TestTLSequences:
         with pytest.raises(BadParams, match="is not finite"):
             TLSequence(dom, {BaseSet((0,), (2,)): bad,
                              BaseSet((4,), (5,)): 1.0})
+
+    @pytest.mark.parametrize("alpha, q", [
+        (math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
+        (0.5, math.nan), (0.5, math.inf), (0.5, 0.0)])
+    def test_non_finite_rule_rejected(self, alpha, q):
+        # alpha = NaN once gave a norm of 0.0, and q = inf an inf norm.
+        with pytest.raises(BadParams, match="must be"):
+            TLSeq(alpha=alpha, q=q)
 
     def test_sequence_on_another_grid_rejected(self):
         dom, mea, base, w = self._fixture()
