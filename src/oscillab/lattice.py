@@ -173,8 +173,8 @@ SUMS_ENTRIES = 16
 NORM_ENTRIES = 32
 
 
-# Cells per gathered block in ``BaseFamily.shape_runs``; bounds the
-# (boxes, cells) temporaries of the shape-grouped kernels.
+# Cells per gathered block in ``BaseFamily.shape_runs`` and the tiled
+# ``operators.maximal``; bounds the temporaries of the shape-grouped kernels.
 _GATHER_CELLS = 1 << 14
 
 
@@ -336,7 +336,9 @@ class BaseFamily:
     16 x len x 8 bytes (4.2 MB for the 32,896 boxes of 256 all-cubes); and
     ``oscillation.oscillation_norm`` keeps up to ``NORM_ENTRIES`` reports
     in ``_norms``, each about 1 KB, plus about 32 bytes per member (a float
-    and its tuple slot) for a report with ``per_set`` values.
+    and its tuple slot) for a report with ``per_set`` values.  A dyadic
+    family keeps ``tile_index`` for ``maximal``: 4 x shapes x cells bytes
+    (0.8 MB on 64x64 dyadic-rectangles).
     """
 
     kind: str
@@ -418,6 +420,20 @@ class BaseFamily:
             for a in range(start, stop, rows):
                 b = min(a + rows, stop)
                 yield a, b, first[a - start:b - start] + offsets
+
+    @functools.cached_property
+    def tile_index(self) -> np.ndarray:
+        """Dyadic kinds: int32 (shapes, cells); row s, flat cell c holds the
+        index of the member of the s-th shape covering c (one dyadic shape
+        tiles the grid), or ``len(self)`` where it was dropped for zero mass.
+        """
+        side = self.hi - self.lo
+        rows = np.r_[0, np.cumsum(np.any(side[1:] != side[:-1], axis=1))]
+        table = np.full((rows[-1] + 1, self.domain.num_cells), len(self),
+                        np.int32)
+        for a, b, idx in self.shape_runs():
+            table[rows[a], idx] = np.arange(a, b)[:, None]
+        return table
 
     def sums(self, values) -> np.ndarray:
         """``box_sums(values, self.lo, self.hi)``, read-only, memoised in the

@@ -4,11 +4,11 @@ construction (geometric series of maximal iterates).
 Every mode takes all the base averages from one exact box-sum pass
 (``lattice.box_sums``).  Centered mode only sees odd-sided cubes, each
 scored at its center cell.  The dyadic and uncentered modes share one path:
-boxes are grouped by shape and each group is spread over the cells it
-covers.  On a dyadic base kind the boxes of one shape tile the grid, so the
-spread is one broadcast maximum per shape, O(cells); on other kinds it is a
-separable sliding max, O(cells x log side) per shape.  Dyadic mode differs
-only in the base kinds it accepts.
+each box average is spread over the cells its box covers.  On a dyadic base
+kind the boxes of one shape tile the grid, so the spread is one gather over
+the family's ``tile_index`` and a max over shapes, O(shapes x cells); on
+other kinds it is a separable sliding max per shape, O(cells x log side).
+Dyadic mode differs only in the base kinds it accepts.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class MaximalKind:
     def bound(self, p: float, base: BaseFamily) -> float:
         if self.norm_bound is not None:
             b = float(self.norm_bound(p))
-            if b < 1.0:
-                raise BadParams("an operator-norm bound below 1 is impossible")
+            if not 1.0 <= b < math.inf:
+                raise BadParams(f"operator-norm bound {b} is not in [1, inf)")
             return b
         return default_norm_bound(self.mode, base, p)
 
@@ -78,58 +78,58 @@ def maximal(f: np.ndarray, base: BaseFamily, measure: Measure,
     """Pointwise sup of |f| averages over eligible base sets.
 
     Zero-mass cells get 0.  With singletons present (min_scale 0) the result
-    dominates |f| on positive-mass cells.
+    dominates |f| on positive-mass cells.  Cost: checks, the cached set
+    masses, one ``box_sums`` pass and the spread (module docstring).
     """
     _check_compat(base, kind)
+    return _maximal_of(np.abs(_field(f, base)), base, measure.masses,
+                       base.set_masses(measure), measure.masses == 0.0,
+                       kind.mode)
+
+
+def _field(f, base: BaseFamily) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != base.domain.sides:
         raise BadParams(f"field shape {f.shape} != domain {base.domain.sides}")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise BadParams("field values must be finite")
+    return f
+
+
+def _maximal_of(absf: np.ndarray, base: BaseFamily, masses: np.ndarray,
+                set_masses: np.ndarray, zero: np.ndarray,
+                mode: str) -> np.ndarray:
+    """The maximal of a checked field ``absf`` >= 0, given the cell masses,
+    the set masses and the zero-mass cells."""
     lo, hi = base.lo, base.hi
-    avg = lattice.box_sums(np.abs(f) * measure.masses, lo, hi) \
-        / base.set_masses(measure)
-    side = hi - lo
+    avg = lattice.box_sums(absf * masses, lo, hi) / set_masses
     sides = base.domain.sides
-    out = np.zeros(sides)
-    tiled = base.kind in lattice.DYADIC_KINDS
-    # Runs of boxes of one shape; a canonical family has one run per shape.
-    cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
-    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(side)]):
-        shape = side[a].tolist()
-        if kind.mode != "centered" and tiled:
-            _tile_max(out, avg[a:b], lo[a:b], shape)
-        elif kind.mode != "centered":
-            np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape, sides),
-                       out=out)
-        elif shape[0] % 2 == 1:
-            # Distinct boxes of one shape have distinct centers.
-            center = tuple((lo[a:b] + (shape[0] - 1) // 2).T)
-            out[center] = np.maximum(out[center], avg[a:b])
-    out[measure.masses == 0.0] = 0.0
-    return out
-
-
-def _tile_max(out: np.ndarray, avg: np.ndarray, lo: np.ndarray,
-              shape) -> None:
-    """``out`` = max(``out``, the average of the box covering each cell), for
-    boxes of one shape at multiples of their sides (a tiling of the grid,
-    less any boxes the family dropped); ``avg`` must be >= 0.
-
-    The averages sit on a grid of tiles, which broadcasts against ``out``
-    viewed as (tiles, side) per axis.  With no box dropped the averages,
-    in canonical (row-major corner) order, are that grid already.
-    """
-    grid = tuple(n // s for n, s in zip(out.shape, shape))
-    if len(avg) == math.prod(grid):
-        tiles = avg.reshape(grid)
+    if mode != "centered" and base.kind in lattice.DYADIC_KINDS:
+        # Per cell, the max over shapes of its covering box's average (0
+        # where dropped), gathered in blocks of _GATHER_CELLS entries.
+        index, padded = base.tile_index, np.append(avg, 0.0)
+        out = np.empty(index.shape[1])
+        step = max(1, lattice._GATHER_CELLS // len(index))
+        for c in range(0, len(out), step):
+            np.maximum.reduce(padded.take(index[:, c:c + step]), axis=0,
+                              out=out[c:c + step])
+        out = out.reshape(sides)
     else:
-        tiles = np.zeros(grid)
-        tiles[tuple((lo // shape).T)] = avg
-    blocks = [d for t, s in zip(grid, shape) for d in (t, s)]
-    view = out.reshape(blocks)
-    np.maximum(view, tiles.reshape([d for t in grid for d in (t, 1)]),
-               out=view)
+        side = hi - lo
+        out = np.zeros(sides)
+        # Runs of boxes of one shape; a canonical family has one per shape.
+        cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(side)]):
+            shape = side[a].tolist()
+            if mode != "centered":
+                np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape, sides),
+                           out=out)
+            elif shape[0] % 2 == 1:
+                # Distinct boxes of one shape have distinct centers.
+                center = tuple((lo[a:b] + (shape[0] - 1) // 2).T)
+                out[center] = np.maximum(out[center], avg[a:b])
+    out[zero] = 0.0
+    return out
 
 
 def _spread_max(avg: np.ndarray, lo: np.ndarray, shape, sides) -> np.ndarray:
@@ -185,6 +185,9 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     dominates |g|, costs at most 2 ||g||_p in p-norm, and its maximal is at
     most 2b times itself up to the recorded truncation slack; those three
     facts are computed post hoc and stored in the provenance.
+
+    Checks and set-mass lookups run once per series; each term costs a
+    finiteness check, one ``box_sums`` pass and the spread of ``maximal``.
     """
     if not 1.0 < p < math.inf:
         raise BadParams(f"the series needs 1 < p < inf, got {p}")
@@ -199,13 +202,14 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
         raise ZeroInput("the seed function vanishes almost everywhere")
     b = kind.bound(p, base)
     denom = 2.0 * b
-    term = np.abs(g)
+    term = np.abs(_field(g, base))
     u = term.copy()
+    core = (base, measure.masses, base.set_masses(measure), ~live, kind.mode)
     cap = max(1, math.ceil(10.0 * max(1, base.domain.max_level())
                            * math.log2(1.0 / tol)))
     iterations = 0
     while True:
-        term = maximal(term, base, measure, kind) / denom
+        term = _maximal_of(_field(term, base), *core) / denom
         nxt = float(np.max(term))
         floor = float(np.min(u[u > 0.0]))
         if nxt < tol * floor:
@@ -221,7 +225,7 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     # so the result is a valid (strictly positive) weight.
     values = u.copy()
     values[~live] = np.maximum(values[~live], 1.0)
-    mu = maximal(u, base, measure, kind)
+    mu = _maximal_of(_field(u, base), *core)
     ratio = float(np.max(mu[live] / u[live])) if np.any(live) else 0.0
     checks = {
         "dominates_seed": bool(np.all(u[live] >= np.abs(g)[live])),

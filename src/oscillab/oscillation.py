@@ -426,8 +426,8 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     dw = doubling_constant(w, measure)
     if eta is None:
         eta = 2.0 * math.exp(dw * dw)
-    if not eta > 0:
-        raise BadParams(f"the tempering scale must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise BadParams(f"the tempering scale must lie in (0, inf), got {eta}")
     # Every box has positive w-mass: the norm above raised otherwise.
     wmass = base.sums(wm)
     centre = base.sums(f * wm) / wmass

@@ -567,3 +567,123 @@ def recursive_cz_selection(f, root, w, lam, base, measure):
                        realized_max_over_lam=realized,
                        outside_max=leaves_max,
                        mass_selected=mass_selected, mass_root=mass_root)
+
+
+# ---------------------------------------------------------------------------
+# maximal operator and its series, before the tile index
+# ---------------------------------------------------------------------------
+#
+# ``operators.maximal`` spread the averages of a dyadic family with one
+# broadcast maximum per shape, and ``rubio_de_francia`` called the public
+# ``maximal`` once per term; both are kept as bit-for-bit references for
+# the gather over ``BaseFamily.tile_index`` and the once-validated series.
+
+
+def tile_max(out: np.ndarray, avg: np.ndarray, lo: np.ndarray, shape) -> None:
+    """``out`` = max(``out``, the average of the box covering each cell), for
+    boxes of one shape at multiples of their sides (a tiling of the grid,
+    less any boxes the family dropped); ``avg`` must be >= 0."""
+    grid = tuple(n // s for n, s in zip(out.shape, shape))
+    if len(avg) == int(np.prod(grid)):
+        tiles = avg.reshape(grid)
+    else:
+        tiles = np.zeros(grid)
+        tiles[tuple((lo // shape).T)] = avg
+    blocks = [d for t, s in zip(grid, shape) for d in (t, s)]
+    view = out.reshape(blocks)
+    np.maximum(view, tiles.reshape([d for t in grid for d in (t, 1)]),
+               out=view)
+
+
+def tiled_maximal(f, base, measure, kind):
+    """``operators.maximal`` with the per-shape tile spread."""
+    from oscillab import lattice
+    from oscillab.errors import BadParams
+    from oscillab.operators import _check_compat, _spread_max
+
+    _check_compat(base, kind)
+    f = np.asarray(f, dtype=float)
+    if f.shape != base.domain.sides:
+        raise BadParams(f"field shape {f.shape} != domain {base.domain.sides}")
+    if not np.all(np.isfinite(f)):
+        raise BadParams("field values must be finite")
+    lo, hi = base.lo, base.hi
+    avg = lattice.box_sums(np.abs(f) * measure.masses, lo, hi) \
+        / base.set_masses(measure)
+    side = hi - lo
+    sides = base.domain.sides
+    out = np.zeros(sides)
+    tiled = base.kind in lattice.DYADIC_KINDS
+    cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(side)]):
+        shape = side[a].tolist()
+        if kind.mode != "centered" and tiled:
+            tile_max(out, avg[a:b], lo[a:b], shape)
+        elif kind.mode != "centered":
+            np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape, sides),
+                       out=out)
+        elif shape[0] % 2 == 1:
+            center = tuple((lo[a:b] + (shape[0] - 1) // 2).T)
+            out[center] = np.maximum(out[center], avg[a:b])
+    out[measure.masses == 0.0] = 0.0
+    return out
+
+
+def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
+    """``operators.rubio_de_francia`` with ``tiled_maximal`` called, checks
+    and all, once per term and once for the final self-bound."""
+    import math
+
+    from oscillab.errors import BadParams, NonConvergence, ZeroInput
+    from oscillab.lattice import fsum
+    from oscillab.operators import _check_compat, lp_norm
+    from oscillab.weights import Weight
+
+    if not 1.0 < p < math.inf:
+        raise BadParams(f"the series needs 1 < p < inf, got {p}")
+    if not 0 < tol < 1:
+        raise BadParams(f"tol must sit in (0, 1), got {tol}")
+    _check_compat(base, kind)
+    g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise BadParams("seed values must be finite")
+    live = measure.masses > 0
+    if fsum(np.abs(g) * measure.masses) <= 0.0:
+        raise ZeroInput("the seed function vanishes almost everywhere")
+    b = kind.bound(p, base)
+    denom = 2.0 * b
+    term = np.abs(g)
+    u = term.copy()
+    cap = max(1, math.ceil(10.0 * max(1, base.domain.max_level())
+                           * math.log2(1.0 / tol)))
+    iterations = 0
+    while True:
+        term = tiled_maximal(term, base, measure, kind) / denom
+        nxt = float(np.max(term))
+        floor = float(np.min(u[u > 0.0]))
+        if nxt < tol * floor:
+            break
+        u = u + term
+        iterations += 1
+        if iterations > cap:
+            raise NonConvergence(f"series did not settle within {cap} terms")
+    if np.any(u[live] <= 0.0):
+        raise ZeroInput("some positive-mass cell sees no mass of the seed "
+                        "through the base; enlarge the base family")
+    values = u.copy()
+    values[~live] = np.maximum(values[~live], 1.0)
+    mu = tiled_maximal(u, base, measure, kind)
+    ratio = float(np.max(mu[live] / u[live])) if np.any(live) else 0.0
+    checks = {
+        "dominates_seed": bool(np.all(u[live] >= np.abs(g)[live])),
+        "self_bound_ratio": ratio,
+        "self_bound_limit": denom * (1.0 + 10.0 * tol),
+        "lp_ratio": lp_norm(u, p, measure) / lp_norm(g, p, measure),
+    }
+    return Weight(base.domain, values, provenance={
+        "kind": "rubio-a1",
+        "params": {"p": float(p), "mode": kind.mode, "tol": float(tol)},
+        "iterations": int(iterations),
+        "norm_bound": float(b),
+        "checks": checks,
+    })

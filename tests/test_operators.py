@@ -11,11 +11,45 @@ from hypothesis import strategies as st
 
 from oscillab import (GridDomain, MaximalKind, Measure, Weight, build_base,
                       lp_norm, maximal, rubio_de_francia)
-from oscillab.errors import (BadParams, IncompatibleBase, OverflowGuard,
-                             ZeroInput)
+from oscillab.errors import (BadParams, IncompatibleBase, OscillabError,
+                             OverflowGuard, ZeroInput)
 from oscillab.operators import default_norm_bound
 
 import oracles
+
+
+# (sides, split, kind): 1-d, square and non-square 2-d grids.
+_GRIDS = [((16,), None, "dyadic-cubes"), ((32,), None, "all-cubes"),
+          ((8, 8), None, "dyadic-cubes"), ((8, 8), (1, 1), "dyadic-rectangles"),
+          ((4, 16), (1, 1), "dyadic-rectangles"),
+          ((16, 2), (1, 1), "dyadic-rectangles"), ((8, 8), None, "all-cubes")]
+
+
+@st.composite
+def _instances(draw, kinds=None):
+    """(field, base, measure, kind): a general measure whose zero-mass cells
+    drop members, and a field that is at times non-finite."""
+    grids = [g for g in _GRIDS if kinds is None or g[2] in kinds]
+    sides, split, base_kind = draw(st.sampled_from(grids))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dom = GridDomain(sides, split)
+    masses = rng.uniform(0.1, 3.0, size=sides)
+    masses[rng.random(sides) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    masses.flat[rng.integers(masses.size)] = 1.0
+    mea = Measure.general(dom, masses)
+    f = rng.normal(size=sides) * 10.0 ** rng.integers(-3, 4)
+    if draw(st.integers(0, 9)) == 0:
+        f.flat[rng.integers(f.size)] = draw(st.sampled_from([np.nan, np.inf]))
+    mode = draw(st.sampled_from(["dyadic", "uncentered", "centered"]))
+    return f, build_base(dom, mea, base_kind), mea, MaximalKind(mode)
+
+
+def _outcome(call):
+    """A call's result, or its error as (type, message)."""
+    try:
+        return call()
+    except OscillabError as exc:
+        return type(exc), str(exc)
 
 
 class TestMaximal:
@@ -66,6 +100,62 @@ class TestMaximal:
         got = maximal(f, base, mea)
         assert np.all(got >= np.abs(f) - 1e-15)
 
+    @given(_instances(kinds=("dyadic-cubes", "dyadic-rectangles")))
+    @settings(max_examples=150, deadline=None)
+    def test_tile_gather_is_the_per_shape_spread(self, inst):
+        f, base, mea, kind = inst
+        got = _outcome(lambda: maximal(f, base, mea, kind))
+        want = _outcome(lambda: oracles.tiled_maximal(f, base, mea, kind))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gather", [30, 130, 1 << 14])
+    def test_blocked_gather(self, monkeypatch, gather):
+        # 25 shapes x 256 cells: blocks of 1, 5 (the last one short) and
+        # all 256 cells.
+        monkeypatch.setattr("oscillab.lattice._GATHER_CELLS", gather)
+        rng = np.random.default_rng(11)
+        dom = GridDomain((16, 16), (1, 1))
+        masses = rng.uniform(0.5, 2.0, size=(16, 16))
+        masses[rng.random((16, 16)) < 0.3] = 0.0
+        mea = Measure.general(dom, masses)
+        base = build_base(dom, mea, "dyadic-rectangles")
+        f = rng.normal(size=(16, 16))
+        for kind in (MaximalKind("dyadic"), MaximalKind("uncentered")):
+            assert maximal(f, base, mea, kind).tobytes() == \
+                oracles.tiled_maximal(f, base, mea, kind).tobytes()
+
+    @pytest.mark.parametrize("sides, split, kind", [
+        ((8,), None, "dyadic-cubes"), ((8, 8), None, "dyadic-cubes"),
+        ((4, 16), (1, 1), "dyadic-rectangles")])
+    def test_tile_index_names_the_covering_member(self, sides, split, kind):
+        rng = np.random.default_rng(5)
+        dom = GridDomain(sides, split)
+        masses = rng.uniform(0.5, 1.0, size=sides)
+        masses[rng.random(sides) < 0.5] = 0.0
+        masses.flat[0] = 1.0
+        base = build_base(dom, Measure.general(dom, masses), kind)
+        assert base.dropped_zero_mass > 0
+        index = base.tile_index
+        assert index.dtype == np.int32
+        shapes = np.unique(base.hi - base.lo, axis=0)
+        assert index.shape == (len(shapes), dom.num_cells)
+        cells = np.indices(sides).reshape(len(sides), -1).T
+        for row in index:
+            for cell, i in zip(cells, row.tolist()):
+                if i < len(base):
+                    assert np.all(base.lo[i] <= cell)
+                    assert np.all(cell < base.hi[i])
+            members = row[row < len(base)]
+            assert len(np.unique(base.hi[members] - base.lo[members],
+                                 axis=0)) == 1
+        # Every member covers its own cells in the row of its shape.
+        hits = np.zeros(len(base), int)
+        np.add.at(hits, index[index < len(base)], 1)
+        assert np.array_equal(hits, np.prod(base.hi - base.lo, axis=1))
+
     def test_unknown_mode_rejected(self, line8):
         dom, mea, base = line8
         with pytest.raises(BadParams):
@@ -73,6 +163,16 @@ class TestMaximal:
 
 
 class TestNormBounds:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5])
+    def test_bad_override_rejected(self, line8, value):
+        # NaN once surfaced as "field values must be finite", and inf as a
+        # ZeroInput about enlarging the base.
+        dom, mea, base = line8
+        kind = MaximalKind(norm_bound=lambda p: value)
+        with pytest.raises(BadParams, match=rf"operator-norm bound {value} "
+                           rf"is not in \[1, inf\)"):
+            rubio_de_francia(np.ones(8), 2.0, base, mea, kind)
+
     def test_dyadic_is_conjugate_exponent(self, line8):
         dom, mea, base = line8
         assert default_norm_bound("dyadic", base, 2.0) == pytest.approx(2.0)
@@ -136,6 +236,47 @@ class TestRubioDeFrancia:
         assert np.all(mu <= 2.0 * bound * u.values * (1 + 1e-8))
         # comparable norm
         assert lp_norm(u.values, p, mea) <= 2.0 * lp_norm(g, p, mea) * (1 + 1e-10)
+
+    @given(_instances(), st.sampled_from([1.2, 2.0, 3.5]),
+           st.sampled_from([1e-10, 1e-3]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_term_series(self, inst, p, tol):
+        f, base, mea, kind = inst
+        got = _outcome(lambda: rubio_de_francia(f, p, base, mea, kind, tol))
+        want = _outcome(lambda: oracles.per_term_rubio_de_francia(
+            f, p, base, mea, kind, tol))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.values.tobytes() == want.values.tobytes()
+        for key in ("iterations", "norm_bound", "params"):
+            assert got.provenance[key] == want.provenance[key]
+        checks, expected = got.provenance["checks"], want.provenance["checks"]
+        assert list(checks) == list(expected)
+        for key, value in expected.items():
+            assert type(checks[key]) is type(value)
+            assert repr(checks[key]) == repr(value)
+
+    def test_overflowing_partial_sum_rejected(self, line8):
+        # u = g + M g / 4 leaves the float range at cell 0; the final
+        # self-bound then sees a non-finite field, as every term would.
+        dom, mea, base = line8
+        g = np.zeros(8)
+        g[0] = 1.5e308
+        with np.errstate(over="ignore"):
+            want = _outcome(lambda: oracles.per_term_rubio_de_francia(
+                g, 2.0, base, mea, MaximalKind()))
+            assert want == (BadParams, "field values must be finite")
+            assert _outcome(lambda: rubio_de_francia(g, 2.0, base, mea)) \
+                == want
+
+    def test_one_set_mass_lookup_per_series(self, line8):
+        dom, mea, base = line8
+        g = np.random.default_rng(2).normal(size=8)
+        before = base._sums.hits + base._sums.misses
+        u = rubio_de_francia(g, 2.0, base, mea)
+        assert u.provenance["iterations"] >= 2
+        assert base._sums.hits + base._sums.misses == before + 1
 
     def test_zero_seed_rejected(self, line8):
         dom, mea, base = line8

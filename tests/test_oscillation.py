@@ -228,14 +228,31 @@ class TestJNExpMoment:
         with pytest.raises(BadParams):
             jn_exp_moment(f, base, w, mea, eta=0.0)
 
-    @pytest.mark.parametrize("name", ["big_n", "eta"])
-    def test_nan_params_rejected(self, line8, name):
+    @pytest.mark.parametrize("name, value, message", [
+        pytest.param("big_n", math.nan, "must be positive, got nan",
+                     id="big_n"),
+        pytest.param("eta", math.nan, r"must lie in \(0, inf\), got nan",
+                     id="eta"),
+        pytest.param("eta", math.inf, r"must lie in \(0, inf\), got inf",
+                     id="eta-inf")])
+    def test_nan_params_rejected(self, line8, name, value, message):
         # A NaN level or scale once left every box out of the maximum, and
-        # building the extremal set raised TypeError.
+        # building the extremal set raised TypeError; an infinite scale made
+        # every term exp(0), so the moment read 1.0 whatever the field.
         dom, mea, base = line8
-        with pytest.raises(BadParams, match="must be positive, got nan"):
+        with pytest.raises(BadParams, match=message):
             jn_exp_moment(np.arange(8.0), base, Weight.unit(dom), mea,
-                          **{name: math.nan})
+                          **{name: value})
+
+    def test_infinite_truncation_level_runs(self, line8):
+        # big_n = inf means no truncation: the same moment as any level
+        # above every normalised oscillation.
+        dom, mea, base = line8
+        f, w = np.arange(8.0), Weight.unit(dom)
+        got = jn_exp_moment(f, base, w, mea, big_n=math.inf)
+        assert got.big_n == math.inf
+        assert got.t_value == jn_exp_moment(f, base, w, mea,
+                                            big_n=1e6).t_value
 
     def test_survival_fit_reported(self, line8):
         dom, mea, base = line8
