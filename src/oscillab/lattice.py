@@ -61,6 +61,31 @@ def fsum(values) -> float:
     return math.fsum(arr.ravel().tolist())
 
 
+def first_max(values, floor: float = -math.inf):
+    """(value, index) of the first strict maximum above ``floor`` (a NaN
+    never wins), or (floor, None)."""
+    best, arg = floor, None
+    for i, val in enumerate(values):
+        if val > best:
+            best, arg = val, i
+    return best, arg
+
+
+def scaled_ints(values: np.ndarray):
+    """(ints, low, top): each cell of a finite array as the exact Python int
+    cell * 2**(53 - low), low and top the least and greatest exponents of a
+    nonzero cell (``np.frexp``); None if every cell is 0."""
+    # Cell x == mant * 2**(expo - 53) exactly, mant an integer below 2**53.
+    frac, expo = np.frexp(values)
+    mant = (frac * 2.0 ** 53).astype(np.int64)
+    live = mant != 0
+    if not live.any():
+        return None
+    low, top = int(expo[live].min()), int(expo[live].max())
+    ints = mant.astype(object) << np.maximum(expo - low, 0).astype(object)
+    return ints, low, top
+
+
 # Boxes per block of exact big-int arithmetic in ``box_sums``; bounds the
 # object-array temporaries on large families.
 _BOX_BLOCK = 4096
@@ -81,17 +106,13 @@ def box_sums(values, lo, hi) -> np.ndarray:
     if not np.isfinite(values).all():
         return np.array([fsum(values[tuple(map(slice, l, h))])
                          for l, h in zip(lo.tolist(), hi.tolist())], dtype=float)
-    # Cell x == mant * 2**(expo - 53) exactly, with mant an integer below
-    # 2**53; scaled by 2**(53 - low) it is the exact int mant << (expo - low).
-    frac, expo = np.frexp(values)
-    mant = (frac * 2.0 ** 53).astype(np.int64)
-    live = mant != 0
-    if not live.any():
+    scaled = scaled_ints(values)
+    if scaled is None:
         return np.zeros(len(lo))
-    low = int(expo[live].min())
+    ints, low, top = scaled
     table = np.zeros(tuple(n + 1 for n in values.shape), dtype=object)
     inner = table[(slice(1, None),) * values.ndim]
-    inner[...] = mant.astype(object) << np.maximum(expo - low, 0).astype(object)
+    inner[...] = ints
     for axis in range(values.ndim):
         np.cumsum(inner, axis=axis, out=inner)
     # The exact sum of a box is acc * 2**shift, with |acc| below
@@ -99,7 +120,6 @@ def box_sums(values, lo, hi) -> np.ndarray:
     # nears the float range, float(acc) rounds acc correctly and ldexp
     # scales it exactly (a subnormal sum has fewer than 53 significant
     # bits, so it is already exact); otherwise divide, as acc may not fit.
-    top = int(expo[live].max())
     wide = top - low + 53 + values.size.bit_length() >= 1023
     shift = low - 53
     scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
@@ -383,11 +403,6 @@ class BaseFamily:
     def box(self, i: int) -> BaseSet:
         """Member i as a ``BaseSet``, without building ``sets``."""
         return BaseSet(self.lo[i].tolist(), self.hi[i].tolist())
-
-    def slices(self):
-        """Each member's tuple of slices, in order, without building ``sets``."""
-        lo, hi = self.lo.tolist(), self.hi.tolist()
-        return (tuple(map(slice, l, h)) for l, h in zip(lo, hi))
 
     def __len__(self) -> int:
         return len(self.lo)

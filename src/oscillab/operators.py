@@ -197,6 +197,12 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise BadParams("seed values must be finite")
+    # Every sum below is at most 2 max|g| max(1, total mass): twice that
+    # must be finite.
+    if 4.0 * float(np.max(np.abs(g))) * max(1.0, measure.total_mass) \
+            == math.inf:
+        raise OverflowGuard("the seed is too large for the series to stay "
+                            "in the float range; rescale it")
     live = measure.masses > 0
     if fsum(np.abs(g) * measure.masses) <= 0.0:
         raise ZeroInput("the seed function vanishes almost everywhere")

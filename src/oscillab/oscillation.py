@@ -20,7 +20,7 @@ from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic,
                      OverflowGuard, ZeroMass)
 from .lattice import (DYADIC_KINDS, BaseFamily, BaseSet, GridDomain, Measure,
-                      box_sums, content_key, fsum)
+                      box_sums, content_key, first_max, fsum, scaled_ints)
 from .weights import Weight, doubling_constant
 
 
@@ -137,10 +137,10 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
     """max over base sets of ((1/w-mass) sum local^p w m)^(1/p).
 
     One shape-grouped kernel and one memo serve all three rules.  The
-    linear arrays (the w-masses, and the centre numerators and masses of
-    ``CenteredDiff``) come from ``base.sums``; ``TLSeq`` reads one field per
-    level (``_level_fields``); the ``DualHardy`` centre, a plain cell mean,
-    stays one reduction per box.  Each run of boxes of one shape is then
+    linear arrays (the w-masses, the centre numerators and masses of
+    ``CenteredDiff``, and the cell sums behind the ``DualHardy`` centre, a
+    plain cell mean) come from ``base.sums``; ``TLSeq`` reads one field per
+    level (``_level_fields``).  Each run of boxes of one shape is then
     gathered as (boxes, cells) blocks, local^p w m is one numpy expression
     per block, and each box takes one ``math.fsum``.  Reports are memoised
     on the family, keyed by the content of f (of the level fields, for
@@ -197,14 +197,8 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
                       and np.array_equal(measure.masses, spec.w.values))
         bad = np.flatnonzero(zero)
         stop = 0 if not compatible else int(bad[0]) if len(bad) else len(base)
-        # The plain mean, np.mean's way: np.add.reduce over the box's own
-        # view (its summation order depends on the view's layout, so this
-        # stays box by box), then one division by the cell count.
-        views = (arr[sl] for _, sl in zip(range(stop), base.slices()))
-        with np.errstate(over="ignore", invalid="ignore"):
-            centre = np.array([float(np.add.reduce(v, axis=None)) / v.size
-                               for v in views])
-        if not np.isfinite(centre).all():
+        centre = plain_means(arr, base)
+        if not np.isfinite(centre[:stop]).all():
             raise OverflowGuard("a plain cell mean left the float range")
         scale = spec.w.values.ravel()
     else:
@@ -249,41 +243,70 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
                 "the reciprocal-weight rule needs the ambient measure to be "
                 "the density measure of the same weight")
         raise ZeroMass(f"no mass on {box.label()}")
-    best, best_i = -1.0, None
-    for i, val in enumerate(vals):
-        if val > best:
-            best, best_i = val, i
+    best, best_i = first_max(vals, -1.0)
     rows = tuple(val ** (1.0 / p) for val in vals) if per_set else None
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
                       extremal_set=None if best_i is None else base.box(best_i),
                       per_set=rows)
 
 
+def plain_means(f: np.ndarray, base: BaseFamily) -> np.ndarray:
+    """Per member, the plain cell mean of f: its correctly rounded sum,
+    cached on the family, over the cell count; not finite where a sum is."""
+    try:
+        return base.sums(f) / np.prod(base.hi - base.lo, axis=1)
+    except (OverflowError, ValueError):  # a sum past the range, or inf - inf
+        return np.full(len(base), math.inf)
+
+
+def _medians(vals: np.ndarray, ints: np.ndarray) -> np.ndarray:
+    """Per row of ``vals``, the ``weighted_median`` with masses ``ints``
+    (exact scaled ints, ``lattice.scaled_ints``) of the same shape."""
+    order = np.argsort(vals, axis=1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(ints, order, axis=1), axis=1)
+    # For ints, 2 cum >= total exactly when cum >= ceil(total / 2).
+    first = np.argmax(cum >= (cum[:, -1:] + 1) // 2, axis=1)[:, None]
+    return np.take_along_axis(vals, np.take_along_axis(order, first, 1), 1)[:, 0]
+
+
 def weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
-    """Smallest value whose cumulative mass reaches half the total."""
+    """Smallest value whose cumulative mass reaches half the total, exactly:
+    in a stable sort, the first value where twice the running sum of the
+    masses, as exact scaled ints, reaches their total.  Cost: one sort and
+    one pass of Python-int additions."""
     v = np.asarray(values, dtype=float).ravel()
     m = np.asarray(masses, dtype=float).ravel()
-    total = fsum(m)
-    if total <= 0:
+    if not np.isfinite(m).all():
+        raise BadParams("median masses must be finite")
+    if fsum(m) <= 0:
         raise ZeroMass("weighted median of a zero-mass set")
-    order = np.argsort(v, kind="stable")
-    csum = np.cumsum(m[order])
-    idx = int(np.searchsorted(csum, 0.5 * total))
-    idx = min(idx, len(order) - 1)
-    return float(v[order[idx]])
+    return float(_medians(v[None], scaled_ints(m)[0][None])[0])
 
 
 def sharp_oscillation(f: np.ndarray, base: BaseFamily,
                       measure: Measure) -> NormReport:
-    """Worst average distance to the set's weighted median (exponent 1)."""
+    """Worst average distance to the set's weighted median (exponent 1),
+    each median exact, as ``weighted_median``'s.  Cost: per block of boxes
+    of one shape, a stable sort per row, one cumulative sum of the masses
+    as exact scaled ints (int64 where no box total can reach 2**62, as for
+    uniform masses, else Python ints), |f - med| m as one numpy expression,
+    and one ``math.fsum`` per box."""
     f = np.asarray(f, dtype=float)
-    best, best_i = -1.0, None
-    for i, sl in enumerate(base.slices()):
-        m = measure.masses[sl]
-        med = weighted_median(f[sl], m)
-        val = fsum(np.abs(f[sl] - med) * m) / fsum(m)
-        if val > best:
-            best, best_i = val, i
+    mass = base.set_masses(measure)
+    if not (mass > 0.0).all():
+        raise ZeroMass("weighted median of a zero-mass set")
+    flat, m = f.ravel(), measure.masses.ravel()
+    ints, low, top = scaled_ints(m)
+    if top - low + 53 + m.size.bit_length() < 63:
+        ints = ints.astype(np.int64)  # no box total reaches 2**62
+    mass = mass.tolist()
+    vals = []
+    for start, _, idx in base.shape_runs():
+        local = flat[idx]
+        terms = np.abs(local - _medians(local, ints[idx])[:, None]) * m[idx]
+        vals.extend(math.fsum(row) / mass[k]
+                    for k, row in enumerate(terms.tolist(), start))
+    best, best_i = first_max(vals, -1.0)
     return NormReport(value=best, p=1.0, weight_id="median",
                       extremal_set=None if best_i is None else base.box(best_i))
 
@@ -432,20 +455,16 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     wmass = base.sums(wm)
     centre = base.sums(f * wm) / wmass
     flat, wm_flat = f.ravel(), wm.ravel()
-    wmass, centres = wmass.tolist(), centre.tolist()
-    best_log = -math.inf
-    best = None
+    wmass, centres, logs = wmass.tolist(), centre.tolist(), []
     for start, _, idx in base.shape_runs():
         osc = np.abs(flat[idx] - centre[start:start + len(idx), None]) / bmo
         ex = np.minimum(osc, big_n) / eta
         shift = ex.max(axis=1)
         terms = np.exp(ex - shift[:, None]) * wm_flat[idx]
-        for k, (sh, row) in enumerate(zip(shift.tolist(), terms.tolist()),
-                                      start):
-            log_t = sh + math.log(math.fsum(row)) - math.log(wmass[k])
-            if log_t > best_log:
-                best_log = log_t
-                best = k
+        logs.extend(sh + math.log(math.fsum(row)) - math.log(wmass[k])
+                    for k, (sh, row) in enumerate(zip(shift.tolist(),
+                                                      terms.tolist()), start))
+    best_log, best = first_max(logs)
     best_set = base.box(best)
     sl = best_set.slices()
     osc = np.abs(f[sl] - centres[best]) / bmo

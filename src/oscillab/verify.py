@@ -21,10 +21,11 @@ from . import operators
 from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
                      ExponentOutOfRange, IncompatibleBase, MissingInput,
                      OverflowGuard)
-from .lattice import BaseFamily, Measure, build_base, fsum
+from .lattice import BaseFamily, Measure, build_base, first_max, fsum
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
-                          sharp_oscillation, tl_equivalence_probe)
+                          plain_means, sharp_oscillation,
+                          tl_equivalence_probe)
 from .reports import (DEFAULT_TOL, FAIL, PASS, CertificateReport, Check,
                       ConstantEstimate, make_check, skipped_check)
 from .weights import (SelfImprovementParams, Weight, conjugate,
@@ -90,42 +91,40 @@ def _norm(f, spec, w, p, base, measure):
     return oscillation_norm(f, spec, w, p, base, measure).value
 
 
-def _centered_local(f: np.ndarray, sl: tuple, measure: Measure) -> np.ndarray:
-    """|f - c| on the cells of the box with slices ``sl``, c the
-    ambient-measure mean over the box."""
-    m = measure.masses[sl]
-    c = fsum(f[sl] * m) / fsum(m)
-    return np.abs(f[sl] - c)
-
-
-def _power_mean(local: np.ndarray, masses: np.ndarray, s: float) -> float:
-    """(mean of local^s)^(1/s), overflow-safe for large s."""
-    total = fsum(masses)
-    pos = masses > 0
-    vals = local[pos]
-    ms = masses[pos]
-    live = vals > 0
-    if not np.any(live):
-        return 0.0
-    top = float(np.max(vals[live]))
-    if abs(s * math.log(top)) < 600.0:
-        return (fsum((vals ** s) * ms) / total) ** (1.0 / s)
-    logs = s * np.log(vals[live]) + np.log(ms[live])
-    shift = float(np.max(logs))
-    val = shift + math.log(fsum(np.exp(logs - shift))) - math.log(total)
-    return math.exp(val / s)
+def _power_means(f: np.ndarray, base: BaseFamily, measure: Measure,
+                 s: float) -> list:
+    """Per member, (mean of |f - c|^s)^(1/s) in the measure, c its mean, by
+    shape blocks with one ``math.fsum`` per box.  A member whose largest
+    |f - c| on cells with mass, L > 0, has |s log L| >= 600 is taken in log
+    space: its powers, or their sum, may leave the float range (so this is
+    not the unit-weight norm's ``per_set``, whose sum would raise)."""
+    flat, masses = f.ravel(), measure.masses.ravel()
+    mass = base.set_masses(measure)
+    centre, mass = base.sums(f * measure.masses) / mass, mass.tolist()
+    means = []
+    for start, _, idx in base.shape_runs():
+        m = masses[idx]
+        local = np.abs(flat[idx] - centre[start:start + len(idx), None])
+        local[m == 0.0] = 0.0
+        with np.errstate(over="ignore"):
+            terms = ((local ** s) * m).tolist()
+        for row, top in enumerate(local.max(axis=1).tolist()):
+            k = start + row
+            if top == 0.0 or abs(s * math.log(top)) < 600.0:
+                means.append((math.fsum(terms[row]) / mass[k]) ** (1.0 / s))
+                continue
+            live = local[row] > 0.0
+            logs = s * np.log(local[row][live]) + np.log(m[row][live])
+            shift = float(np.max(logs))
+            val = shift + math.log(fsum(np.exp(logs - shift))) \
+                - math.log(mass[k])
+            means.append(math.exp(val / s))
+    return means
 
 
 def _worst_pair(lhs, rhs) -> int:
     """Index of the first row of least relative slack (rhs - lhs) / |rhs|."""
-    worst = None
-    worst_rel = math.inf
-    for i, (l, r) in enumerate(zip(lhs, rhs)):
-        rel = (r - l) / max(abs(r), 1e-300)
-        if rel < worst_rel:
-            worst_rel = rel
-            worst = i
-    return worst
+    return first_max((l - r) / max(abs(r), 1e-300) for l, r in zip(lhs, rhs))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +231,9 @@ def _certify_gain_exponent(inputs: dict, tol: float):
     checks = [make_check("improved_constant_cap", rh_gain, kcap, tol)]
 
     f = np.asarray(f, dtype=float)
-    wm = w.values * measure.masses
-    lhs, rhs = [], []
-    for sl in base.slices():
-        local = _centered_local(f, sl, measure)
-        lhs.append(fsum(local * wm[sl]) / fsum(wm[sl]))
-        rhs.append(rh_gain * _power_mean(local, measure.masses[sl], dual))
+    lhs = oscillation_norm(f, CenteredDiff(), w, 1.0, base, measure,
+                           per_set=True).per_set
+    rhs = [rh_gain * val for val in _power_means(f, base, measure, dual)]
     worst = _worst_pair(lhs, rhs)
     checks.append(make_check("improved_average_worst_set", lhs[worst],
                              rhs[worst], tol))
@@ -274,9 +270,11 @@ def build_majorant(f, base: BaseFamily, measure: Measure, p: float,
     if rep.value <= 0.0:
         raise DegenerateInput("a constant field majorizes trivially")
     star = rep.extremal_set
-    local_star = _centered_local(f, star.slices(), measure)
+    sl = star.slices()
+    m = measure.masses[sl]
+    local_star = np.abs(f[sl] - fsum(f[sl] * m) / fsum(m))
     g = np.zeros(base.domain.sides)
-    g[star.slices()] = local_star ** (p - 1.0)
+    g[sl] = local_star ** (p - 1.0)
     u = operators.rubio_de_francia(g, conjugate(p), base, measure,
                                    operators.MaximalKind("dyadic"), tol=tol)
     return u, star, rep.value, local_star, g
@@ -426,6 +424,17 @@ def _certify_two_weight_band(inputs: dict, tol: float):
 # ---------------------------------------------------------------------------
 # Suite: oscillation divided by the weight, in the weight's own measure.
 
+def _reciprocal_direct(f: np.ndarray, w: Weight, base_w: BaseFamily) -> float:
+    """The reciprocal-rule norm at exponent 1 by its own formula, the
+    kernel's cross-check: max over boxes of sum |f - c| / sum w, c the
+    plain cell mean, one ``math.fsum`` per box over shape blocks."""
+    centre, flat, nums = plain_means(f, base_w), f.ravel(), []
+    for start, _, idx in base_w.shape_runs():
+        local = np.abs(flat[idx] - centre[start:start + len(idx), None])
+        nums.extend(map(math.fsum, local.tolist()))
+    return float(np.max(np.array(nums) / base_w.sums(w.values)))
+
+
 def _certify_reciprocal_rule(inputs: dict, tol: float):
     f, w, v, base, p0, q = _need(inputs, "f", "w", "v", "base", "p0", "q")
     p0, q = float(p0), float(q)
@@ -438,11 +447,7 @@ def _certify_reciprocal_rule(inputs: dict, tol: float):
     base_w = build_base(base.domain, mu_w, base.kind, base.min_scale)
     rep = oscillation_norm(f, DualHardy(w), Weight.unit(base.domain), 1.0,
                            base_w, mu_w)
-    direct = -math.inf
-    for sl in base_w.slices():
-        c = float(np.mean(f[sl]))
-        val = fsum(np.abs(f[sl] - c)) / fsum(w.values[sl])
-        direct = max(direct, val)
+    direct = _reciprocal_direct(f, w, base_w)
     gap = abs(rep.value - direct)
     scale = max(abs(rep.value), abs(direct), 1e-300)
     checks, meta = _holder_chain(f, DualHardy(w), v, base_w, mu_w, p0, q, p,

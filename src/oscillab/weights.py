@@ -25,7 +25,7 @@ import numpy as np
 from . import lattice
 from .errors import BadParams, ExponentOutOfRange, OverflowGuard
 from .lattice import (BaseFamily, BaseSet, BoundedCache, GridDomain, Measure,
-                      fsum)
+                      first_max)
 from .reports import CertificateReport, make_check
 
 # Above this magnitude an exponentiated cell value is considered unsafe and
@@ -125,13 +125,26 @@ def _plain_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
             for e in exponents]
 
 
-def _log_avg_pow(logv, masses, sl, e, log_mass) -> float:
-    """log of the mean of exp(e*logv) over the box ``sl``, overflow-safe."""
-    m = masses[sl]
-    pos = m > 0
-    a = e * logv[sl][pos] + np.log(m[pos])
-    top = float(np.max(a))
-    return top + math.log(fsum(np.exp(a - top))) - log_mass
+def _log_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
+               set_masses: np.ndarray) -> list[np.ndarray]:
+    """Per exponent e, the log of the mean of w**e over each base set: per
+    block of boxes of one shape, a = e log w + log m less its row maximum
+    goes through ``np.exp``, and each box takes one ``math.fsum`` (a cell
+    without mass adds exp(-inf) = 0)."""
+    log_w = np.log(w.values).ravel()
+    with np.errstate(divide="ignore"):
+        log_m = np.log(measure.masses).ravel()
+    log_mass = [math.log(m) for m in set_masses.tolist()]
+    out = [[] for _ in exponents]
+    for start, _, idx in base.shape_runs():
+        for e, rows in zip(exponents, out):
+            a = e * log_w[idx] + log_m[idx]
+            top = a.max(axis=1)
+            terms = np.exp(a - top[:, None]).tolist()
+            rows.extend(t + math.log(math.fsum(row)) - log_mass[k]
+                        for k, t, row in zip(range(start, start + len(a)),
+                                             top.tolist(), terms))
+    return [np.array(rows) for rows in out]
 
 
 def _finite_or_raise(value: float, what: str) -> float:
@@ -155,25 +168,17 @@ def muckenhoupt_constant(w: Weight, p: float, base: BaseFamily,
         return got.value
     e = -1.0 / (p - 1.0)
     set_masses = base.set_masses(measure)
-    best, arg = -math.inf, None
     if _needs_log_space(w.values, (1.0, e, p - 1.0)):
-        logv = np.log(w.values)
-        for i, (sl, mass) in enumerate(zip(base.slices(), set_masses)):
-            lm = math.log(mass)
-            val = (_log_avg_pow(logv, measure.masses, sl, 1.0, lm)
-                   + (p - 1.0) * _log_avg_pow(logv, measure.masses, sl, e, lm))
-            if val > best:
-                best, arg = val, i
+        log_1, log_e = _log_means(w, (1.0, e), base, measure, set_masses)
+        best, arg = first_max((log_1 + (p - 1.0) * log_e).tolist())
         result = _finite_or_raise(math.exp(best), "A_p constant")
     else:
         # The power stays a per-box scalar: numpy's vectorised pow can differ
         # from the scalar one in the last bit.
         mean_1, mean_e = _plain_means(w, (1.0, e), base, measure,
                                       set_masses)
-        for i, (m1, me) in enumerate(zip(mean_1, mean_e)):
-            val = m1 * me ** (p - 1.0)
-            if val > best:
-                best, arg = val, i
+        best, arg = first_max(m1 * me ** (p - 1.0)
+                              for m1, me in zip(mean_1, mean_e))
         result = _finite_or_raise(best, "A_p constant")
     w._records[key] = ConstantRecord(result, base.box(arg))
     return result
@@ -189,23 +194,15 @@ def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
     if got is not None:
         return got.value
     set_masses = base.set_masses(measure)
-    best, arg = -math.inf, None
     if _needs_log_space(w.values, (1.0, delta)):
-        logv = np.log(w.values)
-        for i, (sl, mass) in enumerate(zip(base.slices(), set_masses)):
-            lm = math.log(mass)
-            val = (_log_avg_pow(logv, measure.masses, sl, delta, lm) / delta
-                   - _log_avg_pow(logv, measure.masses, sl, 1.0, lm))
-            if val > best:
-                best, arg = val, i
+        log_d, log_1 = _log_means(w, (delta, 1.0), base, measure, set_masses)
+        best, arg = first_max((log_d / delta - log_1).tolist())
         result = _finite_or_raise(math.exp(best), "reverse Holder constant")
     else:
         mean_d, mean_1 = _plain_means(w, (delta, 1.0), base, measure,
                                       set_masses)
-        for i, (md, m1) in enumerate(zip(mean_d, mean_1)):
-            val = md ** (1.0 / delta) / m1
-            if val > best:
-                best, arg = val, i
+        best, arg = first_max(md ** (1.0 / delta) / m1
+                              for md, m1 in zip(mean_d, mean_1))
         result = _finite_or_raise(best, "reverse Holder constant")
     w._records[key] = ConstantRecord(result, base.box(arg))
     return result

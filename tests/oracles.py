@@ -238,7 +238,27 @@ def brute_osc_norm(f, w, masses, boxes, p, v=None) -> float:
     return best
 
 
-def brute_weighted_median(values, masses) -> float:
+def fraction_weighted_median(values, masses) -> float:
+    """Smallest value, in a stable sort, at which the running mass reaches
+    half the total, with every mass an exact ``Fraction``: no rounding."""
+    from fractions import Fraction
+
+    v = np.asarray(values, dtype=float).ravel()
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    m = [Fraction(x) for x in np.asarray(masses, dtype=float).ravel()[order]
+         .tolist()]
+    total, run = sum(m), Fraction(0)
+    for vi, mi in zip(v, m):
+        run += mi
+        if 2 * run >= total:
+            return float(vi)
+    raise ValueError("no positive total mass")
+
+
+def float_running_median(values, masses) -> float:
+    """The same rule with a float running sum and a float total, as
+    ``weighted_median`` once had it: a rounding can move the median."""
     order = np.argsort(np.asarray(values, dtype=float), kind="stable")
     v = np.asarray(values, dtype=float)[order]
     m = np.asarray(masses, dtype=float)[order]
@@ -260,7 +280,7 @@ def brute_sharp(f, masses, boxes) -> float:
         cells = box_cells(box)
         vals = np.array([f[c] for c in cells])
         ms = np.array([masses[c] for c in cells])
-        med = brute_weighted_median(vals, ms)
+        med = fraction_weighted_median(vals, ms)
         best = max(best, float(np.sum(np.abs(vals - med) * ms) / np.sum(ms)))
     return best
 
@@ -337,7 +357,7 @@ def _per_box_local_field(f, spec, base_set, measure):
             raise IncompatibleSpec(
                 "the reciprocal-weight rule needs the ambient measure to be "
                 "the density measure of the same weight")
-        c = float(np.mean(arr[sl]))
+        c = fsum(arr[sl]) / base_set.cell_count()
         return np.abs(arr - c) / spec.w.values
     raise IncompatibleSpec(f"unknown oscillation rule {type(spec).__name__}")
 
@@ -634,7 +654,8 @@ def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
     and all, once per term and once for the final self-bound."""
     import math
 
-    from oscillab.errors import BadParams, NonConvergence, ZeroInput
+    from oscillab.errors import (BadParams, NonConvergence, OverflowGuard,
+                                 ZeroInput)
     from oscillab.lattice import fsum
     from oscillab.operators import _check_compat, lp_norm
     from oscillab.weights import Weight
@@ -647,6 +668,10 @@ def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise BadParams("seed values must be finite")
+    if not 4.0 * float(np.max(np.abs(g))) * max(1.0, measure.total_mass) \
+            < math.inf:
+        raise OverflowGuard("the seed is too large for the series to stay "
+                            "in the float range; rescale it")
     live = measure.masses > 0
     if fsum(np.abs(g) * measure.masses) <= 0.0:
         raise ZeroInput("the seed function vanishes almost everywhere")
@@ -687,3 +712,132 @@ def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
         "norm_bound": float(b),
         "checks": checks,
     })
+
+
+# ---------------------------------------------------------------------------
+# per-box report loops, before the shape blocks
+# ---------------------------------------------------------------------------
+#
+# The last loops that walked a family one box at a time, through
+# ``member_slices`` (once ``BaseFamily.slices``), kept as bit-for-bit
+# references for the shape-grouped blocks that replaced them: the sharp
+# oscillation (its median now from ``fraction_weighted_median``), the
+# reciprocal rule's direct formula (its centre now the correctly rounded
+# plain mean), the two sides of the gain-exponent check, and the log-space
+# branches of the A_p and reverse Holder constants.
+
+
+def member_slices(base):
+    """Each member's tuple of slices, in canonical order."""
+    lo, hi = base.lo.tolist(), base.hi.tolist()
+    return (tuple(map(slice, l, h)) for l, h in zip(lo, hi))
+
+
+def per_box_sharp_oscillation(f, base, measure):
+    from oscillab.lattice import fsum
+    from oscillab.oscillation import NormReport
+
+    f = np.asarray(f, dtype=float)
+    best, best_i = -1.0, None
+    for i, sl in enumerate(member_slices(base)):
+        m = measure.masses[sl]
+        med = fraction_weighted_median(f[sl], m)
+        val = fsum(np.abs(f[sl] - med) * m) / fsum(m)
+        if val > best:
+            best, best_i = val, i
+    return NormReport(value=best, p=1.0, weight_id="median",
+                      extremal_set=None if best_i is None else base.box(best_i))
+
+
+def per_box_reciprocal_direct(f, w, base_w):
+    """max over boxes of sum |f - c| / sum w, c the plain cell mean."""
+    from oscillab.lattice import fsum
+
+    direct = -np.inf
+    for sl in member_slices(base_w):
+        c = fsum(f[sl]) / f[sl].size
+        direct = max(direct, fsum(np.abs(f[sl] - c)) / fsum(w.values[sl]))
+    return direct
+
+
+def _centered_local(f, sl, measure):
+    from oscillab.lattice import fsum
+
+    m = measure.masses[sl]
+    c = fsum(f[sl] * m) / fsum(m)
+    return np.abs(f[sl] - c)
+
+
+def _power_mean(local, masses, s):
+    """(mean of local^s)^(1/s), in log space where |s log max| >= 600."""
+    import math
+
+    from oscillab.lattice import fsum
+
+    total = fsum(masses)
+    pos = masses > 0
+    vals = local[pos]
+    ms = masses[pos]
+    live = vals > 0
+    if not np.any(live):
+        return 0.0
+    top = float(np.max(vals[live]))
+    if abs(s * math.log(top)) < 600.0:
+        return (fsum((vals ** s) * ms) / total) ** (1.0 / s)
+    logs = s * np.log(vals[live]) + np.log(ms[live])
+    shift = float(np.max(logs))
+    val = shift + math.log(fsum(np.exp(logs - shift))) - math.log(total)
+    return math.exp(val / s)
+
+
+def per_box_gain_sides(f, w, base, measure, s):
+    """Per box, the w-average of |f - c| and the power mean at s of
+    |f - c| in the measure, c the measure mean: the two sides of the
+    gain-exponent check before its constant."""
+    from oscillab.lattice import fsum
+
+    f = np.asarray(f, dtype=float)
+    wm = w.values * measure.masses
+    lhs, rhs = [], []
+    for sl in member_slices(base):
+        local = _centered_local(f, sl, measure)
+        lhs.append(fsum(local * wm[sl]) / fsum(wm[sl]))
+        rhs.append(_power_mean(local, measure.masses[sl], s))
+    return lhs, rhs
+
+
+def _log_avg_pow(logv, masses, sl, e, log_mass):
+    import math
+
+    from oscillab.lattice import fsum
+
+    m = masses[sl]
+    pos = m > 0
+    a = e * logv[sl][pos] + np.log(m[pos])
+    top = float(np.max(a))
+    return top + math.log(fsum(np.exp(a - top))) - log_mass
+
+
+def per_box_log_constant(w, exponent, base, measure, kind):
+    """The log of the log-space A_p (``kind`` "ap", exponent p) or reverse
+    Holder (``kind`` "rh", exponent delta) constant, and its first
+    maximising box."""
+    import math
+
+    logv = np.log(w.values)
+    masses = base.set_masses(measure)
+    best, arg = -math.inf, None
+    for i, (sl, mass) in enumerate(zip(member_slices(base), masses)):
+        lm = math.log(mass)
+        if kind == "ap":
+            p = exponent
+            e = -1.0 / (p - 1.0)
+            val = (_log_avg_pow(logv, measure.masses, sl, 1.0, lm)
+                   + (p - 1.0) * _log_avg_pow(logv, measure.masses, sl, e, lm))
+        else:
+            delta = exponent
+            val = (_log_avg_pow(logv, measure.masses, sl, delta, lm) / delta
+                   - _log_avg_pow(logv, measure.masses, sl, 1.0, lm))
+        if val > best:
+            best, arg = val, i
+    return best, base.box(arg)

@@ -257,18 +257,24 @@ class TestRubioDeFrancia:
             assert type(checks[key]) is type(value)
             assert repr(checks[key]) == repr(value)
 
-    def test_overflowing_partial_sum_rejected(self, line8):
-        # u = g + M g / 4 leaves the float range at cell 0; the final
-        # self-bound then sees a non-finite field, as every term would.
+    def _guarded(self, line8, g):
         dom, mea, base = line8
+        want = _outcome(lambda: oracles.per_term_rubio_de_francia(
+            g, 2.0, base, mea, MaximalKind()))
+        assert want == (OverflowGuard, "the seed is too large for the series "
+                        "to stay in the float range; rescale it")
+        assert _outcome(lambda: rubio_de_francia(g, 2.0, base, mea)) == want
+
+    def test_overflowing_partial_sum_rejected(self, line8):
+        # u = g + M g / 4 would leave the float range at cell 0 from a
+        # finite seed; the guard on the seed's scale names the cause first.
         g = np.zeros(8)
         g[0] = 1.5e308
-        with np.errstate(over="ignore"):
-            want = _outcome(lambda: oracles.per_term_rubio_de_francia(
-                g, 2.0, base, mea, MaximalKind()))
-            assert want == (BadParams, "field values must be finite")
-            assert _outcome(lambda: rubio_de_francia(g, 2.0, base, mea)) \
-                == want
+        self._guarded(line8, g)
+
+    def test_overflowing_seed_mass_rejected(self, line8):
+        # The seed's mass, 8e308, would overflow its exact sum.
+        self._guarded(line8, np.full(8, 1e308))
 
     def test_one_set_mass_lookup_per_series(self, line8):
         dom, mea, base = line8

@@ -1,7 +1,10 @@
 """The shape-grouped oscillation kernels against the per-box loops they
 replaced (``oracles.per_box_osc_norm``, ``oracles.per_box_tl_norm``,
-``oracles.per_box_jn_exp_moment``), and the stopping-time level walk
-against the recursion it replaced (``oracles.recursive_cz_selection``).
+``oracles.per_box_jn_exp_moment``), the other shape-blocked report paths
+against theirs (the sharp oscillation, the reciprocal rule's direct
+formula, the gain-exponent sides, the log-space A_p and reverse Holder
+constants), and the stopping-time level walk against the recursion it
+replaced (``oracles.recursive_cz_selection``).
 
 Values, extremal sets and errors must agree exactly: floats are compared on
 their bits, errors on their type and message.
@@ -9,6 +12,8 @@ their bits, errors on their type and message.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +23,9 @@ from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       TLSequence, Weight, build_base, cz_selection,
-                      jn_exp_moment, oscillation_norm)
+                      generate_weight, jn_exp_moment, muckenhoupt_constant,
+                      oscillation_norm, reverse_holder_constant,
+                      sharp_oscillation, verify, weights)
 from oscillab.lattice import BaseSet
 from oscillab.errors import IncompatibleSpec, OscillabError, ZeroMass
 
@@ -353,3 +360,179 @@ class TestZeroMassCells:
         assert _bits(got.value) == _bits((2.0 / 3.0) ** 0.5)
         assert got.extremal_set.label() == "0:4"
         _same_norm(("ok", got), ("ok", want))
+
+
+@st.composite
+def _masses(draw, sides):
+    """Cell masses for a grid: uniform, one-decimal (where float running
+    sums round), or a few values with zero-mass cells; at least one cell
+    has mass."""
+    n = int(np.prod(sides))
+    kind = draw(st.sampled_from(["uniform", "decimal", "massless"]))
+    if kind == "uniform":
+        return np.ones(sides)
+    pick = st.integers(1, 9).map(lambda k: k / 10.0) if kind == "decimal" \
+        else st.sampled_from([0.0, 1.0, 0.25, 3.0, 1e-3])
+    masses = np.array(draw(st.lists(pick, min_size=n, max_size=n)))
+    masses[draw(st.integers(0, n - 1))] = 1.0
+    return masses.reshape(sides)
+
+
+class TestReportBlocks:
+    """The report paths that left the per-box loops of ``oracles``
+    (``member_slices``) for shape blocks give the same bits."""
+
+    def _base(self, dom, measure, kind, min_scale):
+        try:
+            return build_base(dom, measure, kind, min_scale)
+        except OscillabError:
+            return None  # the kind does not fit this grid, scale or mass
+
+    @given(_instance(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sharp_oscillation(self, inst, data):
+        dom, f, _, _, kind, min_scale = inst
+        measure = Measure.general(dom, data.draw(_masses(dom.sides)))
+        base = self._base(dom, measure, kind, min_scale)
+        if base is None:
+            return
+        got = sharp_oscillation(f, base, measure)
+        want = oracles.per_box_sharp_oscillation(f, base, measure)
+        assert _bits(got.value) == _bits(want.value)
+        assert got.extremal_set == want.extremal_set
+
+    @given(_instance())
+    @settings(max_examples=100, deadline=None)
+    def test_reciprocal_direct_formula(self, inst):
+        dom, f, w, _, kind, min_scale = inst
+        mu_w = Measure.density(dom, w.values)
+        base_w = self._base(dom, mu_w, kind, min_scale)
+        if base_w is None:
+            return
+        assert _bits(verify._reciprocal_direct(f, w, base_w)) \
+            == _bits(oracles.per_box_reciprocal_direct(f, w, base_w))
+
+    @given(_instance(), st.data(), st.sampled_from([4.0, 40.0, 400.0, 3e3]))
+    @settings(max_examples=150, deadline=None)
+    def test_gain_exponent_sides(self, inst, data, s):
+        # Cells from 1e-150 to 1e150 send |s log max|f - c|| past 600 on
+        # many boxes at the larger s, so the log-space branch runs too.
+        dom, f, w, _, kind, min_scale = inst
+        measure = Measure.general(dom, data.draw(_masses(dom.sides)))
+        base = self._base(dom, measure, kind, min_scale)
+        if base is None:
+            return
+        want_l, want_r = oracles.per_box_gain_sides(f, w, base, measure, s)
+        got_l = oscillation_norm(f, CenteredDiff(), w, 1.0, base, measure,
+                                 per_set=True).per_set
+        got_r = verify._power_means(f, base, measure, s)
+        assert [_bits(x) for x in got_l] == [_bits(x) for x in want_l]
+        assert [_bits(x) for x in got_r] == [_bits(x) for x in want_r]
+
+    @pytest.mark.parametrize("sides, kind", [((64,), "all-cubes"),
+                                             ((8, 8), "dyadic-rectangles")])
+    def test_reciprocal_centre_is_correctly_rounded(self, sides, kind):
+        # On a normal field np.mean's pairwise sum and the correctly rounded
+        # sum differ on many boxes; the kernel and the direct formula both
+        # take the latter, as their per-box loops do.
+        rng = np.random.default_rng(11)
+        dom = _domain(sides)
+        f = rng.normal(size=sides)
+        w = Weight(dom, np.exp(rng.normal(0.0, 0.5, sides)))
+        mu_w = Measure.density(dom, w.values)
+        base_w = build_base(dom, mu_w, kind)
+        assert any(float(np.mean(f[sl])) != math.fsum(f[sl].ravel().tolist())
+                   / f[sl].size for sl in oracles.member_slices(base_w))
+        for p in (1.0, 2.0):
+            args = (f, DualHardy(w), Weight.unit(dom), p, base_w, mu_w)
+            _same_norm(_outcome(oscillation_norm, *args, per_set=True),
+                       _outcome(oracles.per_box_osc_norm, *args, per_set=True))
+        assert _bits(verify._reciprocal_direct(f, w, base_w)) \
+            == _bits(oracles.per_box_reciprocal_direct(f, w, base_w))
+
+    def test_log_means_per_box(self):
+        # np.log and math.log differed in the last bit on these masses on
+        # an AVX-512 CPU (numpy's SIMD log); every box's log mean, not only
+        # the maximum, must be the per-box loop's.  With the unit weight a
+        # single cell's log mean is np.log(m) - math.log(m) itself.
+        masses = np.resize([0.9941412033833111, 1.0931419129045312,
+                            1.7268617873305903, 0.9023427884773781,
+                            0.3839062018996148], 16)
+        dom = GridDomain((16,))
+        mea = Measure.general(dom, masses)
+        for w, kind in itertools.product(
+                (Weight.unit(dom), generate_weight(
+                    "random-log-bounded", {"bound": 700.0}, 3, dom)),
+                ("dyadic-cubes", "all-cubes")):
+            logv = np.log(w.values)
+            base = build_base(dom, mea, kind)
+            set_masses = base.set_masses(mea)
+            got = weights._log_means(w, (1.0, -5.0, 2.5), base, mea,
+                                     set_masses)
+            for e, row in zip((1.0, -5.0, 2.5), got):
+                want = [oracles._log_avg_pow(logv, mea.masses, sl, e,
+                                             math.log(m))
+                        for sl, m in zip(oracles.member_slices(base),
+                                         set_masses.tolist())]
+                assert [_bits(x) for x in row] == [_bits(x) for x in want]
+
+    def test_gain_exponent_log_branch_runs(self):
+        # |f - c| is 0.5 on every box but the cells: 0.5^3000 underflows to
+        # 0 in the plain power mean, and the log-space branch recovers 0.5.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        f = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        plain = oscillation_norm(f, CenteredDiff(), Weight.unit(dom), 3e3,
+                                 base, mea, per_set=True).per_set
+        got = verify._power_means(f, base, mea, 3e3)
+        assert plain == (0.0,) * 15
+        assert got == pytest.approx([0.5] * 7 + [0.0] * 8, rel=1e-15)
+        assert got == oracles.per_box_gain_sides(f, Weight.unit(dom), base,
+                                                 mea, 3e3)[1]
+
+    def test_gain_exponent_sum_past_float_range(self):
+        # Each (1e77)^4 is 1e308, finite, but two of them are not: the
+        # unit-weight norm's fsum raises, while the log-space branch
+        # (4 log 1e77 > 600) gives the power mean, 1e77.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        f = np.array([0.0, 2e77] * 4)
+        with pytest.raises(OverflowError):
+            oscillation_norm(f, CenteredDiff(), Weight.unit(dom), 4.0, base,
+                             mea, per_set=True)
+        got = verify._power_means(f, base, mea, 4.0)
+        assert got[:7] == pytest.approx([1e77] * 7, rel=1e-14)
+        assert got == oracles.per_box_gain_sides(f, Weight.unit(dom), base,
+                                                 mea, 4.0)[1]
+
+    @pytest.mark.parametrize("sides, kind", [
+        ((16,), "dyadic-cubes"), ((16,), "all-cubes"),
+        ((8, 8), "dyadic-rectangles"), ((4, 8), "all-cubes")])
+    @pytest.mark.parametrize("bound", [150.0, 400.0, 700.0])
+    def test_log_space_constants(self, sides, kind, bound):
+        dom = _domain(sides)
+        masses = np.random.default_rng(3).uniform(0.2, 1.5, sides)
+        masses.flat[1] = 0.0
+        mea = Measure.general(dom, masses)
+        base = build_base(dom, mea, kind)
+        w = generate_weight("random-log-bounded", {"bound": bound}, 7, dom)
+        for name, fn, exps in (("ap", muckenhoupt_constant, (1.2, 2.0, 6.0)),
+                               ("rh", reverse_holder_constant, (1.5, 5.0))):
+            for e in exps:
+                if not weights._needs_log_space(
+                        w.values, (1.0, -1.0 / (e - 1.0), e - 1.0)
+                        if name == "ap" else (1.0, e)):
+                    continue
+                log_best, arg = oracles.per_box_log_constant(w, e, base, mea,
+                                                             name)
+                got = _outcome(fn, w, e, base, mea)
+                try:
+                    want = math.exp(log_best)
+                except OverflowError:
+                    assert got[:2] == ("raised", OverflowError)
+                    continue
+                assert _bits(got[1]) == _bits(want)
+                key = (name, e, base.base_id, mea.digest, base.key)
+                assert w.record(key).argmax == arg

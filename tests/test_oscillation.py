@@ -149,11 +149,37 @@ class TestWeightedMedian:
         vals = np.array([a for a, _ in pairs])
         ms = np.array([b for _, b in pairs])
         med = weighted_median(vals, ms)
-        assert med == oracles.brute_weighted_median(vals, ms)
+        assert med == oracles.fraction_weighted_median(vals, ms)
         cost = float(np.sum(np.abs(vals - med) * ms))
         for candidate in vals:
             other = float(np.sum(np.abs(vals - candidate) * ms))
             assert cost <= other * (1 + 1e-12) + 1e-12
+
+    @pytest.mark.parametrize("vals, ms, want, float_pick", [
+        ([4.0, 8.0, 0.0], [0.2, 0.1, 0.3], 4.0, 0.0),
+        ([2.0, 6.0, 0.0], [0.5, 0.8, 0.3], 6.0, 2.0),
+        ([9.0, 9.0, 5.0, 2.0], [0.6, 0.2, 0.1, 0.7], 9.0, 5.0)])
+    def test_one_decimal_masses_exact(self, vals, ms, want, float_pick):
+        # In binary, 0.3 lies below half of 0.3 + 0.2 + 0.1, but the float
+        # total rounds to 0.6 and a float running sum stops at 0.3.
+        vals, ms = np.array(vals), np.array(ms)
+        assert oracles.float_running_median(vals, ms) == float_pick
+        assert oracles.fraction_weighted_median(vals, ms) == want
+        assert weighted_median(vals, ms) == want
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 9)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_one_decimal_masses_match_fractions(self, pairs):
+        vals = np.array([float(a) for a, _ in pairs])
+        ms = np.array([b / 10.0 for _, b in pairs])
+        assert weighted_median(vals, ms) \
+            == oracles.fraction_weighted_median(vals, ms)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(BadParams, match="median masses must be finite"):
+            weighted_median(np.array([1.0, 2.0]), np.array([1.0, bad]))
 
 
 class TestDualHardy:
