@@ -285,9 +285,6 @@ class BaseSet:
     def label(self) -> str:
         return "x".join(f"{l}:{h}" for l, h in zip(self.lo, self.hi))
 
-    def to_dict(self) -> dict:
-        return {"lo": list(self.lo), "hi": list(self.hi)}
-
 
 @dataclass(frozen=True, eq=False)
 class Measure:
@@ -468,10 +465,6 @@ class BaseFamily:
     def set_masses(self, measure: Measure) -> np.ndarray:
         """Per-member measure, in canonical order: ``sums(measure.masses)``."""
         return self.sums(measure.masses)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "domain": self.domain.to_dict(),
-                "min_scale": self.min_scale}
 
 
 def _lengths(side: int, min_scale: int, dyadic: bool) -> list[int]:

@@ -503,7 +503,8 @@ def tl_equivalence_probe(seq: TLSequence, alpha: float, q: float, p: float,
 
     The plain norm aggregates at exponent 1 with the unit weight; the
     weighted norm aggregates at p/q with w; both are reported to the power
-    1/q so they scale linearly in the sequence.
+    1/q so they scale linearly in the sequence.  Raises ``OverflowGuard``
+    when either is 0 or not finite, as when every coefficient underflows.
     """
     if seq.support_size() == 0:
         raise EmptySequence("every coefficient vanishes")
@@ -515,6 +516,8 @@ def tl_equivalence_probe(seq: TLSequence, alpha: float, q: float, p: float,
     weighted = oscillation_norm(seq, spec, w, p / q, base, measure).value
     u = plain ** (1.0 / q)
     v = weighted ** (1.0 / q)
-    return TLProbe(unweighted_nu=u, weighted_nu=v,
-                   ratio=v / u if u > 0 else math.inf,
+    if not (0.0 < u < math.inf and 0.0 < v < math.inf):
+        raise OverflowGuard("a sequence norm is 0 or not finite; rescale "
+                            "the sequence")
+    return TLProbe(unweighted_nu=u, weighted_nu=v, ratio=v / u,
                    p=p, q=q, alpha=alpha)

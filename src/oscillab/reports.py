@@ -90,13 +90,3 @@ class ConstantEstimate:
     args: dict
     n_used: int
     n_skipped: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": float(self.value),
-            "corpus_digest": self.corpus_digest,
-            "args": self.args,
-            "n_used": int(self.n_used),
-            "n_skipped": int(self.n_skipped),
-        }

@@ -26,8 +26,8 @@ from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
                           plain_means, sharp_oscillation,
                           tl_equivalence_probe)
-from .reports import (DEFAULT_TOL, FAIL, PASS, CertificateReport, Check,
-                      ConstantEstimate, make_check, skipped_check)
+from .reports import (DEFAULT_TOL, CertificateReport, ConstantEstimate,
+                      make_check, skipped_check)
 from .weights import (SelfImprovementParams, Weight, conjugate,
                       doubling_constant, muckenhoupt_constant,
                       reverse_holder_constant, self_improvement)
@@ -123,8 +123,11 @@ def _power_means(f: np.ndarray, base: BaseFamily, measure: Measure,
 
 
 def _worst_pair(lhs, rhs) -> int:
-    """Index of the first row of least relative slack (rhs - lhs) / |rhs|."""
-    return first_max((l - r) / max(abs(r), 1e-300) for l, r in zip(lhs, rhs))[1]
+    """Index of the first row of least relative slack (rhs - lhs) / |rhs|
+    among the rows with lhs > 0, else 0: every rhs is >= 0, so a row with
+    lhs 0 cannot fail."""
+    return first_max((l - r) / max(abs(r), 1e-300) if l > 0.0 else -math.inf
+                     for l, r in zip(lhs, rhs))[1] or 0
 
 
 # ---------------------------------------------------------------------------
@@ -477,27 +480,15 @@ def _certify_rectangle_decay(inputs: dict, tol: float):
     lam = float(inputs.get("lam", 2.0 * math.exp(dw * dw)))
     sel = cz_selection(fn, root, w, lam, base, measure)
 
-    cover = np.zeros(base.domain.sides)
-    for box in sel.selected:
-        cover[box.slices()] += 1.0
-    overlap = float(max(0.0, float(np.max(cover)) - 1.0)) if sel.selected else 0.0
-    checks = [make_check("stopping_disjoint", overlap, 0.0, tol)]
-
     window = (dw ** sel.d_max) * max(lam, sel.avg_root)
     realized = sel.realized_max_over_lam * lam
-    checks.append(make_check("stopping_window", realized, window, tol))
+    checks = [make_check("stopping_window", realized, window, tol)]
     checks.append(make_check("stopping_outside", sel.outside_max, lam, tol))
     checks.append(make_check("stopping_mass", sel.mass_selected,
                              sel.mass_root * sel.avg_root / lam, tol))
 
     jn = jn_exp_moment(f, base, w, measure)
     checks.append(make_check("exp_moment_cap", jn.t_value, 2.0 * math.e, tol))
-    spread = float(np.max(fn) - np.min(fn))
-    jn1 = jn_exp_moment(f, base, w, measure, big_n=2.0 * spread + 1.0)
-    jn2 = jn_exp_moment(f, base, w, measure, big_n=4.0 * spread + 2.0)
-    checks.append(make_check("exp_moment_truncation_stable",
-                             abs(jn1.t_value - jn2.t_value),
-                             1e-9 * max(jn1.t_value, jn2.t_value), 0.0))
 
     meta = {"lam": lam, "doubling": dw, "selected": len(sel.selected),
             "avg_root": sel.avg_root, "outside_max": sel.outside_max,
@@ -542,11 +533,6 @@ def _certify_sequence_spaces(inputs: dict, tol: float):
     lhs2 = _norm(seq, spec, unit, 0.5, base, measure)
     rhs2 = a2 * lhs  # lhs is the w-norm at exponent 1
     checks.append(make_check("sequence_lowpower_vs_weighted", lhs2, rhs2, tol))
-
-    finite = math.isfinite(probe.ratio) and probe.ratio > 0
-    checks.append(Check("equivalence_ratio_finite", 0.0, probe.ratio,
-                        PASS if finite else FAIL,
-                        None if finite else "ratio left (0, inf)"))
 
     meta = {"alpha": alpha, "q": q, "p": p, "plain_nu": probe.unweighted_nu,
             "weighted_nu": probe.weighted_nu, "ratio": probe.ratio,

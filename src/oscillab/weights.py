@@ -153,6 +153,34 @@ def _finite_or_raise(value: float, what: str) -> float:
     return value
 
 
+def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
+                       what: str, base: BaseFamily, measure: Measure) -> float:
+    """Largest over the base of a functional of the means of w**e, e in
+    ``exponents``: ``plain(*means)`` yields it per box, or ``log(*logs)``
+    gives its logs where ``span`` needs log space; each runs once per
+    constant.  Records the value and its attaining set on the weight."""
+    key = (*key, base.base_id, measure.digest, base.key)
+    got = w.record(key)
+    if got is not None:
+        return got.value
+    masses = base.set_masses(measure)
+    if _needs_log_space(w.values, span):
+        best, arg = first_max(
+            log(*_log_means(w, exponents, base, measure, masses)).tolist())
+        try:
+            best = math.exp(best)
+        except OverflowError:  # raised as OverflowGuard below
+            best = math.inf
+    else:
+        # The power stays a per-box scalar: numpy's vectorised pow can differ
+        # from the scalar one in the last bit.
+        best, arg = first_max(
+            plain(*_plain_means(w, exponents, base, measure, masses)))
+    result = _finite_or_raise(best, what)
+    w._records[key] = ConstantRecord(result, base.box(arg))
+    return result
+
+
 def muckenhoupt_constant(w: Weight, p: float, base: BaseFamily,
                          measure: Measure) -> float:
     """Largest over the base of (mean of w) * (mean of w^(-1/(p-1)))^(p-1).
@@ -162,26 +190,11 @@ def muckenhoupt_constant(w: Weight, p: float, base: BaseFamily,
     """
     if not 1.0 < p < math.inf:
         raise ExponentOutOfRange(f"the A_p functional needs a finite p > 1, got {p}")
-    key = ("ap", float(p), base.base_id, measure.digest, base.key)
-    got = w.record(key)
-    if got is not None:
-        return got.value
     e = -1.0 / (p - 1.0)
-    set_masses = base.set_masses(measure)
-    if _needs_log_space(w.values, (1.0, e, p - 1.0)):
-        log_1, log_e = _log_means(w, (1.0, e), base, measure, set_masses)
-        best, arg = first_max((log_1 + (p - 1.0) * log_e).tolist())
-        result = _finite_or_raise(math.exp(best), "A_p constant")
-    else:
-        # The power stays a per-box scalar: numpy's vectorised pow can differ
-        # from the scalar one in the last bit.
-        mean_1, mean_e = _plain_means(w, (1.0, e), base, measure,
-                                      set_masses)
-        best, arg = first_max(m1 * me ** (p - 1.0)
-                              for m1, me in zip(mean_1, mean_e))
-        result = _finite_or_raise(best, "A_p constant")
-    w._records[key] = ConstantRecord(result, base.box(arg))
-    return result
+    return _extremal_constant(
+        w, ("ap", float(p)), (1.0, e), (1.0, e, p - 1.0),
+        lambda m1, me: (a * b ** (p - 1.0) for a, b in zip(m1, me)),
+        lambda l1, le: l1 + (p - 1.0) * le, "A_p constant", base, measure)
 
 
 def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
@@ -189,23 +202,11 @@ def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
     """Largest over the base of (mean of w^delta)^(1/delta) / (mean of w)."""
     if not 1.0 < delta < math.inf:
         raise ExponentOutOfRange(f"the reverse Holder functional needs a finite delta > 1, got {delta}")
-    key = ("rh", float(delta), base.base_id, measure.digest, base.key)
-    got = w.record(key)
-    if got is not None:
-        return got.value
-    set_masses = base.set_masses(measure)
-    if _needs_log_space(w.values, (1.0, delta)):
-        log_d, log_1 = _log_means(w, (delta, 1.0), base, measure, set_masses)
-        best, arg = first_max((log_d / delta - log_1).tolist())
-        result = _finite_or_raise(math.exp(best), "reverse Holder constant")
-    else:
-        mean_d, mean_1 = _plain_means(w, (delta, 1.0), base, measure,
-                                      set_masses)
-        best, arg = first_max(md ** (1.0 / delta) / m1
-                              for md, m1 in zip(mean_d, mean_1))
-        result = _finite_or_raise(best, "reverse Holder constant")
-    w._records[key] = ConstantRecord(result, base.box(arg))
-    return result
+    return _extremal_constant(
+        w, ("rh", float(delta)), (delta, 1.0), (1.0, delta),
+        lambda md, m1: (a ** (1.0 / delta) / b for a, b in zip(md, m1)),
+        lambda ld, l1: ld / delta - l1, "reverse Holder constant", base,
+        measure)
 
 
 def a1_constant(w: Weight, base: BaseFamily, measure: Measure,

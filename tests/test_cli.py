@@ -160,6 +160,18 @@ class TestConstantCommand:
         assert not out.exists()
         assert "representable" in capsys.readouterr().err
 
+    def test_log_space_overflow_exits_three(self, tmp_path, capsys):
+        # Log weights of up to 700 in magnitude take the log-space branch,
+        # and the largest log A_p there is past exp's range.
+        out = tmp_path / "c.json"
+        rc = main(["constant", "--kind", "ap", "--p", "1.2",
+                   "--gen", "random-log-bounded", "--param", "bound=700",
+                   "--grid", "16", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "A_p constant left the representable range" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["a1", "doubling"])
     def test_exact_sum_overflow_exits_three(self, tmp_path, capsys, kind):
         weight = tmp_path / "w.csv"

@@ -27,7 +27,8 @@ from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       oscillation_norm, reverse_holder_constant,
                       sharp_oscillation, verify, weights)
 from oscillab.lattice import BaseSet
-from oscillab.errors import IncompatibleSpec, OscillabError, ZeroMass
+from oscillab.errors import (IncompatibleSpec, OscillabError,
+                             OverflowGuard, ZeroMass)
 
 import oracles
 
@@ -531,7 +532,8 @@ class TestReportBlocks:
                 try:
                     want = math.exp(log_best)
                 except OverflowError:
-                    assert got[:2] == ("raised", OverflowError)
+                    assert got[:2] == ("raised", OverflowGuard)
+                    assert "left the representable range" in got[2]
                     continue
                 assert _bits(got[1]) == _bits(want)
                 key = (name, e, base.base_id, mea.digest, base.key)

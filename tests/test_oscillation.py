@@ -14,7 +14,8 @@ from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       jn_exp_moment, oscillation_norm, sharp_oscillation,
                       tl_equivalence_probe, weighted_median)
 from oscillab.errors import (BadParams, DegenerateInput, EmptySequence,
-                             ExponentOutOfRange, IncompatibleSpec)
+                             ExponentOutOfRange, IncompatibleSpec,
+                             OverflowGuard)
 from oscillab.lattice import BaseSet
 
 import oracles
@@ -417,6 +418,17 @@ class TestTLSequences:
         dom, mea, base, w = self._fixture()
         with pytest.raises(EmptySequence):
             tl_equivalence_probe(TLSequence(dom, {}), 0.4, 2.0, 3.0, w, base, mea)
+
+    def test_underflowing_norms_rejected(self):
+        # 1e-200 squared underflows: both norms read 0, and their ratio
+        # was inf.
+        dom = GridDomain((16,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        seq = TLSequence(dom, {dom.full_box(): 1e-200})
+        with pytest.raises(OverflowGuard, match="sequence norm is 0"):
+            tl_equivalence_probe(seq, 0.5, 2.0, 3.0, Weight.unit(dom), base,
+                                 mea)
 
     def test_bad_exponent_rejected(self):
         dom, mea, base, w = self._fixture()

@@ -7,10 +7,11 @@ import pytest
 
 from oscillab import (GridDomain, Measure, TheoremId, Weight, build_base,
                       build_majorant, certify, estimate_constant,
-                      inputs_digest, run_suite, theorem_from_string)
+                      inputs_digest, make_check, run_suite,
+                      theorem_from_string, verify)
 from oscillab.corpus import make_standard_corpus, sample_inputs
-from oscillab.errors import (AllDegenerate, BadParams, EmptyCorpus,
-                             IncompatibleBase)
+from oscillab.errors import (AllDegenerate, BadParams, DegenerateInput,
+                             EmptyCorpus, IncompatibleBase)
 
 
 class TestTheoremIds:
@@ -81,6 +82,46 @@ class TestCertify:
         inputs.update({"f": f, "w": w, "base": base, "measure": mea})
         report = certify(TheoremId.GAIN_EXPONENT, inputs)
         assert report.passed, [(c.label, c.lhs, c.rhs) for c in report.failing()]
+
+
+class TestWorstSet:
+    @pytest.mark.parametrize("suite, label", [
+        ("gain-exponent", "improved_average_worst_set"),
+        ("two-weight-band", "split_worst_set")])
+    @pytest.mark.parametrize("rh_scale", [1.0, 0.5])
+    def test_witness(self, monkeypatch, suite, label, rh_scale):
+        # The witness has lhs > 0 whenever some member does, and its check
+        # fails exactly when some member's does; a halved reverse-Holder
+        # constant makes members fail.
+        rows = []
+        pair, rh = verify._worst_pair, verify.reverse_holder_constant
+
+        def worst_pair(lhs, rhs):
+            rows.append((lhs, rhs))
+            return pair(lhs, rhs)
+        monkeypatch.setattr(verify, "_worst_pair", worst_pair)
+        monkeypatch.setattr(verify, "reverse_holder_constant",
+                            lambda *a: rh_scale * rh(*a))
+        tid = theorem_from_string(suite)
+        fails = 0
+        for trial in range(12):
+            rows.clear()
+            try:
+                report = certify(tid, sample_inputs(tid, 7, trial))
+            except DegenerateInput:
+                continue
+            [(lhs, rhs)] = rows
+            check = next(c for c in report.checks if c.label == label)
+            assert check.lhs > 0.0 or max(lhs) == 0.0
+            member_fails = any(make_check(label, l, r).status == "fail"
+                               for l, r in zip(lhs, rhs))
+            assert (check.status == "fail") == member_fails
+            fails += member_fails
+        assert (fails > 0) == (rh_scale < 1.0)
+
+    def test_all_zero_rows_give_member_zero(self):
+        assert verify._worst_pair([0.0, 0.0], [1.0, 0.0]) == 0
+        assert verify._worst_pair([0.0, 1.0, 2.0], [0.0, 3.0, 3.0]) == 2
 
 
 class TestRunSuite:
