@@ -91,7 +91,8 @@ def _resolve_weight(args):
     """Weight from --weight CSV, or generated from --gen over --grid.
 
     Returns (weight, domain, base): base is the --base family over the
-    uniform measure when the generator needed it, else None.
+    uniform measure with --gen, built even where nothing reads it (a --base
+    that does not fit the grid exits 3), and None with --weight.
     """
     if getattr(args, "weight", None):
         w = read_weight(args.weight)

@@ -26,7 +26,9 @@ box bit for bit; an exact sum beyond the float range raises
 raise "intermediate overflow" on partial sums whose exact total is
 finite, and ``box_sums`` returns that total.  With a non-finite cell in
 ``values`` every box goes through ``fsum``, which gives inf, nan or
-``ValueError`` (inf + -inf).
+``ValueError`` (inf + -inf).  A constant array c (uniform masses, unit
+weights) skips the table: a box of k < 2**53 cells sums to c * k exactly,
+so one float product rounds it once, for O(1) float work per box.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def box_sums(values, lo, hi) -> np.ndarray:
     equals ``math.fsum(values[box_i].ravel())`` bit for bit; see the module
     docstring for the contract.  Each box's exact int is rounded by
     ``float()`` and scaled by ``ldexp``, or divided where the cells'
-    exponent span nears the float range; ``OverflowError`` says "too large".
+    exponent span nears the float range; a constant array takes one
+    product c * k per box instead.  ``OverflowError`` says "too large".
     """
     values = np.asarray(values, dtype=float)
     lo = np.asarray(lo, dtype=np.intp).reshape(-1, values.ndim)
@@ -106,6 +109,12 @@ def box_sums(values, lo, hi) -> np.ndarray:
     if not np.isfinite(values).all():
         return np.array([fsum(values[tuple(map(slice, l, h))])
                          for l, h in zip(lo.tolist(), hi.tolist())], dtype=float)
+    flat = values.ravel()
+    if flat[0] == flat[-1] and flat.min() == flat.max():
+        # + 0.0 turns the -0.0 of a constant -0.0 into 0.0, as fsum does.
+        with np.errstate(over="ignore"):
+            out = flat[0] * (hi - lo).prod(axis=1) + 0.0
+        return _finite_sums(out)
     scaled = scaled_ints(values)
     if scaled is None:
         return np.zeros(len(lo))
@@ -142,7 +151,10 @@ def box_sums(values, lo, hi) -> np.ndarray:
     if wide:
         return out
     with np.errstate(over="ignore"):
-        out = np.ldexp(out, shift)
+        return _finite_sums(np.ldexp(out, shift))
+
+
+def _finite_sums(out: np.ndarray) -> np.ndarray:
     if np.isinf(out).any():
         raise OverflowError("an exact box sum is too large for a float")
     return out

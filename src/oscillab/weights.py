@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -172,10 +173,17 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
         except OverflowError:  # raised as OverflowGuard below
             best = math.inf
     else:
-        # The power stays a per-box scalar: numpy's vectorised pow can differ
-        # from the scalar one in the last bit.
-        best, arg = first_max(
-            plain(*_plain_means(w, exponents, base, measure, masses)))
+        # Per-box scalar pow, as numpy's vectorised pow can differ from libm's
+        # in the last bit: Python floats in blocks of boxes, the same libm pow
+        # as numpy scalars at less cost, or numpy scalars where Python raises
+        # and numpy gives inf or nan (0/0 of underflowed means).
+        means = _plain_means(w, exponents, base, measure, masses)
+        try:
+            best, arg = first_max(itertools.chain.from_iterable(
+                plain(*(m[i:i + lattice._BOX_BLOCK].tolist() for m in means))
+                for i in range(0, len(base), lattice._BOX_BLOCK)))
+        except (OverflowError, ZeroDivisionError):
+            best, arg = first_max(plain(*means))
     result = _finite_or_raise(best, what)
     w._records[key] = ConstantRecord(result, base.box(arg))
     return result
@@ -246,32 +254,35 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
     skipped (they never enter a walk); returns at least 1.  Raises
     ``OverflowGuard`` when a ratio leaves the float range.
 
-    Cached on the weight by measure digest (see ``Weight``); the box sums
-    themselves are not, since the dyadic lattice is not a base family.
+    One ``box_sums`` pass over the lattice gives every child and parent
+    mass.  Only the constant is cached, on the weight by measure digest
+    (see ``Weight``): the dyadic lattice is not a base family.
     """
     return w._doubling.fetch(measure.digest,
                              lambda: _doubling_constant(w, measure))
 
 
 def _doubling_constant(w: Weight, measure: Measure) -> float:
-    domain = w.domain
-    wm = w.values * measure.masses
-    lo, hi = lattice.dyadic_lattice(domain)
-    child = lattice.box_sums(wm, lo, hi)
+    lo, hi = lattice.dyadic_lattice(w.domain)
+    sums = lattice.box_sums(w.values * measure.masses, lo, hi)
+    # The lattice runs shape by shape with corners in row-major order, so
+    # each shape's sums are one grid of its corners.
+    grids, start = {}, 0
+    while start < len(sums):
+        shape = tuple((hi[start] - lo[start]).tolist())
+        counts = tuple(n // s for n, s in zip(w.domain.sides, shape))
+        grids[shape] = sums[start:start + math.prod(counts)].reshape(counts)
+        start += grids[shape].size
     best = 1.0
-    for axis in range(domain.dims):
-        side = hi[:, axis] - lo[:, axis]
-        pick = (2 * side <= domain.sides[axis]) & (child > 0.0)
-        if not np.any(pick):
-            continue
-        # The dyadic parent along this axis: the side doubled.
-        step = 2 * side[pick]
-        plo, phi = lo[pick], hi[pick]
-        plo[:, axis] = plo[:, axis] // step * step
-        phi[:, axis] = plo[:, axis] + step
-        with np.errstate(over="ignore"):  # an infinite ratio raises below
-            ratios = lattice.box_sums(wm, plo, phi) / child[pick]
-        best = max(best, float(np.max(ratios)))
+    for shape, child in grids.items():
+        for axis, side in enumerate(shape):
+            # The parent along this axis doubles the side: its grid, with
+            # each corner repeated for the two children it holds.
+            parent = grids.get(shape[:axis] + (2 * side,) + shape[axis + 1:])
+            if parent is not None and (live := child > 0.0).any():
+                with np.errstate(over="ignore"):  # an infinite ratio raises below
+                    ratios = np.repeat(parent, 2, axis=axis)[live] / child[live]
+                best = max(best, float(np.max(ratios)))
     return _finite_or_raise(best, "doubling constant")
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oscillab import (GridDomain, Measure, MaximalKind, Weight, build_base,
                       doubling_constant, maximal, muckenhoupt_constant,
                       reverse_holder_constant)
+from oscillab import lattice
 from oscillab.errors import EmptyBase, OscillabError, ZeroMassBaseSet
 from oscillab.lattice import BASE_KINDS, BaseSet, box_sums
 
@@ -168,6 +169,53 @@ class TestBoxSums:
         with pytest.raises(ValueError):
             box_sums(values, [[1]], [[5]])
 
+    @pytest.mark.parametrize("c", [0.0, -0.0, 5e-324, 2.0 ** -1060, 0.1,
+                                   1 / 3, -2.5, 1.0, 1e300])
+    def test_constant_closed_form(self, c):
+        # A constant array sums as c * k per box; every kind on 1-d and 2-d
+        # grids, over all boxes and over a family with zero-mass members
+        # dropped.
+        dropped = 0
+        for sides in GRIDS:
+            holes = np.ones(sides)
+            holes.flat[::3] = 0.0
+            for kind in BASE_KINDS:
+                for measure in (None, Measure.general(_domain(sides), holes)):
+                    base = _family(sides, kind, 0, measure)
+                    if base is None:
+                        continue
+                    dropped += base.dropped_zero_mass
+                    values = np.full(sides, c)
+                    assert _bits(box_sums(values, base.lo, base.hi)) \
+                        == _bits(_fsum_per_box(values, base.sets))
+        assert dropped > 0
+
+    def test_constant_overflow_like_the_table(self):
+        values = np.full((4, 4), 1e308)
+        with pytest.raises(OverflowError):
+            math.fsum(values[:2].ravel().tolist())
+        with pytest.raises(OverflowError) as closed:
+            box_sums(values, [[0, 0], [0, 0]], [[1, 1], [2, 1]])
+        values[3, 3] = 1.5e308  # not constant: the exact table
+        with pytest.raises(OverflowError) as table:
+            box_sums(values, [[0, 0], [0, 0]], [[1, 1], [2, 1]])
+        assert type(closed.value) is type(table.value) is OverflowError
+        assert str(closed.value) == str(table.value) \
+            == "an exact box sum is too large for a float"
+        assert box_sums(np.full(4, 1e308), [[1]], [[2]])[0] == 1e308
+
+    def test_constant_skips_the_table(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError("exact table built")
+        monkeypatch.setattr(lattice, "scaled_ints", refuse)
+        dom = _domain((16, 16))
+        base = build_base(dom, Measure.uniform(dom), "all-cubes")
+        assert _bits(base.set_masses(Measure.uniform(dom))) \
+            == _bits((base.hi - base.lo).prod(axis=1))
+        assert box_sums(np.full(8, -2.5), [[0]], [[8]])[0] == -20.0
+        with pytest.raises(AssertionError, match="table"):
+            box_sums(np.arange(8.0), [[0]], [[8]])
+
     def test_all_zero_and_empty(self):
         zeros = np.zeros((4, 4))
         assert _bits(box_sums(zeros, [[0, 0]], [[4, 4]])) == _bits([0.0])
@@ -176,9 +224,9 @@ class TestBoxSums:
 
 
 @st.composite
-def _general_masses(draw):
+def _general_masses(draw, sides=None):
     """A measure on one of the grids with some cells of zero mass."""
-    sides = draw(st.sampled_from(GRIDS))
+    sides = sides or draw(st.sampled_from(GRIDS))
     n = int(np.prod(sides))
     cells = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.25, 3.5, 1e-300]),
                           min_size=n, max_size=n))
@@ -225,6 +273,25 @@ class TestBuildBase:
             assert oracles.brute_base((4, 4), measure.masses, kind)[0] == []
             with pytest.raises(EmptyBase):
                 build_base(dom, measure, kind)
+
+
+@st.composite
+def _doubling_measures(draw):
+    """(sides, masses, measure): uniform, density or general with zero-mass
+    cells, on the box-sum grids and the oblong 4x16 and 16x4."""
+    sides = draw(st.sampled_from(GRIDS + ((4, 16), (16, 4))))
+    dom = _domain(sides)
+    kind = draw(st.sampled_from(["uniform", "density", "general"]))
+    if kind == "uniform":
+        measure = Measure.uniform(dom)
+    elif kind == "density":
+        n = dom.num_cells
+        density = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+        measure = Measure.density(dom, np.array(density).reshape(sides))
+    else:
+        sides, masses = draw(_general_masses(sides))
+        measure = Measure.general(dom, masses)
+    return sides, measure.masses, measure
 
 
 _weights = st.lists(st.floats(-4.0, 4.0), min_size=64, max_size=64).map(
@@ -284,11 +351,11 @@ class TestRoutedPaths:
         want[masses == 0.0] = 0.0
         assert _bits(maximal(f, base, measure, MaximalKind(mode))) == _bits(want)
 
-    @given(_general_masses(), _weights)
-    @settings(max_examples=60, deadline=None)
+    @given(_doubling_measures(), _weights)
+    @settings(max_examples=100, deadline=None)
     def test_doubling(self, grid, cells):
-        sides, masses = grid
-        dom = _domain(sides)
+        sides, masses, measure = grid
+        dom = measure.domain
         values = cells[:dom.num_cells].reshape(sides)
         wm = values * masses
         want = 1.0
@@ -306,5 +373,5 @@ class TestRoutedPaths:
                 parent = math.fsum(
                     wm[tuple(map(slice, lo, hi))].ravel().tolist())
                 want = max(want, parent / child)
-        got = doubling_constant(Weight(dom, values), Measure.general(dom, masses))
+        got = doubling_constant(Weight(dom, values), measure)
         assert _bits([got]) == _bits([want])

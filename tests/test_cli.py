@@ -172,6 +172,14 @@ class TestConstantCommand:
         assert "A_p constant left the representable range" \
             in capsys.readouterr().err
 
+    def test_generated_weight_builds_the_base(self, capsys):
+        # The doubling constant reads no base, but --gen builds --base, and
+        # dyadic cubes do not fit a 4x8 grid.
+        rc = main(["constant", "--kind", "doubling", "--base", "dyadic-cubes",
+                   "--gen", "checkerboard", "--grid", "4x8"])
+        assert rc == 3
+        assert "square domain" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["a1", "doubling"])
     def test_exact_sum_overflow_exits_three(self, tmp_path, capsys, kind):
         weight = tmp_path / "w.csv"

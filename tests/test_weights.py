@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from oscillab import (GridDomain, Measure, SelfImprovementParams, Weight,
                       generate_weight, muckenhoupt_constant, power_bump_check,
                       read_weight, reverse_holder_constant, self_improvement,
                       write_weight)
-from oscillab.errors import BadParams, ExponentOutOfRange
+from oscillab import lattice, weights
+from oscillab.errors import BadParams, ExponentOutOfRange, OverflowGuard
+from oscillab.lattice import BaseSet, first_max
 
 import oracles
 
@@ -89,6 +93,103 @@ class TestAgainstBruteForce:
         boxes = oracles.brute_dyadic_cubes((8,))
         assert muckenhoupt_constant(w, p, base, mea) == pytest.approx(
             oracles.brute_ap(w.values, mea.masses, boxes, p), rel=1e-10)
+
+
+def _numpy_scalar_constant(w, exponents, plain, base, measure):
+    """(value, index) of the functional on numpy scalars, one box at a
+    time: the plain-space path before it took Python floats."""
+    masses = base.set_masses(measure)
+    return first_max(plain(*(base.sums(w.values ** e * measure.masses) / masses
+                             for e in exponents)))
+
+
+def _ap_plain(p):
+    return lambda m1, me: (a * b ** (p - 1.0) for a, b in zip(m1, me))
+
+
+def _rh_plain(delta):
+    return lambda md, m1: (a ** (1.0 / delta) / b for a, b in zip(md, m1))
+
+
+class TestPlainFunctional:
+    """The plain-space A_p and reverse Holder constants on Python floats
+    against the numpy-scalar generator, bit for bit, argmax included."""
+
+    @staticmethod
+    def _assert_same(w, key, got, want, base, mea):
+        assert np.float64(got).tobytes() == np.float64(want[0]).tobytes()
+        record = w.record((*key, base.base_id, mea.digest, base.key))
+        assert record.argmax == base.box(want[1])
+
+    @given(st.sampled_from([((8,), "dyadic-cubes"), ((16,), "all-cubes"),
+                            ((8, 8), "all-rectangles"),
+                            ((4, 16), "dyadic-rectangles")]),
+           st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.sampled_from([2.0, 3.0]), st.floats(1.05, 6.0)),
+           st.sampled_from([7, lattice._BOX_BLOCK]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_numpy_scalars(self, grid, seed, p, block, dense):
+        sides, kind = grid
+        rng = np.random.default_rng(seed)
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        mea = (Measure.density(dom, np.exp(rng.normal(0.0, 1.0, sides)))
+               if dense else Measure.uniform(dom))
+        base = build_base(dom, mea, kind)
+        w = Weight(dom, np.exp(rng.normal(0.0, 1.5, sides)))
+        # A block of 7 boxes chains many blocks into one first maximum.
+        with mock.patch.object(lattice, "_BOX_BLOCK", block):
+            ap = muckenhoupt_constant(w, p, base, mea)
+            rh = reverse_holder_constant(w, p, base, mea)
+        self._assert_same(w, ("ap", p), ap, _numpy_scalar_constant(
+            w, (1.0, -1.0 / (p - 1.0)), _ap_plain(p), base, mea), base, mea)
+        self._assert_same(w, ("rh", p), rh, _numpy_scalar_constant(
+            w, (p, 1.0), _rh_plain(p), base, mea), base, mea)
+
+    def test_every_block_reaches_the_maximum(self):
+        # The mean of w peaks on the last cell alone, the family's last box.
+        dom = GridDomain((16,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "all-cubes")
+        w = Weight(dom, np.r_[np.ones(15), 2.0])
+        with mock.patch.object(lattice, "_BOX_BLOCK", 7):
+            got = weights._extremal_constant(w, ("mean",), (1.0,), (1.0,), iter,
+                                             None, "mean", base, mea)
+        assert got == 2.0
+        record = w.record(("mean", base.base_id, mea.digest, base.key))
+        assert record.argmax == base.box(len(base) - 1) == BaseSet((15,), (16,))
+
+    def test_underflowed_means_take_the_fallback(self):
+        # w m underflows to 0 on the first four cells, so the boxes there
+        # have mean 0 and the reverse Holder functional 0/0: Python raises,
+        # numpy gives a nan that the first maximum skips.
+        dom = GridDomain((8,))
+        mea = Measure.general(dom, np.r_[np.full(4, 1e-300), np.ones(4)])
+        base = build_base(dom, mea, "dyadic-cubes")
+        w = Weight(dom, np.r_[np.full(4, 1e-100), 1.0, 2.0, 3.0, 4.0])
+        masses = base.set_masses(mea)
+        means = [(base.sums(w.values ** e * mea.masses) / masses).tolist()
+                 for e in (2.0, 1.0)]
+        with pytest.raises(ZeroDivisionError):
+            list(_rh_plain(2.0)(*means))
+        with np.errstate(invalid="ignore"):
+            got = reverse_holder_constant(w, 2.0, base, mea)
+            want = _numpy_scalar_constant(w, (2.0, 1.0), _rh_plain(2.0),
+                                          base, mea)
+        assert math.isfinite(got)
+        self._assert_same(w, ("rh", 2.0), got, want, base, mea)
+
+    def test_overflow_falls_back_to_the_same_error(self):
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        w = Weight(dom, np.linspace(1.0, 2.0, 8))
+        plain = lambda m: (a ** 2000.0 for a in m)
+        with pytest.raises(OverflowError):
+            list(plain([1.5]))
+        with np.errstate(over="ignore"), \
+                pytest.raises(OverflowGuard, match="^test constant left"):
+            weights._extremal_constant(w, ("test",), (1.0,), (1.0,), plain,
+                                       None, "test constant", base, mea)
 
 
 class TestConjugate:
