@@ -173,10 +173,10 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
         except OverflowError:  # raised as OverflowGuard below
             best = math.inf
     else:
-        # Per-box scalar pow, as numpy's vectorised pow can differ from libm's
-        # in the last bit: Python floats in blocks of boxes, the same libm pow
-        # as numpy scalars at less cost, or numpy scalars where Python raises
-        # and numpy gives inf or nan (0/0 of underflowed means).
+        # Scalar pow per box, since numpy's vectorised pow can differ from
+        # libm's in the last bit.  Python floats (in blocks of boxes) call the
+        # same libm pow as numpy scalars, at less cost; where Python raises and
+        # numpy would give inf or nan (0/0 of underflowed means), numpy runs.
         means = _plain_means(w, exponents, base, measure, masses)
         try:
             best, arg = first_max(itertools.chain.from_iterable(
