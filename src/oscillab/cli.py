@@ -13,6 +13,7 @@ byte-level comparisons can filter it out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -24,7 +25,8 @@ from . import __version__
 from .config import RunConfig, parse_config
 from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
                      OscillabError, OverflowGuard)
-from .lattice import GridDomain, Measure, build_base, read_field_csv
+from .lattice import (BASE_KINDS, GridDomain, Measure, build_base,
+                      read_field_csv)
 from .oscillation import (CenteredDiff, DualHardy, jn_exp_moment,
                           oscillation_norm, tl_equivalence_probe)
 from .verify import (TheoremId, build_majorant, estimate_constant,
@@ -87,39 +89,39 @@ def _parse_params(pairs) -> dict:
     return params
 
 
-def _resolve_weight(args):
-    """Weight from --weight CSV, or generated from --gen over --grid.
+def _base_of(args):
+    """``base_of(domain)``, memoised: the --base family over the uniform
+    measure.  Only the A_p, RH and A_1 constants and the rubio-a1 generator
+    call it, so a --base that does not fit the grid exits 3 only there."""
+    return functools.cache(lambda domain: build_base(
+        domain, Measure.uniform(domain), args.base, args.min_scale))
 
-    Returns (weight, domain, base): base is the --base family over the
-    uniform measure with --gen, built even where nothing reads it (a --base
-    that does not fit the grid exits 3), and None with --weight.
-    """
-    if getattr(args, "weight", None):
-        w = read_weight(args.weight)
-        return w, w.domain, None
-    if not getattr(args, "gen", None):
+
+def _resolve_weight(args, base_of):
+    """Weight from --weight CSV, or generated from --gen over --grid."""
+    if args.weight:
+        return read_weight(args.weight)
+    if not args.gen:
         raise BadParams("provide --weight FILE or --gen KIND with --grid")
-    domain = _parse_grid(args.grid, getattr(args, "split", False))
-    measure = Measure.uniform(domain)
-    base = build_base(domain, measure, args.base, args.min_scale)
-    w = generate_weight(args.gen, _parse_params(args.param), args.seed, domain,
-                        base=base, measure=measure)
-    return w, domain, base
+    domain = _parse_grid(args.grid, args.split)
+    base = base_of(domain) if args.gen == "rubio-a1" else None
+    return generate_weight(args.gen, _parse_params(args.param), args.seed,
+                           domain, base=base, measure=Measure.uniform(domain))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 def cmd_constant(args, cfg: RunConfig) -> int:
-    w, domain, base = _resolve_weight(args)
-    measure = Measure.uniform(domain)
+    base_of = _base_of(args)
+    w = _resolve_weight(args, base_of)
+    measure = Measure.uniform(w.domain)
     payload: dict = {"kind": args.kind, "weight_digest": w.digest,
-                     "grid": list(domain.sides)}
+                     "grid": list(w.domain.sides)}
     if args.kind == "doubling":
         payload["value"] = doubling_constant(w, measure)
     else:
-        if base is None:
-            base = build_base(domain, measure, args.base, args.min_scale)
+        base = base_of(w.domain)
         payload["base"] = {"kind": base.kind, "id": base.base_id,
                            "sets": len(base)}
         if args.kind == "ap":
@@ -147,13 +149,11 @@ def cmd_norm(args, cfg: RunConfig) -> int:
         w = Weight.unit(domain)
     if args.spec == "reciprocal":
         measure = Measure.density(domain, w.values)
-        base = build_base(domain, measure, args.base, args.min_scale)
-        rep = oscillation_norm(values, DualHardy(w), Weight.unit(domain),
-                               args.p, base, measure)
+        spec, w = DualHardy(w), Weight.unit(domain)
     else:
-        measure = Measure.uniform(domain)
-        base = build_base(domain, measure, args.base, args.min_scale)
-        rep = oscillation_norm(values, CenteredDiff(), w, args.p, base, measure)
+        measure, spec = Measure.uniform(domain), CenteredDiff()
+    base = build_base(domain, measure, args.base, args.min_scale)
+    rep = oscillation_norm(values, spec, w, args.p, base, measure)
     if not math.isfinite(rep.value):
         raise OverflowGuard("the norm left the representable float range; "
                             "rescale the field")
@@ -231,7 +231,7 @@ def _load_corpus_dir(path) -> list[dict]:
 def _sweep_corpus(args, cfg: RunConfig) -> list[dict]:
     from .corpus import make_standard_corpus
 
-    if getattr(args, "corpus", None):
+    if args.corpus:
         return _load_corpus_dir(args.corpus)
     return make_standard_corpus(cfg.seed, args.size)
 
@@ -359,10 +359,10 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_gen(args, cfg: RunConfig) -> int:
-    w, domain, _ = _resolve_weight(args)
+    w = _resolve_weight(args, _base_of(args))
     write_weight(args.out, w)
     payload = {"written": str(args.out), "weight_digest": w.digest,
-               "grid": list(domain.sides),
+               "grid": list(w.domain.sides),
                "provenance": {k: v for k, v in w.provenance.items()
                               if k != "checks"}}
     sys.stdout.write(_dump(_envelope(cfg, payload)))
@@ -374,8 +374,7 @@ def cmd_info(args, cfg: RunConfig) -> int:
         "package": "oscillab",
         "suites": [t.value for t in TheoremId],
         "constant_kinds": list(_CONSTANT_KINDS),
-        "config": {"seed": cfg.seed, "trials": cfg.trials, "tol": cfg.tol,
-                   "out": cfg.out, "suite": cfg.suite},
+        "config": dataclasses.asdict(cfg),
     }
     sys.stdout.write(_dump(_envelope(cfg, payload)))
     return 0
@@ -384,7 +383,7 @@ def cmd_info(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
-def _add_weight_source(sub, with_base=True):
+def _add_weight_source(sub):
     sub.add_argument("--weight", help="weight CSV (with optional JSON sidecar)")
     sub.add_argument("--gen", help="generate instead: power, "
                      "random-log-bounded, checkerboard, rubio-a1")
@@ -394,10 +393,10 @@ def _add_weight_source(sub, with_base=True):
     sub.add_argument("--split", action="store_true",
                      help="declare a 2-d grid as a two-factor product")
     sub.add_argument("--seed", type=int, default=0)
-    if with_base:
-        sub.add_argument("--base", default="dyadic-cubes",
-                         help="base family kind")
-        sub.add_argument("--min-scale", type=int, default=0)
+    sub.add_argument("--base", default="dyadic-cubes", choices=BASE_KINDS,
+                     help="base family kind (read by constant --kind ap|rh|a1 "
+                     "and --gen rubio-a1)")
+    sub.add_argument("--min-scale", type=int, default=0)
 
 
 @functools.cache
@@ -427,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--spec", default="centered",
                    choices=("centered", "reciprocal"))
     n.add_argument("--weight")
-    n.add_argument("--base", default="dyadic-cubes")
+    n.add_argument("--base", default="dyadic-cubes", choices=BASE_KINDS)
     n.add_argument("--min-scale", type=int, default=0)
     n.add_argument("--out")
     n.set_defaults(handler=cmd_norm)
@@ -466,9 +465,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
         if args.command == "verify":
-            cfg = cfg.with_overrides(seed=args.seed, trials=args.trials,
-                                     tol=args.tol, out=args.out,
-                                     suite=args.suite)
+            cfg = cfg.with_overrides(**{f.name: getattr(args, f.name)
+                                        for f in dataclasses.fields(cfg)})
         return args.handler(args, cfg)
     except (EmptyCorpus, AllDegenerate) as exc:
         print(f"error: {exc}", file=sys.stderr)

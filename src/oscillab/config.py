@@ -44,7 +44,8 @@ class RunConfig:
         return replace(self, **updates) if updates else self
 
 
-_COERCE = {"seed": int, "trials": int, "tol": float, "out": str, "suite": str}
+# Each key's parser is the type of its default.
+_COERCE = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:

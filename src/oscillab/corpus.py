@@ -38,8 +38,7 @@ def _sample_domain(rng, theorem: TheoremId) -> GridDomain:
     return GridDomain((int(rng.choice(_SMALL_2D)),) * 2)
 
 
-def _sample_measure(rng, domain: GridDomain, allow_zeros: bool = True,
-                    gentle: bool = False) -> Measure:
+def _sample_measure(rng, domain: GridDomain, gentle: bool) -> Measure:
     u = rng.random()
     if gentle:
         # Keep parent/child mass ratios small: the exponential-moment
@@ -55,7 +54,7 @@ def _sample_measure(rng, domain: GridDomain, allow_zeros: bool = True,
         dens = np.exp(rng.normal(0.0, 0.5, size=domain.sides))
         return Measure.density(domain, dens)
     masses = rng.uniform(0.2, 1.5, size=domain.sides)
-    if allow_zeros and rng.random() < 0.5:
+    if rng.random() < 0.5:
         kill = rng.random(size=domain.sides) < 0.08
         masses = np.where(kill, 0.0, masses)
         if not masses.any():
@@ -125,8 +124,8 @@ def sample_inputs(theorem: TheoremId, seed: int, trial: int) -> dict:
     """One reproducible instance for ``certify(theorem, ...)``."""
     rng = _rng(seed, theorem, trial)
     domain = _sample_domain(rng, theorem)
-    decay = theorem is TheoremId.RECTANGLE_DECAY
-    measure = _sample_measure(rng, domain, allow_zeros=not decay, gentle=decay)
+    measure = _sample_measure(rng, domain,
+                              gentle=theorem is TheoremId.RECTANGLE_DECAY)
     kind = _sample_base_kind(rng, theorem, domain)
     base = build_base(domain, measure, kind)
     f = _sample_field(rng, domain)

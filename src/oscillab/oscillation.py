@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -149,7 +150,8 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
     in canonical order) and first error are those of a box-by-box loop,
     except on overflow: ``box_sums`` differs from ``fsum`` (see
     ``lattice``), and a ``TLSeq`` coefficient overflow precedes any
-    zero-mass check.
+    zero-mass check.  Where p > 1 and every mean of p-th powers underflows
+    while the norm at exponent 1 is positive, it raises ``OverflowGuard``.
     """
     if not 0 < p < math.inf:
         raise ExponentOutOfRange(f"the norm exponent must be positive and finite, got {p}")
@@ -244,6 +246,10 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
                 "the density measure of the same weight")
         raise ZeroMass(f"no mass on {box.label()}")
     best, best_i = first_max(vals, -1.0)
+    if p > 1.0 and best < sys.float_info.min and _grouped_report(
+            arr, spec, w, 1.0, base, measure, False).value > 0.0:
+        raise OverflowGuard("the norm's p-th powers underflow; rescale the "
+                            "field")
     rows = tuple(val ** (1.0 / p) for val in vals) if per_set else None
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
                       extremal_set=None if best_i is None else base.box(best_i),

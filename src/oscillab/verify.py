@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import numbers
 
 import numpy as np
 
@@ -63,9 +64,7 @@ def inputs_digest(theorem: TheoremId, inputs: dict) -> str:
         h.update(key.encode())
         if isinstance(val, np.ndarray):
             h.update(np.ascontiguousarray(val, dtype=float).tobytes())
-        elif isinstance(val, Weight):
-            h.update(val.digest.encode())
-        elif isinstance(val, Measure):
+        elif isinstance(val, (Weight, Measure)):
             h.update(val.digest.encode())
         elif isinstance(val, BaseFamily):
             h.update(val.base_id.encode())
@@ -81,10 +80,22 @@ def inputs_digest(theorem: TheoremId, inputs: dict) -> str:
 
 
 def _need(inputs: dict, *keys):
+    """The inputs at ``keys``, numbers as floats."""
     missing = [k for k in keys if k not in inputs]
     if missing:
         raise MissingInput(f"certificate inputs lack {missing}")
-    return [inputs[k] for k in keys]
+    return [float(v) if isinstance(v, numbers.Real) else v
+            for v in map(inputs.__getitem__, keys)]
+
+
+def _chain_exponents(inputs: dict):
+    """(p0, q, p) of a Holder chain, p defaulting to (1 + p0) / 2."""
+    p0, q = _need(inputs, "p0", "q")
+    p = float(inputs.get("p", 0.5 * (1.0 + p0)))
+    if not p0 > 1.0 or not q > 1.0 or not 0.0 < p < p0:
+        raise ExponentOutOfRange(f"need p0, q > 1 and 0 < p < p0, "
+                                 f"got {p0}, {q}, {p}")
+    return p0, q, p
 
 
 def _norm(f, spec, w, p, base, measure):
@@ -133,17 +144,13 @@ def _worst_pair(lhs, rhs) -> int:
 # ---------------------------------------------------------------------------
 # Suite: weighted vs plain norms through a single averaging step.
 
-def _holder_chain(f, spec, w: Weight, base: BaseFamily, measure: Measure,
-                  p0: float, q: float, p: float, labels, tol: float):
-    """The A_q / reverse-Holder chain between the w-weighted and the plain
-    oscillation norm, for one rule, base and measure.
-
-    Three checks, labelled in order by ``labels``: the weighted norm at 1
-    against RH_{p0'} times the plain norm at p0; the plain norm at 1/q
-    against A_q times the weighted norm at 1; the weighted norm at p against
-    RH_{p0/(p0-p)}^(1/p) times the plain norm at p0.  The caller validates
-    the exponents.  Returns (checks, meta).
-    """
+def _holder_pair(f, spec, w: Weight, base: BaseFamily, measure: Measure,
+                 p0: float, q: float, labels, tol: float):
+    """The first two links of the A_q / reverse-Holder chain between the
+    w-weighted and the plain oscillation norm, labelled by ``labels``: the
+    weighted norm at 1 against RH_{p0'} times the plain norm at p0, and the
+    plain norm at 1/q against A_q times the weighted norm at 1.  Returns
+    (checks, RH_{p0'}, A_q, the plain norm at p0)."""
     unit = Weight.unit(base.domain)
     rh_dual = reverse_holder_constant(w, conjugate(p0), base, measure)
     weighted_1 = _norm(f, spec, w, 1.0, base, measure)
@@ -153,26 +160,27 @@ def _holder_chain(f, spec, w: Weight, base: BaseFamily, measure: Measure,
     aq = muckenhoupt_constant(w, q, base, measure)
     plain_low = _norm(f, spec, unit, 1.0 / q, base, measure)
     checks.append(make_check(labels[1], plain_low, aq * weighted_1, tol))
+    return checks, rh_dual, aq, plain_p0
 
+
+def _holder_chain(f, spec, w: Weight, base: BaseFamily, measure: Measure,
+                  p0: float, q: float, p: float, labels, tol: float):
+    """``_holder_pair`` and a third check, ``labels[2]``: the weighted norm
+    at p against RH_{p0/(p0-p)}^(1/p) times the plain norm at p0, the
+    exponents validated by ``_chain_exponents``.  Returns (checks, meta)."""
+    checks, rh_dual, aq, plain_p0 = _holder_pair(
+        f, spec, w, base, measure, p0, q, labels, tol)
     rh_mid = reverse_holder_constant(w, p0 / (p0 - p), base, measure)
     weighted_p = _norm(f, spec, w, p, base, measure)
     checks.append(make_check(labels[2], weighted_p,
                              (rh_mid ** (1.0 / p)) * plain_p0, tol))
-
-    meta = {"p0": p0, "q": q, "p": p, "rh_dual": rh_dual, "aq": aq,
-            "rh_mid": rh_mid}
-    return checks, meta
+    return checks, {"p0": p0, "q": q, "p": p, "rh_dual": rh_dual, "aq": aq,
+                    "rh_mid": rh_mid}
 
 
 def _certify_holder_bridge(inputs: dict, tol: float):
-    f, w, base, measure, p0, q = _need(inputs, "f", "w", "base", "measure",
-                                       "p0", "q")
-    p0, q = float(p0), float(q)
-    p = float(inputs.get("p", 0.5 * (1.0 + p0)))
-    if not p0 > 1.0 or not q > 1.0:
-        raise ExponentOutOfRange(f"need p0 > 1 and q > 1, got {p0}, {q}")
-    if not 0.0 < p < p0:
-        raise ExponentOutOfRange(f"need 0 < p < p0, got p={p}, p0={p0}")
+    f, w, base, measure = _need(inputs, "f", "w", "base", "measure")
+    p0, q, p = _chain_exponents(inputs)
     return _holder_chain(f, CenteredDiff(), w, base, measure, p0, q, p,
                          ("weighted_vs_plain_highpower",
                           "plain_lowpower_vs_weighted",
@@ -185,7 +193,6 @@ def _certify_holder_bridge(inputs: dict, tol: float):
 def _certify_weight_swap(inputs: dict, tol: float):
     f, w, w0, base, measure, p, q, delta, sigma = _need(
         inputs, "f", "w", "w0", "base", "measure", "p", "q", "delta", "sigma")
-    p, q, delta, sigma = float(p), float(q), float(delta), float(sigma)
     for name, val in (("p", p), ("q", q), ("delta", delta), ("sigma", sigma)):
         if not val > 1.0:
             raise ExponentOutOfRange(f"need {name} > 1, got {val}")
@@ -222,7 +229,6 @@ def _certify_weight_swap(inputs: dict, tol: float):
 
 def _certify_gain_exponent(inputs: dict, tol: float):
     f, w, base, measure, p = _need(inputs, "f", "w", "base", "measure", "p")
-    p = float(p)
     params = inputs.get("params") or SelfImprovementParams(
         setting="euclidean-cubes", dims=base.domain.dims)
     ap = muckenhoupt_constant(w, p, base, measure)
@@ -285,7 +291,6 @@ def build_majorant(f, base: BaseFamily, measure: Measure, p: float,
 
 def _certify_majorant_sufficiency(inputs: dict, tol: float):
     f, base, measure, p = _need(inputs, "f", "base", "measure", "p")
-    p = float(p)
     f = np.asarray(f, dtype=float)
     spec = CenteredDiff()
     u, star, plain_norm, local_star, g = build_majorant(f, base, measure, p)
@@ -327,7 +332,6 @@ def _certify_majorant_sufficiency(inputs: dict, tol: float):
 def _certify_log_convexity(inputs: dict, tol: float):
     f, w, base, measure, r, eps = _need(inputs, "f", "w", "base", "measure",
                                         "r", "eps")
-    r, eps = float(r), float(eps)
     if not r > 0 or not 0.0 < eps < 0.5 * r:
         raise ExponentOutOfRange(f"need r > 0 and 0 < eps < r/2, got r={r}, eps={eps}")
     spec = CenteredDiff()
@@ -375,7 +379,6 @@ def _split(f, v: Weight, w: Weight, base: BaseFamily, measure: Measure,
 def _certify_two_weight_band(inputs: dict, tol: float):
     f, v, w, base, measure, p, q, delta = _need(
         inputs, "f", "v", "w", "base", "measure", "p", "q", "delta")
-    p, q, delta = float(p), float(q), float(delta)
     if not p > 0 or not q > 1.0 or not delta > 1.0:
         raise ExponentOutOfRange(
             f"need p > 0, q > 1, delta > 1, got {p}, {q}, {delta}")
@@ -439,12 +442,8 @@ def _reciprocal_direct(f: np.ndarray, w: Weight, base_w: BaseFamily) -> float:
 
 
 def _certify_reciprocal_rule(inputs: dict, tol: float):
-    f, w, v, base, p0, q = _need(inputs, "f", "w", "v", "base", "p0", "q")
-    p0, q = float(p0), float(q)
-    p = float(inputs.get("p", 0.5 * (1.0 + p0)))
-    if not p0 > 1.0 or not q > 1.0 or not 0.0 < p < p0:
-        raise ExponentOutOfRange(f"need p0, q > 1 and 0 < p < p0, "
-                                 f"got {p0}, {q}, {p}")
+    f, w, v, base = _need(inputs, "f", "w", "v", "base")
+    p0, q, p = _chain_exponents(inputs)
     f = np.asarray(f, dtype=float)
     mu_w = Measure.density(base.domain, w.values)
     base_w = build_base(base.domain, mu_w, base.kind, base.min_scale)
@@ -498,7 +497,7 @@ def _certify_rectangle_decay(inputs: dict, tol: float):
             "tail_c2": None if math.isnan(jn.c2_hat) else jn.c2_hat}
 
     if all(k in inputs for k in ("v", "q", "delta")):
-        v, q, delta = inputs["v"], float(inputs["q"]), float(inputs["delta"])
+        v, q, delta = _need(inputs, "v", "q", "delta")
         p = float(inputs.get("p", 1.0))
         check, split_c, *_ = _split(f, v, w, base, measure, p, q, delta, tol)
         checks.append(check)
@@ -512,32 +511,20 @@ def _certify_rectangle_decay(inputs: dict, tol: float):
 def _certify_sequence_spaces(inputs: dict, tol: float):
     seq, w, base, measure, alpha, q, p = _need(
         inputs, "seq", "w", "base", "measure", "alpha", "q", "p")
-    alpha, q, p = float(alpha), float(q), float(p)
     probe = tl_equivalence_probe(seq, alpha, q, p, w, base, measure)
-    checks = []
     if p >= q and float(np.max(np.abs(w.values - 1.0))) == 0.0:
-        checks.append(make_check("power_mean_direction", probe.unweighted_nu,
-                                 probe.weighted_nu, tol))
+        checks = [make_check("power_mean_direction", probe.unweighted_nu,
+                             probe.weighted_nu, tol)]
     else:
-        checks.append(skipped_check("power_mean_direction",
-                                    "needs matching powers and the unit weight"))
-
-    spec = TLSeq(alpha=alpha, q=q)
-    unit = Weight.unit(base.domain)
-    rh2 = reverse_holder_constant(w, 2.0, base, measure)
-    lhs = _norm(seq, spec, w, 1.0, base, measure)
-    rhs = rh2 * _norm(seq, spec, unit, 2.0, base, measure)
-    checks.append(make_check("sequence_weighted_vs_plain", lhs, rhs, tol))
-
-    a2 = muckenhoupt_constant(w, 2.0, base, measure)
-    lhs2 = _norm(seq, spec, unit, 0.5, base, measure)
-    rhs2 = a2 * lhs  # lhs is the w-norm at exponent 1
-    checks.append(make_check("sequence_lowpower_vs_weighted", lhs2, rhs2, tol))
-
-    meta = {"alpha": alpha, "q": q, "p": p, "plain_nu": probe.unweighted_nu,
-            "weighted_nu": probe.weighted_nu, "ratio": probe.ratio,
-            "support": seq.support_size()}
-    return checks, meta
+        checks = [skipped_check("power_mean_direction",
+                                "needs matching powers and the unit weight")]
+    checks += _holder_pair(seq, TLSeq(alpha=alpha, q=q), w, base, measure,
+                           2.0, 2.0, ("sequence_weighted_vs_plain",
+                                      "sequence_lowpower_vs_weighted"), tol)[0]
+    return checks, {"alpha": alpha, "q": q, "p": p,
+                    "plain_nu": probe.unweighted_nu,
+                    "weighted_nu": probe.weighted_nu, "ratio": probe.ratio,
+                    "support": seq.support_size()}
 
 
 _CERTIFIERS = {

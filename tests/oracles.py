@@ -362,6 +362,19 @@ def _per_box_local_field(f, spec, base_set, measure):
     raise IncompatibleSpec(f"unknown oscillation rule {type(spec).__name__}")
 
 
+def _underflow_guard(p, best, norm_at_one):
+    """Raise ``OverflowGuard`` where every mean of p-th powers (p > 1) is
+    below the least normal float, ``best`` their largest, while the norm at
+    exponent 1 (``norm_at_one()``) is positive."""
+    import sys
+
+    from oscillab.errors import OverflowGuard
+
+    if p > 1.0 and best < sys.float_info.min and norm_at_one() > 0.0:
+        raise OverflowGuard("the norm's p-th powers underflow; rescale the "
+                            "field")
+
+
 def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
     import math
 
@@ -390,6 +403,8 @@ def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
         if val > best:
             best = val
             best_set = box
+    _underflow_guard(p, best, lambda: per_box_osc_norm(
+        f, spec, w, 1.0, base, measure).value)
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
                       extremal_set=best_set,
                       per_set=tuple(rows) if rows is not None else None)
@@ -440,6 +455,8 @@ def per_box_tl_norm(seq, spec, w, p, base, measure, per_set=False):
         if val > best:
             best = val
             best_set = box
+    _underflow_guard(p, best, lambda: per_box_tl_norm(
+        seq, spec, w, 1.0, base, measure).value)
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
                       extremal_set=best_set,
                       per_set=tuple(rows) if rows is not None else None)

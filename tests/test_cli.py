@@ -21,6 +21,7 @@ from oscillab import (GridDomain, cli, corpus, run_suite, verify,
 from oscillab.errors import OverflowGuard
 from oscillab.lattice import BASE_KINDS
 from oscillab.cli import main
+from oscillab.weights import read_weight
 
 
 def _write_ramp(path, n=8, scale=1.0):
@@ -172,13 +173,40 @@ class TestConstantCommand:
         assert "A_p constant left the representable range" \
             in capsys.readouterr().err
 
-    def test_generated_weight_builds_the_base(self, capsys):
-        # The doubling constant reads no base, but --gen builds --base, and
-        # dyadic cubes do not fit a 4x8 grid.
-        rc = main(["constant", "--kind", "doubling", "--base", "dyadic-cubes",
-                   "--gen", "checkerboard", "--grid", "4x8"])
+    def test_generated_weight_skips_an_unread_base(self, capsys):
+        # The doubling constant reads no base, so dyadic cubes, which do not
+        # fit a 4x8 grid, give what all-cubes give.
+        values = []
+        for base in ("dyadic-cubes", "all-cubes"):
+            rc = main(["constant", "--kind", "doubling", "--base", base,
+                       "--gen", "checkerboard", "--grid", "4x8"])
+            assert rc == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values == [5.0, 5.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--kind", "ap", "--gen", "checkerboard"],
+        ["gen", "--gen", "rubio-a1", "--out", "unused.csv"],
+    ], ids=["ap", "rubio-a1"])
+    def test_read_base_must_fit_the_grid(self, tmp_path, monkeypatch, capsys,
+                                         argv):
+        monkeypatch.chdir(tmp_path)
+        rc = main([*argv, "--grid", "4x8"])
         assert rc == 3
         assert "square domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--kind", "doubling", "--gen", "power"],
+        ["gen", "--gen", "power", "--out", "w.csv"],
+        ["norm", "--field", "f.csv"],
+    ], ids=["constant", "gen", "norm"])
+    def test_unknown_base_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                         argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--base", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["a1", "doubling"])
     def test_exact_sum_overflow_exits_three(self, tmp_path, capsys, kind):
@@ -297,6 +325,18 @@ class TestVerifyCommand:
             assert first[rel] == second[rel], f"nondeterministic content in {rel}"
 
 
+class TestGenCommand:
+    def test_power_weight_needs_no_base(self, tmp_path, capsys):
+        # Only rubio-a1 reads --base; dyadic cubes do not fit a 4x8 grid.
+        out = tmp_path / "w.csv"
+        rc = main(["gen", "--gen", "power", "--grid", "4x8", "--out",
+                   str(out)])
+        assert rc == 0
+        w = read_weight(out)
+        assert w.domain.sides == (4, 8)
+        assert json.loads(capsys.readouterr().out)["weight_digest"] == w.digest
+
+
 class TestSweepCommand:
     def test_c1p_table_is_monotone_with_upper_column(self, tmp_path):
         out = tmp_path / "c1p.csv"
@@ -324,6 +364,26 @@ class TestSweepCommand:
         rows = _read_sweep(out)
         assert len(rows) == 1
         assert int(rows[0]["n_used"]) == 4
+
+    @pytest.mark.parametrize("scale, rc_want", [(1.0, 3), (1e3, 0)])
+    def test_underflowing_powers_exit_three(self, tmp_path, capsys, scale,
+                                            rc_want):
+        # At p = 16 the upper column reads the norm at the dual exponent 128,
+        # where every mean of 128th powers of a 1e-3 field underflows.
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        field = 1e-3 * np.random.default_rng(0).standard_normal(32)
+        write_field_csv(corpus_dir / "f.csv", GridDomain((32,)), scale * field)
+        out = tmp_path / "c1p.csv"
+        rc = main(["sweep", "--quantity", "c1p", "--powers", "2,16",
+                   "--corpus", str(corpus_dir), "--out", str(out)])
+        assert rc == rc_want
+        if rc_want:
+            assert not out.exists()
+            assert "p-th powers underflow" in capsys.readouterr().err
+        else:
+            row = _read_sweep(out)[1]
+            assert float(row["upper_realized"]) >= float(row["c_hat"]) > 1.0
 
     def test_jn_decay_rows_respect_cap(self, tmp_path):
         out = tmp_path / "jn.csv"

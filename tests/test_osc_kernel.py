@@ -344,6 +344,27 @@ class TestErrorPrecedence:
         assert got == _outcome(oracles.per_box_tl_norm, *args)
         assert got == ("raised", ZeroMass, "no weighted mass on 4:6")
 
+    def test_underflowing_powers_raise(self):
+        # |f - c| is 5e-4 on every box but the cells: its 128th power
+        # underflows, and a norm of 0 would read as no oscillation.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        f = np.array([0.0, 1e-3] * 4)
+        for p in (2.0, 16.0):
+            got = self._both(f, CenteredDiff(), Weight.unit(dom), p, base, mea)
+            assert got[1].value == pytest.approx(5e-4, rel=1e-12)
+        seq = TLSequence(dom, {BaseSet((0,), (2,)): 1e-3})
+        for args in ((f, CenteredDiff(), Weight.unit(dom), 128.0, base, mea),
+                     (seq, TLSeq(alpha=0.0, q=2.0), Weight.unit(dom), 64.0,
+                      base, mea)):
+            oracle = (oracles.per_box_osc_norm if args[0] is f
+                      else oracles.per_box_tl_norm)
+            got = _outcome(oscillation_norm, *args)
+            assert got == _outcome(oracle, *args)
+            assert got == ("raised", OverflowGuard, "the norm's p-th powers "
+                           "underflow; rescale the field")
+
 
 class TestZeroMassCells:
     def test_overflowing_cell_without_mass_is_left_out(self):
@@ -479,15 +500,15 @@ class TestReportBlocks:
 
     def test_gain_exponent_log_branch_runs(self):
         # |f - c| is 0.5 on every box but the cells: 0.5^3000 underflows to
-        # 0 in the plain power mean, and the log-space branch recovers 0.5.
+        # 0, so the norm kernel raises, and the log-space branch recovers 0.5.
         dom = GridDomain((8,))
         mea = Measure.uniform(dom)
         base = build_base(dom, mea, "dyadic-cubes")
         f = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-        plain = oscillation_norm(f, CenteredDiff(), Weight.unit(dom), 3e3,
-                                 base, mea, per_set=True).per_set
+        with pytest.raises(OverflowGuard, match="p-th powers underflow"):
+            oscillation_norm(f, CenteredDiff(), Weight.unit(dom), 3e3, base,
+                             mea, per_set=True)
         got = verify._power_means(f, base, mea, 3e3)
-        assert plain == (0.0,) * 15
         assert got == pytest.approx([0.5] * 7 + [0.0] * 8, rel=1e-15)
         assert got == oracles.per_box_gain_sides(f, Weight.unit(dom), base,
                                                  mea, 3e3)[1]
