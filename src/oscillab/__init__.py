@@ -10,7 +10,7 @@ from . import errors
 from .config import RunConfig, parse_config
 from .lattice import (BaseFamily, BaseSet, GridDomain, Measure, build_base,
                       fsum, read_field_csv, write_field_csv)
-from .operators import MaximalKind, lp_norm, maximal, rubio_de_francia
+from .operators import lp_norm, maximal, rubio_de_francia
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
                           sharp_oscillation, tl_equivalence_probe,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseFamily", "BaseSet", "CenteredDiff", "CertificateReport", "Check",
-    "ConstantEstimate", "DualHardy", "GridDomain", "MaximalKind", "Measure",
+    "ConstantEstimate", "DualHardy", "GridDomain", "Measure",
     "RunConfig", "SelfImprovementParams", "TLSeq", "TLSequence", "TheoremId",
     "Weight", "a1_constant", "build_base", "build_majorant",
     "certify", "conjugate", "cz_selection", "doubling_constant", "errors",

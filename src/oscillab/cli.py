@@ -1,9 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success; 1 at least one certificate check failed; 2 usage
-errors (argument parsing); 3 domain errors (bad exponents, incompatible
-bases, zero mass, unrepresentable magnitudes, ...); 4 empty or fully
-degenerate corpora.
+Exit codes: 0 success; 1 a certificate check failed; 2 usage errors (bad
+flags, a path that cannot be opened); 3 domain errors (malformed files or
+parameters, bad exponents, incompatible bases, zero mass, unrepresentable
+magnitudes, ...); 4 empty or fully degenerate corpora.
 
 Reports are JSON with sorted keys; sweeps are CSV.  Both carry the package
 version, the config digest, and a ``generated_at`` stamp on its own line so
@@ -39,6 +39,10 @@ from .weights import (SelfImprovementParams, Weight, a1_constant, conjugate,
 _CONSTANT_KINDS = ("ap", "rh", "a1", "doubling")
 
 
+class _UsageError(Exception):
+    """A flag value the parser accepts but the command cannot use: exit 2."""
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -59,10 +63,15 @@ def _dump(obj: dict) -> str:
     return text + "\n"
 
 
+def _out_file(out_path: str) -> Path:
+    """The output path, its missing parent directories created."""
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    return Path(out_path)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_path).write_text(text)
+        _out_file(out_path).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -82,10 +91,7 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise BadParams(f"params look like key=value, got {pair!r}")
         key, _, val = pair.partition("=")
-        try:
-            params[key.strip()] = float(val)
-        except ValueError:
-            params[key.strip()] = val.strip()
+        params[key.strip()] = val.strip()
     return params
 
 
@@ -173,8 +179,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             suites = [theorem_from_string(cfg.suite)]
         except BadParams as exc:
             # A misspelled suite is a usage error, same class as bad flags.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(exc) from exc
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -194,11 +199,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                      "degenerate_skipped": run["degenerate_skipped"],
                      "min_relative_slack": "" if slack is None else slack})
     lines = ["suite,trials,failures,degenerate_skipped,min_relative_slack"]
-    for r in rows:
-        slack = r["min_relative_slack"]
-        lines.append(",".join([r["suite"], str(r["trials"]), str(r["failures"]),
-                               str(r["degenerate_skipped"]),
-                               _num(slack) if isinstance(slack, float) else ""]))
+    lines += [",".join(_num(v) if isinstance(v, float) else str(v)
+                       for v in r.values()) for r in rows]
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
     passed = all(r["failures"] == 0 for r in rows)
     summary = _envelope(cfg, {"suites": rows, "pass": passed})
@@ -237,8 +239,13 @@ def _sweep_corpus(args, cfg: RunConfig) -> list[dict]:
 
 
 def _sweep_c1p(args, cfg: RunConfig):
+    try:
+        powers = [float(tok) for tok in args.powers.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"bad --powers {args.powers!r}: {exc}") from exc
+    if not powers:
+        raise _UsageError("empty exponent grid")
     corpus = _sweep_corpus(args, cfg)
-    powers = [float(tok) for tok in args.powers.split(",") if tok.strip()]
     header = ("p,c_hat,upper,upper_realized,gain_exponent,gain_dual,kcap,"
               "tbound,corpus_digest,n_used")
     rows = []
@@ -342,14 +349,8 @@ _SWEEPS = {"c1p": _sweep_c1p, "psi": _sweep_psi, "jn-decay": _sweep_jn,
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    if args.quantity == "c1p" and not any(
-            tok.strip() for tok in args.powers.split(",")):
-        print("error: empty exponent grid", file=sys.stderr)
-        return 2
     if args.size < 1:
-        print(f"error: corpus size must be positive, got {args.size}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"corpus size must be positive, got {args.size}")
     header, rows = _SWEEPS[args.quantity](args, cfg)
     lines = [f"# version={__version__} config_digest={cfg.digest()}",
              f"# generated_at={_now()}", header]
@@ -360,7 +361,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 def cmd_gen(args, cfg: RunConfig) -> int:
     w = _resolve_weight(args, _base_of(args))
-    write_weight(args.out, w)
+    write_weight(_out_file(args.out), w)
     payload = {"written": str(args.out), "weight_digest": w.digest,
                "grid": list(w.domain.sides),
                "provenance": {k: v for k, v in w.provenance.items()
@@ -468,6 +469,10 @@ def main(argv=None) -> int:
             cfg = cfg.with_overrides(**{f.name: getattr(args, f.name)
                                         for f in dataclasses.fields(cfg)})
         return args.handler(args, cfg)
+    except (_UsageError, OSError) as exc:
+        # An OSError names the path that could not be opened.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (EmptyCorpus, AllDegenerate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

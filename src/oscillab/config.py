@@ -49,7 +49,7 @@ _COERCE = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:
-    text = Path(path).read_text()
+    text = Path(path).read_text(errors="replace")
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -592,7 +592,7 @@ def write_field_csv(path, domain: GridDomain, values: np.ndarray) -> None:
 
 
 def read_field_csv(path) -> tuple[GridDomain, np.ndarray]:
-    text = Path(path).read_text()
+    text = Path(path).read_text(errors="replace")  # U+FFFD is no number
     rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not rows:
         raise BadParams(f"{path}: empty field file")
@@ -607,7 +607,10 @@ def read_field_csv(path) -> tuple[GridDomain, np.ndarray]:
     domain = GridDomain(sides)
     flat: list[float] = []
     for ln in rows[1:]:
-        flat.extend(float(tok) for tok in ln.replace(",", " ").split())
+        try:
+            flat.extend(float(tok) for tok in ln.replace(",", " ").split())
+        except ValueError as exc:
+            raise BadParams(f"{path}: bad cell in row {ln!r}") from exc
     if len(flat) != domain.num_cells:
         raise BadParams(f"{path}: expected {domain.num_cells} cells, got {len(flat)}")
     values = np.array(flat).reshape(domain.sides)

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import lattice
@@ -29,34 +26,9 @@ from .weights import Weight, conjugate
 MODES = ("dyadic", "centered", "uncentered")
 
 
-@dataclass(frozen=True)
-class MaximalKind:
-    """Mode plus an optional override for the operator-norm bound p -> real.
-
-    The default bound is exact for dyadic cube bases (martingale maximal
-    bound p/(p-1), valid for every cell measure) and a generous covering
-    bound otherwise; the iterated-maximal constructor verifies rather than
-    trusts it.
-    """
-
-    mode: str = "dyadic"
-    norm_bound: Callable[[float], float] | None = None
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise BadParams(f"unknown maximal mode {self.mode!r}")
-
-    def bound(self, p: float, base: BaseFamily) -> float:
-        if self.norm_bound is not None:
-            b = float(self.norm_bound(p))
-            if not 1.0 <= b < math.inf:
-                raise BadParams(f"operator-norm bound {b} is not in [1, inf)")
-            return b
-        return default_norm_bound(self.mode, base, p)
-
-
 def default_norm_bound(mode: str, base: BaseFamily, p: float) -> float:
-    """Engineering defaults, one factor per rectangle axis."""
+    """Exact for dyadic mode (martingale bound p/(p-1)), a generous covering
+    bound otherwise; one factor per rectangle axis."""
     factors = 2 if base.kind in lattice.RECTANGLE_KINDS else 1
     per_factor_dims = base.domain.dims // factors
     if mode == "dyadic":
@@ -66,25 +38,26 @@ def default_norm_bound(mode: str, base: BaseFamily, p: float) -> float:
     return per ** factors
 
 
-def _check_compat(base: BaseFamily, kind: MaximalKind) -> None:
-    if kind.mode == "centered" and base.kind not in lattice.CUBE_KINDS:
+def _check_compat(base: BaseFamily, mode: str) -> None:
+    if mode not in MODES:
+        raise BadParams(f"unknown maximal mode {mode!r}")
+    if mode == "centered" and base.kind not in lattice.CUBE_KINDS:
         raise IncompatibleBase("centered mode needs a cube base")
-    if kind.mode == "dyadic" and base.kind not in lattice.DYADIC_KINDS:
+    if mode == "dyadic" and base.kind not in lattice.DYADIC_KINDS:
         raise IncompatibleBase("dyadic mode needs a dyadic base kind")
 
 
 def maximal(f: np.ndarray, base: BaseFamily, measure: Measure,
-            kind: MaximalKind = MaximalKind()) -> np.ndarray:
+            mode: str = "dyadic") -> np.ndarray:
     """Pointwise sup of |f| averages over eligible base sets.
 
     Zero-mass cells get 0.  With singletons present (min_scale 0) the result
     dominates |f| on positive-mass cells.  Cost: checks, the cached set
     masses, one ``box_sums`` pass and the spread (module docstring).
     """
-    _check_compat(base, kind)
+    _check_compat(base, mode)
     return _maximal_of(np.abs(_field(f, base)), base, measure.masses,
-                       base.set_masses(measure), measure.masses == 0.0,
-                       kind.mode)
+                       base.set_masses(measure), measure.masses == 0.0, mode)
 
 
 def _field(f, base: BaseFamily) -> np.ndarray:
@@ -174,10 +147,10 @@ def lp_norm(f: np.ndarray, p: float, measure: Measure) -> float:
 
 
 def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
-                     measure: Measure, kind: MaximalKind = MaximalKind(),
+                     measure: Measure, mode: str = "dyadic",
                      tol: float = 1e-10) -> Weight:
     """Geometric series of maximal iterates: sum_k M^k g / (2b)^k, b the
-    operator-norm bound for exponent p.
+    ``default_norm_bound`` of the mode and base for exponent p.
 
     The truncation rule stops once the next term's sup norm falls below
     tol times the smallest positive partial-sum value; the tail is geometric
@@ -193,7 +166,7 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
         raise BadParams(f"the series needs 1 < p < inf, got {p}")
     if not 0 < tol < 1:
         raise BadParams(f"tol must sit in (0, 1), got {tol}")
-    _check_compat(base, kind)
+    _check_compat(base, mode)
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise BadParams("seed values must be finite")
@@ -206,11 +179,11 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     live = measure.masses > 0
     if fsum(np.abs(g) * measure.masses) <= 0.0:
         raise ZeroInput("the seed function vanishes almost everywhere")
-    b = kind.bound(p, base)
+    b = default_norm_bound(mode, base, p)
     denom = 2.0 * b
     term = np.abs(_field(g, base))
     u = term.copy()
-    core = (base, measure.masses, base.set_masses(measure), ~live, kind.mode)
+    core = (base, measure.masses, base.set_masses(measure), ~live, mode)
     cap = max(1, math.ceil(10.0 * max(1, base.domain.max_level())
                            * math.log2(1.0 / tol)))
     iterations = 0
@@ -241,7 +214,7 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     }
     return Weight(base.domain, values, provenance={
         "kind": "rubio-a1",
-        "params": {"p": float(p), "mode": kind.mode, "tol": float(tol)},
+        "params": {"p": float(p), "mode": mode, "tol": float(tol)},
         "iterations": int(iterations),
         "norm_bound": float(b),
         "checks": checks,

@@ -84,9 +84,7 @@ class CertificateReport:
 class ConstantEstimate:
     """Empirical lower estimate of an extremal constant over a corpus."""
 
-    kind: str
     value: float
     corpus_digest: str
-    args: dict
     n_used: int
     n_skipped: int

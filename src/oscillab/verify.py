@@ -259,8 +259,7 @@ def _certify_gain_exponent(inputs: dict, tol: float):
 # ---------------------------------------------------------------------------
 # Suite: sufficiency via an iterated-maximal majorant weight.
 
-def build_majorant(f, base: BaseFamily, measure: Measure, p: float,
-                   tol: float = 1e-10):
+def build_majorant(f, base: BaseFamily, measure: Measure, p: float):
     """Majorant weight for the sufficiency route: seed the iterated-maximal
     series with the (p-1)-th power of the extremal set's oscillation.
 
@@ -284,8 +283,7 @@ def build_majorant(f, base: BaseFamily, measure: Measure, p: float,
     local_star = np.abs(f[sl] - fsum(f[sl] * m) / fsum(m))
     g = np.zeros(base.domain.sides)
     g[sl] = local_star ** (p - 1.0)
-    u = operators.rubio_de_francia(g, conjugate(p), base, measure,
-                                   operators.MaximalKind("dyadic"), tol=tol)
+    u = operators.rubio_de_francia(g, conjugate(p), base, measure, "dyadic")
     return u, star, rep.value, local_star, g
 
 
@@ -645,8 +643,6 @@ def estimate_constant(kind: str, corpus, args: dict) -> ConstantEstimate:
             values.append(_norm(f, spec, w, 1.0, base, measure) / denom)
     if not values:
         raise AllDegenerate(f"every instance was skipped for {kind!r}")
-    return ConstantEstimate(kind=kind, value=max(values),
+    return ConstantEstimate(value=max(values),
                             corpus_digest=_corpus_digest(corpus),
-                            args={k: float(v) if isinstance(v, (int, float)) else v
-                                  for k, v in args.items()},
                             n_used=len(values), n_skipped=skipped)

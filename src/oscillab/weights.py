@@ -41,8 +41,6 @@ DOUBLING_ENTRIES = 8
 SELF_IMPROVEMENT_SETTINGS = ("euclidean-cubes", "rectangles", "homogeneous",
                              "non-doubling")
 
-WEIGHT_KINDS = ("power", "random-log-bounded", "rubio-a1", "checkerboard")
-
 
 def conjugate(p: float) -> float:
     """Dual exponent p' = p / (p - 1)."""
@@ -232,7 +230,7 @@ def a1_constant(w: Weight, base: BaseFamily, measure: Measure,
     got = w.record(key)
     if got is not None:
         return got.value
-    mw = operators.maximal(w.values, base, measure, operators.MaximalKind(mode))
+    mw = operators.maximal(w.values, base, measure, mode)
     live = measure.masses > 0
     ratios = np.zeros(w.values.shape)
     with np.errstate(over="ignore"):  # an infinite ratio raises below
@@ -367,6 +365,19 @@ def power_bump_check(u: Weight, p: float, delta: float, base: BaseFamily,
 # ---------------------------------------------------------------------------
 # Generators.
 
+def _number(params: dict, key: str, default: float, low=-math.inf) -> float:
+    """``params[key]`` (``default`` when absent) as a float in (low, inf),
+    else a ``BadParams`` naming the key."""
+    value = params.get(key, default)
+    try:
+        if low < float(value) < math.inf:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise BadParams(f"weight parameter {key} must be a number in "
+                    f"({low}, inf), got {value!r}")
+
+
 def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
                     base: BaseFamily | None = None,
                     measure: Measure | None = None) -> Weight:
@@ -379,10 +390,7 @@ def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
     """
     params = dict(params or {})
     if kind == "power":
-        a = float(params.get("exponent", 1.0))
-        if not -domain.dims < a < math.inf:
-            raise BadParams(f"power exponent must be finite and exceed "
-                            f"{-domain.dims}, got {a}")
+        a = _number(params, "exponent", 1.0, low=-domain.dims)
         # A power past the float range is inf, which ``Weight`` rejects.
         with np.errstate(over="ignore"):
             if domain.dims == 1:
@@ -397,17 +405,13 @@ def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
         return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
                                                 "params": {"exponent": a}})
     if kind == "random-log-bounded":
-        bound = float(params.get("bound", 1.0))
-        if not 0 < bound < math.inf:
-            raise BadParams(f"log bound must be positive and finite, got {bound}")
+        bound = _number(params, "bound", 1.0, low=0.0)
         rng = np.random.default_rng(seed)
         vals = np.exp(rng.uniform(-bound, bound, size=domain.sides))
         return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
                                                 "params": {"bound": bound}})
     if kind == "checkerboard":
-        contrast = float(params.get("contrast", 2.0))
-        if not 0 < contrast < math.inf:
-            raise BadParams(f"contrast must be positive and finite, got {contrast}")
+        contrast = _number(params, "contrast", 2.0, low=0.0)
         idx = np.indices(domain.sides).sum(axis=0)
         vals = np.where(idx % 2 == 0, contrast, 1.0 / contrast).astype(float)
         return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
@@ -417,10 +421,10 @@ def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
 
         if base is None or measure is None:
             raise BadParams("rubio-a1 needs a base family and a measure")
-        p = float(params.get("p", 2.0))
+        p = _number(params, "p", 2.0)
         mode = str(params.get("mode", "dyadic" if base.kind in lattice.DYADIC_KINDS
                               else "uncentered"))
-        tol = float(params.get("tol", 1e-10))
+        tol = _number(params, "tol", 1e-10)
         g = params.get("g")
         if g is None:
             rng = np.random.default_rng(seed)
@@ -428,8 +432,12 @@ def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
             live = np.flatnonzero(measure.masses.ravel() > 0)
             spike = live[int(rng.integers(len(live)))]
             g.ravel()[spike] = 1.0
-        u = operators.rubio_de_francia(np.asarray(g, dtype=float), p, base, measure,
-                                       operators.MaximalKind(mode), tol=tol)
+        try:
+            g = np.asarray(g, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadParams(f"weight parameter g must be an array of numbers, "
+                            f"got {g!r}") from exc
+        u = operators.rubio_de_francia(g, p, base, measure, mode, tol=tol)
         u.provenance.setdefault("seed", int(seed))
         return u
     raise BadParams(f"unknown weight kind {kind!r}")
@@ -456,5 +464,8 @@ def read_weight(path) -> Weight:
     provenance = {}
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
-        provenance = json.loads(sidecar.read_text()).get("provenance", {})
+        try:
+            provenance = dict(json.loads(sidecar.read_text()).get("provenance", {}))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise BadParams(f"{sidecar}: malformed sidecar ({exc})") from exc
     return Weight(domain, values, provenance=provenance)

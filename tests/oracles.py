@@ -632,13 +632,13 @@ def tile_max(out: np.ndarray, avg: np.ndarray, lo: np.ndarray, shape) -> None:
                out=view)
 
 
-def tiled_maximal(f, base, measure, kind):
+def tiled_maximal(f, base, measure, mode):
     """``operators.maximal`` with the per-shape tile spread."""
     from oscillab import lattice
     from oscillab.errors import BadParams
     from oscillab.operators import _check_compat, _spread_max
 
-    _check_compat(base, kind)
+    _check_compat(base, mode)
     f = np.asarray(f, dtype=float)
     if f.shape != base.domain.sides:
         raise BadParams(f"field shape {f.shape} != domain {base.domain.sides}")
@@ -654,9 +654,9 @@ def tiled_maximal(f, base, measure, kind):
     cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
     for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(side)]):
         shape = side[a].tolist()
-        if kind.mode != "centered" and tiled:
+        if mode != "centered" and tiled:
             tile_max(out, avg[a:b], lo[a:b], shape)
-        elif kind.mode != "centered":
+        elif mode != "centered":
             np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape, sides),
                        out=out)
         elif shape[0] % 2 == 1:
@@ -666,7 +666,7 @@ def tiled_maximal(f, base, measure, kind):
     return out
 
 
-def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
+def per_term_rubio_de_francia(g, p, base, measure, mode, tol=1e-10):
     """``operators.rubio_de_francia`` with ``tiled_maximal`` called, checks
     and all, once per term and once for the final self-bound."""
     import math
@@ -674,14 +674,14 @@ def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
     from oscillab.errors import (BadParams, NonConvergence, OverflowGuard,
                                  ZeroInput)
     from oscillab.lattice import fsum
-    from oscillab.operators import _check_compat, lp_norm
+    from oscillab.operators import _check_compat, default_norm_bound, lp_norm
     from oscillab.weights import Weight
 
     if not 1.0 < p < math.inf:
         raise BadParams(f"the series needs 1 < p < inf, got {p}")
     if not 0 < tol < 1:
         raise BadParams(f"tol must sit in (0, 1), got {tol}")
-    _check_compat(base, kind)
+    _check_compat(base, mode)
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise BadParams("seed values must be finite")
@@ -692,7 +692,7 @@ def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
     live = measure.masses > 0
     if fsum(np.abs(g) * measure.masses) <= 0.0:
         raise ZeroInput("the seed function vanishes almost everywhere")
-    b = kind.bound(p, base)
+    b = default_norm_bound(mode, base, p)
     denom = 2.0 * b
     term = np.abs(g)
     u = term.copy()
@@ -700,7 +700,7 @@ def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
                            * math.log2(1.0 / tol)))
     iterations = 0
     while True:
-        term = tiled_maximal(term, base, measure, kind) / denom
+        term = tiled_maximal(term, base, measure, mode) / denom
         nxt = float(np.max(term))
         floor = float(np.min(u[u > 0.0]))
         if nxt < tol * floor:
@@ -714,7 +714,7 @@ def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
                         "through the base; enlarge the base family")
     values = u.copy()
     values[~live] = np.maximum(values[~live], 1.0)
-    mu = tiled_maximal(u, base, measure, kind)
+    mu = tiled_maximal(u, base, measure, mode)
     ratio = float(np.max(mu[live] / u[live])) if np.any(live) else 0.0
     checks = {
         "dominates_seed": bool(np.all(u[live] >= np.abs(g)[live])),
@@ -724,7 +724,7 @@ def per_term_rubio_de_francia(g, p, base, measure, kind, tol=1e-10):
     }
     return Weight(base.domain, values, provenance={
         "kind": "rubio-a1",
-        "params": {"p": float(p), "mode": kind.mode, "tol": float(tol)},
+        "params": {"p": float(p), "mode": mode, "tol": float(tol)},
         "iterations": int(iterations),
         "norm_bound": float(b),
         "checks": checks,

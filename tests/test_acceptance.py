@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oscillab import (CenteredDiff, GridDomain, MaximalKind, Measure,
+from oscillab import (CenteredDiff, GridDomain, Measure,
                       SelfImprovementParams, TheoremId, TLSeq, TLSequence,
                       Weight, build_base, certify, conjugate,
                       estimate_constant, generate_weight, jn_exp_moment,
@@ -147,14 +147,14 @@ def test_criterion_3_majorant_series(acceptance):
             if rng.uniform() < 0.5:
                 mea = Measure.density(dom, np.exp(rng.uniform(-1, 1, size=(n,))))
                 base = build_base(dom, mea, "dyadic-cubes")
-            kind = MaximalKind("dyadic")
+            kind = "dyadic"
         elif style == 1:
             side = int(2 ** rng.integers(1, 4))
             dom = GridDomain((side, side))
             mea = Measure.density(
                 dom, np.exp(rng.uniform(-1, 1, size=(side, side))))
             base = build_base(dom, mea, "dyadic-cubes")
-            kind = MaximalKind("dyadic")
+            kind = "dyadic"
         else:
             n = int(2 ** rng.integers(2, 6))
             key = ("all", n, True)
@@ -163,7 +163,7 @@ def test_criterion_3_majorant_series(acceptance):
                 mea = Measure.uniform(dom)
                 cache[key] = (dom, mea, build_base(dom, mea, "all-cubes"))
             dom, mea, base = cache[key]
-            kind = MaximalKind("centered")
+            kind = "centered"
         g = rng.normal(size=dom.sides)
         if not np.any(g):
             g.flat[0] = 1.0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (GridDomain, Measure, MaximalKind, Weight, build_base,
+from oscillab import (GridDomain, Measure, Weight, build_base,
                       doubling_constant, maximal, muckenhoupt_constant,
                       reverse_holder_constant)
 from oscillab import lattice
@@ -349,7 +349,7 @@ class TestRoutedPaths:
                 center = tuple(l + (s - 1) // 2 for l in box.lo)
                 want[center] = max(want[center], avg)
         want[masses == 0.0] = 0.0
-        assert _bits(maximal(f, base, measure, MaximalKind(mode))) == _bits(want)
+        assert _bits(maximal(f, base, measure, mode)) == _bits(want)
 
     @given(_doubling_measures(), _weights)
     @settings(max_examples=100, deadline=None)

@@ -98,16 +98,15 @@ def _with_majorant(transform):
             u = operators.rubio_de_francia(*a, **kw)
             return Weight(u.domain, transform(u.values), u.provenance)
         mp.setattr(verify, "operators", types.SimpleNamespace(
-            rubio_de_francia=rubio_de_francia,
-            MaximalKind=operators.MaximalKind))
+            rubio_de_francia=rubio_de_francia))
     return apply
 
 
 def _bound_halved(mp):
     """The maximal operator's norm bound b of the series halved."""
-    real = operators.MaximalKind.bound
-    mp.setattr(operators.MaximalKind, "bound",
-               lambda self, p, base: 0.5 * real(self, p, base))
+    real = operators.default_norm_bound
+    mp.setattr(operators, "default_norm_bound",
+               lambda mode, base, p: 0.5 * real(mode, base, p))
 
 
 def _weighted_norm_one(mp):

@@ -92,6 +92,75 @@ class TestExitCodes:
         assert rc == 4
 
 
+# One malformed outside input per row, its command, its exit code and a
+# part of its message.  '{d}' names a directory holding a field with a
+# non-numeric cell (bad.csv, also alone under corpus/), a field and a config
+# with a byte that is not UTF-8 (byte.csv, byte.cfg), and weights whose JSON
+# sidecar is corrupt (w.csv), a list (v.csv) or holds a number as
+# provenance (u.csv).
+_GEN = ["gen", "--grid", "8", "--out", "{d}/w_out.csv"]
+_OUTSIDE_INPUTS = [
+    ("csv-cell-norm", ["norm", "--field", "{d}/bad.csv"], 3, "bad.csv"),
+    ("csv-byte-norm", ["norm", "--field", "{d}/byte.csv"], 3, "byte.csv"),
+    ("csv-cell-corpus", ["sweep", "--quantity", "psi", "--corpus",
+                         "{d}/corpus", "--out", "{d}/s.csv"], 3, "bad.csv"),
+    ("power-exponent", [*_GEN, "--gen", "power", "--param", "exponent=abc"],
+     3, "exponent"),
+    ("log-bound", [*_GEN, "--gen", "random-log-bounded", "--param",
+                   "bound=abc"], 3, "bound"),
+    ("contrast", [*_GEN, "--gen", "checkerboard", "--param", "contrast=x"],
+     3, "contrast"),
+    ("rubio-p", [*_GEN, "--gen", "rubio-a1", "--param", "p=abc"], 3, " p "),
+    ("rubio-tol", [*_GEN, "--gen", "rubio-a1", "--param", "tol=abc"], 3,
+     "tol"),
+    ("rubio-g", [*_GEN, "--gen", "rubio-a1", "--param", "g=abc"], 3, " g "),
+    ("rubio-mode", [*_GEN, "--gen", "rubio-a1", "--param", "mode=sideways"],
+     3, "unknown maximal mode 'sideways'"),
+    ("powers-token", ["sweep", "--quantity", "c1p", "--powers", "2,abc",
+                      "--out", "{d}/s.csv"], 2, "abc"),
+    ("missing-field", ["norm", "--field", "{d}/nope.csv"], 2, "nope.csv"),
+    ("missing-weight", ["constant", "--kind", "doubling", "--weight",
+                        "{d}/nope.csv"], 2, "nope.csv"),
+    ("missing-config", ["--config", "{d}/nope.cfg", "info"], 2, "nope.cfg"),
+    ("config-byte", ["--config", "{d}/byte.cfg", "info"], 3, "byte.cfg"),
+    ("corrupt-sidecar", ["constant", "--kind", "doubling", "--weight",
+                         "{d}/w.csv"], 3, "w.json"),
+    ("list-sidecar", ["constant", "--kind", "doubling", "--weight",
+                      "{d}/v.csv"], 3, "v.json"),
+    ("number-provenance", ["gen", "--weight", "{d}/u.csv", "--out",
+                           "{d}/u_out.csv"], 3, "u.json"),
+    ("gen-out-parent", ["gen", "--gen", "power", "--grid", "8", "--out",
+                        "{d}/new/dir/w.csv"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, message",
+                         [row[1:] for row in _OUTSIDE_INPUTS],
+                         ids=[row[0] for row in _OUTSIDE_INPUTS])
+def test_outside_input_exit_codes(tmp_path, capsys, argv, code, message):
+    bad = "1,4\n0.0,1.0\nabc,3.0\n"
+    (tmp_path / "bad.csv").write_text(bad)
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "bad.csv").write_text(bad)
+    (tmp_path / "byte.csv").write_bytes(b"1,4\n0 1 2 \xff\n")
+    (tmp_path / "byte.cfg").write_bytes(b"seed = \xff\n")
+    for name, sidecar in (("w", "{not json"), ("v", "[]"),
+                          ("u", '{"provenance": 5}')):
+        write_field_csv(tmp_path / f"{name}.csv", GridDomain((8,)),
+                        np.arange(1.0, 9.0))
+        (tmp_path / f"{name}.json").write_text(sidecar)
+    try:
+        rc = main([a.format(d=tmp_path) for a in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err
+    assert message in err
+    if code == 0:
+        assert read_weight(tmp_path / "new" / "dir" / "w.csv").values.size == 8
+
+
 class TestNormCommand:
     def test_writes_report(self, tmp_path):
         field = tmp_path / "f.csv"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (CenteredDiff, DualHardy, GridDomain, MaximalKind,
+from oscillab import (CenteredDiff, DualHardy, GridDomain,
                       Measure, TLSeq, TLSequence, TheoremId, Weight,
                       a1_constant, build_base, fsum,
                       jn_exp_moment, lattice, maximal,
@@ -281,7 +281,7 @@ class TestCornerArraysOnly:
         modes = ["uncentered"] + (["dyadic"] if kind.startswith("dyadic")
                                   else ["centered"] * (kind == "all-cubes"))
         for mode in modes:
-            maximal(w.values, base, mea, MaximalKind(mode))
+            maximal(w.values, base, mea, mode)
             a1_constant(w, base, mea, mode=mode)
 
     @pytest.mark.parametrize("kind", ["dyadic-cubes", "all-cubes"])

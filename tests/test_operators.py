@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (GridDomain, MaximalKind, Measure, Weight, build_base,
+from oscillab import (GridDomain, Measure, Weight, build_base,
                       lp_norm, maximal, rubio_de_francia)
 from oscillab.errors import (BadParams, IncompatibleBase, OscillabError,
                              OverflowGuard, ZeroInput)
@@ -27,7 +27,7 @@ _GRIDS = [((16,), None, "dyadic-cubes"), ((32,), None, "all-cubes"),
 
 @st.composite
 def _instances(draw, kinds=None):
-    """(field, base, measure, kind): a general measure whose zero-mass cells
+    """(field, base, measure, mode): a general measure whose zero-mass cells
     drop members, and a field that is at times non-finite."""
     grids = [g for g in _GRIDS if kinds is None or g[2] in kinds]
     sides, split, base_kind = draw(st.sampled_from(grids))
@@ -41,7 +41,7 @@ def _instances(draw, kinds=None):
     if draw(st.integers(0, 9)) == 0:
         f.flat[rng.integers(f.size)] = draw(st.sampled_from([np.nan, np.inf]))
     mode = draw(st.sampled_from(["dyadic", "uncentered", "centered"]))
-    return f, build_base(dom, mea, base_kind), mea, MaximalKind(mode)
+    return f, build_base(dom, mea, base_kind), mea, mode
 
 
 def _outcome(call):
@@ -57,7 +57,7 @@ class TestMaximal:
         dom, mea, base = line8
         f = np.zeros(8)
         f[0] = 1.0
-        got = maximal(f, base, mea, MaximalKind("dyadic"))
+        got = maximal(f, base, mea, "dyadic")
         want = np.array([1.0, 0.5, 0.25, 0.25, 0.125, 0.125, 0.125, 0.125])
         assert np.array_equal(got, want)
 
@@ -81,7 +81,7 @@ class TestMaximal:
         mea = Measure.density(dom, np.exp(rng.uniform(-1, 1, size=8)))
         base = build_base(dom, mea, "all-cubes")
         f = rng.normal(size=8)
-        got = maximal(f, base, mea, MaximalKind("centered"))
+        got = maximal(f, base, mea, "centered")
         want = oracles.brute_centered_maximal(f, mea.masses,
                                               oracles.brute_all_intervals(8))
         assert np.allclose(got, want, rtol=1e-12)
@@ -91,7 +91,7 @@ class TestMaximal:
         mea = Measure.uniform(dom)
         base = build_base(dom, mea, "all-cubes")
         with pytest.raises(IncompatibleBase):
-            maximal(np.ones(8), base, mea, MaximalKind("dyadic"))
+            maximal(np.ones(8), base, mea, "dyadic")
 
     def test_dominates_the_function(self, line8):
         dom, mea, base = line8
@@ -103,9 +103,9 @@ class TestMaximal:
     @given(_instances(kinds=("dyadic-cubes", "dyadic-rectangles")))
     @settings(max_examples=150, deadline=None)
     def test_tile_gather_is_the_per_shape_spread(self, inst):
-        f, base, mea, kind = inst
-        got = _outcome(lambda: maximal(f, base, mea, kind))
-        want = _outcome(lambda: oracles.tiled_maximal(f, base, mea, kind))
+        f, base, mea, mode = inst
+        got = _outcome(lambda: maximal(f, base, mea, mode))
+        want = _outcome(lambda: oracles.tiled_maximal(f, base, mea, mode))
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -123,9 +123,9 @@ class TestMaximal:
         mea = Measure.general(dom, masses)
         base = build_base(dom, mea, "dyadic-rectangles")
         f = rng.normal(size=(16, 16))
-        for kind in (MaximalKind("dyadic"), MaximalKind("uncentered")):
-            assert maximal(f, base, mea, kind).tobytes() == \
-                oracles.tiled_maximal(f, base, mea, kind).tobytes()
+        for mode in ("dyadic", "uncentered"):
+            assert maximal(f, base, mea, mode).tobytes() == \
+                oracles.tiled_maximal(f, base, mea, mode).tobytes()
 
     @pytest.mark.parametrize("sides, split, kind", [
         ((8,), None, "dyadic-cubes"), ((8, 8), None, "dyadic-cubes"),
@@ -159,33 +159,27 @@ class TestMaximal:
     def test_unknown_mode_rejected(self, line8):
         dom, mea, base = line8
         with pytest.raises(BadParams):
-            maximal(np.ones(8), base, mea, MaximalKind("sideways"))
+            maximal(np.ones(8), base, mea, "sideways")
 
 
 class TestNormBounds:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5])
-    def test_bad_override_rejected(self, line8, value):
-        # NaN once surfaced as "field values must be finite", and inf as a
-        # ZeroInput about enlarging the base.
-        dom, mea, base = line8
-        kind = MaximalKind(norm_bound=lambda p: value)
-        with pytest.raises(BadParams, match=rf"operator-norm bound {value} "
-                           rf"is not in \[1, inf\)"):
-            rubio_de_francia(np.ones(8), 2.0, base, mea, kind)
-
     def test_dyadic_is_conjugate_exponent(self, line8):
         dom, mea, base = line8
         assert default_norm_bound("dyadic", base, 2.0) == pytest.approx(2.0)
         assert default_norm_bound("dyadic", base, 3.0) == pytest.approx(1.5)
 
     def test_all_mode_scales_with_dimension(self):
+        # The covering bound, which both non-dyadic modes take.
         dom = GridDomain((8,))
         mea = Measure.uniform(dom)
         base = build_base(dom, mea, "all-cubes")
-        assert default_norm_bound("all", base, 2.0) == pytest.approx(2 * 3 * 2.0)
         dom2 = GridDomain((4, 4))
         base2 = build_base(dom2, Measure.uniform(dom2), "all-cubes")
-        assert default_norm_bound("all", base2, 2.0) == pytest.approx(2 * 9 * 2.0)
+        for mode in ("uncentered", "centered"):
+            assert default_norm_bound(mode, base, 2.0) == \
+                pytest.approx(2 * 3 * 2.0)
+            assert default_norm_bound(mode, base2, 2.0) == \
+                pytest.approx(2 * 9 * 2.0)
 
 
 class TestLpNorm:
@@ -241,10 +235,10 @@ class TestRubioDeFrancia:
            st.sampled_from([1e-10, 1e-3]))
     @settings(max_examples=100, deadline=None)
     def test_matches_per_term_series(self, inst, p, tol):
-        f, base, mea, kind = inst
-        got = _outcome(lambda: rubio_de_francia(f, p, base, mea, kind, tol))
+        f, base, mea, mode = inst
+        got = _outcome(lambda: rubio_de_francia(f, p, base, mea, mode, tol))
         want = _outcome(lambda: oracles.per_term_rubio_de_francia(
-            f, p, base, mea, kind, tol))
+            f, p, base, mea, mode, tol))
         if isinstance(want, tuple):
             assert got == want
             return
@@ -260,7 +254,7 @@ class TestRubioDeFrancia:
     def _guarded(self, line8, g):
         dom, mea, base = line8
         want = _outcome(lambda: oracles.per_term_rubio_de_francia(
-            g, 2.0, base, mea, MaximalKind()))
+            g, 2.0, base, mea, "dyadic"))
         assert want == (OverflowGuard, "the seed is too large for the series "
                         "to stay in the float range; rescale it")
         assert _outcome(lambda: rubio_de_francia(g, 2.0, base, mea)) == want
