@@ -11,24 +11,33 @@ on demand.
 
 Two summation primitives share one contract.  ``fsum`` adds one array with
 ``math.fsum``.  ``box_sums`` adds one array over many boxes at once, with
-O(cells) set-up and O(1) exact work per box: each cell becomes an exact
-Python int scaled by a common power of two, a zero-padded cumulative table
-is taken per axis, and each box's exact int is got from its corners by
-inclusion-exclusion (summed-area tables, Crow 1984).  Each int is rounded
-once by ``float()``, and the whole result is scaled back by one exact
-``ldexp``; a sum in the subnormal range is a multiple of 2**-1074 and so
-already exact.  Where the cells span so many binary orders (about 970)
-that an int could pass the float range, each int is divided by the
-power of two instead, which rounds as correctly.  On finite cells the
-result is the exact sum rounded once, so it equals ``math.fsum`` over the
-box bit for bit; an exact sum beyond the float range raises
-``OverflowError`` as ``fsum`` does.  The one difference: ``fsum`` can
-raise "intermediate overflow" on partial sums whose exact total is
-finite, and ``box_sums`` returns that total.  With a non-finite cell in
-``values`` every box goes through ``fsum``, which gives inf, nan or
-``ValueError`` (inf + -inf).  A constant array c (uniform masses, unit
-weights) skips the table: a box of k < 2**53 cells sums to c * k exactly,
-so one float product rounds it once, for O(1) float work per box.
+O(cells) set-up and O(1) work per box, from summed-area tables (Crow 1984):
+a zero-padded cumulative table per axis, and each box's sum from its
+corners by inclusion-exclusion.  Each cell x is scaled to an exact integer
+I = x * 2**(53 - low), low the least ``np.frexp`` exponent of a nonzero
+cell.  Where the exponents span at most 50 - 2 * size.bit_length()
+binades and no cell is below 2**-1022, I is split into two
+integer-valued float64 limbs, I = H * 2**k + L with 0 <= L < 2**k and
+k = 52 - size.bit_length().  Every partial sum of either limb stays below
+2**52, so the tables and the corner arithmetic are exact in float64, and
+each box's H * 2**k + L is one IEEE addition, the exact sum rounded once:
+O(cells + boxes) float work, with only exact ``+``, ``-``, ``*``,
+``floor`` and ``ldexp`` besides, so the bits do not depend on the CPU.  Otherwise the
+table holds I as Python ints and each box's int is rounded once by
+``float()``; where the cells span so many binary orders (about 970) that
+an int could pass the float range, it is divided by the power of two
+instead, which rounds as correctly.  The rounded limb or ``float()`` sum
+is scaled back by one exact ``ldexp``: a sum in the subnormal range is a
+multiple of 2**-1074 and so already exact.  On finite cells the result is
+the exact sum rounded once, so it equals ``math.fsum`` over the box bit
+for bit; an exact sum beyond the float range raises ``OverflowError`` as
+``fsum`` does.  The one difference: ``fsum`` can raise "intermediate overflow" on
+partial sums whose exact total is finite, and ``box_sums`` returns that
+total.  With a non-finite cell in ``values`` every box goes through
+``fsum``, which gives inf, nan or ``ValueError`` (inf + -inf).  A constant
+array c (uniform masses, unit weights) skips the tables: a box of
+k < 2**53 cells sums to c * k exactly, so one float product rounds it
+once, for O(1) float work per box.
 """
 
 from __future__ import annotations
@@ -73,12 +82,13 @@ def first_max(values, floor: float = -math.inf):
     return best, arg
 
 
-def scaled_ints(values: np.ndarray):
+def scaled_ints(values: np.ndarray, parts=None):
     """(ints, low, top): each cell of a finite array as the exact Python int
     cell * 2**(53 - low), low and top the least and greatest exponents of a
-    nonzero cell (``np.frexp``); None if every cell is 0."""
+    nonzero cell (``np.frexp``); None if every cell is 0.  ``parts`` is
+    ``np.frexp(values)`` where the caller has it already."""
     # Cell x == mant * 2**(expo - 53) exactly, mant an integer below 2**53.
-    frac, expo = np.frexp(values)
+    frac, expo = np.frexp(values) if parts is None else parts
     mant = (frac * 2.0 ** 53).astype(np.int64)
     live = mant != 0
     if not live.any():
@@ -88,8 +98,8 @@ def scaled_ints(values: np.ndarray):
     return ints, low, top
 
 
-# Boxes per block of exact big-int arithmetic in ``box_sums``; bounds the
-# object-array temporaries on large families.
+# Boxes per block of corner gathers in ``box_sums``; bounds the temporaries
+# (object arrays on the exact table) on large families.
 _BOX_BLOCK = 4096
 
 
@@ -98,10 +108,10 @@ def box_sums(values, lo, hi) -> np.ndarray:
 
     ``lo`` and ``hi`` are integer arrays of shape (boxes, dims).  Element i
     equals ``math.fsum(values[box_i].ravel())`` bit for bit; see the module
-    docstring for the contract.  Each box's exact int is rounded by
-    ``float()`` and scaled by ``ldexp``, or divided where the cells'
-    exponent span nears the float range; a constant array takes one
-    product c * k per box instead.  ``OverflowError`` says "too large".
+    docstring for the contract and its paths: two float limbs where the
+    cells' exponents are close (O(cells + boxes) float work), a table of
+    Python ints otherwise, one product c * k per box for a constant array.
+    ``OverflowError`` says "too large".
     """
     values = np.asarray(values, dtype=float)
     lo = np.asarray(lo, dtype=np.intp).reshape(-1, values.ndim)
@@ -115,41 +125,59 @@ def box_sums(values, lo, hi) -> np.ndarray:
         with np.errstate(over="ignore"):
             out = flat[0] * (hi - lo).prod(axis=1) + 0.0
         return _finite_sums(out)
-    scaled = scaled_ints(values)
-    if scaled is None:
+    parts = np.frexp(values)
+    live = parts[0] != 0.0
+    if not live.any():
         return np.zeros(len(lo))
-    ints, low, top = scaled
-    table = np.zeros(tuple(n + 1 for n in values.shape), dtype=object)
-    inner = table[(slice(1, None),) * values.ndim]
-    inner[...] = ints
+    low, top = int(parts[1][live].min()), int(parts[1][live].max())
+    # The exact sum of a box is acc * 2**shift, acc an int, with |acc| below
+    # 2**(top - low + 53 + bits).
+    bits, shift = values.size.bit_length(), low - 53
+    cells = (slice(1, None),) * values.ndim
+    padded = tuple(n + 1 for n in values.shape)
+    if top - low + 2 * bits <= 50 and shift >= -1074:
+        # Two limbs: each cell's int I = H * 2**k + L, 0 <= L < 2**k.  Every
+        # sum of L stays below 2**52, and of H below 2**51, so float64 adds
+        # them exactly; H * 2**k + L per box is the one rounding.
+        k = 2.0 ** (52 - bits)
+        exact = np.ldexp(values, -shift)
+        # One complex table holds both limbs: H as the real part, L as the
+        # imaginary part, each added on its own.
+        table = np.zeros(padded, dtype=complex)
+        high = table.real[cells]
+        np.floor(exact / k, out=high)
+        table.imag[cells] = exact - high * k
+        finish = lambda acc: acc.real * k + acc.imag
+    else:
+        table = np.zeros(padded, dtype=object)
+        table[cells] = scaled_ints(values, parts)[0]
+        if top - low + 53 + bits < 1023:
+            # float(acc) rounds acc correctly and ldexp scales it exactly.
+            finish = lambda acc: acc.astype(float)
+        else:
+            # acc may pass the float range: int / int is correctly rounded,
+            # subnormal and overflow included.
+            scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
+            finish = lambda acc: acc * scale / den
+            shift = 0  # the quotient is already scaled
+    # A subnormal sum is a multiple of 2**-1074 with fewer than 53
+    # significant bits, so the ldexp below keeps it exact.
+    inner = table[cells]
     for axis in range(values.ndim):
         np.cumsum(inner, axis=axis, out=inner)
-    # The exact sum of a box is acc * 2**shift, with |acc| below
-    # 2**(top - low + 53 + values.size.bit_length()).  Unless that bound
-    # nears the float range, float(acc) rounds acc correctly and ldexp
-    # scales it exactly (a subnormal sum has fewer than 53 significant
-    # bits, so it is already exact); otherwise divide, as acc may not fit.
-    wide = top - low + 53 + values.size.bit_length() >= 1023
-    shift = low - 53
-    scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
     out = np.empty(len(lo))
     for start in range(0, len(lo), _BOX_BLOCK):
-        l = lo[start:start + _BOX_BLOCK].T
-        h = hi[start:start + _BOX_BLOCK].T
+        l = lo[start:start + _BOX_BLOCK]
+        h = hi[start:start + _BOX_BLOCK]
+        # Corners as flat indices into the table: take() beats 2-d
+        # fancy indexing.
         if values.ndim == 1:
-            acc = table[h[0]] - table[l[0]]
+            acc = table.take(h[:, 0]) - table.take(l[:, 0])
         else:
-            acc = (table[h[0], h[1]] - table[l[0], h[1]]
-                   - table[h[0], l[1]] + table[l[0], l[1]])
-        if not wide:
-            out[start:start + len(acc)] = acc.astype(float)
-            continue
-        if scale != 1:
-            acc *= scale
-        # int / int is correctly rounded, subnormal and overflow included.
-        out[start:start + len(acc)] = acc / den
-    if wide:
-        return out
+            hr, lr = h[:, 0] * table.shape[1], l[:, 0] * table.shape[1]
+            acc = (table.take(hr + h[:, 1]) - table.take(lr + h[:, 1])
+                   - table.take(hr + l[:, 1]) + table.take(lr + l[:, 1]))
+        out[start:start + len(acc)] = finish(acc)
     with np.errstate(over="ignore"):
         return _finite_sums(np.ldexp(out, shift))
 

@@ -111,12 +111,14 @@ class NormReport:
 
 def _level_fields(seq: TLSequence, spec: TLSeq) -> np.ndarray:
     """Row k: the ``TLSeq`` field of any side-2^k base cube, on its cells:
-    0 + t_k + t_(k-1) + ... + t_0 in that order, t_j holding coef^q of the
-    side-2^j coefficient cube over each cell (0 if none).  This is, bit for
-    bit, the sum over a dyadic cube B of side 2^k in canonical order
-    (largest first): the coefficient cubes inside B that hold a cell are
-    those of side at most 2^k that hold it, one per side, and an added 0
-    changes no bits.  Cost: O(cells x levels^2)."""
+    t_0 + t_1 + ... + t_k correctly rounded, t_j holding coef^q of the
+    side-2^j coefficient cube over each cell (0 if none).  This is the sum
+    over a dyadic cube B of side 2^k: the coefficient cubes inside B that
+    hold a cell are those of side at most 2^k that hold it, one per side.
+    The terms are >= 0, so a field past the float range reads inf.  Cost:
+    a running sum over the levels where no cell holds more than two
+    nonzero terms, else one ``box_sums`` pass over the stacked terms, a box
+    of levels 0..k per cell and level."""
     domain = seq.domain
     total, n = float(domain.num_cells), float(domain.dims)
     t = np.zeros((domain.max_level() + 1, *domain.sides))
@@ -126,11 +128,30 @@ def _level_fields(seq: TLSequence, spec: TLSeq) -> np.ndarray:
         size_norm = cube.cell_count() / total
         coef = (size_norm ** (-0.5 - spec.alpha / n)) * abs(s)
         t[(_cube_level(cube, domain), *cube.slices())] = coef ** spec.q
-    fields = np.zeros_like(t)
-    for k in range(len(t)):
-        for j in range(k, -1, -1):
-            fields[k] += t[j]
-    return fields
+    if (t != 0.0).sum(axis=0).max() <= 2:
+        # Two nonzero terms add with one rounding, so the running sum is
+        # already correctly rounded.
+        with np.errstate(over="ignore"):
+            return np.cumsum(t, axis=0)
+    # Each cell's terms in a row; the field of level k at a cell is the
+    # interval of that row's first k + 1 terms.
+    terms = np.moveaxis(t, 0, -1).ravel()
+    lo = np.tile(np.arange(0, terms.size, len(t)), len(t))
+    hi = lo + np.repeat(np.arange(1, len(t) + 1), terms.size // len(t))
+    try:
+        fields = box_sums(terms, lo, hi)
+    except OverflowError:
+        fields = np.array([_fsum_or_inf(terms[l:h].tolist())
+                           for l, h in zip(lo.tolist(), hi.tolist())])
+    return fields.reshape(t.shape)
+
+
+def _fsum_or_inf(terms) -> float:
+    """``math.fsum`` of terms >= 0, inf where it passes the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,

@@ -410,9 +410,21 @@ def per_box_osc_norm(f, spec, w, p, base, measure, per_set=False):
                       per_set=tuple(rows) if rows is not None else None)
 
 
+def _fsum_or_inf(terms):
+    """``math.fsum`` of terms >= 0, inf where their sum passes the float
+    range (fsum raises there)."""
+    import math
+
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def per_box_tl_norm(seq, spec, w, p, base, measure, per_set=False):
-    """The ``TLSeq`` norm box by box: each box's field adds coef^q over
-    every nonzero coefficient cube inside the box, in canonical order."""
+    """The ``TLSeq`` norm box by box: each cell of a box's field is the
+    ``math.fsum`` of coef^q over every nonzero coefficient cube inside the
+    box that holds the cell."""
     import math
 
     from oscillab.errors import (ExponentOutOfRange, IncompatibleSpec,
@@ -438,7 +450,8 @@ def per_box_tl_norm(seq, spec, w, p, base, measure, per_set=False):
             raise ZeroMass(f"no weighted mass on {box.label()}")
         if not isinstance(seq, TLSequence):
             raise IncompatibleSpec("sequence rule needs a cube-indexed sequence")
-        out = np.zeros(domain.sides)
+        terms = [[] for _ in range(domain.num_cells)]
+        cells = np.arange(domain.num_cells).reshape(domain.sides)
         for cube, s in seq.items_canonical():
             inside = all(l <= cl and ch <= h for l, h, cl, ch
                          in zip(box.lo, box.hi, cube.lo, cube.hi))
@@ -446,7 +459,10 @@ def per_box_tl_norm(seq, spec, w, p, base, measure, per_set=False):
                 continue
             size_norm = cube.cell_count() / total
             coef = (size_norm ** (-0.5 - spec.alpha / n)) * abs(s)
-            out[cube.slices()] += coef ** spec.q
+            for c in cells[cube.slices()].ravel():
+                terms[c].append(coef ** spec.q)
+        out = np.array([_fsum_or_inf(cell) for cell in terms]
+                       ).reshape(domain.sides)
         local = np.where(wm > 0.0, out, 0.0)
         with np.errstate(over="ignore"):
             val = fsum(((local ** p) * wm)[sl]) / wmass

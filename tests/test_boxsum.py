@@ -7,6 +7,7 @@ every comparison here is on the float bits, not within a tolerance.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,91 @@ def _grid_values(draw):
     return sides, values.reshape(sides)
 
 
+def _spanned_cells(rng, sides, span, low, zeros=False, cancel=False):
+    """Cells whose nonzero frexp exponents run from low to low + span, both
+    ends taken, of both signs.  ``zeros`` sets some cells to +0.0 or -0.0;
+    ``cancel`` turns cell pairs into x and -x, or into x and -(x - d), d a
+    few units of the least exponent's last place, so boxes cancel to 0 and
+    to small remainders (subnormal where low is near -1021)."""
+    n = int(np.prod(sides))
+    expo = rng.integers(low, low + span + 1, n)
+    expo[:2] = low, low + span
+    mant = rng.uniform(0.5, 1.0, n)
+    short = rng.random(n) < 0.3
+    mant[short] = np.floor(mant[short] * 16) / 16  # few mantissa bits
+    mant[:2] = 0.75  # exact even where low + span is subnormal
+    cells = np.ldexp(mant, expo) * rng.choice([-1.0, 1.0], n)
+    if zeros:
+        dead = rng.random(n) < 0.2
+        dead[:2] = False
+        cells[dead] = rng.choice([-0.0, 0.0], int(dead.sum()))
+    if cancel:
+        ulp = 2.0 ** (low - 53)
+        for i in range(2, n - 1, 4):
+            if cells[i] != 0.0 and np.frexp(cells[i])[1] == low:
+                cells[i] = math.copysign(2.0 ** (low - 1) + ulp * 64, cells[i])
+            cells[i + 1] = -cells[i] + math.copysign(
+                ulp * int(rng.integers(0, 4)), cells[i])
+    return cells.reshape(sides)
+
+
+def _some_boxes(rng, sides, count):
+    """The full box, the first and last cells and ``count`` random boxes."""
+    boxes = [BaseSet((0,) * len(sides), tuple(sides)),
+             BaseSet((0,) * len(sides), (1,) * len(sides)),
+             BaseSet(tuple(s - 1 for s in sides), tuple(sides))]
+    for _ in range(count):
+        lo = [int(rng.integers(0, s)) for s in sides]
+        hi = [int(rng.integers(l + 1, s + 1)) for l, s in zip(lo, sides)]
+        boxes.append(BaseSet(tuple(lo), tuple(hi)))
+    return boxes
+
+
+def _assert_like_fsum(values, boxes):
+    """``box_sums`` equals per-box ``math.fsum`` bit for bit.  A box whose
+    exact sum passes the float range makes the call raise, as fsum does;
+    ``box_sums`` then still sums the other boxes.  (fsum may also raise
+    on a partial sum whose exact total is finite; the engine returns that
+    total, so the exact ``Fraction`` sum decides which boxes overflow.)"""
+    want, fits = [], []
+    for b in boxes:
+        cells = values[b.slices()].ravel().tolist()
+        try:
+            want.append(math.fsum(cells))
+        except OverflowError:
+            try:
+                want.append(float(sum(map(Fraction, cells))))
+            except OverflowError:
+                continue
+        fits.append(b)
+    lo = np.array([b.lo for b in fits]).reshape(-1, values.ndim)
+    hi = np.array([b.hi for b in fits]).reshape(-1, values.ndim)
+    assert _bits(box_sums(values, lo, hi)) == _bits(want)
+    if len(fits) < len(boxes):
+        with pytest.raises(OverflowError, match="too large"):
+            box_sums(values, [b.lo for b in boxes], [b.hi for b in boxes])
+
+
+_SPAN_GRIDS = ((8,), (16,), (64,), (256,), (4, 4), (8, 8), (4, 8), (16, 16),
+               (32, 32), (64, 64))
+
+
+@st.composite
+def _spanned_grids(draw):
+    """(values, boxes) with an exponent span within 3 binades of the
+    two-limb guard, at a middle scale, near the subnormal range (least
+    exponent near -1021) or near overflow (greatest near 1024)."""
+    sides = draw(st.sampled_from(_SPAN_GRIDS))
+    guard = 50 - 2 * int(np.prod(sides)).bit_length()
+    span = draw(st.integers(guard - 3, guard + 3))
+    low = draw(st.one_of(st.integers(-60, 60), st.integers(-1024, -1018),
+                         st.integers(1021 - span, 1024 - span)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = _spanned_cells(rng, sides, span, low, draw(st.booleans()),
+                            draw(st.booleans()))
+    return values, _some_boxes(rng, sides, 40)
+
+
 class TestBoxSums:
     @given(_grid_values(), st.sampled_from(BASE_KINDS), st.integers(0, 2))
     @settings(max_examples=300, deadline=None)
@@ -121,8 +207,8 @@ class TestBoxSums:
             math.fsum(values.tolist())
         assert box_sums(values, [[0]], [[3]])[0] == 1e308
 
-    # ``box_sums`` converts each exact box int with float() and scales it by
-    # a power of two, unless the exponent span top - low + 53 +
+    # On the exact table, ``box_sums`` converts each box int with float()
+    # and scales it by a power of two, unless the exponent span top - low + 53 +
     # size.bit_length() reaches 1023, where the int may pass the float
     # range and it divides instead.  Here the span is k + 58 (frexp puts
     # 2**k at exponent k + 1 and 0.5 at 0), so the switch is at k = 965.
@@ -205,7 +291,7 @@ class TestBoxSums:
         assert box_sums(np.full(4, 1e308), [[1]], [[2]])[0] == 1e308
 
     def test_constant_skips_the_table(self, monkeypatch):
-        def refuse(values):
+        def refuse(values, parts=None):
             raise AssertionError("exact table built")
         monkeypatch.setattr(lattice, "scaled_ints", refuse)
         dom = _domain((16, 16))
@@ -213,8 +299,42 @@ class TestBoxSums:
         assert _bits(base.set_masses(Measure.uniform(dom))) \
             == _bits((base.hi - base.lo).prod(axis=1))
         assert box_sums(np.full(8, -2.5), [[0]], [[8]])[0] == -20.0
+        # A narrow exponent span takes the two float limbs, a wide one the
+        # exact table.
+        assert box_sums(np.arange(8.0), [[0]], [[8]])[0] == 28.0
         with pytest.raises(AssertionError, match="table"):
-            box_sums(np.arange(8.0), [[0]], [[8]])
+            box_sums(np.array([1.0, 2.0 ** 60, 0.0, 3.0]), [[0]], [[4]])
+
+    # The two float limbs run where the cells' frexp exponents span at
+    # most 50 - 2 * size.bit_length() binades and the least is at least
+    # -1021; otherwise the exact table runs.  Each case sits on one side
+    # of that guard: (sides, span, least exponent, limbs).
+    @pytest.mark.parametrize("sides, span, low, limbs", [
+        ((8,), 42, 0, True), ((8,), 43, 0, False),
+        ((256,), 32, -40, True), ((256,), 33, -40, False),
+        ((16, 16), 32, 900, True), ((16, 16), 33, 900, False),
+        ((64, 64), 24, 990, True), ((64, 64), 25, 990, False),
+        ((8,), 10, -1021, True), ((8,), 10, -1022, False),
+        ((4, 4), 40, -1021, True), ((4, 4), 40, -1022, False)])
+    def test_both_paths_at_the_guard(self, monkeypatch, sides, span, low,
+                                     limbs):
+        tables = []
+        build = lattice.scaled_ints
+        monkeypatch.setattr(lattice, "scaled_ints",
+                            lambda *a: tables.append(1) or build(*a))
+        values = _spanned_cells(np.random.default_rng(span + 2000 + low), sides,
+                                span, low, cancel=True)
+        expo = np.frexp(values)[1][values != 0.0]
+        assert (expo.min(), expo.max()) == (low, low + span)
+        boxes = _some_boxes(np.random.default_rng(abs(low)), sides, 60)
+        _assert_like_fsum(values, boxes)
+        assert (not tables) == limbs
+
+    @given(_spanned_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_spans_across_the_guard(self, grid):
+        values, boxes = grid
+        _assert_like_fsum(values, boxes)
 
     def test_all_zero_and_empty(self):
         zeros = np.zeros((4, 4))

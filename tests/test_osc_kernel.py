@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       TLSequence, Weight, build_base, cz_selection,
                       generate_weight, jn_exp_moment, muckenhoupt_constant,
-                      oscillation_norm, reverse_holder_constant,
+                      oscillation, oscillation_norm, reverse_holder_constant,
                       sharp_oscillation, verify, weights)
 from oscillab.lattice import BaseSet
 from oscillab.errors import (IncompatibleSpec, OscillabError,
@@ -174,6 +174,34 @@ class TestSequenceNormKernel:
                      per_set=per_set),
             _outcome(oracles.per_box_tl_norm, seq, spec, norm_w, p, base,
                      measure, per_set=per_set))
+
+    def test_level_fields_correctly_rounded(self):
+        # With alpha 0.5 and q 1 on 8 cells, a side-s cube's term is 8/s
+        # times its coefficient.  Cell 0 holds 2**-53 (sides 1 and 4) and
+        # 1.0 (side 2): adding in level order, or from the largest side
+        # down, loses both small terms; the rounded exact sum keeps them.
+        # Cells 4..7 hold 1e308 (side 8) and 1.5e308 (side 4), whose sum
+        # passes the float range.  Three terms in a cell take the exact
+        # sums, two the running sum.
+        dom = GridDomain((8,))
+        small = {BaseSet((0,), (1,)): 2.0 ** -56, BaseSet((0,), (2,)): 0.25,
+                 BaseSet((0,), (4,)): 2.0 ** -54}
+        big = {BaseSet((0,), (8,)): 1e308, BaseSet((4,), (8,)): 0.75e308}
+        measure = Measure.uniform(dom)
+        base = build_base(dom, measure, "dyadic-cubes")
+        spec = TLSeq(alpha=0.5, q=1.0)
+        for coefs in (small, {**small, **big}, big):
+            seq = TLSequence(dom, coefs)
+            fields = oscillation._level_fields(seq, spec)
+            if coefs is not big:
+                assert fields[2, 0] == 1.0 + 2.0 ** -52
+            if coefs is not small:
+                assert fields[3, 0] == 1e308 and fields[2, 4] == 1.5e308
+                assert fields[3, 4] == math.inf
+            args = (seq, spec, Weight.unit(dom), 1.0, base, measure)
+            _same_norm(_outcome(oscillation_norm, *args, per_set=True),
+                       _outcome(oracles.per_box_tl_norm, *args,
+                                per_set=True))
 
 
 class TestJNKernel:
