@@ -9,35 +9,42 @@ A family is its corner arrays, ``BaseFamily.lo`` and ``hi``, in canonical
 order; every reduction reads them, and ``BaseSet`` objects are built only
 on demand.
 
-Two summation primitives share one contract.  ``fsum`` adds one array with
-``math.fsum``.  ``box_sums`` adds one array over many boxes at once, with
-O(cells) set-up and O(1) work per box, from summed-area tables (Crow 1984):
-a zero-padded cumulative table per axis, and each box's sum from its
-corners by inclusion-exclusion.  Each cell x is scaled to an exact integer
-I = x * 2**(53 - low), low the least ``np.frexp`` exponent of a nonzero
-cell.  Where the exponents span at most 50 - 2 * size.bit_length()
-binades and no cell is below 2**-1022, I is split into two
-integer-valued float64 limbs, I = H * 2**k + L with 0 <= L < 2**k and
-k = 52 - size.bit_length().  Every partial sum of either limb stays below
-2**52, so the tables and the corner arithmetic are exact in float64, and
-each box's H * 2**k + L is one IEEE addition, the exact sum rounded once:
-O(cells + boxes) float work, with only exact ``+``, ``-``, ``*``,
-``floor`` and ``ldexp`` besides, so the bits do not depend on the CPU.  Otherwise the
-table holds I as Python ints and each box's int is rounded once by
-``float()``; where the cells span so many binary orders (about 970) that
-an int could pass the float range, it is divided by the power of two
-instead, which rounds as correctly.  The rounded limb or ``float()`` sum
-is scaled back by one exact ``ldexp``: a sum in the subnormal range is a
+Three summation primitives share one contract: a sum is the exact sum
+rounded once.  ``fsum`` adds one array with ``math.fsum``.  ``box_sums``
+adds one array over many boxes at once, with O(cells) set-up and O(1) work
+per box, from summed-area tables (Crow 1984): a zero-padded cumulative table
+per axis, and each box's sum from its corners by inclusion-exclusion.  Each
+cell x is scaled to an exact integer I = x * 2**(53 - low), low the least
+``np.frexp`` exponent of a nonzero cell.  Where the exponents span at most
+50 - 2 * size.bit_length() binades and no cell is below 2**-1022, I is split
+into two integer-valued float64 limbs, I = H * 2**k + L with 0 <= L < 2**k
+and k = 52 - size.bit_length().  Every partial sum of either limb stays
+below 2**52, so the tables and the corner arithmetic are exact in float64,
+and each box's H * 2**k + L is one IEEE addition, the exact sum rounded
+once: O(cells + boxes) float work, with only exact ``+``, ``-``, ``*``,
+``floor`` and ``ldexp`` besides, so the bits do not depend on the CPU.
+Otherwise the table holds I as Python ints and each box's int is rounded
+once by ``float()``; where the cells span so many binary orders (about 970)
+that an int could pass the float range, it is divided by the power of two
+instead, which rounds as correctly.  The rounded limb or ``float()`` sum is
+scaled back by one exact ``ldexp``: a sum in the subnormal range is a
 multiple of 2**-1074 and so already exact.  On finite cells the result is
-the exact sum rounded once, so it equals ``math.fsum`` over the box bit
-for bit; an exact sum beyond the float range raises ``OverflowError`` as
-``fsum`` does.  The one difference: ``fsum`` can raise "intermediate overflow" on
-partial sums whose exact total is finite, and ``box_sums`` returns that
-total.  With a non-finite cell in ``values`` every box goes through
-``fsum``, which gives inf, nan or ``ValueError`` (inf + -inf).  A constant
-array c (uniform masses, unit weights) skips the tables: a box of
-k < 2**53 cells sums to c * k exactly, so one float product rounds it
-once, for O(1) float work per box.
+the exact sum rounded once, so it equals ``math.fsum`` over the box bit for
+bit; an exact sum beyond the float range raises ``OverflowError`` as
+``fsum`` does.  The one difference: ``fsum`` can raise "intermediate
+overflow" on partial sums whose exact total is finite, and ``box_sums``
+returns that total.  With a non-finite cell in ``values`` every box goes
+through ``fsum``, which gives inf, nan or ``ValueError`` (inf + -inf).  A
+constant array c (uniform masses, unit weights) skips the tables: a box of
+k < 2**53 cells sums to c * k exactly, so one float product rounds it once,
+for O(1) float work per box.
+
+``block_reduce`` is the one site of the nonlinear per-box sums: the
+caller forms the terms t of each (boxes, cells) block of one shape; cells
+without mass are left out (an inf there times 0 would make the row NaN);
+each member gives fsum(t * m) / mass, m the cell masses where given, by one
+``math.fsum`` over ``tolist()``, or in log space shift + log(fsum(exp(t -
+shift) * m)) - log(mass), shift the row maximum over cells with mass.
 """
 
 from __future__ import annotations
@@ -505,6 +512,48 @@ class BaseFamily:
     def set_masses(self, measure: Measure) -> np.ndarray:
         """Per-member measure, in canonical order: ``sums(measure.masses)``."""
         return self.sums(measure.masses)
+
+
+def block_reduce(base: BaseFamily, form, mass=None, cells=None,
+                 stop: int | None = None, log: bool = False) -> list:
+    """Per member i below ``stop`` (default: all), the reduction of its row
+    that the module docstring states, for a few numpy passes per block and
+    one ``math.fsum`` per member.  ``form(start, idx)`` gives the terms of
+    the members from ``start`` on, row r on flat cells ``idx[r]``, as a
+    fresh array; ``cells`` are the cell masses.  ``mass`` None: row maxima."""
+    stop = len(base) if stop is None else stop
+    dead = None if cells is None or cells.all() else cells == 0.0
+    mass = None if mass is None else np.asarray(mass).tolist()
+    out = []
+    for start, _, idx in base.shape_runs():
+        if start >= stop:
+            break
+        idx = idx[:stop - start]
+        terms = form(start, idx)
+        if dead is not None:
+            terms[dead[idx]] = -math.inf if log else 0.0
+        if mass is None:
+            out.extend(terms.max(axis=1).tolist())
+            continue
+        if log:
+            shift = terms.max(axis=1)
+            terms = np.exp(terms - shift[:, None])
+        if cells is not None:
+            terms = terms * cells[idx]
+        # map over the rows keeps the per-row work in C.
+        sums = map(math.fsum, terms.tolist())
+        div = mass[start:start + len(idx)]
+        if log:
+            sums = map(operator.add, shift.tolist(), map(math.log, sums))
+            div = map(math.log, div)
+        out.extend(map(operator.sub if log else operator.truediv, sums, div))
+    return out
+
+
+def deviations(f, centre: np.ndarray):
+    """The ``block_reduce`` form |f - centre[i]| on the cells of member i."""
+    flat = np.asarray(f, dtype=float).ravel()
+    return lambda a, idx: np.abs(flat[idx] - centre[a:a + len(idx), None])
 
 
 def _lengths(side: int, min_scale: int, dyadic: bool) -> list[int]:

@@ -21,7 +21,8 @@ from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic,
                      OverflowGuard, ZeroMass)
 from .lattice import (DYADIC_KINDS, BaseFamily, BaseSet, GridDomain, Measure,
-                      box_sums, content_key, first_max, fsum, scaled_ints)
+                      block_reduce, box_sums, content_key, deviations,
+                      first_max, fsum, scaled_ints)
 from .weights import Weight, doubling_constant
 
 
@@ -162,9 +163,9 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
     linear arrays (the w-masses, the centre numerators and masses of
     ``CenteredDiff``, and the cell sums behind the ``DualHardy`` centre, a
     plain cell mean) come from ``base.sums``; ``TLSeq`` reads one field per
-    level (``_level_fields``).  Each run of boxes of one shape is then
-    gathered as (boxes, cells) blocks, local^p w m is one numpy expression
-    per block, and each box takes one ``math.fsum``.  Reports are memoised
+    level (``_level_fields``).  Then one ``lattice.block_reduce`` of the
+    terms local^p, with cell masses w m, gives each box's mean of p-th
+    powers.  Reports are memoised
     on the family, keyed by the content of f (of the level fields, for
     ``TLSeq``), the rule, w, the measure, p (and its type) and ``per_set``;
     errors are raised anew.  Value, extremal set (the first strict maximum
@@ -203,60 +204,43 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
     so that an overflow they raise comes first, as in a box-by-box loop."""
     wm = w.values * measure.masses
     wmass = base.sums(wm)
-    zero = wmass <= 0.0
+    bad = zero = wmass <= 0.0
     centre = scale = levels = None
     if isinstance(spec, CenteredDiff):
         m = measure.masses if spec.v is None \
             else measure.masses * spec.v.values
         mass = base.sums(m)
-        bad = np.flatnonzero(zero | (mass <= 0.0))
-        stop = int(bad[0]) if len(bad) else len(base)
+        bad = zero | (mass <= 0.0)
         # Boxes from the failing one on may have no mass; their centres
         # are never used.
         with np.errstate(divide="ignore", invalid="ignore"):
             centre = base.sums(arr * m) / mass
     elif isinstance(spec, DualHardy):
-        compatible = (measure.kind == "density-over-uniform"
-                      and np.array_equal(measure.masses, spec.w.values))
-        bad = np.flatnonzero(zero)
-        stop = 0 if not compatible else int(bad[0]) if len(bad) else len(base)
+        if measure.kind != "density-over-uniform" or not np.array_equal(
+                measure.masses, spec.w.values):
+            bad = np.ones_like(zero)  # every box fails: the rule does not fit
         centre = plain_means(arr, base)
-        if not np.isfinite(centre[:stop]).all():
-            raise OverflowGuard("a plain cell mean left the float range")
         scale = spec.w.values.ravel()
     else:
         # TLSeq: arr stacks the level fields of ``_level_fields``.
-        bad = np.flatnonzero(zero)
-        stop = int(bad[0]) if len(bad) else len(base)
         levels = arr.reshape(len(arr), -1)
-    flat, wm_flat = arr.ravel(), wm.ravel()
-    # Cells without mass are left out of the terms: their |f - c|^p may be
-    # inf, and inf * 0 would make the box NaN.
-    dead = None if wm_flat.all() else wm_flat == 0.0
-    wmass = wmass.tolist()
-    vals = []
+    stop = int(np.argmax(bad)) if bad.any() else len(base)
+    if scale is not None and not np.isfinite(centre[:stop]).all():
+        raise OverflowGuard("a plain cell mean left the float range")
+    spread = deviations(arr, centre)
+
+    def powers(start, idx):
+        if levels is not None:
+            # A run of dyadic cubes of side 2^k reads level field k.
+            side = int(base.hi[start, 0] - base.lo[start, 0])
+            return levels[side.bit_length() - 1][idx] ** p
+        local = spread(start, idx)
+        return (local if scale is None else local / scale[idx]) ** p
+
     # A power past the float range gives inf, which the caller reports as a
-    # non-finite norm; numpy's warning would only repeat that.  One errstate
-    # for the whole loop, not one per block: entering one costs about 2 us.
+    # non-finite norm; numpy's warning would only repeat that.
     with np.errstate(over="ignore"):
-        for start, _, idx in base.shape_runs():
-            if start >= stop:
-                break
-            idx = idx[:stop - start]
-            if levels is not None:
-                # A run of dyadic cubes of side 2^k reads level field k.
-                side = int(base.hi[start, 0] - base.lo[start, 0])
-                local = levels[side.bit_length() - 1][idx]
-            else:
-                local = np.abs(flat[idx] - centre[start:start + len(idx),
-                                                  None])
-                if scale is not None:
-                    local = local / scale[idx]
-            if dead is not None:
-                local[dead[idx]] = 0.0
-            terms = (local ** p) * wm_flat[idx]
-            vals.extend(math.fsum(row) / wmass[k]
-                        for k, row in enumerate(terms.tolist(), start))
+        vals = block_reduce(base, powers, wmass, wm.ravel(), stop)
     if stop < len(base):
         box = base.box(stop)
         if zero[stop]:
@@ -313,11 +297,11 @@ def weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
 def sharp_oscillation(f: np.ndarray, base: BaseFamily,
                       measure: Measure) -> NormReport:
     """Worst average distance to the set's weighted median (exponent 1),
-    each median exact, as ``weighted_median``'s.  Cost: per block of boxes
-    of one shape, a stable sort per row, one cumulative sum of the masses
-    as exact scaled ints (int64 where no box total can reach 2**62, as for
-    uniform masses, else Python ints), |f - med| m as one numpy expression,
-    and one ``math.fsum`` per box."""
+    each median exact, as ``weighted_median``'s.  Cost: one
+    ``block_reduce`` of the terms |f - med| with cell masses m, where each
+    block's medians take a stable sort per row and one cumulative sum of
+    the masses as exact scaled ints (int64 where no box total can reach
+    2**62, as for uniform masses, else Python ints)."""
     f = np.asarray(f, dtype=float)
     mass = base.set_masses(measure)
     if not (mass > 0.0).all():
@@ -326,14 +310,12 @@ def sharp_oscillation(f: np.ndarray, base: BaseFamily,
     ints, low, top = scaled_ints(m)
     if top - low + 53 + m.size.bit_length() < 63:
         ints = ints.astype(np.int64)  # no box total reaches 2**62
-    mass = mass.tolist()
-    vals = []
-    for start, _, idx in base.shape_runs():
+
+    def spreads(start, idx):
         local = flat[idx]
-        terms = np.abs(local - _medians(local, ints[idx])[:, None]) * m[idx]
-        vals.extend(math.fsum(row) / mass[k]
-                    for k, row in enumerate(terms.tolist(), start))
-    best, best_i = first_max(vals, -1.0)
+        return np.abs(local - _medians(local, ints[idx])[:, None])
+
+    best, best_i = first_max(block_reduce(base, spreads, mass, m), -1.0)
     return NormReport(value=best, p=1.0, weight_id="median",
                       extremal_set=None if best_i is None else base.box(best_i))
 
@@ -460,11 +442,9 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
 
     Cost: the norm, the doubling constant, the w-masses and the centre
     numerators come from the family's and the weight's caches (one
-    ``box_sums`` pass each on a miss), then the boxes in runs of one shape,
-    each gathered as (boxes, cells) blocks so that
-    exp(min(osc, N)/eta - shift) w m is one numpy expression per block, and
-    one ``math.fsum`` per box; the results equal a box-by-box loop bit for
-    bit.
+    ``box_sums`` pass each on a miss), then one log-variant ``block_reduce``
+    of min(osc, N)/eta with cell masses w m, as a box-by-box loop gives bit
+    for bit; a cell without w-mass sets neither the shift nor the sum.
     """
     if not big_n > 0:
         raise BadParams(f"the truncation level must be positive, got {big_n}")
@@ -481,21 +461,14 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     # Every box has positive w-mass: the norm above raised otherwise.
     wmass = base.sums(wm)
     centre = base.sums(f * wm) / wmass
-    flat, wm_flat = f.ravel(), wm.ravel()
-    wmass, centres, logs = wmass.tolist(), centre.tolist(), []
-    for start, _, idx in base.shape_runs():
-        osc = np.abs(flat[idx] - centre[start:start + len(idx), None]) / bmo
-        ex = np.minimum(osc, big_n) / eta
-        shift = ex.max(axis=1)
-        terms = np.exp(ex - shift[:, None]) * wm_flat[idx]
-        logs.extend(sh + math.log(math.fsum(row)) - math.log(wmass[k])
-                    for k, (sh, row) in enumerate(zip(shift.tolist(),
-                                                      terms.tolist()), start))
-    best_log, best = first_max(logs)
+    local = deviations(f, centre)
+    best_log, best = first_max(block_reduce(
+        base, lambda a, idx: np.minimum(local(a, idx) / bmo, big_n) / eta,
+        wmass, wm.ravel(), log=True))
     best_set = base.box(best)
     sl = best_set.slices()
-    osc = np.abs(f[sl] - centres[best]) / bmo
-    wms, wmass = wm[sl], wmass[best]
+    osc = np.abs(f[sl] - float(centre[best])) / bmo
+    wms, wmass = wm[sl], float(wmass[best])
     grid = np.linspace(0.0, float(np.max(osc)), 33)
     xs, ys = [], []
     for lam in grid[:-1]:

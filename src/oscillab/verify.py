@@ -22,7 +22,8 @@ from . import operators
 from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
                      ExponentOutOfRange, IncompatibleBase, MissingInput,
                      OverflowGuard)
-from .lattice import BaseFamily, Measure, build_base, first_max, fsum
+from .lattice import (BaseFamily, Measure, block_reduce, build_base,
+                      deviations, first_max, fsum)
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
                           plain_means, sharp_oscillation,
@@ -104,33 +105,31 @@ def _norm(f, spec, w, p, base, measure):
 
 def _power_means(f: np.ndarray, base: BaseFamily, measure: Measure,
                  s: float) -> list:
-    """Per member, (mean of |f - c|^s)^(1/s) in the measure, c its mean, by
-    shape blocks with one ``math.fsum`` per box.  A member whose largest
-    |f - c| on cells with mass, L > 0, has |s log L| >= 600 is taken in log
-    space: its powers, or their sum, may leave the float range (so this is
-    not the unit-weight norm's ``per_set``, whose sum would raise)."""
-    flat, masses = f.ravel(), measure.masses.ravel()
-    mass = base.set_masses(measure)
-    centre, mass = base.sums(f * measure.masses) / mass, mass.tolist()
-    means = []
-    for start, _, idx in base.shape_runs():
-        m = masses[idx]
-        local = np.abs(flat[idx] - centre[start:start + len(idx), None])
-        local[m == 0.0] = 0.0
-        with np.errstate(over="ignore"):
-            terms = ((local ** s) * m).tolist()
-        for row, top in enumerate(local.max(axis=1).tolist()):
-            k = start + row
-            if top == 0.0 or abs(s * math.log(top)) < 600.0:
-                means.append((math.fsum(terms[row]) / mass[k]) ** (1.0 / s))
-                continue
-            live = local[row] > 0.0
-            logs = s * np.log(local[row][live]) + np.log(m[row][live])
-            shift = float(np.max(logs))
-            val = shift + math.log(fsum(np.exp(logs - shift))) \
-                - math.log(mass[k])
-            means.append(math.exp(val / s))
-    return means
+    """Per member, (mean of |f - c|^s)^(1/s) in the measure, c its mean.  A
+    member whose largest |f - c| on cells with mass, L > 0, has |s log L|
+    >= 600 is taken in log space, as its powers or their sum may leave the
+    float range (where the unit-weight norm's ``per_set`` would raise).
+    Cost: ``block_reduce`` passes for L and the means, and in log space."""
+    m, mass = measure.masses.ravel(), base.set_masses(measure)
+    local = deviations(f, base.sums(f * measure.masses) / mass)
+    far = [top > 0.0 and abs(s * math.log(top)) >= 600.0
+           for top in block_reduce(base, local, cells=m)]
+
+    def powers(start, idx):
+        terms = local(start, idx) ** s
+        if any(far[start:start + len(idx)]):
+            terms[far[start:start + len(idx)]] = 0.0  # their sum may overflow
+        return terms
+
+    with np.errstate(over="ignore"):
+        means = logs = block_reduce(base, powers, mass, m)
+    if any(far):
+        # A member whose |f - c| is 0 on every cell gives NaN here, unused.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = block_reduce(base, lambda start, idx: s * np.log(
+                local(start, idx)) + np.log(m[idx]), mass, log=True)
+    return [math.exp(log_mean / s) if out else val ** (1.0 / s)
+            for val, log_mean, out in zip(means, logs, far)]
 
 
 def _worst_pair(lhs, rhs) -> int:
@@ -429,14 +428,10 @@ def _certify_two_weight_band(inputs: dict, tol: float):
 # Suite: oscillation divided by the weight, in the weight's own measure.
 
 def _reciprocal_direct(f: np.ndarray, w: Weight, base_w: BaseFamily) -> float:
-    """The reciprocal-rule norm at exponent 1 by its own formula, the
-    kernel's cross-check: max over boxes of sum |f - c| / sum w, c the
-    plain cell mean, one ``math.fsum`` per box over shape blocks."""
-    centre, flat, nums = plain_means(f, base_w), f.ravel(), []
-    for start, _, idx in base_w.shape_runs():
-        local = np.abs(flat[idx] - centre[start:start + len(idx), None])
-        nums.extend(map(math.fsum, local.tolist()))
-    return float(np.max(np.array(nums) / base_w.sums(w.values)))
+    """The reciprocal-rule norm at exponent 1 by its own formula, the kernel's
+    cross-check: max over boxes of sum |f - c| / sum w, c the plain mean."""
+    return float(np.max(block_reduce(
+        base_w, deviations(f, plain_means(f, base_w)), base_w.sums(w.values))))
 
 
 def _certify_reciprocal_rule(inputs: dict, tol: float):

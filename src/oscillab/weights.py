@@ -26,7 +26,7 @@ import numpy as np
 from . import lattice
 from .errors import BadParams, ExponentOutOfRange, OverflowGuard
 from .lattice import (BaseFamily, BaseSet, BoundedCache, GridDomain, Measure,
-                      first_max)
+                      block_reduce, first_max)
 from .reports import CertificateReport, make_check
 
 # Above this magnitude an exponentiated cell value is considered unsafe and
@@ -112,38 +112,17 @@ def _needs_log_space(values: np.ndarray, exponents) -> bool:
     return top > _LOG_LIMIT
 
 
-def _plain_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
-                 set_masses: np.ndarray) -> list[np.ndarray]:
-    """Per exponent e, the mean of w**e over each base set.
-
-    numpy's ``**`` gives the same bits on the whole grid as on each box's
-    slice, so these equal the per-box means bit for bit.  The sums go
-    through the family's cache: w * m recurs across exponents.
-    """
-    return [base.sums(w.values ** e * measure.masses) / set_masses
-            for e in exponents]
-
-
 def _log_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
                set_masses: np.ndarray) -> list[np.ndarray]:
-    """Per exponent e, the log of the mean of w**e over each base set: per
-    block of boxes of one shape, a = e log w + log m less its row maximum
-    goes through ``np.exp``, and each box takes one ``math.fsum`` (a cell
-    without mass adds exp(-inf) = 0)."""
+    """Per exponent e, the log of the mean of w**e over each base set: one
+    log-variant ``block_reduce`` of the exponents e log w + log m, a cell
+    without mass adding exp(-inf) = 0."""
     log_w = np.log(w.values).ravel()
     with np.errstate(divide="ignore"):
         log_m = np.log(measure.masses).ravel()
-    log_mass = [math.log(m) for m in set_masses.tolist()]
-    out = [[] for _ in exponents]
-    for start, _, idx in base.shape_runs():
-        for e, rows in zip(exponents, out):
-            a = e * log_w[idx] + log_m[idx]
-            top = a.max(axis=1)
-            terms = np.exp(a - top[:, None]).tolist()
-            rows.extend(t + math.log(math.fsum(row)) - log_mass[k]
-                        for k, t, row in zip(range(start, start + len(a)),
-                                             top.tolist(), terms))
-    return [np.array(rows) for rows in out]
+    return [np.array(block_reduce(
+        base, lambda start, idx, e=e: e * log_w[idx] + log_m[idx],
+        set_masses, log=True)) for e in exponents]
 
 
 def _finite_or_raise(value: float, what: str) -> float:
@@ -175,7 +154,10 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
         # libm's in the last bit.  Python floats (in blocks of boxes) call the
         # same libm pow as numpy scalars, at less cost; where Python raises and
         # numpy would give inf or nan (0/0 of underflowed means), numpy runs.
-        means = _plain_means(w, exponents, base, measure, masses)
+        # numpy's ``**`` gives the same bits on the whole grid as on each
+        # box's slice; w * m recurs across exponents in the family's cache.
+        means = [base.sums(w.values ** e * measure.masses) / masses
+                 for e in exponents]
         try:
             best, arg = first_max(itertools.chain.from_iterable(
                 plain(*(m[i:i + lattice._BOX_BLOCK].tolist() for m in means))

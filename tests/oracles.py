@@ -508,9 +508,12 @@ def per_box_jn_exp_moment(f, base, w, measure, eta=None, big_n=64.0):
             raise ZeroMass(f"no weighted mass on {box.label()}")
         c = fsum((f * wm)[sl]) / wmass
         osc = np.abs(f[sl] - c) / bmo
-        ex = np.minimum(osc, big_n) / eta
+        # Cells without w-mass are left out, from the shift too: a shift
+        # set by one of them could underflow every other term to 0.
+        live = wm[sl] > 0.0
+        ex = np.minimum(osc[live], big_n) / eta
         shift = float(np.max(ex))
-        log_t = shift + math.log(fsum(np.exp(ex - shift) * wm[sl])) \
+        log_t = shift + math.log(fsum(np.exp(ex - shift) * wm[sl][live])) \
             - math.log(wmass)
         if log_t > best_log:
             best_log = log_t

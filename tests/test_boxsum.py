@@ -495,3 +495,71 @@ class TestRoutedPaths:
                 want = max(want, parent / child)
         got = doubling_constant(Weight(dom, values), measure)
         assert _bits([got]) == _bits([want])
+
+
+def _member_cells(base, i) -> np.ndarray:
+    """Flat indices of member i's cells, in the box's own row-major order."""
+    grid = np.arange(base.domain.num_cells).reshape(base.domain.sides)
+    return grid[base.box(i).slices()].ravel()
+
+
+class TestBlockReduce:
+    """``lattice.block_reduce`` against a loop with one ``math.fsum`` per
+    member over its cells with mass."""
+
+    @pytest.mark.parametrize("sides, kind", [
+        ((16,), "dyadic-cubes"), ((16,), "all-cubes"), ((8, 8), "all-cubes"),
+        ((8, 8), "dyadic-rectangles"), ((4, 8), "all-rectangles")])
+    @pytest.mark.parametrize("gather", [7, 40, 1 << 14])
+    @pytest.mark.parametrize("massless", [False, True])
+    def test_per_member_fsum(self, monkeypatch, sides, kind, gather,
+                             massless):
+        # gather 7 and 40 split the runs into blocks of one row and of a
+        # few rows.
+        monkeypatch.setattr("oscillab.lattice._GATHER_CELLS", gather)
+        rng = np.random.default_rng(5)
+        masses = rng.uniform(0.5, 2.0, sides)
+        f = rng.normal(size=sides) * 10.0 ** rng.uniform(-3, 3, sides)
+        if massless:
+            masses[rng.random(sides) < 0.3] = 0.0
+            masses.flat[0] = 1.0
+            # Terms past the float range, on cells without mass only.
+            f[masses == 0.0] = 1e300
+        base = _family(sides, kind, 0, Measure.general(_domain(sides),
+                                                       masses))
+        cells, flat = masses.ravel(), f.ravel()
+        centre = rng.normal(size=len(base))
+        mass = base.set_masses(Measure.general(base.domain, masses))
+
+        def spread(start, idx):
+            return np.abs(flat[idx] - centre[start:start + len(idx), None])
+
+        forms = {"plain": lambda start, idx: spread(start, idx) ** 2.7,
+                 "log": lambda start, idx: 300.0 * np.log(spread(start, idx)),
+                 "max": spread}
+        for stop in (len(base), len(base) // 3 + 1):
+            for how, form in forms.items():
+                with np.errstate(over="ignore"):
+                    got = lattice.block_reduce(
+                        base, form, None if how == "max" else mass, cells,
+                        stop=stop, log=how == "log")
+                want = []
+                for i in range(stop):
+                    idx = _member_cells(base, i)
+                    live = cells[idx] != 0.0
+                    with np.errstate(over="ignore"):
+                        terms = form(i, idx[None])[0]
+                    if how == "max":
+                        want.append(max(np.where(live, terms, 0.0).tolist()))
+                        continue
+                    terms, m = terms[live], cells[idx][live]
+                    if how == "plain":
+                        want.append(math.fsum((terms * m).tolist())
+                                    / float(mass[i]))
+                        continue
+                    shift = float(np.max(terms))
+                    want.append(shift + math.log(math.fsum(
+                        (np.exp(terms - shift) * m).tolist()))
+                        - math.log(mass[i]))
+                assert len(got) == stop
+                assert _bits(got) == _bits(want), (how, stop)

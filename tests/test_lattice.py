@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import tempfile
 from pathlib import Path
 
@@ -318,3 +319,20 @@ class TestCornerArraysOnly:
          "--base", "dyadic-rectangles"]])
     def test_cli_constant(self, refuse_sets, tmp_path, argv):
         assert main(["constant", *argv, "--out", str(tmp_path / "c.json")]) == 0
+
+
+def _shape_run_uses(path: Path) -> list[str]:
+    """``file:line`` of each ``.shape_runs`` attribute in a source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "shape_runs"]
+
+
+def test_only_lattice_walks_shape_runs():
+    # Every per-box nonlinear sum goes through ``lattice.block_reduce``, so
+    # the gather, the massless-cell rule and the row sums have one site.
+    src = Path(lattice.__file__).parent
+    assert _shape_run_uses(src / "lattice.py")  # the check can see a use
+    others = [use for path in sorted(src.glob("*.py"))
+              if path.name != "lattice.py" for use in _shape_run_uses(path)]
+    assert others == []

@@ -228,6 +228,21 @@ class TestJNKernel:
             assert _bits(getattr(got, name)) == _bits(getattr(want, name))
         assert got.extremal_set == want.extremal_set
 
+    def test_massless_cell_does_not_set_the_shift(self):
+        # The last cell has no mass and the largest exponent of every box
+        # holding it; a shift taken over it underflowed each other term to
+        # 0, and log(0) raised a bare ValueError.
+        dom = GridDomain((8,))
+        mea = Measure.general(dom, np.array([1.0] * 7 + [0.0]))
+        base = build_base(dom, mea, "dyadic-cubes")
+        f = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1e6])
+        args = (f, base, Weight.unit(dom), mea)
+        got = jn_exp_moment(*args, eta=0.01)
+        want = oracles.per_box_jn_exp_moment(*args, eta=0.01)
+        assert math.isfinite(got.t_value)
+        assert _bits(got.t_value) == _bits(want.t_value)
+        assert got.extremal_set == want.extremal_set
+
 
 @st.composite
 def _stopping_instance(draw):
@@ -540,6 +555,22 @@ class TestReportBlocks:
         assert got == pytest.approx([0.5] * 7 + [0.0] * 8, rel=1e-15)
         assert got == oracles.per_box_gain_sides(f, Weight.unit(dom), base,
                                                  mea, 3e3)[1]
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_gain_exponent_log_space_threshold(self, side):
+        # s puts |s log L| of the full box just below or just above 600;
+        # above it, the plain formula would differ from the log-space one
+        # in the last bits, so a moved threshold shows.
+        rng = np.random.default_rng(2)
+        dom = GridDomain((16,))
+        mea = Measure.general(dom, rng.uniform(0.5, 2.0, 16))
+        base = build_base(dom, mea, "dyadic-cubes")
+        f = rng.normal(size=16) * 1e40
+        local = oracles._centered_local(f, base.box(0).slices(), mea)
+        s = 600.0 / math.log(float(np.max(local))) * (1.0 + side * 1e-9)
+        got = verify._power_means(f, base, mea, s)
+        want = oracles.per_box_gain_sides(f, Weight.unit(dom), base, mea, s)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want[1]]
 
     def test_gain_exponent_sum_past_float_range(self):
         # Each (1e77)^4 is 1e308, finite, but two of them are not: the
