@@ -40,9 +40,10 @@ k < 2**53 cells sums to c * k exactly, so one float product rounds it once,
 for O(1) float work per box.
 
 ``block_reduce`` is the one site of the nonlinear per-box sums: the
-caller forms the terms t of each (boxes, cells) block of one shape; cells
-without mass are left out (an inf there times 0 would make the row NaN);
-each member gives fsum(t * m) / mass, m the cell masses where given, by one
+caller forms the terms t of each (boxes, cells) block of one shape, over
+every member or the members a boolean mask selects; cells without mass
+are left out (an inf there times 0 would make the row NaN); each member
+gives fsum(t * m) / mass, m the cell masses where given, by one
 ``math.fsum`` over ``tolist()``, or in log space shift + log(fsum(exp(t -
 shift) * m)) - log(mass), shift the row maximum over cells with mass.
 """
@@ -87,6 +88,17 @@ def first_max(values, floor: float = -math.inf):
         if val > best:
             best, arg = val, i
     return best, arg
+
+
+def first_max_array(values: np.ndarray, floor: float = -math.inf):
+    """``first_max`` of a float array by one masked ``np.argmax``: entries
+    not above ``floor``, NaN among them, become -inf, and argmax picks the
+    first occurrence of the largest."""
+    live = values > floor
+    if not live.any():
+        return floor, None
+    arg = int(np.argmax(np.where(live, values, -math.inf)))
+    return float(values[arg]), arg
 
 
 def scaled_ints(values: np.ndarray, parts=None):
@@ -515,21 +527,26 @@ class BaseFamily:
 
 
 def block_reduce(base: BaseFamily, form, mass=None, cells=None,
-                 stop: int | None = None, log: bool = False) -> list:
-    """Per member i below ``stop`` (default: all), the reduction of its row
-    that the module docstring states, for a few numpy passes per block and
-    one ``math.fsum`` per member.  ``form(start, idx)`` gives the terms of
-    the members from ``start`` on, row r on flat cells ``idx[r]``, as a
-    fresh array; ``cells`` are the cell masses.  ``mass`` None: row maxima."""
-    stop = len(base) if stop is None else stop
+                 members: np.ndarray | None = None, log: bool = False) -> list:
+    """Per member i, in order, the reduction of its row that the module
+    docstring states, for a few numpy passes per block and one
+    ``math.fsum`` per member; only the members where the boolean mask
+    ``members`` holds, when given.  ``form(rows, idx)`` gives the terms of
+    the members ``rows`` (a slice, or an index array where ``members``
+    drops some of a block), row r on flat cells ``idx[r]``, as a fresh
+    array; ``cells`` are the cell masses.  ``mass`` None: row maxima."""
     dead = None if cells is None or cells.all() else cells == 0.0
-    mass = None if mass is None else np.asarray(mass).tolist()
+    mass = None if mass is None else np.asarray(mass)
     out = []
-    for start, _, idx in base.shape_runs():
-        if start >= stop:
-            break
-        idx = idx[:stop - start]
-        terms = form(start, idx)
+    for start, end, idx in base.shape_runs():
+        rows = slice(start, end)
+        if members is not None:
+            pick = members[rows]
+            if not pick.all():
+                if not pick.any():
+                    continue
+                rows, idx = start + np.flatnonzero(pick), idx[pick]
+        terms = form(rows, idx)
         if dead is not None:
             terms[dead[idx]] = -math.inf if log else 0.0
         if mass is None:
@@ -542,7 +559,7 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
             terms = terms * cells[idx]
         # map over the rows keeps the per-row work in C.
         sums = map(math.fsum, terms.tolist())
-        div = mass[start:start + len(idx)]
+        div = mass[rows].tolist()
         if log:
             sums = map(operator.add, shift.tolist(), map(math.log, sums))
             div = map(math.log, div)
@@ -553,7 +570,7 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
 def deviations(f, centre: np.ndarray):
     """The ``block_reduce`` form |f - centre[i]| on the cells of member i."""
     flat = np.asarray(f, dtype=float).ravel()
-    return lambda a, idx: np.abs(flat[idx] - centre[a:a + len(idx), None])
+    return lambda rows, idx: np.abs(flat[idx] - centre[rows, None])
 
 
 def _lengths(side: int, min_scale: int, dyadic: bool) -> list[int]:

@@ -229,18 +229,19 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
         raise OverflowGuard("a plain cell mean left the float range")
     spread = deviations(arr, centre)
 
-    def powers(start, idx):
+    def powers(rows, idx):
         if levels is not None:
             # A run of dyadic cubes of side 2^k reads level field k.
-            side = int(base.hi[start, 0] - base.lo[start, 0])
+            side = int(base.hi[rows, 0][0] - base.lo[rows, 0][0])
             return levels[side.bit_length() - 1][idx] ** p
-        local = spread(start, idx)
+        local = spread(rows, idx)
         return (local if scale is None else local / scale[idx]) ** p
 
     # A power past the float range gives inf, which the caller reports as a
     # non-finite norm; numpy's warning would only repeat that.
+    before = None if stop == len(base) else np.arange(len(base)) < stop
     with np.errstate(over="ignore"):
-        vals = block_reduce(base, powers, wmass, wm.ravel(), stop)
+        vals = block_reduce(base, powers, wmass, wm.ravel(), before)
     if stop < len(base):
         box = base.box(stop)
         if zero[stop]:
@@ -311,7 +312,7 @@ def sharp_oscillation(f: np.ndarray, base: BaseFamily,
     if top - low + 53 + m.size.bit_length() < 63:
         ints = ints.astype(np.int64)  # no box total reaches 2**62
 
-    def spreads(start, idx):
+    def spreads(rows, idx):
         local = flat[idx]
         return np.abs(local - _medians(local, ints[idx])[:, None])
 
@@ -463,8 +464,8 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     centre = base.sums(f * wm) / wmass
     local = deviations(f, centre)
     best_log, best = first_max(block_reduce(
-        base, lambda a, idx: np.minimum(local(a, idx) / bmo, big_n) / eta,
-        wmass, wm.ravel(), log=True))
+        base, lambda rows, idx: np.minimum(local(rows, idx) / bmo, big_n)
+        / eta, wmass, wm.ravel(), log=True))
     best_set = base.box(best)
     sl = best_set.slices()
     osc = np.abs(f[sl] - float(centre[best])) / bmo

@@ -109,27 +109,31 @@ def _power_means(f: np.ndarray, base: BaseFamily, measure: Measure,
     member whose largest |f - c| on cells with mass, L > 0, has |s log L|
     >= 600 is taken in log space, as its powers or their sum may leave the
     float range (where the unit-weight norm's ``per_set`` would raise).
-    Cost: ``block_reduce`` passes for L and the means, and in log space."""
+    Cost: ``block_reduce`` passes for L and the means, and one in log
+    space over the far members only."""
     m, mass = measure.masses.ravel(), base.set_masses(measure)
     local = deviations(f, base.sums(f * measure.masses) / mass)
-    far = [top > 0.0 and abs(s * math.log(top)) >= 600.0
-           for top in block_reduce(base, local, cells=m)]
+    far = np.array([top > 0.0 and abs(s * math.log(top)) >= 600.0
+                    for top in block_reduce(base, local, cells=m)])
+    any_far = far.any()
 
-    def powers(start, idx):
-        terms = local(start, idx) ** s
-        if any(far[start:start + len(idx)]):
-            terms[far[start:start + len(idx)]] = 0.0  # their sum may overflow
+    def powers(rows, idx):
+        terms = local(rows, idx) ** s
+        if any_far:
+            terms[far[rows]] = 0.0  # their sum may overflow
         return terms
 
     with np.errstate(over="ignore"):
-        means = logs = block_reduce(base, powers, mass, m)
-    if any(far):
-        # A member whose |f - c| is 0 on every cell gives NaN here, unused.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = block_reduce(base, lambda start, idx: s * np.log(
-                local(start, idx)) + np.log(m[idx]), mass, log=True)
-    return [math.exp(log_mean / s) if out else val ** (1.0 / s)
-            for val, log_mean, out in zip(means, logs, far)]
+        means = block_reduce(base, powers, mass, m)
+    logs = iter(())
+    if any_far:
+        # A cell where f equals the centre adds log 0 = -inf, exp 0.
+        with np.errstate(divide="ignore"):
+            logs = iter(block_reduce(base, lambda rows, idx: s * np.log(
+                local(rows, idx)) + np.log(m[idx]), mass, members=far,
+                log=True))
+    return [math.exp(next(logs) / s) if out else val ** (1.0 / s)
+            for val, out in zip(means, far.tolist())]
 
 
 def _worst_pair(lhs, rhs) -> int:

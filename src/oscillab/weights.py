@@ -9,6 +9,11 @@ hashes the members, which the base id does not, so ``constants_cache``
 labels end in its first 8 hex digits.  The doubling constant is kept
 apart, in a bounded cache on the weight keyed by measure digest, so it
 never shows in ``constants_cache`` output.
+
+A plain-space A_p or reverse Holder constant costs one ``box_sums`` pass
+per exponent (cached on the family), then libm's pow on every box; on a
+family of ``_SCREEN_BOXES`` or more, one numpy pass over every box and
+libm's pow only on the boxes near the top.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from . import lattice
 from .errors import BadParams, ExponentOutOfRange, OverflowGuard
 from .lattice import (BaseFamily, BaseSet, BoundedCache, GridDomain, Measure,
-                      block_reduce, first_max)
+                      block_reduce, first_max, first_max_array)
 from .reports import CertificateReport, make_check
 
 # Above this magnitude an exponentiated cell value is considered unsafe and
@@ -35,6 +40,16 @@ _OVERFLOW_LIMIT = 1e300
 _LOG_LIMIT = math.log(_OVERFLOW_LIMIT)
 # Above this magnitude even exponent * log(cell) is unsafe in log space.
 _SPAN_LIMIT = 1e307
+# Families of at least this many boxes screen the plain functional with
+# numpy's vectorised pow before libm confirms the boxes near the top.  The
+# screen's fixed numpy cost, about 15 us, breaks even with libm on every box
+# at about 64 boxes, and the screen wins from 80 on (random weights, one
+# box near the top).
+_SCREEN_BOXES = 80
+# numpy's vectorised pow is within 1 ulp of libm's (a Tier-1 test guards
+# this), so a box whose screened value is below top * (1 - _SCREEN_MARGIN)
+# is below libm's maximum too.
+_SCREEN_MARGIN = 2.0 ** -40
 # Entry bound of each weight's doubling-constant cache (one float each).
 DOUBLING_ENTRIES = 8
 
@@ -121,7 +136,7 @@ def _log_means(w: Weight, exponents, base: BaseFamily, measure: Measure,
     with np.errstate(divide="ignore"):
         log_m = np.log(measure.masses).ravel()
     return [np.array(block_reduce(
-        base, lambda start, idx, e=e: e * log_w[idx] + log_m[idx],
+        base, lambda rows, idx, e=e: e * log_w[idx] + log_m[idx],
         set_masses, log=True)) for e in exponents]
 
 
@@ -134,36 +149,61 @@ def _finite_or_raise(value: float, what: str) -> float:
 def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
                        what: str, base: BaseFamily, measure: Measure) -> float:
     """Largest over the base of a functional of the means of w**e, e in
-    ``exponents``: ``plain(*means)`` yields it per box, or ``log(*logs)``
-    gives its logs where ``span`` needs log space; each runs once per
-    constant.  Records the value and its attaining set on the weight."""
+    ``exponents``: ``plain(*means)`` gives it elementwise, on arrays or on
+    floats, or ``log(*logs)`` its logs on arrays where ``span`` needs log
+    space.  Records the value and its attaining set on the weight.
+
+    The plain value and argmax are those of libm's pow box by box, as
+    numpy's vectorised pow can differ from it in the last bit.  A family of
+    ``_SCREEN_BOXES`` or more boxes first takes ``plain`` on the whole
+    arrays, one numpy pass; where their largest, top, is finite and
+    positive, only the boxes within ``_SCREEN_MARGIN`` of top can hold
+    libm's first strict maximum, and only they go through libm.
+    """
     key = (*key, base.base_id, measure.digest, base.key)
     got = w.record(key)
     if got is not None:
         return got.value
     masses = base.set_masses(measure)
     if _needs_log_space(w.values, span):
-        best, arg = first_max(
-            log(*_log_means(w, exponents, base, measure, masses)).tolist())
+        best, arg = first_max_array(
+            log(*_log_means(w, exponents, base, measure, masses)))
         try:
             best = math.exp(best)
         except OverflowError:  # raised as OverflowGuard below
             best = math.inf
     else:
-        # Scalar pow per box, since numpy's vectorised pow can differ from
-        # libm's in the last bit.  Python floats (in blocks of boxes) call the
-        # same libm pow as numpy scalars, at less cost; where Python raises and
-        # numpy would give inf or nan (0/0 of underflowed means), numpy runs.
         # numpy's ``**`` gives the same bits on the whole grid as on each
         # box's slice; w * m recurs across exponents in the family's cache.
         means = [base.sums(w.values ** e * measure.masses) / masses
                  for e in exponents]
+        keep = None
+        if len(base) >= _SCREEN_BOXES:
+            with np.errstate(all="ignore"):
+                screen = plain(*means)
+            # A nan or inf box makes top nan or inf: libm on every box.
+            if 0.0 < (top := screen.max()) < math.inf:
+                keep = screen >= top * (1.0 - _SCREEN_MARGIN)
+            del screen  # the confirm then holds no more than libm alone
+
+        def block(m, i):
+            """Boxes i to i + _BOX_BLOCK of m that the screen keeps, as
+            Python floats."""
+            sl = slice(i, i + lattice._BOX_BLOCK)
+            return (m[sl] if keep is None else m[sl][keep[sl]]).tolist()
+
+        # Python floats call the same libm pow as numpy scalars, at less
+        # cost; where Python raises and numpy would give inf or nan (0/0 of
+        # underflowed means, a power past the float range), numpy runs.
         try:
             best, arg = first_max(itertools.chain.from_iterable(
-                plain(*(m[i:i + lattice._BOX_BLOCK].tolist() for m in means))
+                map(plain, *(block(m, i) for m in means))
                 for i in range(0, len(base), lattice._BOX_BLOCK)))
         except (OverflowError, ZeroDivisionError):
-            best, arg = first_max(plain(*means))
+            best, arg = first_max(map(plain, *(
+                m if keep is None else m[keep] for m in means)))
+        if keep is not None:
+            arg = int(np.flatnonzero(keep)[arg])
     result = _finite_or_raise(best, what)
     w._records[key] = ConstantRecord(result, base.box(arg))
     return result
@@ -181,7 +221,7 @@ def muckenhoupt_constant(w: Weight, p: float, base: BaseFamily,
     e = -1.0 / (p - 1.0)
     return _extremal_constant(
         w, ("ap", float(p)), (1.0, e), (1.0, e, p - 1.0),
-        lambda m1, me: (a * b ** (p - 1.0) for a, b in zip(m1, me)),
+        lambda m1, me: m1 * me ** (p - 1.0),
         lambda l1, le: l1 + (p - 1.0) * le, "A_p constant", base, measure)
 
 
@@ -192,7 +232,7 @@ def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
         raise ExponentOutOfRange(f"the reverse Holder functional needs a finite delta > 1, got {delta}")
     return _extremal_constant(
         w, ("rh", float(delta)), (delta, 1.0), (1.0, delta),
-        lambda md, m1: (a ** (1.0 / delta) / b for a, b in zip(md, m1)),
+        lambda md, m1: md ** (1.0 / delta) / m1,
         lambda ld, l1: ld / delta - l1, "reverse Holder constant", base,
         measure)
 

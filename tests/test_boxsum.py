@@ -531,24 +531,30 @@ class TestBlockReduce:
         centre = rng.normal(size=len(base))
         mass = base.set_masses(Measure.general(base.domain, masses))
 
-        def spread(start, idx):
-            return np.abs(flat[idx] - centre[start:start + len(idx), None])
+        def spread(rows, idx):
+            return np.abs(flat[idx] - centre[rows, None])
 
-        forms = {"plain": lambda start, idx: spread(start, idx) ** 2.7,
-                 "log": lambda start, idx: 300.0 * np.log(spread(start, idx)),
+        forms = {"plain": lambda rows, idx: spread(rows, idx) ** 2.7,
+                 "log": lambda rows, idx: 300.0 * np.log(spread(rows, idx)),
                  "max": spread}
-        for stop in (len(base), len(base) // 3 + 1):
+        # Every member, a prefix, and a scatter that splits blocks.
+        selections = {"all": None,
+                      "prefix": np.arange(len(base)) < len(base) // 3 + 1,
+                      "scatter": rng.random(len(base)) < 0.4}
+        for sel, members in selections.items():
             for how, form in forms.items():
                 with np.errstate(over="ignore"):
                     got = lattice.block_reduce(
                         base, form, None if how == "max" else mass, cells,
-                        stop=stop, log=how == "log")
+                        members=members, log=how == "log")
                 want = []
-                for i in range(stop):
+                for i in range(len(base)):
+                    if members is not None and not members[i]:
+                        continue
                     idx = _member_cells(base, i)
                     live = cells[idx] != 0.0
                     with np.errstate(over="ignore"):
-                        terms = form(i, idx[None])[0]
+                        terms = form(np.array([i]), idx[None])[0]
                     if how == "max":
                         want.append(max(np.where(live, terms, 0.0).tolist()))
                         continue
@@ -561,5 +567,4 @@ class TestBlockReduce:
                     want.append(shift + math.log(math.fsum(
                         (np.exp(terms - shift) * m).tolist()))
                         - math.log(mass[i]))
-                assert len(got) == stop
-                assert _bits(got) == _bits(want), (how, stop)
+                assert _bits(got) == _bits(want), (how, sel)

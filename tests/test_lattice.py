@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import ast
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain,
@@ -190,6 +191,28 @@ class TestAverages:
         # the compensated path lands on the correctly rounded value.
         vals = [0.1] * 10
         assert fsum(vals) == 1.0
+
+
+class TestFirstMaxArray:
+    """``first_max_array`` picks what ``first_max`` picks over the list:
+    the first strict maximum above the floor, never a NaN."""
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 1.5, -2.0, math.inf, -math.inf,
+                         math.nan]),
+        st.floats(allow_nan=True, allow_infinity=True)), max_size=40),
+        st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.inf]))
+    @example([], -math.inf)
+    @example([math.nan] * 3, -math.inf)
+    @example([-math.inf, -math.inf], -math.inf)
+    @example([1.0, math.nan, 2.0, 2.0, math.inf, math.inf], -math.inf)
+    @example([math.nan, 3.0, -0.0, 0.0, 3.0], -1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_first_max(self, values, floor):
+        want = lattice.first_max(values, floor)
+        got = lattice.first_max_array(np.array(values, dtype=float), floor)
+        assert got[1] == want[1]
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
 
 
 class TestFieldCsv:

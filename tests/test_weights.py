@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscillab import (GridDomain, Measure, SelfImprovementParams, Weight,
@@ -146,17 +147,22 @@ class TestPlainFunctional:
             w, (p, 1.0), _rh_plain(p), base, mea), base, mea)
 
     def test_every_block_reaches_the_maximum(self):
-        # The mean of w peaks on the last cell alone, the family's last box.
+        # The mean of w peaks on the last cell alone, the family's last box,
+        # found through every block and through the screen alike.
         dom = GridDomain((16,))
         mea = Measure.uniform(dom)
         base = build_base(dom, mea, "all-cubes")
-        w = Weight(dom, np.r_[np.ones(15), 2.0])
-        with mock.patch.object(lattice, "_BOX_BLOCK", 7):
-            got = weights._extremal_constant(w, ("mean",), (1.0,), (1.0,), iter,
-                                             None, "mean", base, mea)
-        assert got == 2.0
-        record = w.record(("mean", base.base_id, mea.digest, base.key))
-        assert record.argmax == base.box(len(base) - 1) == BaseSet((15,), (16,))
+        for screen in (len(base) + 1, len(base)):
+            w = Weight(dom, np.r_[np.ones(15), 2.0])
+            with mock.patch.object(lattice, "_BOX_BLOCK", 7), \
+                    mock.patch.object(weights, "_SCREEN_BOXES", screen):
+                got = weights._extremal_constant(
+                    w, ("mean",), (1.0,), (1.0,), lambda m: m, None, "mean",
+                    base, mea)
+            assert got == 2.0
+            record = w.record(("mean", base.base_id, mea.digest, base.key))
+            assert record.argmax == base.box(len(base) - 1) \
+                == BaseSet((15,), (16,))
 
     def test_underflowed_means_take_the_fallback(self):
         # w m underflows to 0 on the first four cells, so the boxes there
@@ -183,13 +189,143 @@ class TestPlainFunctional:
         mea = Measure.uniform(dom)
         base = build_base(dom, mea, "dyadic-cubes")
         w = Weight(dom, np.linspace(1.0, 2.0, 8))
-        plain = lambda m: (a ** 2000.0 for a in m)
+        plain = lambda m: m ** 2000.0
         with pytest.raises(OverflowError):
-            list(plain([1.5]))
+            plain(1.5)
         with np.errstate(over="ignore"), \
                 pytest.raises(OverflowGuard, match="^test constant left"):
             weights._extremal_constant(w, ("test",), (1.0,), (1.0,), plain,
                                        None, "test constant", base, mea)
+
+
+def _tie_prone_weight(kind, dom, rng):
+    """A weight for the screen tests: the checkerboard and constant kinds
+    tie on every box, the power kind on every box of one shape."""
+    if kind == "constant":
+        return Weight(dom, np.full(dom.sides, np.exp(rng.normal())))
+    if kind == "checkerboard":
+        return generate_weight(kind, {"contrast": rng.uniform(1.1, 9.0)}, 0,
+                               dom)
+    if kind == "power":
+        return generate_weight(kind, {"exponent": rng.uniform(-0.9, 2.0)}, 0,
+                               dom)
+    return Weight(dom, np.exp(rng.normal(0.0, 1.5, dom.sides)))
+
+
+class TestScreen:
+    """The numpy screen in front of libm: value and argmax bit for bit as
+    the numpy-scalar generator gives them, on families on both sides of
+    ``_SCREEN_BOXES``."""
+
+    @given(st.sampled_from([((8,), "dyadic-cubes"), ((16,), "dyadic-cubes"),
+                            ((16,), "all-cubes"), ((32,), "all-cubes"),
+                            ((8, 8), "all-rectangles"),
+                            ((16, 16), "dyadic-rectangles")]),
+           st.sampled_from(["random", "constant", "checkerboard", "power"]),
+           st.sampled_from(["uniform", "dense", "underflow"]),
+           st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.sampled_from([2.0, 3.0]), st.floats(1.2, 6.0)),
+           st.sampled_from([7, lattice._BOX_BLOCK]))
+    # Near-ties at the top where numpy's pow and libm's order two boxes
+    # apart: found by dropping the margin, which fails each of them.
+    @example(((16,), "all-cubes"), "constant", "dense", 9, 3.0, 7)
+    @example(((8, 8), "all-rectangles"), "constant", "dense", 1, 3.0,
+             lattice._BOX_BLOCK)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_numpy_scalars(self, grid, kind, masses, seed, p, block):
+        sides, family = grid
+        rng = np.random.default_rng(seed)
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        w = _tie_prone_weight(kind, dom, rng)
+        if masses == "underflow":
+            # w m underflows to 0 on the first quarter of the cells, so the
+            # boxes there have mean 0 and the functionals 0/0 or 0 * inf.
+            low = np.arange(dom.num_cells).reshape(sides) < dom.num_cells // 4
+            mea = Measure.general(dom, np.where(low, 1e-300, 1.0))
+            w = Weight(dom, np.where(low, 1e-50, w.values))
+        elif masses == "dense":
+            mea = Measure.density(dom, np.exp(rng.normal(0.0, 1.0, sides)))
+        else:
+            mea = Measure.uniform(dom)
+        base = build_base(dom, mea, family)
+        e = -1.0 / (p - 1.0)
+        assume(not weights._needs_log_space(w.values, (1.0, e, p - 1.0, p)))
+        with mock.patch.object(lattice, "_BOX_BLOCK", block), \
+                np.errstate(all="ignore"):
+            ap = muckenhoupt_constant(w, p, base, mea)
+            rh = reverse_holder_constant(w, p, base, mea)
+            want_ap = _numpy_scalar_constant(w, (1.0, e), _ap_plain(p),
+                                             base, mea)
+            want_rh = _numpy_scalar_constant(w, (p, 1.0), _rh_plain(p),
+                                             base, mea)
+        TestPlainFunctional._assert_same(w, ("ap", p), ap, want_ap, base, mea)
+        TestPlainFunctional._assert_same(w, ("rh", p), rh, want_rh, base, mea)
+
+    @given(st.sampled_from([((8,), "dyadic-cubes"), ((16,), "all-cubes"),
+                            ((8, 8), "all-rectangles")]),
+           st.integers(0, 2 ** 32 - 1), st.integers(-8, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_overflow_edge(self, grid, seed, ulps):
+        # The largest mean to the power e lands within a few ulps of the
+        # float range's end, on either side of it.
+        sides, family = grid
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, family)
+        w = Weight(dom, np.random.default_rng(seed).uniform(1.0, 2.0, sides))
+        e = math.log(sys.float_info.max) / math.log(float(np.max(w.values)))
+        e *= 1.0 + ulps * 2.0 ** -52
+        with np.errstate(over="ignore"):
+            want = _numpy_scalar_constant(
+                w, (1.0,), lambda m: (a ** e for a in m), base, mea)
+            if math.isinf(want[0]):
+                with pytest.raises(OverflowGuard):
+                    weights._extremal_constant(
+                        w, ("edge",), (1.0,), (1.0,), lambda m: m ** e, None,
+                        "edge", base, mea)
+                return
+            got = weights._extremal_constant(
+                w, ("edge",), (1.0,), (1.0,), lambda m: m ** e, None, "edge",
+                base, mea)
+        TestPlainFunctional._assert_same(w, ("edge",), got, want, base, mea)
+
+    def test_numpy_pow_within_the_margin_of_libm(self):
+        # The screen's premise, over the exponents the constants take:
+        # numpy's vectorised x ** e within _SCREEN_MARGIN of libm's pow
+        # where that is a normal float, within one step of 2**-1074 below
+        # the normal range, and at least the largest float minus the
+        # margin where libm overflows.  Bases run over every binade,
+        # subnormals included, and cluster at the overflow edge.
+        rng = np.random.default_rng(7)
+        ps = [1.05, 1.5, 2.0, 2.7, 3.0, 4.5, 6.0, *rng.uniform(1.01, 8.0, 5)]
+        deltas = [1.01, 1.3, 2.0, 3.7, 6.0, *rng.uniform(1.01, 8.0, 5)]
+        exponents = [x for p in ps for x in (-1.0 / (p - 1.0), p - 1.0)]
+        exponents += [x for d in deltas for x in (1.0 / d, d)]
+        big, tiny = sys.float_info.max, sys.float_info.min
+        margin, samples = weights._SCREEN_MARGIN, 0
+        for e in exponents:
+            # x ** e passes the largest float at x = edge (where |e| < 1,
+            # it never does; the bases cluster at the largest float).
+            edge = math.exp(math.log(big) / e) if abs(e) >= 1.0 else big
+            with np.errstate(over="ignore", under="ignore"):
+                x = np.concatenate([
+                    np.exp2(rng.uniform(-1074.0, 1024.0, 3000)),
+                    rng.integers(1, 2 ** 52, 500) * 2.0 ** -1074,
+                    edge * (1.0 + rng.uniform(-2.0 ** -40, 2.0 ** -40, 1000))])
+                x = x[(x > 0.0) & np.isfinite(x)]
+                got = x ** e
+            for base_, n in zip(x.tolist(), got.tolist()):
+                try:
+                    want = math.pow(base_, e)
+                except OverflowError:
+                    assert n >= big * (1.0 - margin), (base_, e, n)
+                    continue
+                if want >= tiny:
+                    assert abs(n - want) <= margin * want, (base_, e, n, want)
+                else:
+                    assert abs(n - want) <= 2.0 ** -1074, (base_, e, n, want)
+            samples += len(x)
+        assert samples >= 10 ** 5
 
 
 class TestConjugate:
