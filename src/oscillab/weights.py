@@ -184,7 +184,7 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
             # A nan or inf box makes top nan or inf: libm on every box.
             if 0.0 < (top := screen.max()) < math.inf:
                 keep = screen >= top * (1.0 - _SCREEN_MARGIN)
-            del screen  # the confirm then holds no more than libm alone
+            del screen  # the confirm holds only the mask
 
         def block(m, i):
             """Boxes i to i + _BOX_BLOCK of m that the screen keeps, as
