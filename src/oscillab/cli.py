@@ -316,7 +316,7 @@ def _sweep_jn(args, cfg: RunConfig):
         try:
             rep = jn_exp_moment(inputs["f"], inputs["base"], inputs["w"],
                                 inputs["measure"])
-        except (DegenerateInput, OscillabError):
+        except OscillabError:
             continue
         digest = inputs_digest(TheoremId.RECTANGLE_DECAY, inputs)
         rows.append([str(done), digest, _num(rep.dw), _num(rep.eta),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParams
-from .lattice import GridDomain, Measure, build_base
+from .lattice import DYADIC_KINDS, GridDomain, Measure, build_base
 from .oscillation import TLSequence
 from .verify import TheoremId
 from .weights import SelfImprovementParams, Weight, generate_weight
@@ -85,7 +85,7 @@ def _sample_weight(rng, domain: GridDomain, base=None, measure=None,
                                {"contrast": float(rng.uniform(1.2, 3.0))},
                                sub, domain)
     if u < 0.9 and base is not None and measure is not None \
-            and base.kind in ("dyadic-cubes", "dyadic-rectangles"):
+            and base.kind in DYADIC_KINDS:
         return generate_weight("rubio-a1", {"p": 2.0}, sub, domain,
                                base=base, measure=measure)
     return Weight.unit(domain)

@@ -22,22 +22,21 @@ and k = 52 - size.bit_length().  Every partial sum of either limb stays
 below 2**52, so the tables and the corner arithmetic are exact in float64,
 and each box's H * 2**k + L is one IEEE addition, the exact sum rounded
 once: O(cells + boxes) float work, with only exact ``+``, ``-``, ``*``,
-``floor`` and ``ldexp`` besides, so the bits do not depend on the CPU.
-Otherwise the table holds I as Python ints and each box's int is rounded
-once by ``float()``; where the cells span so many binary orders (about 970)
-that an int could pass the float range, it is divided by the power of two
-instead, which rounds as correctly.  The rounded limb or ``float()`` sum is
-scaled back by one exact ``ldexp``: a sum in the subnormal range is a
-multiple of 2**-1074 and so already exact.  On finite cells the result is
-the exact sum rounded once, so it equals ``math.fsum`` over the box bit for
-bit; an exact sum beyond the float range raises ``OverflowError`` as
-``fsum`` does.  The one difference: ``fsum`` can raise "intermediate
-overflow" on partial sums whose exact total is finite, and ``box_sums``
-returns that total.  With a non-finite cell in ``values`` every box goes
-through ``fsum``, which gives inf, nan or ``ValueError`` (inf + -inf).  A
-constant array c (uniform masses, unit weights) skips the tables: a box of
-k < 2**53 cells sums to c * k exactly, so one float product rounds it once,
-for O(1) float work per box.
+``floor`` and ``ldexp`` besides, so the bits do not depend on the CPU.  The
+rounded limb sum is scaled back by one exact ``ldexp``: a sum in the
+subnormal range is a multiple of 2**-1074 and so already exact.  Otherwise
+the table holds I as Python ints, and each box's int times 2**(low - 53) is
+one int / int quotient, which Python rounds correctly, subnormals and
+overflow included.  On finite cells the result is the exact sum rounded
+once, so it equals ``math.fsum`` over the box bit for bit; an exact sum
+beyond the float range raises ``OverflowError`` as ``fsum`` does.  The one
+difference: ``fsum`` can raise "intermediate overflow" on partial sums
+whose exact total is finite, and ``box_sums`` returns that total.  With a
+non-finite cell in ``values`` every box goes through ``fsum``, which gives
+inf, nan or ``ValueError`` (inf + -inf).  A constant array c (uniform
+masses, unit weights) skips the tables: a box of k < 2**53 cells sums to
+c * k exactly, so one float product rounds it once, for O(1) float work
+per box.
 
 ``block_reduce`` is the one site of the nonlinear per-box sums: the
 caller forms the terms t of each (boxes, cells) block of one shape, over
@@ -88,17 +87,6 @@ def first_max(values, floor: float = -math.inf):
         if val > best:
             best, arg = val, i
     return best, arg
-
-
-def first_max_array(values: np.ndarray, floor: float = -math.inf):
-    """``first_max`` of a float array by one masked ``np.argmax``: entries
-    not above ``floor``, NaN among them, become -inf, and argmax picks the
-    first occurrence of the largest."""
-    live = values > floor
-    if not live.any():
-        return floor, None
-    arg = int(np.argmax(np.where(live, values, -math.inf)))
-    return float(values[arg]), arg
 
 
 def scaled_ints(values: np.ndarray, parts=None):
@@ -170,16 +158,11 @@ def box_sums(values, lo, hi) -> np.ndarray:
     else:
         table = np.zeros(padded, dtype=object)
         table[cells] = scaled_ints(values, parts)[0]
-        if top - low + 53 + bits < 1023:
-            # float(acc) rounds acc correctly and ldexp scales it exactly.
-            finish = lambda acc: acc.astype(float)
-        else:
-            # acc may pass the float range: int / int is correctly rounded,
-            # subnormal and overflow included.
-            scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
-            finish = lambda acc: acc * scale / den
-            shift = 0  # the quotient is already scaled
-    # A subnormal sum is a multiple of 2**-1074 with fewer than 53
+        # int / int is correctly rounded, subnormal and overflow included.
+        scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
+        finish = lambda acc: acc * scale / den
+        shift = 0  # the quotient is already scaled
+    # A subnormal limb sum is a multiple of 2**-1074 with fewer than 53
     # significant bits, so the ldexp below keeps it exact.
     inner = table[cells]
     for axis in range(values.ndim):
@@ -463,34 +446,37 @@ class BaseFamily:
     def __len__(self) -> int:
         return len(self.lo)
 
+    @functools.cached_property
+    def runs(self) -> list[tuple[int, int]]:
+        """(start, stop) of each run of members of one shape, in order."""
+        side = self.hi - self.lo
+        cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
+        return list(itertools.pairwise([0, *cuts.tolist(), len(self)]))
+
+    @functools.cached_property
+    def _gather(self) -> tuple:
+        """Flat low-corner index per member, as a column; cell offsets per run."""
+        sides = self.domain.sides
+        first = np.ravel_multi_index(tuple(self.lo.T), sides)[:, None]
+        cells = (np.indices(self.hi[a] - self.lo[a]).reshape(len(sides), -1)
+                 for a, _ in self.runs)
+        return first, [np.ravel_multi_index(tuple(c), sides) for c in cells]
+
     def shape_runs(self):
         """Yield (start, stop, idx) over the members in order, one run of
         boxes of one shape at a time: row i of idx holds the flat (row-major)
         cell indices of member ``start + i``, in the box's own row-major
         order.
 
-        A run longer than ``_GATHER_CELLS`` cells comes in several blocks.
-        The family caches one corner index per member and one offset pattern
-        per run, not the index blocks themselves.
+        A run longer than ``_GATHER_CELLS`` cells comes in several blocks;
+        the family caches ``_gather``, not the index blocks themselves.
         """
-        runs = getattr(self, "_shape_runs", None)
-        if runs is None:
-            lo, hi = self.lo, self.hi
-            sides = hi - lo
-            first = np.ravel_multi_index(tuple(lo.T), self.domain.sides)
-            cuts = np.flatnonzero(np.any(sides[1:] != sides[:-1], axis=1)) + 1
-            bounds = [0, *cuts.tolist(), len(lo)]
-            runs = []
-            for start, stop in zip(bounds, bounds[1:]):
-                cells = np.indices(sides[start]).reshape(self.domain.dims, -1)
-                offsets = np.ravel_multi_index(tuple(cells), self.domain.sides)
-                runs.append((start, stop, first[start:stop, None], offsets))
-            object.__setattr__(self, "_shape_runs", runs)
-        for start, stop, first, offsets in runs:
+        first, patterns = self._gather
+        for (start, stop), offsets in zip(self.runs, patterns):
             rows = max(1, _GATHER_CELLS // len(offsets))
             for a in range(start, stop, rows):
                 b = min(a + rows, stop)
-                yield a, b, first[a - start:b - start] + offsets
+                yield a, b, first[a:b] + offsets
 
     @functools.cached_property
     def tile_index(self) -> np.ndarray:
@@ -498,12 +484,11 @@ class BaseFamily:
         index of the member of the s-th shape covering c (one dyadic shape
         tiles the grid), or ``len(self)`` where it was dropped for zero mass.
         """
-        side = self.hi - self.lo
-        rows = np.r_[0, np.cumsum(np.any(side[1:] != side[:-1], axis=1))]
-        table = np.full((rows[-1] + 1, self.domain.num_cells), len(self),
+        table = np.full((len(self.runs), self.domain.num_cells), len(self),
                         np.int32)
-        for a, b, idx in self.shape_runs():
-            table[rows[a], idx] = np.arange(a, b)[:, None]
+        first, patterns = self._gather
+        for row, ((a, b), offsets) in enumerate(zip(self.runs, patterns)):
+            table[row, first[a:b] + offsets] = np.arange(a, b)[:, None]
         return table
 
     def sums(self, values) -> np.ndarray:

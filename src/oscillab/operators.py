@@ -88,12 +88,10 @@ def _maximal_of(absf: np.ndarray, base: BaseFamily, masses: np.ndarray,
                               out=out[c:c + step])
         out = out.reshape(sides)
     else:
-        side = hi - lo
         out = np.zeros(sides)
         # Runs of boxes of one shape; a canonical family has one per shape.
-        cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
-        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(side)]):
-            shape = side[a].tolist()
+        for a, b in base.runs:
+            shape = (hi[a] - lo[a]).tolist()
             if mode != "centered":
                 np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape, sides),
                            out=out)

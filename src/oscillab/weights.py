@@ -11,9 +11,8 @@ apart, in a bounded cache on the weight keyed by measure digest, so it
 never shows in ``constants_cache`` output.
 
 A plain-space A_p or reverse Holder constant costs one ``box_sums`` pass
-per exponent (cached on the family), then libm's pow on every box; on a
-family of ``_SCREEN_BOXES`` or more, one numpy pass over every box and
-libm's pow only on the boxes near the top.
+per exponent (cached on the family), one numpy pass of the functional over
+every box, and libm's pow only on the boxes near the top.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from . import lattice
 from .errors import BadParams, ExponentOutOfRange, OverflowGuard
 from .lattice import (BaseFamily, BaseSet, BoundedCache, GridDomain, Measure,
-                      block_reduce, first_max, first_max_array)
+                      block_reduce, first_max)
 from .reports import CertificateReport, make_check
 
 # Above this magnitude an exponentiated cell value is considered unsafe and
@@ -40,12 +39,6 @@ _OVERFLOW_LIMIT = 1e300
 _LOG_LIMIT = math.log(_OVERFLOW_LIMIT)
 # Above this magnitude even exponent * log(cell) is unsafe in log space.
 _SPAN_LIMIT = 1e307
-# Families of at least this many boxes screen the plain functional with
-# numpy's vectorised pow before libm confirms the boxes near the top.  The
-# screen's fixed numpy cost, about 15 us, breaks even with libm on every box
-# at about 64 boxes, and the screen wins from 80 on (random weights, one
-# box near the top).
-_SCREEN_BOXES = 80
 # numpy's vectorised pow is within 1 ulp of libm's (a Tier-1 test guards
 # this), so a box whose screened value is below top * (1 - _SCREEN_MARGIN)
 # is below libm's maximum too.
@@ -150,62 +143,57 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
                        what: str, base: BaseFamily, measure: Measure) -> float:
     """Largest over the base of a functional of the means of w**e, e in
     ``exponents``: ``plain(*means)`` gives it elementwise, on arrays or on
-    floats, or ``log(*logs)`` its logs on arrays where ``span`` needs log
-    space.  Records the value and its attaining set on the weight.
+    floats, or ``log(*logs)`` its logs where ``span`` needs log space.
+    Records the value and its attaining set on the weight.
 
-    The plain value and argmax are those of libm's pow box by box, as
-    numpy's vectorised pow can differ from it in the last bit.  A family of
-    ``_SCREEN_BOXES`` or more boxes first takes ``plain`` on the whole
-    arrays, one numpy pass; where their largest, top, is finite and
-    positive, only the boxes within ``_SCREEN_MARGIN`` of top can hold
-    libm's first strict maximum, and only they go through libm.
+    One path for both spaces: the functional runs once on the whole mean
+    arrays, in numpy.  Where their largest, top, is finite and positive,
+    only the boxes within ``_SCREEN_MARGIN`` of top can hold the first
+    strict maximum on Python floats; otherwise every box can.  Only those
+    boxes are confirmed on Python floats, ``_BOX_BLOCK`` at a time: the
+    plain value and argmax are libm pow's box by box, which numpy's
+    vectorised pow can miss by an ulp, and the log functionals take only
+    ``+``, ``*`` and ``/``, where numpy and floats agree.
     """
     key = (*key, base.base_id, measure.digest, base.key)
     got = w.record(key)
     if got is not None:
         return got.value
     masses = base.set_masses(measure)
-    if _needs_log_space(w.values, span):
-        best, arg = first_max_array(
-            log(*_log_means(w, exponents, base, measure, masses)))
-        try:
-            best = math.exp(best)
-        except OverflowError:  # raised as OverflowGuard below
-            best = math.inf
+    in_logs = _needs_log_space(w.values, span)
+    if in_logs:
+        means, functional = _log_means(w, exponents, base, measure, masses), log
     else:
         # numpy's ``**`` gives the same bits on the whole grid as on each
         # box's slice; w * m recurs across exponents in the family's cache.
         means = [base.sums(w.values ** e * measure.masses) / masses
                  for e in exponents]
-        keep = None
-        if len(base) >= _SCREEN_BOXES:
-            with np.errstate(all="ignore"):
-                screen = plain(*means)
-            # A nan or inf box makes top nan or inf: libm on every box.
-            if 0.0 < (top := screen.max()) < math.inf:
-                keep = screen >= top * (1.0 - _SCREEN_MARGIN)
-            del screen  # the confirm holds only the mask
-
-        def block(m, i):
-            """Boxes i to i + _BOX_BLOCK of m that the screen keeps, as
-            Python floats."""
-            sl = slice(i, i + lattice._BOX_BLOCK)
-            return (m[sl] if keep is None else m[sl][keep[sl]]).tolist()
-
-        # Python floats call the same libm pow as numpy scalars, at less
-        # cost; where Python raises and numpy would give inf or nan (0/0 of
-        # underflowed means, a power past the float range), numpy runs.
+        functional = plain
+    with np.errstate(all="ignore"):
+        screen = functional(*means)
+    # A nan or inf box makes top nan or inf, and log-space tops can be <= 0.
+    top = screen.max()
+    keep = (screen >= top * (1.0 - _SCREEN_MARGIN) if 0.0 < top < math.inf
+            else np.ones(len(base), dtype=bool))
+    del screen  # the confirm holds only the kept means
+    kept = [m[keep] for m in means]
+    # Python floats call the same libm pow as numpy scalars, at less
+    # cost; where Python raises and numpy would give inf or nan (0/0 of
+    # underflowed means, a power past the float range), numpy runs.
+    block = lattice._BOX_BLOCK
+    try:
+        best, arg = first_max(itertools.chain.from_iterable(
+            map(functional, *(m[i:i + block].tolist() for m in kept))
+            for i in range(0, len(kept[0]), block)))
+    except (OverflowError, ZeroDivisionError):
+        best, arg = first_max(map(functional, *kept))
+    if in_logs:
         try:
-            best, arg = first_max(itertools.chain.from_iterable(
-                map(plain, *(block(m, i) for m in means))
-                for i in range(0, len(base), lattice._BOX_BLOCK)))
-        except (OverflowError, ZeroDivisionError):
-            best, arg = first_max(map(plain, *(
-                m if keep is None else m[keep] for m in means)))
-        if keep is not None:
-            arg = int(np.flatnonzero(keep)[arg])
+            best = math.exp(best)
+        except OverflowError:  # raised as OverflowGuard below
+            best = math.inf
     result = _finite_or_raise(best, what)
-    w._records[key] = ConstantRecord(result, base.box(arg))
+    w._records[key] = ConstantRecord(result, base.box(np.flatnonzero(keep)[arg]))
     return result
 
 
@@ -237,6 +225,11 @@ def reverse_holder_constant(w: Weight, delta: float, base: BaseFamily,
         measure)
 
 
+def _auto_mode(base: BaseFamily) -> str:
+    """The maximal mode "auto" stands for on ``base``."""
+    return "dyadic" if base.kind in lattice.DYADIC_KINDS else "uncentered"
+
+
 def a1_constant(w: Weight, base: BaseFamily, measure: Measure,
                 mode: str = "auto") -> float:
     """Smallest C with (maximal of w) <= C * w on positive-mass cells.
@@ -247,7 +240,7 @@ def a1_constant(w: Weight, base: BaseFamily, measure: Measure,
     from . import operators
 
     if mode == "auto":
-        mode = "dyadic" if base.kind in lattice.DYADIC_KINDS else "uncentered"
+        mode = _auto_mode(base)
     key = ("a1", mode, base.base_id, measure.digest, base.key)
     got = w.record(key)
     if got is not None:
@@ -444,8 +437,7 @@ def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
         if base is None or measure is None:
             raise BadParams("rubio-a1 needs a base family and a measure")
         p = _number(params, "p", 2.0)
-        mode = str(params.get("mode", "dyadic" if base.kind in lattice.DYADIC_KINDS
-                              else "uncentered"))
+        mode = str(params.get("mode", _auto_mode(base)))
         tol = _number(params, "tol", 1e-10)
         g = params.get("g")
         if g is None:

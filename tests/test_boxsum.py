@@ -207,11 +207,11 @@ class TestBoxSums:
             math.fsum(values.tolist())
         assert box_sums(values, [[0]], [[3]])[0] == 1e308
 
-    # On the exact table, ``box_sums`` converts each box int with float()
-    # and scales it by a power of two, unless the exponent span top - low + 53 +
-    # size.bit_length() reaches 1023, where the int may pass the float
-    # range and it divides instead.  Here the span is k + 58 (frexp puts
-    # 2**k at exponent k + 1 and 0.5 at 0), so the switch is at k = 965.
+    # On the exact table, ``box_sums`` rounds each box int times a power of
+    # two by one int / int quotient.  Where the exponent span top - low +
+    # 53 + size.bit_length() reaches 1023, the int may pass the float
+    # range.  Here the span is k + 58 (frexp puts 2**k at exponent k + 1 and
+    # 0.5 at 0), so the grid runs on both sides of k = 965.
     @pytest.mark.parametrize("k", [960, 963, 964, 965, 966, 970, 971, 972,
                                    973, 980, 1000, 1022])
     def test_both_conversion_branches(self, k):
@@ -224,10 +224,12 @@ class TestBoxSums:
         assert _bits(box_sums(values, lo, hi)) == _bits(_fsum_per_box(values, boxes))
 
     def test_overflow_in_either_branch(self):
-        values = np.array([1e308, 1e308, -1e308])  # span 55: float()
+        # Spans below and past 1023, both on the table.
+        values = np.array([1e308, 1e308, 2.0 ** 60])  # span 1018
         with pytest.raises(OverflowError, match="too large"):
             box_sums(values, [[0]], [[2]])
-        values = np.array([2.0 ** 1023, 2.0 ** 1023, 1.0])  # span 1078: divide
+        assert box_sums(values, [[1]], [[3]])[0] == 1e308
+        values = np.array([2.0 ** 1023, 2.0 ** 1023, 1.0])  # span 1078
         with pytest.raises(OverflowError, match="too large"):
             box_sums(values, [[0]], [[2]])
         assert box_sums(values, [[1]], [[3]])[0] == 2.0 ** 1023

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain,
@@ -193,26 +193,43 @@ class TestAverages:
         assert fsum(vals) == 1.0
 
 
-class TestFirstMaxArray:
-    """``first_max_array`` picks what ``first_max`` picks over the list:
-    the first strict maximum above the floor, never a NaN."""
+class TestFirstMax:
+    """``first_max``: the first strict maximum above the floor, a NaN never
+    winning, or (floor, None) where no value is above the floor."""
 
     @given(st.lists(st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, 1.5, -2.0, math.inf, -math.inf,
                          math.nan]),
         st.floats(allow_nan=True, allow_infinity=True)), max_size=40),
         st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.inf]))
-    @example([], -math.inf)
-    @example([math.nan] * 3, -math.inf)
-    @example([-math.inf, -math.inf], -math.inf)
-    @example([1.0, math.nan, 2.0, 2.0, math.inf, math.inf], -math.inf)
-    @example([math.nan, 3.0, -0.0, 0.0, 3.0], -1.0)
     @settings(max_examples=300, deadline=None)
-    def test_matches_first_max(self, values, floor):
-        want = lattice.first_max(values, floor)
-        got = lattice.first_max_array(np.array(values, dtype=float), floor)
-        assert got[1] == want[1]
-        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    def test_first_strict_maximum(self, values, floor):
+        best, arg = lattice.first_max(values, floor)
+        live = [v for v in values if v > floor]
+        if not live:
+            assert (best, arg) == (floor, None)
+            return
+        top = max(live)
+        assert arg == next(i for i, v in enumerate(values)
+                           if v > floor and v == top)
+        assert np.float64(best).tobytes() == np.float64(values[arg]).tobytes()
+
+    # Ties, signed zeros, +-inf, NaN, all-NaN, nothing above the floor and
+    # the empty input, with the pick written out.
+    @pytest.mark.parametrize("values, floor, want", [
+        ([], -math.inf, (-math.inf, None)),
+        ([math.nan] * 3, -math.inf, (-math.inf, None)),
+        ([-math.inf, -math.inf], -math.inf, (-math.inf, None)),
+        ([1.0, math.nan, 2.0, 2.0, math.inf, math.inf], -math.inf,
+         (math.inf, 4)),
+        ([math.nan, 3.0, -0.0, 0.0, 3.0], -1.0, (3.0, 1)),
+        ([math.nan, 3.0, -0.0, 0.0, 3.0], 3.0, (3.0, None)),
+        ([-0.0, 0.0], -1.0, (-0.0, 0)),
+    ])
+    def test_examples(self, values, floor, want):
+        best, arg = lattice.first_max(values, floor)
+        assert arg == want[1]
+        assert np.float64(best).tobytes() == np.float64(want[0]).tobytes()
 
 
 class TestFieldCsv:

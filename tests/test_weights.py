@@ -104,6 +104,17 @@ def _numpy_scalar_constant(w, exponents, plain, base, measure):
                              for e in exponents)))
 
 
+def _counting(functional):
+    """``functional``, and the list of its calls on Python floats."""
+    calls = []
+
+    def counted(*means):
+        if isinstance(means[0], float):
+            calls.append(means)
+        return functional(*means)
+    return counted, calls
+
+
 def _ap_plain(p):
     return lambda m1, me: (a * b ** (p - 1.0) for a, b in zip(m1, me))
 
@@ -148,18 +159,23 @@ class TestPlainFunctional:
 
     def test_every_block_reaches_the_maximum(self):
         # The mean of w peaks on the last cell alone, the family's last box,
-        # found through every block and through the screen alike.
+        # found through the screen and, where a nan top keeps every box,
+        # through every block alike.
         dom = GridDomain((16,))
         mea = Measure.uniform(dom)
         base = build_base(dom, mea, "all-cubes")
-        for screen in (len(base) + 1, len(base)):
+        # 1e308 / m * 2 overflows where m < 1.12, and inf - inf is nan
+        # there, on floats as on arrays.
+        spill = lambda m: m + (1e308 / m * 2.0 - 1e308 / m * 2.0)
+        for functional, confirmed in ((lambda m: m, 1), (spill, len(base))):
             w = Weight(dom, np.r_[np.ones(15), 2.0])
-            with mock.patch.object(lattice, "_BOX_BLOCK", 7), \
-                    mock.patch.object(weights, "_SCREEN_BOXES", screen):
+            plain, calls = _counting(functional)
+            with mock.patch.object(lattice, "_BOX_BLOCK", 7):
                 got = weights._extremal_constant(
-                    w, ("mean",), (1.0,), (1.0,), lambda m: m, None, "mean",
-                    base, mea)
+                    w, ("mean",), (1.0,), (1.0,), plain, None, "mean", base,
+                    mea)
             assert got == 2.0
+            assert len(calls) == confirmed
             record = w.record(("mean", base.base_id, mea.digest, base.key))
             assert record.argmax == base.box(len(base) - 1) \
                 == BaseSet((15,), (16,))
@@ -214,8 +230,8 @@ def _tie_prone_weight(kind, dom, rng):
 
 class TestScreen:
     """The numpy screen in front of libm: value and argmax bit for bit as
-    the numpy-scalar generator gives them, on families on both sides of
-    ``_SCREEN_BOXES``."""
+    the numpy-scalar generator gives them, on families of 15 to 1,296
+    boxes."""
 
     @given(st.sampled_from([((8,), "dyadic-cubes"), ((16,), "dyadic-cubes"),
                             ((16,), "all-cubes"), ((32,), "all-cubes"),
@@ -288,6 +304,20 @@ class TestScreen:
                 w, ("edge",), (1.0,), (1.0,), lambda m: m ** e, None, "edge",
                 base, mea)
         TestPlainFunctional._assert_same(w, ("edge",), got, want, base, mea)
+
+    def test_small_family_confirms_only_the_top(self):
+        # The screen runs on a family of any size: of the 36 boxes, only
+        # the last cell, the one box near the top, reaches the floats.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "all-cubes")
+        w = Weight(dom, np.r_[np.ones(7), 2.0])
+        plain, calls = _counting(lambda m: m)
+        got = weights._extremal_constant(w, ("mean",), (1.0,), (1.0,), plain,
+                                         None, "mean", base, mea)
+        assert (len(base), got, len(calls)) == (36, 2.0, 1)
+        record = w.record(("mean", base.base_id, mea.digest, base.key))
+        assert record.argmax == BaseSet((7,), (8,))
 
     def test_numpy_pow_within_the_margin_of_libm(self):
         # The screen's premise, over the exponents the constants take:
