@@ -14,8 +14,9 @@ rounded once.  ``fsum`` adds one array with ``math.fsum``.  ``box_sums``
 adds one array over many boxes at once, with O(cells) set-up and O(1) work
 per box, from summed-area tables (Crow 1984): a zero-padded cumulative table
 per axis, and each box's sum from its corners by inclusion-exclusion.  Each
-cell x is scaled to an exact integer I = x * 2**(53 - low), low the least
-``np.frexp`` exponent of a nonzero cell.  Where the exponents span at most
+cell x is scaled to an exact integer I = x * 2**(53 - low), low and top the
+least and greatest frexp exponents of a nonzero cell, found (as the exponent
+grows with |x|) by one scan of |x|.  Where the exponents span at most
 50 - 2 * size.bit_length() binades and no cell is below 2**-1022, I is split
 into two integer-valued float64 limbs, I = H * 2**k + L with 0 <= L < 2**k
 and k = 52 - size.bit_length().  Every partial sum of either limb stays
@@ -29,14 +30,15 @@ the table holds I as Python ints, and each box's int times 2**(low - 53) is
 one int / int quotient, which Python rounds correctly, subnormals and
 overflow included.  On finite cells the result is the exact sum rounded
 once, so it equals ``math.fsum`` over the box bit for bit; an exact sum
-beyond the float range raises ``OverflowError`` as ``fsum`` does.  The one
-difference: ``fsum`` can raise "intermediate overflow" on partial sums
-whose exact total is finite, and ``box_sums`` returns that total.  With a
-non-finite cell in ``values`` every box goes through ``fsum``, which gives
-inf, nan or ``ValueError`` (inf + -inf).  A constant array c (uniform
-masses, unit weights) skips the tables: a box of k < 2**53 cells sums to
-c * k exactly, so one float product rounds it once, for O(1) float work
-per box.
+beyond the float range raises ``OverflowError`` as ``fsum`` does.  No
+|box sum| reaches 2**(top + size.bit_length()), so the results are scanned
+for overflow only where that exponent passes 1022.  The one difference:
+``fsum`` can raise "intermediate overflow" on partial sums whose exact
+total is finite, and ``box_sums`` returns that total.  With a NaN or inf
+cell (the scan finds it) every box goes through ``fsum``, which gives inf,
+nan or ``ValueError`` (inf + -inf).  A constant array c (uniform masses,
+unit weights) skips the tables: a box of k < 2**53 cells sums to c * k
+exactly, so one float product rounds it once, for O(1) float work per box.
 
 ``block_reduce`` is the one site of the nonlinear per-box sums: the
 caller forms the terms t of each (boxes, cells) block of one shape, over
@@ -89,13 +91,12 @@ def first_max(values, floor: float = -math.inf):
     return best, arg
 
 
-def scaled_ints(values: np.ndarray, parts=None):
+def scaled_ints(values: np.ndarray):
     """(ints, low, top): each cell of a finite array as the exact Python int
     cell * 2**(53 - low), low and top the least and greatest exponents of a
-    nonzero cell (``np.frexp``); None if every cell is 0.  ``parts`` is
-    ``np.frexp(values)`` where the caller has it already."""
+    nonzero cell (``np.frexp``); None if every cell is 0."""
     # Cell x == mant * 2**(expo - 53) exactly, mant an integer below 2**53.
-    frac, expo = np.frexp(values) if parts is None else parts
+    frac, expo = np.frexp(values)
     mant = (frac * 2.0 ** 53).astype(np.int64)
     live = mant != 0
     if not live.any():
@@ -118,25 +119,26 @@ def box_sums(values, lo, hi) -> np.ndarray:
     docstring for the contract and its paths: two float limbs where the
     cells' exponents are close (O(cells + boxes) float work), a table of
     Python ints otherwise, one product c * k per box for a constant array.
-    ``OverflowError`` says "too large".
+    ``OverflowError`` says "too large"; the results are scanned for it only on
+    a constant array or where top + size.bit_length() passes 1022.
     """
     values = np.asarray(values, dtype=float)
     lo = np.asarray(lo, dtype=np.intp).reshape(-1, values.ndim)
     hi = np.asarray(hi, dtype=np.intp).reshape(-1, values.ndim)
-    if not np.isfinite(values).all():
+    flat = values.ravel()
+    mag = np.abs(flat)
+    big = mag.max()
+    if not big < math.inf:  # a NaN or infinite cell
         return np.array([fsum(values[tuple(map(slice, l, h))])
                          for l, h in zip(lo.tolist(), hi.tolist())], dtype=float)
-    flat = values.ravel()
     if flat[0] == flat[-1] and flat.min() == flat.max():
         # + 0.0 turns the -0.0 of a constant -0.0 into 0.0, as fsum does.
         with np.errstate(over="ignore"):
             out = flat[0] * (hi - lo).prod(axis=1) + 0.0
         return _finite_sums(out)
-    parts = np.frexp(values)
-    live = parts[0] != 0.0
-    if not live.any():
-        return np.zeros(len(lo))
-    low, top = int(parts[1][live].min()), int(parts[1][live].max())
+    # Not constant, so some cell is nonzero.
+    top = math.frexp(big)[1]
+    low = math.frexp(mag.min(where=mag > 0.0, initial=math.inf))[1]
     # The exact sum of a box is acc * 2**shift, acc an int, with |acc| below
     # 2**(top - low + 53 + bits).
     bits, shift = values.size.bit_length(), low - 53
@@ -157,7 +159,7 @@ def box_sums(values, lo, hi) -> np.ndarray:
         finish = lambda acc: acc.real * k + acc.imag
     else:
         table = np.zeros(padded, dtype=object)
-        table[cells] = scaled_ints(values, parts)[0]
+        table[cells] = scaled_ints(values)[0]
         # int / int is correctly rounded, subnormal and overflow included.
         scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
         finish = lambda acc: acc * scale / den
@@ -180,6 +182,8 @@ def box_sums(values, lo, hi) -> np.ndarray:
             acc = (table.take(hr + h[:, 1]) - table.take(lr + h[:, 1])
                    - table.take(hr + l[:, 1]) + table.take(lr + l[:, 1]))
         out[start:start + len(acc)] = finish(acc)
+    if top + bits <= 1022:  # every |box sum| is below 2**(top + bits)
+        return np.ldexp(out, shift) if shift else out
     with np.errstate(over="ignore"):
         return _finite_sums(np.ldexp(out, shift))
 

@@ -652,7 +652,11 @@ def tile_max(out: np.ndarray, avg: np.ndarray, lo: np.ndarray, shape) -> None:
 
 
 def tiled_maximal(f, base, measure, mode):
-    """``operators.maximal`` with the per-shape tile spread."""
+    """``operators.maximal`` with the per-shape tile spread; each member's
+    numerator and mass by ``math.fsum`` over its cells, not by the box-sum
+    engine that ``maximal`` takes them from."""
+    import math
+
     from oscillab import lattice
     from oscillab.errors import BadParams
     from oscillab.operators import _check_compat, _spread_max
@@ -664,8 +668,11 @@ def tiled_maximal(f, base, measure, mode):
     if not np.all(np.isfinite(f)):
         raise BadParams("field values must be finite")
     lo, hi = base.lo, base.hi
-    avg = lattice.box_sums(np.abs(f) * measure.masses, lo, hi) \
-        / base.set_masses(measure)
+    num = np.abs(f) * measure.masses
+    boxes = [tuple(map(slice, l, h)) for l, h in zip(lo.tolist(), hi.tolist())]
+    avg = np.array([math.fsum(num[b].ravel().tolist()) for b in boxes]) \
+        / np.array([math.fsum(measure.masses[b].ravel().tolist())
+                    for b in boxes])
     side = hi - lo
     sides = base.domain.sides
     out = np.zeros(sides)

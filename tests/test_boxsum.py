@@ -161,6 +161,45 @@ def _spanned_grids(draw):
     return values, _some_boxes(rng, sides, 40)
 
 
+@st.composite
+def _near_the_scan_guard(draw):
+    """(values, boxes, limbs): cells whose greatest frexp exponent top puts
+    top + size.bit_length() in 1016..1030, across the 1022 below which
+    ``box_sums`` skips its overflow scan, with exponent spans on both sides
+    of the two-limb guard; ``limbs`` says which side.  At times every cell
+    is positive and about three in four sit at 0.96875 * 2**top, so that
+    boxes overflow where top + bits passes 1024."""
+    sides = draw(st.sampled_from(_SPAN_GRIDS))
+    bits = int(np.prod(sides)).bit_length()
+    top = draw(st.sampled_from(range(1016, min(1030, 1024 + bits) + 1))) - bits
+    guard = 50 - 2 * bits
+    span = draw(st.integers(max(0, guard - 6), guard + 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = _spanned_cells(rng, sides, span, top - span, draw(st.booleans()),
+                            draw(st.booleans()))
+    if draw(st.booleans()):
+        values = np.abs(values)
+        heavy = rng.random(values.shape) < 0.75
+        heavy.flat[:2] = False  # the cells at both ends of the span
+        values[heavy] = math.ldexp(0.96875, top)
+    # Cancelled pairs next to zeros leave remainders below top - span.
+    expo = np.frexp(values)[1][values != 0.0]
+    assert expo.max() == top
+    return (values, _some_boxes(rng, sides, 40),
+            expo.max() - expo.min() + 2 * bits <= 50)
+
+
+def _assert_path_like_fsum(values, boxes, limbs):
+    """``_assert_like_fsum``, and the exact table runs unless ``limbs``."""
+    tables = []
+    build = lattice.scaled_ints
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "scaled_ints",
+                      lambda *a: tables.append(1) or build(*a))
+        _assert_like_fsum(values, boxes)
+    assert (not tables) == limbs
+
+
 class TestBoxSums:
     @given(_grid_values(), st.sampled_from(BASE_KINDS), st.integers(0, 2))
     @settings(max_examples=300, deadline=None)
@@ -293,7 +332,7 @@ class TestBoxSums:
         assert box_sums(np.full(4, 1e308), [[1]], [[2]])[0] == 1e308
 
     def test_constant_skips_the_table(self, monkeypatch):
-        def refuse(values, parts=None):
+        def refuse(values):
             raise AssertionError("exact table built")
         monkeypatch.setattr(lattice, "scaled_ints", refuse)
         dom = _domain((16, 16))
@@ -318,25 +357,48 @@ class TestBoxSums:
         ((64, 64), 24, 990, True), ((64, 64), 25, 990, False),
         ((8,), 10, -1021, True), ((8,), 10, -1022, False),
         ((4, 4), 40, -1021, True), ((4, 4), 40, -1022, False)])
-    def test_both_paths_at_the_guard(self, monkeypatch, sides, span, low,
-                                     limbs):
-        tables = []
-        build = lattice.scaled_ints
-        monkeypatch.setattr(lattice, "scaled_ints",
-                            lambda *a: tables.append(1) or build(*a))
+    def test_both_paths_at_the_guard(self, sides, span, low, limbs):
         values = _spanned_cells(np.random.default_rng(span + 2000 + low), sides,
                                 span, low, cancel=True)
         expo = np.frexp(values)[1][values != 0.0]
         assert (expo.min(), expo.max()) == (low, low + span)
         boxes = _some_boxes(np.random.default_rng(abs(low)), sides, 60)
-        _assert_like_fsum(values, boxes)
-        assert (not tables) == limbs
+        _assert_path_like_fsum(values, boxes, limbs)
 
     @given(_spanned_grids())
     @settings(max_examples=150, deadline=None)
     def test_spans_across_the_guard(self, grid):
         values, boxes = grid
         _assert_like_fsum(values, boxes)
+
+    @given(_near_the_scan_guard())
+    @settings(max_examples=150, deadline=None)
+    def test_overflow_scan_across_its_guard(self, grid):
+        values, boxes, limbs = grid
+        _assert_path_like_fsum(values, boxes, limbs)
+
+    # The least and greatest exponents of a nonzero cell come from one scan
+    # of |cell|: a negative subnormal as the least magnitude (the exact
+    # table, as every subnormal low takes), -0.0 cells among nonzero ones,
+    # and one nonzero cell among zeros; on 8 cells, 2**1017 puts top + bits
+    # at the scan's guard, 1022, and 2**1018 just past it.
+    @pytest.mark.parametrize("values, limbs", [
+        ([1.0, -5e-324, 0.5, -2.0, 7.0, 3 * 5e-324, -0.25, 3.0], False),
+        ([-5e-324, 2.0 ** -1060, -7 * 5e-324, 0.0, 3 * 5e-324, -0.0,
+          2.0 ** -1030, -(2.0 ** -1050)], False),
+        ([1.0, -0.0, 3.0, -0.0, -2.5, 0.0, 0.75, -0.0], True),
+        ([-0.0, -0.0, 2.0 ** -1000, -0.0, -(2.0 ** -990), -0.0, -0.0, 0.0],
+         True),
+        ([0.0, -0.0, 0.0, -3.0, 0.0, 0.0, -0.0, 0.0], True),
+        ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -(2.0 ** 1017)], True),
+        ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -(2.0 ** 1018)], True),
+        ([-0.0, 1.5e308, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0], True),
+        ([0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 5e-324, 0.0], False)])
+    def test_exponent_scan_cases(self, values, limbs):
+        _assert_path_like_fsum(np.array(values), _intervals(8)[0], limbs)
+        _assert_path_like_fsum(np.array(values).reshape(2, 4),
+                               _some_boxes(np.random.default_rng(1), (2, 4),
+                                           30), limbs)
 
     def test_all_zero_and_empty(self):
         zeros = np.zeros((4, 4))
