@@ -91,16 +91,24 @@ def first_max(values, floor: float = -math.inf):
     return best, arg
 
 
+def checked_field(f, sides) -> np.ndarray:
+    """f as a float array; ``BadParams`` unless of shape ``sides``, finite."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != sides:
+        raise BadParams(f"field shape {f.shape} != domain {sides}")
+    if not np.isfinite(f).all():
+        raise BadParams("field values must be finite")
+    return f
+
+
 def scaled_ints(values: np.ndarray):
-    """(ints, low, top): each cell of a finite array as the exact Python int
-    cell * 2**(53 - low), low and top the least and greatest exponents of a
-    nonzero cell (``np.frexp``); None if every cell is 0."""
+    """(ints, low, top): each cell of a finite array, not all 0, as the exact
+    Python int cell * 2**(53 - low), low and top the least and greatest
+    exponents of a nonzero cell (``np.frexp``)."""
     # Cell x == mant * 2**(expo - 53) exactly, mant an integer below 2**53.
     frac, expo = np.frexp(values)
     mant = (frac * 2.0 ** 53).astype(np.int64)
     live = mant != 0
-    if not live.any():
-        return None
     low, top = int(expo[live].min()), int(expo[live].max())
     ints = mant.astype(object) << np.maximum(expo - low, 0).astype(object)
     return ints, low, top

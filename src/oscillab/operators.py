@@ -20,7 +20,7 @@ import numpy as np
 from . import lattice
 from .errors import (BadParams, IncompatibleBase, NonConvergence, OverflowGuard,
                      ZeroInput)
-from .lattice import BaseFamily, Measure, fsum
+from .lattice import BaseFamily, Measure, checked_field, fsum
 from .weights import Weight, conjugate
 
 MODES = ("dyadic", "centered", "uncentered")
@@ -56,17 +56,9 @@ def maximal(f: np.ndarray, base: BaseFamily, measure: Measure,
     masses, one ``box_sums`` pass and the spread (module docstring).
     """
     _check_compat(base, mode)
-    return _maximal_of(np.abs(_field(f, base)), base, measure.masses,
-                       base.set_masses(measure), measure.masses == 0.0, mode)
-
-
-def _field(f, base: BaseFamily) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != base.domain.sides:
-        raise BadParams(f"field shape {f.shape} != domain {base.domain.sides}")
-    if not np.isfinite(f).all():
-        raise BadParams("field values must be finite")
-    return f
+    return _maximal_of(np.abs(checked_field(f, base.domain.sides)), base,
+                       measure.masses, base.set_masses(measure),
+                       measure.masses == 0.0, mode)
 
 
 def _maximal_of(absf: np.ndarray, base: BaseFamily, masses: np.ndarray,
@@ -138,7 +130,7 @@ def lp_norm(f: np.ndarray, p: float, measure: Measure) -> float:
     if not p > 0:
         raise BadParams(f"lp_norm needs p > 0, got {p}")
     with np.errstate(over="ignore"):
-        powered = np.abs(np.asarray(f, dtype=float)) ** p
+        powered = np.abs(checked_field(f, measure.domain.sides)) ** p
     if np.isinf(powered).any():
         raise OverflowGuard(f"a power {p} of the field left the float range")
     return fsum(powered * measure.masses) ** (1.0 / p)
@@ -166,9 +158,7 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     if not 0 < tol < 1:
         raise BadParams(f"tol must sit in (0, 1), got {tol}")
     _check_compat(base, mode)
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise BadParams("seed values must be finite")
+    g = checked_field(g, base.domain.sides)
     # Every sum below is at most 2 max|g| max(1, total mass): twice that
     # must be finite.
     if 4.0 * float(np.max(np.abs(g))) * max(1.0, measure.total_mass) \
@@ -180,14 +170,14 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
         raise ZeroInput("the seed function vanishes almost everywhere")
     b = default_norm_bound(mode, base, p)
     denom = 2.0 * b
-    term = np.abs(_field(g, base))
+    term = np.abs(g)
     u = term.copy()
     core = (base, measure.masses, base.set_masses(measure), ~live, mode)
     cap = max(1, math.ceil(10.0 * max(1, base.domain.max_level())
                            * math.log2(1.0 / tol)))
     iterations = 0
     while True:
-        term = _maximal_of(_field(term, base), *core) / denom
+        term = _maximal_of(checked_field(term, g.shape), *core) / denom
         nxt = float(term.max())
         floor = float(u.min(where=u > 0.0, initial=math.inf))
         if nxt < tol * floor:
@@ -203,7 +193,7 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     # so the result is a valid (strictly positive) weight.
     values = u.copy()
     values[~live] = np.maximum(values[~live], 1.0)
-    mu = _maximal_of(_field(u, base), *core)
+    mu = _maximal_of(checked_field(u, g.shape), *core)
     ratio = float(np.max(mu[live] / u[live])) if np.any(live) else 0.0
     checks = {
         "dominates_seed": bool(np.all(u[live] >= np.abs(g)[live])),

@@ -4,7 +4,8 @@ probes for exponential decay of oscillation distributions.
 
 A local oscillation rule turns (field, base set) into a nonnegative field
 supported on the set; the norm is the worst weighted p-mean of that field
-over the family.
+over the family.  ``oscillation_norm`` is the one kernel and the one
+field check of these norms, the sharp (median) oscillation's included.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -21,8 +22,8 @@ from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic,
                      OverflowGuard, ZeroMass)
 from .lattice import (DYADIC_KINDS, BaseFamily, BaseSet, GridDomain, Measure,
-                      block_reduce, box_sums, content_key, deviations,
-                      first_max, fsum, scaled_ints)
+                      block_reduce, box_sums, checked_field, content_key,
+                      deviations, first_max, fsum, scaled_ints)
 from .weights import Weight, doubling_constant
 
 
@@ -43,6 +44,11 @@ class DualHardy:
     """
 
     w: Weight
+
+
+@dataclass(frozen=True)
+class MedianDiff:
+    """|f - c|, c the exact weighted median of f in the ambient measure."""
 
 
 @dataclass(frozen=True)
@@ -159,21 +165,24 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
                      measure: Measure, per_set: bool = False) -> NormReport:
     """max over base sets of ((1/w-mass) sum local^p w m)^(1/p).
 
-    One shape-grouped kernel and one memo serve all three rules.  The
-    linear arrays (the w-masses, the centre numerators and masses of
+    One shape-grouped kernel and one memo serve all four rules.  Under all
+    but ``TLSeq``, an f of another shape than the domain's or with a cell
+    that is not finite raises ``BadParams`` (``lattice.checked_field``).
+    The linear arrays (the w-masses, the centre numerators and masses of
     ``CenteredDiff``, and the cell sums behind the ``DualHardy`` centre, a
-    plain cell mean) come from ``base.sums``; ``TLSeq`` reads one field per
-    level (``_level_fields``).  Then one ``lattice.block_reduce`` of the
-    terms local^p, with cell masses w m, gives each box's mean of p-th
-    powers.  Reports are memoised
-    on the family, keyed by the content of f (of the level fields, for
-    ``TLSeq``), the rule, w, the measure, p (and its type) and ``per_set``;
-    errors are raised anew.  Value, extremal set (the first strict maximum
-    in canonical order) and first error are those of a box-by-box loop,
-    except on overflow: ``box_sums`` differs from ``fsum`` (see
-    ``lattice``), and a ``TLSeq`` coefficient overflow precedes any
-    zero-mass check.  Where p > 1 and every mean of p-th powers underflows
-    while the norm at exponent 1 is positive, it raises ``OverflowGuard``.
+    plain cell mean) come from ``base.sums``; the ``MedianDiff`` centre,
+    each row's exact weighted median, is taken in the block; ``TLSeq`` reads
+    one field per level (``_level_fields``).  Then one
+    ``lattice.block_reduce`` of the terms local^p, with cell masses w m,
+    gives each box's mean of p-th powers.  Reports are memoised on the
+    family, keyed by the content of f (of the level fields, for ``TLSeq``),
+    the rule, w, the measure, p (and its type) and ``per_set``; errors are
+    raised anew.  Value, extremal set (the first strict maximum in canonical
+    order) and first error are those of a box-by-box loop, except on
+    overflow: ``box_sums`` differs from ``fsum`` (see ``lattice``), and a
+    ``TLSeq`` coefficient overflow precedes any zero-mass check.  Where
+    p > 1 and every mean of p-th powers underflows while the norm at
+    exponent 1 is positive, it raises ``OverflowGuard``.
     """
     if not 0 < p < math.inf:
         raise ExponentOutOfRange(f"the norm exponent must be positive and finite, got {p}")
@@ -185,10 +194,11 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
         if f.domain != base.domain:
             raise IncompatibleSpec("the sequence has another domain than the base")
         f, rule = _level_fields(f, spec), ("sequence",)
-    elif isinstance(spec, (CenteredDiff, DualHardy)):
-        f = np.asarray(f, dtype=float)
+    elif isinstance(spec, (CenteredDiff, DualHardy, MedianDiff)):
+        f = checked_field(f, base.domain.sides)
         rule = (("centered", None if spec.v is None else spec.v.digest)
-                if isinstance(spec, CenteredDiff) else ("dual", spec.w.digest))
+                if isinstance(spec, CenteredDiff) else ("median",)
+                if isinstance(spec, MedianDiff) else ("dual", spec.w.digest))
     else:
         raise IncompatibleSpec(f"unknown oscillation rule {type(spec).__name__}")
     key = (content_key(f), rule, w.digest, p, type(p), measure.digest, per_set)
@@ -205,7 +215,7 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
     wm = w.values * measure.masses
     wmass = base.sums(wm)
     bad = zero = wmass <= 0.0
-    centre = scale = levels = None
+    centre = scale = levels = spread = None
     if isinstance(spec, CenteredDiff):
         m = measure.masses if spec.v is None \
             else measure.masses * spec.v.values
@@ -221,13 +231,21 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
             bad = np.ones_like(zero)  # every box fails: the rule does not fit
         centre = plain_means(arr, base)
         scale = spec.w.values.ravel()
+    elif isinstance(spec, MedianDiff):
+        # A Weight is positive, so the w-mass check covers the median's.
+        ints, low, top = scaled_ints(measure.masses.ravel())
+        if top - low + 53 + ints.size.bit_length() < 63:
+            ints = ints.astype(np.int64)  # no box total reaches 2**62
+        flat = arr.ravel()
+        spread = lambda rows, idx: np.abs(
+            (local := flat[idx]) - _medians(local, ints[idx])[:, None])
     else:
         # TLSeq: arr stacks the level fields of ``_level_fields``.
         levels = arr.reshape(len(arr), -1)
     stop = int(np.argmax(bad)) if bad.any() else len(base)
     if scale is not None and not np.isfinite(centre[:stop]).all():
         raise OverflowGuard("a plain cell mean left the float range")
-    spread = deviations(arr, centre)
+    spread = spread or deviations(arr, centre)
 
     def powers(rows, idx):
         if levels is not None:
@@ -267,7 +285,7 @@ def plain_means(f: np.ndarray, base: BaseFamily) -> np.ndarray:
     cached on the family, over the cell count; not finite where a sum is."""
     try:
         return base.sums(f) / np.prod(base.hi - base.lo, axis=1)
-    except (OverflowError, ValueError):  # a sum past the range, or inf - inf
+    except OverflowError:  # a sum past the float range
         return np.full(len(base), math.inf)
 
 
@@ -286,10 +304,10 @@ def weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
     in a stable sort, the first value where twice the running sum of the
     masses, as exact scaled ints, reaches their total.  Cost: one sort and
     one pass of Python-int additions."""
-    v = np.asarray(values, dtype=float).ravel()
     m = np.asarray(masses, dtype=float).ravel()
     if not np.isfinite(m).all():
         raise BadParams("median masses must be finite")
+    v = checked_field(np.ravel(values), m.shape)
     if fsum(m) <= 0:
         raise ZeroMass("weighted median of a zero-mass set")
     return float(_medians(v[None], scaled_ints(m)[0][None])[0])
@@ -297,28 +315,11 @@ def weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
 
 def sharp_oscillation(f: np.ndarray, base: BaseFamily,
                       measure: Measure) -> NormReport:
-    """Worst average distance to the set's weighted median (exponent 1),
-    each median exact, as ``weighted_median``'s.  Cost: one
-    ``block_reduce`` of the terms |f - med| with cell masses m, where each
-    block's medians take a stable sort per row and one cumulative sum of
-    the masses as exact scaled ints (int64 where no box total can reach
-    2**62, as for uniform masses, else Python ints)."""
-    f = np.asarray(f, dtype=float)
-    mass = base.set_masses(measure)
-    if not (mass > 0.0).all():
-        raise ZeroMass("weighted median of a zero-mass set")
-    flat, m = f.ravel(), measure.masses.ravel()
-    ints, low, top = scaled_ints(m)
-    if top - low + 53 + m.size.bit_length() < 63:
-        ints = ints.astype(np.int64)  # no box total reaches 2**62
-
-    def spreads(rows, idx):
-        local = flat[idx]
-        return np.abs(local - _medians(local, ints[idx])[:, None])
-
-    best, best_i = first_max(block_reduce(base, spreads, mass, m), -1.0)
-    return NormReport(value=best, p=1.0, weight_id="median",
-                      extremal_set=None if best_i is None else base.box(best_i))
+    """Worst average distance to the set's exact weighted median (exponent
+    1): ``oscillation_norm`` under ``MedianDiff`` with the unit weight,
+    memoised with the other norms, its ``weight_id`` "median"."""
+    return replace(oscillation_norm(f, MedianDiff(), Weight.unit(base.domain),
+                                    1.0, base, measure), weight_id="median")
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,7 @@ def cz_selection(f: np.ndarray, root: BaseSet, w: Weight, lam: float,
     if root.dims != base.domain.dims or any(
             map(operator.gt, root.hi, base.domain.sides)):
         raise BadParams(f"the root {root.label()} is not a box of the domain")
-    f = np.asarray(f, dtype=float)
+    f = checked_field(f, base.domain.sides)
     wm = w.values * measure.masses
     mass_root = fsum(wm[root.slices()])
     if mass_root <= 0:

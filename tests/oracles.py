@@ -710,7 +710,7 @@ def per_term_rubio_de_francia(g, p, base, measure, mode, tol=1e-10):
     _check_compat(base, mode)
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
-        raise BadParams("seed values must be finite")
+        raise BadParams("field values must be finite")
     if not 4.0 * float(np.max(np.abs(g))) * max(1.0, measure.total_mass) \
             < math.inf:
         raise OverflowGuard("the seed is too large for the series to stay "

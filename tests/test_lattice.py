@@ -376,3 +376,26 @@ def test_only_lattice_walks_shape_runs():
     others = [use for path in sorted(src.glob("*.py"))
               if path.name != "lattice.py" for use in _shape_run_uses(path)]
     assert others == []
+
+
+def _call_sites(name: str) -> set[str]:
+    """``file:function`` for each call of ``name`` (a bare or attribute
+    name) in ``src/``, the function being the top-level one it sits in."""
+    sites = set()
+    for path in sorted(Path(lattice.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    sites.add(f"{path.name}:{getattr(top, 'name', '?')}")
+    return sites
+
+
+def test_one_kernel_forms_every_oscillation_norm():
+    # A norm report is built in the kernel alone, and the exact per-row
+    # medians are taken there and in ``weighted_median``: no norm walks
+    # its own blocks.
+    assert _call_sites("NormReport") == {"oscillation.py:_grouped_report"}
+    assert _call_sites("_medians") == {"oscillation.py:_grouped_report",
+                                       "oscillation.py:weighted_median"}

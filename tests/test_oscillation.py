@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       TLSequence, Weight, build_base, cz_selection,
-                      jn_exp_moment, oscillation_norm, sharp_oscillation,
-                      tl_equivalence_probe, weighted_median)
+                      jn_exp_moment, lp_norm, maximal, oscillation_norm,
+                      sharp_oscillation, tl_equivalence_probe,
+                      weighted_median)
 from oscillab.errors import (BadParams, DegenerateInput, EmptySequence,
                              ExponentOutOfRange, IncompatibleSpec,
-                             OverflowGuard)
+                             OverflowGuard, ZeroMass)
 from oscillab.lattice import BaseSet
+from oscillab.oscillation import MedianDiff
 
 import oracles
 
@@ -102,7 +104,65 @@ class TestOscillationNorm:
         assert base.box(r.per_set.index(best)) == r.extremal_set
 
 
+def _field_entries():
+    """Every public entry that takes a cell field, as a call of the field
+    alone on the 8-cell line with its dyadic cubes.  The norms run on the
+    density measure of a weight w, as ``DualHardy(w)`` needs."""
+    dom = GridDomain((8,))
+    w, unit = Weight(dom, np.linspace(1.0, 2.0, 8)), Weight.unit(dom)
+    mea, dens = Measure.uniform(dom), Measure.density(dom, w.values)
+    base, base_w = (build_base(dom, m, "dyadic-cubes") for m in (mea, dens))
+
+    def norm(spec):
+        return lambda f: oscillation_norm(f, spec, unit, 2.0, base_w, dens)
+
+    return {
+        "norm-centered": norm(CenteredDiff()),
+        "norm-reweighted": norm(CenteredDiff(w)),
+        "norm-reciprocal": norm(DualHardy(w)),
+        "norm-median": norm(MedianDiff()),
+        "sharp_oscillation": lambda f: sharp_oscillation(f, base, mea),
+        "jn_exp_moment": lambda f: jn_exp_moment(f, base, unit, mea),
+        "cz_selection": lambda f: cz_selection(f, dom.full_box(), unit, 1.0,
+                                               base, mea),
+        "lp_norm": lambda f: lp_norm(f, 2.0, mea),
+        "maximal": lambda f: maximal(f, base, mea),
+    }
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "shape"])
+@pytest.mark.parametrize("entry", sorted(_field_entries()))
+def test_every_field_entry_rejects_a_bad_field(entry, bad):
+    # A non-finite cell was once dropped with every box that holds it (the
+    # norms read 1.0 on 4:8 for 2.0 on 0:8), and a 16-cell field was read
+    # on the 8-cell line; each is now BadParams from the one field check.
+    call = _field_entries()[entry]
+    call(np.arange(8.0))  # the entry accepts a good field
+    f = np.arange(16.0) if bad == "shape" else np.arange(8.0)
+    if bad != "shape":
+        f[3] = float(bad)
+    with pytest.raises(BadParams, match="^field (values|shape)"):
+        call(f)
+
+
 class TestSharpOscillation:
+    def test_second_call_is_a_memo_hit(self, line8):
+        dom, mea, base = line8
+        f = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0])
+        first = sharp_oscillation(f, base, mea)
+        hits = base._norms.hits
+        assert sharp_oscillation(f.copy(), base, mea) == first
+        assert base._norms.hits == hits + 1
+        assert first.weight_id == "median"
+
+    def test_massless_box_names_itself(self, line8):
+        # The family was built on the uniform measure; 4:6 has no mass in
+        # this one, and 4:8 comes before it but keeps mass.
+        dom, _, base = line8
+        mea = Measure.general(dom, np.array([1.0] * 4 + [0.0] * 2 + [1.0] * 2))
+        with pytest.raises(ZeroMass, match="^no weighted mass on 4:6$"):
+            sharp_oscillation(np.arange(8.0), base, mea)
+
     def test_spike_landmark(self, line8):
         dom, mea, base = line8
         f = np.zeros(8)
@@ -181,6 +241,15 @@ class TestWeightedMedian:
     def test_non_finite_mass_rejected(self, bad):
         with pytest.raises(BadParams, match="median masses must be finite"):
             weighted_median(np.array([1.0, 2.0]), np.array([1.0, bad]))
+
+    def test_non_finite_value_rejected(self):
+        # A NaN value once sorted last and the median read 3.0.
+        with pytest.raises(BadParams, match="field values must be finite"):
+            weighted_median(np.array([1.0, math.nan, 3.0]), np.ones(3))
+
+    def test_one_value_per_mass(self):
+        with pytest.raises(BadParams, match="field shape"):
+            weighted_median(np.array([1.0, 2.0, 3.0]), np.ones(2))
 
 
 class TestDualHardy:
