@@ -13,13 +13,14 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import BadParams
+from .reports import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     trials: int = 25
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     out: str = "out"
     suite: str = "all"
 

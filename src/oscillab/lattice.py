@@ -63,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadParams, EmptyBase, ZeroMassBaseSet
+from .errors import BadParams, EmptyBase, OverflowGuard, ZeroMassBaseSet
 
 BASE_KINDS = ("dyadic-cubes", "all-cubes", "dyadic-rectangles", "all-rectangles")
 DYADIC_KINDS = ("dyadic-cubes", "dyadic-rectangles")
@@ -99,6 +99,15 @@ def checked_field(f, sides) -> np.ndarray:
     if not np.isfinite(f).all():
         raise BadParams("field values must be finite")
     return f
+
+
+def cell_product(a, b) -> np.ndarray:
+    """a * b per cell; ``OverflowGuard`` where a product passes the float range."""
+    with np.errstate(over="ignore"):
+        out = np.multiply(a, b)
+    if not np.isfinite(out).all():
+        raise OverflowGuard("a cell product left the float range; rescale the inputs")
+    return out
 
 
 def scaled_ints(values: np.ndarray):
@@ -405,11 +414,11 @@ class BaseFamily:
     Two bounded caches live and die with the family, both keyed by content:
     ``sums`` keeps up to ``SUMS_ENTRIES`` read-only result arrays, at most
     16 x len x 8 bytes (4.2 MB for the 32,896 boxes of 256 all-cubes); and
-    ``oscillation.oscillation_norm`` keeps up to ``NORM_ENTRIES`` reports
-    in ``_norms``, each about 1 KB, plus about 32 bytes per member (a float
-    and its tuple slot) for a report with ``per_set`` values.  A dyadic
-    family keeps ``tile_index`` for ``maximal``: 4 x shapes x cells bytes
-    (0.8 MB on 64x64 dyadic-rectangles).
+    ``oscillation.oscillation_norm`` keeps up to ``NORM_ENTRIES`` entries
+    in ``_norms``: reports, each about 1 KB plus 32 bytes per member with
+    ``per_set`` values, and a sequence's read-only level fields, 8 x levels
+    x cells bytes.  A dyadic family keeps ``tile_index`` for ``maximal``:
+    4 x shapes x cells bytes (0.8 MB on 64x64 dyadic-rectangles).
     """
 
     kind: str

@@ -20,7 +20,7 @@ import numpy as np
 from . import lattice
 from .errors import (BadParams, IncompatibleBase, NonConvergence, OverflowGuard,
                      ZeroInput)
-from .lattice import BaseFamily, Measure, checked_field, fsum
+from .lattice import BaseFamily, Measure, cell_product, checked_field, fsum
 from .weights import Weight, conjugate
 
 MODES = ("dyadic", "centered", "uncentered")
@@ -133,7 +133,7 @@ def lp_norm(f: np.ndarray, p: float, measure: Measure) -> float:
         powered = np.abs(checked_field(f, measure.domain.sides)) ** p
     if np.isinf(powered).any():
         raise OverflowGuard(f"a power {p} of the field left the float range")
-    return fsum(powered * measure.masses) ** (1.0 / p)
+    return fsum(cell_product(powered, measure.masses)) ** (1.0 / p)
 
 
 def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,

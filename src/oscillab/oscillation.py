@@ -22,8 +22,8 @@ from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic,
                      OverflowGuard, ZeroMass)
 from .lattice import (DYADIC_KINDS, BaseFamily, BaseSet, GridDomain, Measure,
-                      block_reduce, box_sums, checked_field, content_key,
-                      deviations, first_max, fsum, scaled_ints)
+                      block_reduce, box_sums, cell_product, checked_field,
+                      content_key, deviations, first_max, fsum, scaled_ints)
 from .weights import Weight, doubling_constant
 
 
@@ -117,15 +117,15 @@ class NormReport:
 
 
 def _level_fields(seq: TLSequence, spec: TLSeq) -> np.ndarray:
-    """Row k: the ``TLSeq`` field of any side-2^k base cube, on its cells:
+    """Row k: the ``TLSeq`` field of any side-2^k base cube, per flat cell:
     t_0 + t_1 + ... + t_k correctly rounded, t_j holding coef^q of the
     side-2^j coefficient cube over each cell (0 if none).  This is the sum
     over a dyadic cube B of side 2^k: the coefficient cubes inside B that
     hold a cell are those of side at most 2^k that hold it, one per side.
     The terms are >= 0, so a field past the float range reads inf.  Cost:
-    a running sum over the levels where no cell holds more than two
-    nonzero terms, else one ``box_sums`` pass over the stacked terms, a box
-    of levels 0..k per cell and level."""
+    one ``box_sums`` pass over the stacked terms, a box of levels 0..k per
+    cell and level; ``oscillation_norm`` keeps the read-only result on the
+    family, so a sequence's fields are built once per rule."""
     domain = seq.domain
     total, n = float(domain.num_cells), float(domain.dims)
     t = np.zeros((domain.max_level() + 1, *domain.sides))
@@ -135,11 +135,6 @@ def _level_fields(seq: TLSequence, spec: TLSeq) -> np.ndarray:
         size_norm = cube.cell_count() / total
         coef = (size_norm ** (-0.5 - spec.alpha / n)) * abs(s)
         t[(_cube_level(cube, domain), *cube.slices())] = coef ** spec.q
-    if (t != 0.0).sum(axis=0).max() <= 2:
-        # Two nonzero terms add with one rounding, so the running sum is
-        # already correctly rounded.
-        with np.errstate(over="ignore"):
-            return np.cumsum(t, axis=0)
     # Each cell's terms in a row; the field of level k at a cell is the
     # interval of that row's first k + 1 terms.
     terms = np.moveaxis(t, 0, -1).ravel()
@@ -150,7 +145,8 @@ def _level_fields(seq: TLSequence, spec: TLSeq) -> np.ndarray:
     except OverflowError:
         fields = np.array([_fsum_or_inf(terms[l:h].tolist())
                            for l, h in zip(lo.tolist(), hi.tolist())])
-    return fields.reshape(t.shape)
+    fields.setflags(write=False)
+    return fields.reshape(len(t), -1)
 
 
 def _fsum_or_inf(terms) -> float:
@@ -169,20 +165,20 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
     but ``TLSeq``, an f of another shape than the domain's or with a cell
     that is not finite raises ``BadParams`` (``lattice.checked_field``).
     The linear arrays (the w-masses, the centre numerators and masses of
-    ``CenteredDiff``, and the cell sums behind the ``DualHardy`` centre, a
-    plain cell mean) come from ``base.sums``; the ``MedianDiff`` centre,
-    each row's exact weighted median, is taken in the block; ``TLSeq`` reads
-    one field per level (``_level_fields``).  Then one
-    ``lattice.block_reduce`` of the terms local^p, with cell masses w m,
-    gives each box's mean of p-th powers.  Reports are memoised on the
-    family, keyed by the content of f (of the level fields, for ``TLSeq``),
-    the rule, w, the measure, p (and its type) and ``per_set``; errors are
-    raised anew.  Value, extremal set (the first strict maximum in canonical
-    order) and first error are those of a box-by-box loop, except on
-    overflow: ``box_sums`` differs from ``fsum`` (see ``lattice``), and a
-    ``TLSeq`` coefficient overflow precedes any zero-mass check.  Where
-    p > 1 and every mean of p-th powers underflows while the norm at
-    exponent 1 is positive, it raises ``OverflowGuard``.
+    ``CenteredDiff``, the cell sums behind the ``DualHardy`` plain mean)
+    come from ``base.sums``; the ``MedianDiff`` centre, each row's exact
+    weighted median, is taken in the block; ``TLSeq`` reads one field per
+    level (``_level_fields``), kept read-only in the family's memo.  Each
+    rule's local field goes into one ``lattice.block_reduce`` of local^p
+    with cell masses w m.  Reports are memoised on the family, keyed by the
+    content of f (of the level fields, for ``TLSeq``), the rule, w, the
+    measure, p (and its type) and ``per_set``; errors are raised anew.
+    Value, extremal set (the first strict maximum in canonical order) and
+    first error are those of a box-by-box loop, except on overflow: a cell
+    product past the float range raises ``OverflowGuard`` first, and
+    ``box_sums`` differs from ``fsum``; a ``TLSeq`` coefficient overflow
+    precedes any zero-mass check.  Where p > 1 and all means of p-th powers
+    underflow but the norm at exponent 1 is positive: ``OverflowGuard``.
     """
     if not 0 < p < math.inf:
         raise ExponentOutOfRange(f"the norm exponent must be positive and finite, got {p}")
@@ -193,7 +189,8 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
             raise IncompatibleSpec("sequence rule needs a cube-indexed sequence")
         if f.domain != base.domain:
             raise IncompatibleSpec("the sequence has another domain than the base")
-        f, rule = _level_fields(f, spec), ("sequence",)
+        f, rule = base._norms.fetch(("levels", spec, tuple(f.coeffs.items())),
+                                    lambda: _level_fields(f, spec)), ("sequence",)
     elif isinstance(spec, (CenteredDiff, DualHardy, MedianDiff)):
         f = checked_field(f, base.domain.sides)
         rule = (("centered", None if spec.v is None else spec.v.digest)
@@ -212,54 +209,47 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
     """The kernel of ``oscillation_norm``.  On a box that fails a check it
     raises that box's error once the boxes before it have been evaluated,
     so that an overflow they raise comes first, as in a box-by-box loop."""
-    wm = w.values * measure.masses
+    wm = cell_product(w.values, measure.masses)
     wmass = base.sums(wm)
     bad = zero = wmass <= 0.0
-    centre = scale = levels = spread = None
     if isinstance(spec, CenteredDiff):
         m = measure.masses if spec.v is None \
-            else measure.masses * spec.v.values
+            else cell_product(measure.masses, spec.v.values)
         mass = base.sums(m)
         bad = zero | (mass <= 0.0)
         # Boxes from the failing one on may have no mass; their centres
         # are never used.
         with np.errstate(divide="ignore", invalid="ignore"):
-            centre = base.sums(arr * m) / mass
+            local = deviations(arr, base.sums(cell_product(arr, m)) / mass)
     elif isinstance(spec, DualHardy):
         if measure.kind != "density-over-uniform" or not np.array_equal(
                 measure.masses, spec.w.values):
             bad = np.ones_like(zero)  # every box fails: the rule does not fit
         centre = plain_means(arr, base)
-        scale = spec.w.values.ravel()
+        spread, scale = deviations(arr, centre), spec.w.values.ravel()
+        local = lambda rows, idx: spread(rows, idx) / scale[idx]
     elif isinstance(spec, MedianDiff):
         # A Weight is positive, so the w-mass check covers the median's.
         ints, low, top = scaled_ints(measure.masses.ravel())
         if top - low + 53 + ints.size.bit_length() < 63:
             ints = ints.astype(np.int64)  # no box total reaches 2**62
-        flat = arr.ravel()
-        spread = lambda rows, idx: np.abs(
-            (local := flat[idx]) - _medians(local, ints[idx])[:, None])
+        local = lambda rows, idx: np.abs(
+            (cells := arr.take(idx)) - _medians(cells, ints[idx])[:, None])
     else:
-        # TLSeq: arr stacks the level fields of ``_level_fields``.
-        levels = arr.reshape(len(arr), -1)
+        # TLSeq: arr stacks the level fields of ``_level_fields``; a run of
+        # dyadic cubes of side 2^k reads level field k.
+        local = lambda rows, idx: arr[int(
+            base.hi[rows, 0][0] - base.lo[rows, 0][0]).bit_length() - 1][idx]
     stop = int(np.argmax(bad)) if bad.any() else len(base)
-    if scale is not None and not np.isfinite(centre[:stop]).all():
+    if isinstance(spec, DualHardy) and not np.isfinite(centre[:stop]).all():
         raise OverflowGuard("a plain cell mean left the float range")
-    spread = spread or deviations(arr, centre)
-
-    def powers(rows, idx):
-        if levels is not None:
-            # A run of dyadic cubes of side 2^k reads level field k.
-            side = int(base.hi[rows, 0][0] - base.lo[rows, 0][0])
-            return levels[side.bit_length() - 1][idx] ** p
-        local = spread(rows, idx)
-        return (local if scale is None else local / scale[idx]) ** p
 
     # A power past the float range gives inf, which the caller reports as a
     # non-finite norm; numpy's warning would only repeat that.
     before = None if stop == len(base) else np.arange(len(base)) < stop
     with np.errstate(over="ignore"):
-        vals = block_reduce(base, powers, wmass, wm.ravel(), before)
+        vals = block_reduce(base, lambda rows, idx: local(rows, idx) ** p,
+                            wmass, wm.ravel(), before)
     if stop < len(base):
         box = base.box(stop)
         if zero[stop]:
@@ -368,12 +358,12 @@ def cz_selection(f: np.ndarray, root: BaseSet, w: Weight, lam: float,
             map(operator.gt, root.hi, base.domain.sides)):
         raise BadParams(f"the root {root.label()} is not a box of the domain")
     f = checked_field(f, base.domain.sides)
-    wm = w.values * measure.masses
+    wm = cell_product(w.values, measure.masses)
     mass_root = fsum(wm[root.slices()])
     if mass_root <= 0:
         raise ZeroMass(f"no weighted mass on the root {root.label()}")
-    c = fsum((f * wm)[root.slices()]) / mass_root
-    owm = np.abs(f - c) * wm
+    c = fsum(cell_product(f, wm)[root.slices()]) / mass_root
+    owm = cell_product(np.abs(f - c), wm)
     avg_root = fsum(owm[root.slices()]) / mass_root
     # The frontier: boxes walked into, with their averages.
     lo, hi, avg = np.array([root.lo]), np.array([root.hi]), np.array([avg_root])
@@ -451,7 +441,7 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     if not big_n > 0:
         raise BadParams(f"the truncation level must be positive, got {big_n}")
     f = np.asarray(f, dtype=float)
-    wm = w.values * measure.masses
+    wm = cell_product(w.values, measure.masses)
     bmo = oscillation_norm(f, CenteredDiff(), w, 1.0, base, measure).value
     if bmo <= 0.0:
         raise DegenerateInput("constant fields have no oscillation to probe")
@@ -462,7 +452,7 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
         raise BadParams(f"the tempering scale must lie in (0, inf), got {eta}")
     # Every box has positive w-mass: the norm above raised otherwise.
     wmass = base.sums(wm)
-    centre = base.sums(f * wm) / wmass
+    centre = base.sums(cell_product(f, wm)) / wmass
     local = deviations(f, centre)
     best_log, best = first_max(block_reduce(
         base, lambda rows, idx: np.minimum(local(rows, idx) / bmo, big_n)

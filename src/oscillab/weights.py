@@ -31,7 +31,7 @@ from . import lattice
 from .errors import BadParams, ExponentOutOfRange, OverflowGuard
 from .lattice import (BaseFamily, BaseSet, BoundedCache, GridDomain, Measure,
                       block_reduce, first_max)
-from .reports import CertificateReport, make_check
+from .reports import DEFAULT_TOL, CertificateReport, make_check
 
 # Above this magnitude an exponentiated cell value is considered unsafe and
 # the constant is computed in log space instead.
@@ -166,8 +166,8 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
     else:
         # numpy's ``**`` gives the same bits on the whole grid as on each
         # box's slice; w * m recurs across exponents in the family's cache.
-        means = [base.sums(w.values ** e * measure.masses) / masses
-                 for e in exponents]
+        means = [base.sums(lattice.cell_product(w.values ** e, measure.masses))
+                 / masses for e in exponents]
         functional = plain
     with np.errstate(all="ignore"):
         screen = functional(*means)
@@ -265,7 +265,7 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
     cells.  A step of a stopping-time walk that bisects d axes then has
     weighted-mass ratio at most D^d.  Children of zero weighted mass are
     skipped (they never enter a walk); returns at least 1.  Raises
-    ``OverflowGuard`` when a ratio leaves the float range.
+    ``OverflowGuard`` when a cell's w m or a ratio leaves the float range.
 
     One ``box_sums`` pass over the lattice gives every child and parent
     mass.  Only the constant is cached, on the weight by measure digest
@@ -277,7 +277,7 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
 
 def _doubling_constant(w: Weight, measure: Measure) -> float:
     lo, hi = lattice.dyadic_lattice(w.domain)
-    sums = lattice.box_sums(w.values * measure.masses, lo, hi)
+    sums = lattice.box_sums(lattice.cell_product(w.values, measure.masses), lo, hi)
     # The lattice runs shape by shape with corners in row-major order, so
     # each shape's sums are one grid of its corners.
     grids, start = {}, 0
@@ -349,7 +349,7 @@ def self_improvement(params: SelfImprovementParams, p: float,
 
 
 def power_bump_check(u: Weight, p: float, delta: float, base: BaseFamily,
-                     measure: Measure, tol: float = 1e-9) -> CertificateReport:
+                     measure: Measure, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Certified bump: with q = 1 + delta*(p-1), the A_q constant of u^delta
     is at most (RH_delta(u) * A_p(u))^delta.  One check, computed constants.
     """
@@ -365,7 +365,7 @@ def power_bump_check(u: Weight, p: float, delta: float, base: BaseFamily,
                                 "parent": u.digest})
     lhs = muckenhoupt_constant(bumped, q, base, measure)
     rhs = (rh * ap) ** delta
-    report = CertificateReport(
+    return CertificateReport(
         theorem="POWER_BUMP",
         inputs_digest=hashlib.sha256(
             (u.digest + repr((float(p), float(delta))) + base.base_id).encode()
@@ -374,7 +374,6 @@ def power_bump_check(u: Weight, p: float, delta: float, base: BaseFamily,
         meta={"p": float(p), "delta": float(delta), "q": float(q),
               "rh": float(rh), "ap": float(ap), "base": base.base_id},
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,16 @@ def test_only_lattice_walks_shape_runs():
     assert others == []
 
 
+def test_running_sums_only_on_exact_ints():
+    # Every float sum is an exact box sum: a running sum (``cumsum``) runs
+    # only on exact ints, in the summed-area tables of ``box_sums``, the
+    # per-shape box counts of ``_boxes_by_shape`` and the scaled masses of
+    # ``_medians``.  The sequence rule's level fields go through ``box_sums``.
+    assert _call_sites("cumsum") == {"lattice.py:box_sums",
+                                     "lattice.py:_boxes_by_shape",
+                                     "oscillation.py:_medians"}
+
+
 def _call_sites(name: str) -> set[str]:
     """``file:function`` for each call of ``name`` (a bare or attribute
     name) in ``src/``, the function being the top-level one it sits in."""

@@ -26,6 +26,7 @@ from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       generate_weight, jn_exp_moment, muckenhoupt_constant,
                       oscillation, oscillation_norm, reverse_holder_constant,
                       sharp_oscillation, verify, weights)
+from oscillab.corpus import sample_inputs
 from oscillab.lattice import BaseSet
 from oscillab.errors import (IncompatibleSpec, OscillabError,
                              OverflowGuard, ZeroMass)
@@ -181,8 +182,8 @@ class TestSequenceNormKernel:
         # 1.0 (side 2): adding in level order, or from the largest side
         # down, loses both small terms; the rounded exact sum keeps them.
         # Cells 4..7 hold 1e308 (side 8) and 1.5e308 (side 4), whose sum
-        # passes the float range.  Three terms in a cell take the exact
-        # sums, two the running sum.
+        # passes the float range.  Every level field is one exact box sum
+        # per cell, two terms or three.
         dom = GridDomain((8,))
         small = {BaseSet((0,), (1,)): 2.0 ** -56, BaseSet((0,), (2,)): 0.25,
                  BaseSet((0,), (4,)): 2.0 ** -54}
@@ -201,6 +202,64 @@ class TestSequenceNormKernel:
             args = (seq, spec, Weight.unit(dom), 1.0, base, measure)
             _same_norm(_outcome(oscillation_norm, *args, per_set=True),
                        _outcome(oracles.per_box_tl_norm, *args,
+                                per_set=True))
+
+    def test_one_trial_builds_the_fields_once(self, monkeypatch):
+        # A sequence-spaces trial takes five norms of one sequence under one
+        # rule on one family; the level fields are built for the first.
+        built = []
+        real = oscillation._level_fields
+        monkeypatch.setattr(oscillation, "_level_fields",
+                            lambda seq, spec: built.append(seq) or
+                            real(seq, spec))
+        tid = verify.TheoremId.SEQUENCE_SPACES
+        report = verify.certify(tid, sample_inputs(tid, 0, 0))
+        assert len(report.checks) == 3
+        assert len(built) == 1
+
+    def _line_sequence(self):
+        dom = GridDomain((8,))
+        coefs = {BaseSet((0,), (1,)): 2.0 ** -56, BaseSet((0,), (2,)): 0.25,
+                 BaseSet((0,), (4,)): 2.0 ** -54, BaseSet((4,), (8,)): -3.0}
+        return dom, Measure.uniform(dom), TLSequence(dom, coefs)
+
+    def test_stored_fields_are_read_only(self):
+        dom, measure, seq = self._line_sequence()
+        base = build_base(dom, measure, "dyadic-cubes")
+        spec = TLSeq(alpha=0.5, q=1.0)
+        for p in (1.0, 2.0):
+            oscillation_norm(seq, spec, Weight.unit(dom), p, base, measure)
+        stored = [v for v in base._norms._data.values()
+                  if isinstance(v, np.ndarray)]
+        assert len(stored) == 1 and not stored[0].flags.writeable
+        with pytest.raises(ValueError):
+            stored[0][0, 0] = 1.0
+        fresh = oscillation._level_fields(seq, spec)
+        assert stored[0].tobytes() == fresh.tobytes()
+        assert stored[0].shape == fresh.shape
+
+    def test_changed_sequence_on_a_used_family(self):
+        # The stored fields are keyed by the sequence's content and the
+        # rule: a changed coefficient, a new cube or another rule on the
+        # same family gives the report a fresh family gives.
+        dom, measure, seq = self._line_sequence()
+        base = build_base(dom, measure, "dyadic-cubes")
+        w = Weight(dom, np.linspace(1.0, 3.0, 8))
+        variants = [
+            (seq, TLSeq(alpha=0.5, q=1.0)),
+            (TLSequence(dom, {**seq.coeffs, BaseSet((4,), (8,)): -3.5}),
+             TLSeq(0.5, 1.0)),
+            (TLSequence(dom, {**seq.coeffs, BaseSet((6,), (7,)): 1.0}),
+             TLSeq(0.5, 1.0)),
+            (seq, TLSeq(alpha=0.5, q=2.0)),
+            (seq, TLSeq(alpha=0.0, q=1.0)),
+        ]
+        for s, spec in variants:
+            args = (s, spec, w, 2.0)
+            fresh = build_base(dom, measure, "dyadic-cubes")
+            _same_norm(_outcome(oscillation_norm, *args, base, measure,
+                                per_set=True),
+                       _outcome(oscillation_norm, *args, fresh, measure,
                                 per_set=True))
 
 

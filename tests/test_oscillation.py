@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       TLSequence, Weight, build_base, cz_selection,
-                      jn_exp_moment, lp_norm, maximal, oscillation_norm,
+                      doubling_constant, jn_exp_moment, lp_norm, maximal,
+                      oscillation_norm, reverse_holder_constant,
                       sharp_oscillation, tl_equivalence_probe,
                       weighted_median)
 from oscillab.errors import (BadParams, DegenerateInput, EmptySequence,
@@ -143,6 +145,47 @@ def test_every_field_entry_rejects_a_bad_field(entry, bad):
         f[3] = float(bad)
     with pytest.raises(BadParams, match="^field (values|shape)"):
         call(f)
+
+
+def _overflowing_products():
+    """Calls on the 4-cell line with dyadic cubes whose cell products
+    w * m or f * m pass the float range, every cell itself finite."""
+    dom = GridDomain((4,))
+    huge = np.array([1e200, 1.0, 1.0, 1.0])
+    mea, w = Measure.general(dom, huge), Weight(dom, huge)
+    base = build_base(dom, mea, "dyadic-cubes")
+    f = np.array([0.0, 1.0, 5.0, 0.0])
+    mea4 = Measure.general(dom, np.full(4, 4.0))
+    base4, unit = build_base(dom, mea4, "dyadic-cubes"), Weight.unit(dom)
+    g = np.array([1e308, -1e308, 1.0, 2.0])
+    return {
+        "norm-wm": lambda: oscillation_norm(f, CenteredDiff(), w, 1.0, base,
+                                            mea, per_set=True),
+        "doubling-wm": lambda: doubling_constant(w, mea),
+        "jn_exp_moment-wm": lambda: jn_exp_moment(f, base, w, mea),
+        "cz_selection-wm": lambda: cz_selection(f, dom.full_box(), w, 1.0,
+                                                base, mea),
+        "norm-fm": lambda: oscillation_norm(g, CenteredDiff(), unit, 1.0,
+                                            base4, mea4),
+        "jn_exp_moment-fm": lambda: jn_exp_moment(g, base4, unit, mea4),
+        "cz_selection-fm": lambda: cz_selection(g, dom.full_box(), unit, 1.0,
+                                                base4, mea4),
+        "lp_norm-fm": lambda: lp_norm(huge, 1.0, mea),
+        "reverse_holder-wm": lambda: reverse_holder_constant(
+            Weight(dom, np.array([1e120, 1.0, 1.0, 1.0])), 2.0, base, mea),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_overflowing_products()))
+def test_overflowing_cell_product_raises(entry):
+    # An inf product once made the boxes that hold it NaN and dropped them
+    # (the norm read 2.5 on 2:4, the doubling constant and the reverse
+    # Holder constant 1.0), gave lp_norm inf, or raised a raw ValueError
+    # from fsum, each after numpy's overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuard, match="float range.*rescale"):
+            _overflowing_products()[entry]()
 
 
 class TestSharpOscillation:
