@@ -661,7 +661,7 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
         raise BadParams(f"min_scale {min_scale} exceeds the domain scale")
 
     lo, hi = _candidate_corners(domain, kind, min_scale)
-    keep = box_sums(measure.masses, lo, hi) > 0.0
+    keep = (masses := box_sums(measure.masses, lo, hi)) > 0.0
     if kind in DYADIC_KINDS:
         full = np.all(lo == 0, axis=1) & np.all(hi == domain.sides, axis=1)
         if np.any(full & ~keep):
@@ -670,12 +670,14 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     dropped = int(np.count_nonzero(~keep))
     if dropped == len(keep):
         raise EmptyBase("no base set has positive mass")
-    lo, hi = lo[keep], hi[keep]
-    # One check of all kept corners stands in for validating each BaseSet.
-    if np.any(lo < 0) or np.any(lo >= hi) or np.any(hi > domain.sides):
-        raise BadParams("a candidate box is empty or leaves the domain")
-    return BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
-                      lo=lo, hi=hi, dropped_zero_mass=dropped)
+    # ``_boxes_by_shape`` keeps every box non-empty and inside the domain.
+    family = BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
+                        lo=lo[keep], hi=hi[keep], dropped_zero_mass=dropped)
+    # The kept boxes' masses are the family's first ``set_masses``.
+    masses = masses[keep]
+    masses.setflags(write=False)
+    family._sums.fetch(content_key(measure.masses), lambda: masses)
+    return family
 
 
 # ---------------------------------------------------------------------------

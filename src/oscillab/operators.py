@@ -51,23 +51,23 @@ def maximal(f: np.ndarray, base: BaseFamily, measure: Measure,
             mode: str = "dyadic") -> np.ndarray:
     """Pointwise sup of |f| averages over eligible base sets.
 
-    Zero-mass cells get 0.  With singletons present (min_scale 0) the result
+    Zero-mass cells get 0; a cell's |f| m past the float range raises
+    ``OverflowGuard``.  With singletons present (min_scale 0) the result
     dominates |f| on positive-mass cells.  Cost: checks, the cached set
     masses, one ``box_sums`` pass and the spread (module docstring).
     """
     _check_compat(base, mode)
-    return _maximal_of(np.abs(checked_field(f, base.domain.sides)), base,
-                       measure.masses, base.set_masses(measure),
-                       measure.masses == 0.0, mode)
+    return _maximal_of(cell_product(np.abs(checked_field(
+        f, base.domain.sides)), measure.masses), base,
+        base.set_masses(measure), measure.masses == 0.0, mode)
 
 
-def _maximal_of(absf: np.ndarray, base: BaseFamily, masses: np.ndarray,
-                set_masses: np.ndarray, zero: np.ndarray,
-                mode: str) -> np.ndarray:
-    """The maximal of a checked field ``absf`` >= 0, given the cell masses,
-    the set masses and the zero-mass cells."""
+def _maximal_of(fm: np.ndarray, base: BaseFamily, set_masses: np.ndarray,
+                zero: np.ndarray, mode: str) -> np.ndarray:
+    """The maximal of a field f, given |f| m, a finite array >= 0 of cell
+    products, the set masses and the zero-mass cells."""
     lo, hi = base.lo, base.hi
-    avg = lattice.box_sums(absf * masses, lo, hi) / set_masses
+    avg = lattice.box_sums(fm, lo, hi) / set_masses
     sides = base.domain.sides
     if mode != "centered" and base.kind in lattice.DYADIC_KINDS:
         # Per cell, the max over shapes of its covering box's average (0
@@ -159,8 +159,8 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
         raise BadParams(f"tol must sit in (0, 1), got {tol}")
     _check_compat(base, mode)
     g = checked_field(g, base.domain.sides)
-    # Every sum below is at most 2 max|g| max(1, total mass): twice that
-    # must be finite.
+    # Every sum below, and every cell's |term| m, is at most 2 max|g|
+    # max(1, total mass): twice that must be finite.
     if 4.0 * float(np.max(np.abs(g))) * max(1.0, measure.total_mass) \
             == math.inf:
         raise OverflowGuard("the seed is too large for the series to stay "
@@ -172,12 +172,13 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     denom = 2.0 * b
     term = np.abs(g)
     u = term.copy()
-    core = (base, measure.masses, base.set_masses(measure), ~live, mode)
+    core = (base, base.set_masses(measure), ~live, mode)
     cap = max(1, math.ceil(10.0 * max(1, base.domain.max_level())
                            * math.log2(1.0 / tol)))
     iterations = 0
     while True:
-        term = _maximal_of(checked_field(term, g.shape), *core) / denom
+        term = _maximal_of(checked_field(term, g.shape) * measure.masses,
+                           *core) / denom
         nxt = float(term.max())
         floor = float(u.min(where=u > 0.0, initial=math.inf))
         if nxt < tol * floor:
@@ -193,7 +194,7 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     # so the result is a valid (strictly positive) weight.
     values = u.copy()
     values[~live] = np.maximum(values[~live], 1.0)
-    mu = _maximal_of(checked_field(u, g.shape), *core)
+    mu = _maximal_of(checked_field(u, g.shape) * measure.masses, *core)
     ratio = float(np.max(mu[live] / u[live])) if np.any(live) else 0.0
     checks = {
         "dominates_seed": bool(np.all(u[live] >= np.abs(g)[live])),

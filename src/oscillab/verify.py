@@ -23,7 +23,7 @@ from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
                      ExponentOutOfRange, IncompatibleBase, MissingInput,
                      OverflowGuard)
 from .lattice import (BaseFamily, Measure, block_reduce, build_base,
-                      deviations, first_max, fsum)
+                      cell_product, deviations, first_max, fsum)
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
                           plain_means, sharp_oscillation,
@@ -112,7 +112,7 @@ def _power_means(f: np.ndarray, base: BaseFamily, measure: Measure,
     Cost: ``block_reduce`` passes for L and the means, and one in log
     space over the far members only."""
     m, mass = measure.masses.ravel(), base.set_masses(measure)
-    local = deviations(f, base.sums(f * measure.masses) / mass)
+    local = deviations(f, base.sums(cell_product(f, measure.masses)) / mass)
     far = np.array([top > 0.0 and abs(s * math.log(top)) >= 600.0
                     for top in block_reduce(base, local, cells=m)])
     any_far = far.any()

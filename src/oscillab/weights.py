@@ -10,16 +10,15 @@ labels end in its first 8 hex digits.  The doubling constant is kept
 apart, in a bounded cache on the weight keyed by measure digest, so it
 never shows in ``constants_cache`` output.
 
-A plain-space A_p or reverse Holder constant costs one ``box_sums`` pass
-per exponent (cached on the family), one numpy pass of the functional over
-every box, and libm's pow only on the boxes near the top.
+An A_p or reverse Holder constant takes log space where a w**e m may leave
+e**±690, so rescaling the measure never moves it; plain space costs one
+cached ``box_sums`` pass per exponent, a numpy screen, libm near the top.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,10 +32,9 @@ from .lattice import (BaseFamily, BaseSet, BoundedCache, GridDomain, Measure,
                       block_reduce, first_max)
 from .reports import DEFAULT_TOL, CertificateReport, make_check
 
-# Above this magnitude an exponentiated cell value is considered unsafe and
-# the constant is computed in log space instead.
-_OVERFLOW_LIMIT = 1e300
-_LOG_LIMIT = math.log(_OVERFLOW_LIMIT)
+# Where an exponentiated cell value times its mass may pass 1e300 or fall
+# below 1e-300, the constant is computed in log space instead.
+_LOG_LIMIT = math.log(1e300)
 # Above this magnitude even exponent * log(cell) is unsafe in log space.
 _SPAN_LIMIT = 1e307
 # numpy's vectorised pow is within 1 ulp of libm's (a Tier-1 test guards
@@ -113,10 +111,13 @@ class ConstantRecord:
     argmax: BaseSet | None
 
 
-def _needs_log_space(values: np.ndarray, exponents) -> bool:
+def _needs_log_space(values: np.ndarray, exponents, masses=None) -> bool:
+    """Whether a values**e (times a positive mass) may leave e**±_LOG_LIMIT."""
     top = max(abs(e) for e in exponents) * float(np.max(np.abs(np.log(values))))
     if top > _SPAN_LIMIT:
         raise OverflowGuard("an exponent times a log-weight left the float range")
+    if masses is not None:
+        top += float(np.max(np.abs(np.log(masses[masses > 0.0]))))
     return top > _LOG_LIMIT
 
 
@@ -143,31 +144,32 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
                        what: str, base: BaseFamily, measure: Measure) -> float:
     """Largest over the base of a functional of the means of w**e, e in
     ``exponents``: ``plain(*means)`` gives it elementwise, on arrays or on
-    floats, or ``log(*logs)`` its logs where ``span`` needs log space.
-    Records the value and its attaining set on the weight.
+    floats, or ``log(*logs)`` its logs where ``span`` and the measure need
+    log space.  Records the value and its attaining set on the weight.
 
     One path for both spaces: the functional runs once on the whole mean
     arrays, in numpy.  Where their largest, top, is finite and positive,
     only the boxes within ``_SCREEN_MARGIN`` of top can hold the first
     strict maximum on Python floats; otherwise every box can.  Only those
-    boxes are confirmed on Python floats, ``_BOX_BLOCK`` at a time: the
-    plain value and argmax are libm pow's box by box, which numpy's
-    vectorised pow can miss by an ulp, and the log functionals take only
-    ``+``, ``*`` and ``/``, where numpy and floats agree.
+    boxes are confirmed, in one pass on Python floats: the plain value and
+    argmax are libm pow's box by box, which numpy's vectorised pow can miss
+    by an ulp, and the log functionals take only ``+``, ``*`` and ``/``,
+    where numpy and floats agree.  Plain means lie within e**±_LOG_LIMIT,
+    so a functional that raises on floats is out of range: ``OverflowGuard``.
     """
     key = (*key, base.base_id, measure.digest, base.key)
     got = w.record(key)
     if got is not None:
         return got.value
     masses = base.set_masses(measure)
-    in_logs = _needs_log_space(w.values, span)
+    in_logs = _needs_log_space(w.values, span, measure.masses)
     if in_logs:
         means, functional = _log_means(w, exponents, base, measure, masses), log
     else:
         # numpy's ``**`` gives the same bits on the whole grid as on each
-        # box's slice; w * m recurs across exponents in the family's cache.
-        means = [base.sums(lattice.cell_product(w.values ** e, measure.masses))
-                 / masses for e in exponents]
+        # box's slice; every w**e m is finite; w * m recurs in the cache.
+        means = [base.sums(w.values ** e * measure.masses) / masses
+                 for e in exponents]
         functional = plain
     with np.errstate(all="ignore"):
         screen = functional(*means)
@@ -176,22 +178,12 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
     keep = (screen >= top * (1.0 - _SCREEN_MARGIN) if 0.0 < top < math.inf
             else np.ones(len(base), dtype=bool))
     del screen  # the confirm holds only the kept means
-    kept = [m[keep] for m in means]
-    # Python floats call the same libm pow as numpy scalars, at less
-    # cost; where Python raises and numpy would give inf or nan (0/0 of
-    # underflowed means, a power past the float range), numpy runs.
-    block = lattice._BOX_BLOCK
     try:
-        best, arg = first_max(itertools.chain.from_iterable(
-            map(functional, *(m[i:i + block].tolist() for m in kept))
-            for i in range(0, len(kept[0]), block)))
-    except (OverflowError, ZeroDivisionError):
-        best, arg = first_max(map(functional, *kept))
-    if in_logs:
-        try:
+        best, arg = first_max(map(functional, *(m[keep].tolist() for m in means)))
+        if in_logs:
             best = math.exp(best)
-        except OverflowError:  # raised as OverflowGuard below
-            best = math.inf
+    except (OverflowError, ZeroDivisionError):  # raised as OverflowGuard below
+        best = math.inf
     result = _finite_or_raise(best, what)
     w._records[key] = ConstantRecord(result, base.box(np.flatnonzero(keep)[arg]))
     return result
@@ -263,9 +255,10 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
 
     Runs over the full per-axis dyadic lattice of the domain down to single
     cells.  A step of a stopping-time walk that bisects d axes then has
-    weighted-mass ratio at most D^d.  Children of zero weighted mass are
-    skipped (they never enter a walk); returns at least 1.  Raises
-    ``OverflowGuard`` when a cell's w m or a ratio leaves the float range.
+    weighted-mass ratio at most D^d.  Children of zero measure, the only
+    ones without w m, are skipped (they never enter a walk); returns at
+    least 1.  ``OverflowGuard`` where a ratio or a cell's w m leaves the
+    float range, a cell with mass whose w m rounds to 0 included.
 
     One ``box_sums`` pass over the lattice gives every child and parent
     mass.  Only the constant is cached, on the weight by measure digest
@@ -277,7 +270,10 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
 
 def _doubling_constant(w: Weight, measure: Measure) -> float:
     lo, hi = lattice.dyadic_lattice(w.domain)
-    sums = lattice.box_sums(lattice.cell_product(w.values, measure.masses), lo, hi)
+    wm = lattice.cell_product(w.values, measure.masses)
+    if np.any((wm == 0.0) & (measure.masses > 0.0)):
+        raise OverflowGuard("a cell's w m fell below the float range; rescale the weight")
+    sums = lattice.box_sums(wm, lo, hi)
     # The lattice runs shape by shape with corners in row-major order, so
     # each shape's sums are one grid of its corners.
     grids, start = {}, 0

@@ -884,3 +884,30 @@ def per_box_log_constant(w, exponent, base, measure, kind):
         if val > best:
             best, arg = val, i
     return best, base.box(arg)
+
+
+def fraction_constant(w, exponent, base, measure, kind):
+    """The A_p (``kind`` "ap", exponent p) or reverse Holder (``kind``
+    "rh", exponent delta) constant and its first maximising box, from means
+    of the cell powers w**e (libm ``pow``) in the measure, each mean an
+    exact ``Fraction`` rounded once: no product or sum leaves the float
+    range on the way, whatever the scale of the masses."""
+    import math
+    from fractions import Fraction
+
+    def mean(e, sl):
+        cells = w.values[sl].ravel().tolist()
+        masses = [Fraction(m) for m in measure.masses[sl].ravel().tolist()]
+        num = sum(Fraction(math.pow(x, e)) * m for x, m in zip(cells, masses))
+        return float(num / sum(masses))
+
+    best, arg = -math.inf, None
+    for i, sl in enumerate(member_slices(base)):
+        if kind == "ap":
+            val = mean(1.0, sl) * mean(-1.0 / (exponent - 1.0), sl) ** (
+                exponent - 1.0)
+        else:
+            val = mean(exponent, sl) ** (1.0 / exponent) / mean(1.0, sl)
+        if val > best:
+            best, arg = val, i
+    return best, base.box(arg)

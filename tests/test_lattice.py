@@ -155,6 +155,31 @@ class TestBuildBase:
         assert base.dropped_zero_mass > 0
         assert ((0,), (4,)) in labels
 
+    @pytest.mark.parametrize("sides, kind", [
+        ((8,), "dyadic-cubes"), ((16,), "all-cubes"),
+        ((4, 8), "all-rectangles")])
+    def test_set_masses_come_from_the_build(self, monkeypatch, sides, kind):
+        # build_base sums the measure over every candidate; the kept boxes'
+        # masses start the family's sums cache, so the first set_masses
+        # runs no box_sums pass.
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        masses = np.random.default_rng(4).uniform(0.0, 2.0, sides)
+        masses.flat[[0, 3]] = 0.0
+        mea = Measure.general(dom, masses)
+        base = build_base(dom, mea, kind)
+        assert base.dropped_zero_mass > 0
+        assert len(base._sums) == 1
+        calls, real = [], lattice.box_sums
+        monkeypatch.setattr(lattice, "box_sums",
+                            lambda *args: calls.append(args) or real(*args))
+        got = base.set_masses(mea)
+        assert calls == [] and base._sums.hits == 1
+        assert got.tobytes() == real(mea.masses, base.lo, base.hi).tobytes()
+        assert not got.flags.writeable
+        assert base.set_masses(Measure.uniform(dom)).tolist() == np.prod(
+            base.hi - base.lo, axis=1).tolist()
+        assert len(calls) == 1  # another measure is a miss
+
     def test_base_id_tracks_inputs(self):
         dom = GridDomain((8,))
         mea = Measure.uniform(dom)
@@ -376,6 +401,19 @@ def test_only_lattice_walks_shape_runs():
     others = [use for path in sorted(src.glob("*.py"))
               if path.name != "lattice.py" for use in _shape_run_uses(path)]
     assert others == []
+
+
+def test_only_box_sums_reads_the_box_block():
+    # ``_BOX_BLOCK`` bounds the corner-gather temporaries of ``box_sums``;
+    # the A_p and reverse Holder maxima confirm their boxes in one pass.
+    sites = set()
+    for path in sorted(Path(lattice.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name == "_BOX_BLOCK" and isinstance(node.ctx, ast.Load):
+                    sites.add(f"{path.name}:{getattr(top, 'name', '?')}")
+    assert sites == {"lattice.py:box_sums"}
 
 
 def test_running_sums_only_on_exact_ints():

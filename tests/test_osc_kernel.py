@@ -663,7 +663,7 @@ class TestReportBlocks:
             for e in exps:
                 if not weights._needs_log_space(
                         w.values, (1.0, -1.0 / (e - 1.0), e - 1.0)
-                        if name == "ap" else (1.0, e)):
+                        if name == "ap" else (1.0, e), mea.masses):
                     continue
                 log_best, arg = oracles.per_box_log_constant(w, e, base, mea,
                                                              name)

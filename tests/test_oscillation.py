@@ -19,6 +19,7 @@ from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
 from oscillab.errors import (BadParams, DegenerateInput, EmptySequence,
                              ExponentOutOfRange, IncompatibleSpec,
                              OverflowGuard, ZeroMass)
+from oscillab import verify
 from oscillab.lattice import BaseSet
 from oscillab.oscillation import MedianDiff
 
@@ -171,6 +172,8 @@ def _overflowing_products():
         "cz_selection-fm": lambda: cz_selection(g, dom.full_box(), unit, 1.0,
                                                 base4, mea4),
         "lp_norm-fm": lambda: lp_norm(huge, 1.0, mea),
+        "maximal-fm": lambda: maximal(huge, base, mea),
+        "power_means-fm": lambda: verify._power_means(huge, base, mea, 2.0),
         "reverse_holder-wm": lambda: reverse_holder_constant(
             Weight(dom, np.array([1e120, 1.0, 1.0, 1.0])), 2.0, base, mea),
     }
@@ -179,11 +182,24 @@ def _overflowing_products():
 @pytest.mark.parametrize("entry", sorted(_overflowing_products()))
 def test_overflowing_cell_product_raises(entry):
     # An inf product once made the boxes that hold it NaN and dropped them
-    # (the norm read 2.5 on 2:4, the doubling constant and the reverse
-    # Holder constant 1.0), gave lp_norm inf, or raised a raw ValueError
+    # (the norm read 2.5 on 2:4, the doubling constant 1.0), gave lp_norm
+    # and the maximal inf, the power means nan, or raised a raw ValueError
     # from fsum, each after numpy's overflow warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if entry == "reverse_holder-wm":
+            # w**2 m passes the float range, and so does the masses' log
+            # range: the constant is taken in log space.  Plain space once
+            # dropped the boxes with an inf mean and read 1.0.
+            got = _overflowing_products()[entry]()
+            dom = GridDomain((4,))
+            mea = Measure.general(dom, np.array([1e200, 1.0, 1.0, 1.0]))
+            w = Weight(dom, np.array([1e120, 1.0, 1.0, 1.0]))
+            base = build_base(dom, mea, "dyadic-cubes")
+            log_best, _ = oracles.per_box_log_constant(w, 2.0, base, mea, "rh")
+            want, _ = oracles.fraction_constant(w, 2.0, base, mea, "rh")
+            assert got == math.exp(log_best) == pytest.approx(want, rel=1e-12)
+            return
         with pytest.raises(OverflowGuard, match="float range.*rescale"):
             _overflowing_products()[entry]()
 

@@ -138,9 +138,9 @@ class TestPlainFunctional:
                             ((4, 16), "dyadic-rectangles")]),
            st.integers(0, 2 ** 32 - 1),
            st.one_of(st.sampled_from([2.0, 3.0]), st.floats(1.05, 6.0)),
-           st.sampled_from([7, lattice._BOX_BLOCK]), st.booleans())
+           st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_matches_numpy_scalars(self, grid, seed, p, block, dense):
+    def test_matches_numpy_scalars(self, grid, seed, p, dense):
         sides, kind = grid
         rng = np.random.default_rng(seed)
         dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
@@ -148,10 +148,8 @@ class TestPlainFunctional:
                if dense else Measure.uniform(dom))
         base = build_base(dom, mea, kind)
         w = Weight(dom, np.exp(rng.normal(0.0, 1.5, sides)))
-        # A block of 7 boxes chains many blocks into one first maximum.
-        with mock.patch.object(lattice, "_BOX_BLOCK", block):
-            ap = muckenhoupt_constant(w, p, base, mea)
-            rh = reverse_holder_constant(w, p, base, mea)
+        ap = muckenhoupt_constant(w, p, base, mea)
+        rh = reverse_holder_constant(w, p, base, mea)
         self._assert_same(w, ("ap", p), ap, _numpy_scalar_constant(
             w, (1.0, -1.0 / (p - 1.0)), _ap_plain(p), base, mea), base, mea)
         self._assert_same(w, ("rh", p), rh, _numpy_scalar_constant(
@@ -160,7 +158,7 @@ class TestPlainFunctional:
     def test_every_block_reaches_the_maximum(self):
         # The mean of w peaks on the last cell alone, the family's last box,
         # found through the screen and, where a nan top keeps every box,
-        # through every block alike.
+        # through the one confirm pass over all of them.
         dom = GridDomain((16,))
         mea = Measure.uniform(dom)
         base = build_base(dom, mea, "all-cubes")
@@ -170,10 +168,8 @@ class TestPlainFunctional:
         for functional, confirmed in ((lambda m: m, 1), (spill, len(base))):
             w = Weight(dom, np.r_[np.ones(15), 2.0])
             plain, calls = _counting(functional)
-            with mock.patch.object(lattice, "_BOX_BLOCK", 7):
-                got = weights._extremal_constant(
-                    w, ("mean",), (1.0,), (1.0,), plain, None, "mean", base,
-                    mea)
+            got = weights._extremal_constant(
+                w, ("mean",), (1.0,), (1.0,), plain, None, "mean", base, mea)
             assert got == 2.0
             assert len(calls) == confirmed
             record = w.record(("mean", base.base_id, mea.digest, base.key))
@@ -181,9 +177,11 @@ class TestPlainFunctional:
                 == BaseSet((15,), (16,))
 
     def test_underflowed_means_take_the_fallback(self):
-        # w m underflows to 0 on the first four cells, so the boxes there
-        # have mean 0 and the reverse Holder functional 0/0: Python raises,
-        # numpy gives a nan that the first maximum skips.
+        # w m underflows to 0 on the first four cells, so in plain space
+        # the boxes there have mean 0 and the reverse Holder functional
+        # 0/0.  The masses' log range sends the constant to log space,
+        # where no mean underflows: value and argmax (0:8) are the log-space
+        # oracle's, and within 1e-12 of the exact means'.
         dom = GridDomain((8,))
         mea = Measure.general(dom, np.r_[np.full(4, 1e-300), np.ones(4)])
         base = build_base(dom, mea, "dyadic-cubes")
@@ -193,12 +191,16 @@ class TestPlainFunctional:
                  for e in (2.0, 1.0)]
         with pytest.raises(ZeroDivisionError):
             list(_rh_plain(2.0)(*means))
-        with np.errstate(invalid="ignore"):
-            got = reverse_holder_constant(w, 2.0, base, mea)
-            want = _numpy_scalar_constant(w, (2.0, 1.0), _rh_plain(2.0),
-                                          base, mea)
-        assert math.isfinite(got)
-        self._assert_same(w, ("rh", 2.0), got, want, base, mea)
+        assert weights._needs_log_space(w.values, (1.0, 2.0), mea.masses)
+        got = reverse_holder_constant(w, 2.0, base, mea)
+        log_best, arg = oracles.per_box_log_constant(w, 2.0, base, mea, "rh")
+        assert np.float64(got).tobytes() == np.float64(
+            math.exp(log_best)).tobytes()
+        record = w.record(("rh", 2.0, base.base_id, mea.digest, base.key))
+        assert record.argmax == arg
+        want, want_arg = oracles.fraction_constant(w, 2.0, base, mea, "rh")
+        assert got == pytest.approx(want, rel=1e-12)
+        assert want_arg == arg
 
     def test_overflow_falls_back_to_the_same_error(self):
         dom = GridDomain((8,))
@@ -265,7 +267,8 @@ class TestScreen:
             mea = Measure.uniform(dom)
         base = build_base(dom, mea, family)
         e = -1.0 / (p - 1.0)
-        assume(not weights._needs_log_space(w.values, (1.0, e, p - 1.0, p)))
+        assume(not weights._needs_log_space(w.values, (1.0, e, p - 1.0, p),
+                                            mea.masses))
         with mock.patch.object(lattice, "_BOX_BLOCK", block), \
                 np.errstate(all="ignore"):
             ap = muckenhoupt_constant(w, p, base, mea)
@@ -356,6 +359,91 @@ class TestScreen:
                     assert abs(n - want) <= 2.0 ** -1074, (base_, e, n, want)
             samples += len(x)
         assert samples >= 10 ** 5
+
+
+class TestMeasureScale:
+    """The A_p and reverse Holder constants are ratios of means, so they do
+    not change when the measure is rescaled; neither does the doubling
+    constant.  A w**e m outside the float range takes log space."""
+
+    @staticmethod
+    def _line(masses, values):
+        dom = GridDomain((4,))
+        mea = Measure.general(dom, np.array(masses))
+        return dom, mea, build_base(dom, mea, "dyadic-cubes"), Weight(
+            dom, np.array(values))
+
+    @staticmethod
+    def _assert_oracles(w, x, base, mea, kind, got):
+        log_best, arg = oracles.per_box_log_constant(w, x, base, mea, kind)
+        assert got == pytest.approx(math.exp(log_best), rel=1e-12)
+        want, want_arg = oracles.fraction_constant(w, x, base, mea, kind)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert want_arg == arg == w.record(
+            (kind, x, base.base_id, mea.digest, base.key)).argmax
+
+    def test_underflowing_w_m(self):
+        # w**e m underflows to 0 on 0:2 in plain space, where A_2 and RH_2
+        # both read 1.0.
+        _, mea, base, w = self._line([1e-300, 1e-300, 1.0, 1.0],
+                                     [1e-50, 1e-30, 1.0, 1.0])
+        ap = muckenhoupt_constant(w, 2.0, base, mea)
+        rh = reverse_holder_constant(w, 2.0, base, mea)
+        assert ap == pytest.approx(2.5e19, rel=1e-12)
+        assert rh == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        self._assert_oracles(w, 2.0, base, mea, "ap", ap)
+        self._assert_oracles(w, 2.0, base, mea, "rh", rh)
+
+    def test_overflowing_w_m(self):
+        # w m passes the float range on every cell in plain space, which
+        # raised OverflowGuard; on the uniform measure A_2 is 2.5e9 + 0.5.
+        dom, mea, base, w = self._line([1e300] * 4, [1e10, 1.0, 2.0, 3.0])
+        uniform = Measure.uniform(dom)
+        want = muckenhoupt_constant(w, 2.0, build_base(dom, uniform,
+                                                       "dyadic-cubes"), uniform)
+        assert want == 2500000000.5
+        ap = muckenhoupt_constant(w, 2.0, base, mea)
+        assert ap == pytest.approx(want, rel=1e-12)
+        self._assert_oracles(w, 2.0, base, mea, "ap", ap)
+
+    @given(st.sampled_from([((8,), "dyadic-cubes"), ((16,), "all-cubes"),
+                            ((8, 8), "all-rectangles")]),
+           st.integers(0, 2 ** 32 - 1), st.integers(-1000, 1000),
+           st.floats(1.1, 6.0), st.booleans())
+    @example(((16,), "all-cubes"), 3, -1000, 2.0, True)
+    @example(((8, 8), "all-rectangles"), 5, 1000, 3.5, False)
+    @settings(max_examples=60, deadline=None)
+    def test_rescaled_measure_keeps_the_constants(self, grid, seed, k, p,
+                                                  massless):
+        sides, kind = grid
+        rng = np.random.default_rng(seed)
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        masses = np.exp(rng.normal(0.0, 1.0, sides))
+        if massless:
+            masses.flat[int(rng.integers(masses.size))] = 0.0
+        # Some w**e m pass e**±700 at the far scales, however k is signed.
+        w = Weight(dom, np.exp(rng.normal(0.0, 3.0, sides)))
+        got = []
+        for scale in (1.0, 2.0 ** k):
+            mea = Measure.general(dom, masses * scale)
+            base = build_base(dom, mea, kind)
+            got.append((muckenhoupt_constant(w, p, base, mea),
+                        reverse_holder_constant(w, p, base, mea)))
+        assert got[1] == pytest.approx(got[0], rel=1e-11)
+
+    def test_doubling_underflowing_w_m_raises(self):
+        # w m rounds to 0 on 0:2 though those cells have mass, so 0:2 looked
+        # massless and was skipped (the constant read 2.0); the ratio of
+        # 0:4 to 0:2 is about 2e330.
+        _, mea, _, w = self._line([1e-300, 1e-300, 1.0, 1.0],
+                                  [1e-50, 1e-30, 1.0, 1.0])
+        with pytest.raises(OverflowGuard, match="float range.*rescale"):
+            doubling_constant(w, mea)
+        # Children of zero measure are still skipped.
+        _, mea, _, w = self._line([0.0, 0.0, 1.0, 1.0],
+                                  [1e-50, 1e-30, 1.0, 1.0])
+        assert doubling_constant(w, mea) == oracles.brute_doubling(
+            w.values, mea.masses, (4,)) == 2.0
 
 
 class TestConjugate:
