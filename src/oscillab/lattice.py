@@ -40,17 +40,23 @@ nan or ``ValueError`` (inf + -inf).  A constant array c (uniform masses,
 unit weights) skips the tables: a box of k < 2**53 cells sums to c * k
 exactly, so one float product rounds it once, for O(1) float work per box.
 
-``block_reduce`` is the one site of the nonlinear per-box sums: the
-caller forms the terms t of each (boxes, cells) block of one shape, over
-every member or the members a boolean mask selects; cells without mass
-are left out (an inf there times 0 would make the row NaN); each member
-gives fsum(t * m) / mass, m the cell masses where given, by one
-``math.fsum`` over ``tolist()``, or in log space shift + log(fsum(exp(t -
-shift) * m)) - log(mass), shift the row maximum over cells with mass.
+``block_reduce`` and ``block_max`` are the sites of the nonlinear per-box
+sums.  The caller forms the terms t of each (boxes, cells) block of one
+shape, over every member or those a boolean mask selects; cells without
+mass are left out (inf times 0 would make a row NaN).  ``block_reduce``
+gives each member's fsum(t * m) / mass, m the cell masses where given, or
+in log space shift + log(fsum(exp(t - shift) * m)) - log(mass), shift the
+row maximum over cells with mass.  ``block_max`` gives the first maximum
+of fsum(t * m) / mass, t >= 0: a numpy row sum of n terms is within
+gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the exact sum (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 4.2), so only rows within (n +
+2) 2**-52 of the top mean, n the widest row, go to ``math.fsum``; all go
+where the top is not finite or below 2**-1022, or a sum reaches 2**1023.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -72,11 +78,8 @@ RECTANGLE_KINDS = ("dyadic-rectangles", "all-rectangles")
 
 
 def fsum(values) -> float:
-    """Correctly rounded sum of an array, iterated in canonical row-major order.
-
-    The result is the true real sum rounded once, so independent code paths
-    that add the same multiset of cell values agree bit for bit.
-    """
+    """Correctly rounded sum of an array: the exact sum rounded once, so
+    code paths that add the same cells agree bit for bit."""
     arr = np.ascontiguousarray(values, dtype=float)
     return math.fsum(arr.ravel().tolist())
 
@@ -101,11 +104,13 @@ def checked_field(f, sides) -> np.ndarray:
     return f
 
 
-def cell_product(a, b) -> np.ndarray:
-    """a * b per cell; ``OverflowGuard`` where a product passes the float range."""
+def cell_product(a, b, positive: bool = False) -> np.ndarray:
+    """a * b per cell; ``OverflowGuard`` where a product passes the float
+    range, or with ``positive`` where a, b > 0 give 0 (w m of a massed cell)."""
     with np.errstate(over="ignore"):
         out = np.multiply(a, b)
-    if not np.isfinite(out).all():
+    if not np.isfinite(out).all() or positive and not out.all() and (
+            (out == 0.0) & (a > 0.0) & (b > 0.0)).any():
         raise OverflowGuard("a cell product left the float range; rescale the inputs")
     return out
 
@@ -132,12 +137,10 @@ def box_sums(values, lo, hi) -> np.ndarray:
     """Correctly rounded sum of ``values`` over each box ``lo[i] <= cell < hi[i]``.
 
     ``lo`` and ``hi`` are integer arrays of shape (boxes, dims).  Element i
-    equals ``math.fsum(values[box_i].ravel())`` bit for bit; see the module
-    docstring for the contract and its paths: two float limbs where the
-    cells' exponents are close (O(cells + boxes) float work), a table of
-    Python ints otherwise, one product c * k per box for a constant array.
-    ``OverflowError`` says "too large"; the results are scanned for it only on
-    a constant array or where top + size.bit_length() passes 1022.
+    equals ``math.fsum(values[box_i].ravel())`` bit for bit; the module
+    docstring states the contract and the paths.  ``OverflowError`` says
+    "too large"; the results are scanned for it only on a constant array or
+    where top + size.bit_length() passes 1022.
     """
     values = np.asarray(values, dtype=float)
     lo = np.asarray(lo, dtype=np.intp).reshape(-1, values.ndim)
@@ -532,29 +535,33 @@ class BaseFamily:
         return self.sums(measure.masses)
 
 
+def _formed(base: BaseFamily, form, cells, members, fill: float):
+    """(rows, idx, terms) per block of the members ``members`` selects."""
+    dead = None if cells is None or cells.all() else cells == 0.0
+    for start, end, idx in base.shape_runs():
+        rows = slice(start, end)
+        if members is not None and not (pick := members[rows]).all():
+            if not pick.any():
+                continue
+            rows, idx = start + np.flatnonzero(pick), idx[pick]
+        terms = form(rows, idx)
+        if dead is not None:
+            terms[dead[idx]] = fill
+        yield rows, idx, terms
+
+
 def block_reduce(base: BaseFamily, form, mass=None, cells=None,
                  members: np.ndarray | None = None, log: bool = False) -> list:
     """Per member i, in order, the reduction of its row that the module
-    docstring states, for a few numpy passes per block and one
-    ``math.fsum`` per member; only the members where the boolean mask
-    ``members`` holds, when given.  ``form(rows, idx)`` gives the terms of
-    the members ``rows`` (a slice, or an index array where ``members``
-    drops some of a block), row r on flat cells ``idx[r]``, as a fresh
-    array; ``cells`` are the cell masses.  ``mass`` None: row maxima."""
-    dead = None if cells is None or cells.all() else cells == 0.0
-    mass = None if mass is None else np.asarray(mass)
+    docstring states, one ``math.fsum`` per member; only the members where
+    the boolean mask ``members`` holds, when given.  ``form(rows, idx)``
+    gives the terms of the members ``rows`` (a slice, or an index array
+    where ``members`` drops some of a block), row r on flat cells
+    ``idx[r]``, as a fresh array; ``cells`` are the cell masses; ``mass``
+    is an array, or None for row maxima."""
     out = []
-    for start, end, idx in base.shape_runs():
-        rows = slice(start, end)
-        if members is not None:
-            pick = members[rows]
-            if not pick.all():
-                if not pick.any():
-                    continue
-                rows, idx = start + np.flatnonzero(pick), idx[pick]
-        terms = form(rows, idx)
-        if dead is not None:
-            terms[dead[idx]] = -math.inf if log else 0.0
+    for rows, idx, terms in _formed(base, form, cells, members,
+                                    -math.inf if log else 0.0):
         if mass is None:
             out.extend(terms.max(axis=1).tolist())
             continue
@@ -571,6 +578,25 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
             div = map(math.log, div)
         out.extend(map(operator.sub if log else operator.truediv, sums, div))
     return out
+
+
+def block_max(base: BaseFamily, form, mass, cells, members=None):
+    """``first_max(block_reduce(...))`` on the same arguments, bit for bit,
+    for terms >= 0, masses > 0; keeps 8 bytes a term; caller mutes overflow."""
+    prods = [np.multiply(terms, cells[idx], out=terms)
+             for _, idx, terms in _formed(base, form, cells, members, 0.0)]
+    mass = mass if members is None else mass[members]
+    sums = np.concatenate([np.add.reduce(terms, axis=1) for terms in prods] or [[]])
+    means, keep = sums / mass, range(len(sums))
+    if prods and 2.0 ** -1022 <= (top := np.maximum.reduce(means)) < math.inf \
+            and np.maximum.reduce(sums) < 2.0 ** 1023:
+        width = max(terms.shape[1] for terms in prods)
+        keep = (means >= top * (1.0 - (width + 2) * 2.0 ** -52)).nonzero()[0].tolist()
+    # Row i of the walk is row i - starts[b] of block b; fsum confirms it.
+    starts = [0, *itertools.accumulate(map(len, prods))]
+    best, j = first_max(math.fsum(prods[b][i - starts[b]].tolist()) / mass.item(i)
+                        for i in keep for b in [bisect.bisect(starts, i) - 1])
+    return best, None if j is None else keep[j]
 
 
 def deviations(f, centre: np.ndarray):

@@ -22,8 +22,9 @@ from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic,
                      OverflowGuard, ZeroMass)
 from .lattice import (DYADIC_KINDS, BaseFamily, BaseSet, GridDomain, Measure,
-                      block_reduce, box_sums, cell_product, checked_field,
-                      content_key, deviations, first_max, fsum, scaled_ints)
+                      block_max, block_reduce, box_sums, cell_product,
+                      checked_field, content_key, deviations, first_max, fsum,
+                      scaled_ints)
 from .weights import Weight, doubling_constant
 
 
@@ -164,18 +165,19 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
     One shape-grouped kernel and one memo serve all four rules.  Under all
     but ``TLSeq``, an f of another shape than the domain's or with a cell
     that is not finite raises ``BadParams`` (``lattice.checked_field``).
-    The linear arrays (the w-masses, the centre numerators and masses of
-    ``CenteredDiff``, the cell sums behind the ``DualHardy`` plain mean)
-    come from ``base.sums``; the ``MedianDiff`` centre, each row's exact
-    weighted median, is taken in the block; ``TLSeq`` reads one field per
-    level (``_level_fields``), kept read-only in the family's memo.  Each
-    rule's local field goes into one ``lattice.block_reduce`` of local^p
-    with cell masses w m.  Reports are memoised on the family, keyed by the
-    content of f (of the level fields, for ``TLSeq``), the rule, w, the
-    measure, p (and its type) and ``per_set``; errors are raised anew.
-    Value, extremal set (the first strict maximum in canonical order) and
-    first error are those of a box-by-box loop, except on overflow: a cell
-    product past the float range raises ``OverflowGuard`` first, and
+    ``base.sums`` gives the linear arrays; the ``MedianDiff`` centre is
+    each row's exact weighted median; ``TLSeq`` reads one field per level
+    (``_level_fields``), kept read-only in the family's memo.
+    local^p with cell masses w m goes into ``lattice.block_max``: a numpy
+    sum per member, ``math.fsum`` only within (n + 2) 2**-52 of the top
+    (Higham's bound for n terms), or on all where the top is not finite or
+    below 2**-1022; ``per_set`` takes ``block_reduce``, a fsum per member.
+    Reports are memoised on the family by the content of f (of the level
+    fields, for ``TLSeq``), the rule, w, the measure, p (and its type) and
+    ``per_set``; errors are raised anew.  Value, extremal set (the first
+    strict maximum in canonical order) and first error are a box-by-box
+    loop's, except on overflow: a cell product past the float range, or a
+    massed cell's w m rounding to 0, raises ``OverflowGuard`` first, and
     ``box_sums`` differs from ``fsum``; a ``TLSeq`` coefficient overflow
     precedes any zero-mass check.  Where p > 1 and all means of p-th powers
     underflow but the norm at exponent 1 is positive: ``OverflowGuard``.
@@ -209,12 +211,12 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
     """The kernel of ``oscillation_norm``.  On a box that fails a check it
     raises that box's error once the boxes before it have been evaluated,
     so that an overflow they raise comes first, as in a box-by-box loop."""
-    wm = cell_product(w.values, measure.masses)
+    wm = cell_product(w.values, measure.masses, positive=True)
     wmass = base.sums(wm)
     bad = zero = wmass <= 0.0
     if isinstance(spec, CenteredDiff):
         m = measure.masses if spec.v is None \
-            else cell_product(measure.masses, spec.v.values)
+            else cell_product(measure.masses, spec.v.values, positive=True)
         mass = base.sums(m)
         bad = zero | (mass <= 0.0)
         # Boxes from the failing one on may have no mass; their centres
@@ -248,8 +250,8 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
     # non-finite norm; numpy's warning would only repeat that.
     before = None if stop == len(base) else np.arange(len(base)) < stop
     with np.errstate(over="ignore"):
-        vals = block_reduce(base, lambda rows, idx: local(rows, idx) ** p,
-                            wmass, wm.ravel(), before)
+        vals = (block_reduce if per_set else block_max)(
+            base, lambda r, i: local(r, i) ** p, wmass, wm.ravel(), before)
     if stop < len(base):
         box = base.box(stop)
         if zero[stop]:
@@ -259,15 +261,14 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
                 "the reciprocal-weight rule needs the ambient measure to be "
                 "the density measure of the same weight")
         raise ZeroMass(f"no mass on {box.label()}")
-    best, best_i = first_max(vals, -1.0)
+    best, best_i = first_max(vals, -1.0) if per_set else vals
     if p > 1.0 and best < sys.float_info.min and _grouped_report(
             arr, spec, w, 1.0, base, measure, False).value > 0.0:
         raise OverflowGuard("the norm's p-th powers underflow; rescale the "
                             "field")
-    rows = tuple(val ** (1.0 / p) for val in vals) if per_set else None
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,
-                      extremal_set=None if best_i is None else base.box(best_i),
-                      per_set=rows)
+                      extremal_set=base.box(best_i), per_set=tuple(
+                          val ** (1.0 / p) for val in vals) if per_set else None)
 
 
 def plain_means(f: np.ndarray, base: BaseFamily) -> np.ndarray:
@@ -358,7 +359,7 @@ def cz_selection(f: np.ndarray, root: BaseSet, w: Weight, lam: float,
             map(operator.gt, root.hi, base.domain.sides)):
         raise BadParams(f"the root {root.label()} is not a box of the domain")
     f = checked_field(f, base.domain.sides)
-    wm = cell_product(w.values, measure.masses)
+    wm = cell_product(w.values, measure.masses, positive=True)
     mass_root = fsum(wm[root.slices()])
     if mass_root <= 0:
         raise ZeroMass(f"no weighted mass on the root {root.label()}")
@@ -441,7 +442,7 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     if not big_n > 0:
         raise BadParams(f"the truncation level must be positive, got {big_n}")
     f = np.asarray(f, dtype=float)
-    wm = cell_product(w.values, measure.masses)
+    wm = cell_product(w.values, measure.masses, positive=True)
     bmo = oscillation_norm(f, CenteredDiff(), w, 1.0, base, measure).value
     if bmo <= 0.0:
         raise DegenerateInput("constant fields have no oscillation to probe")

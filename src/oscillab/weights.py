@@ -270,9 +270,7 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
 
 def _doubling_constant(w: Weight, measure: Measure) -> float:
     lo, hi = lattice.dyadic_lattice(w.domain)
-    wm = lattice.cell_product(w.values, measure.masses)
-    if np.any((wm == 0.0) & (measure.masses > 0.0)):
-        raise OverflowGuard("a cell's w m fell below the float range; rescale the weight")
+    wm = lattice.cell_product(w.values, measure.masses, positive=True)
     sums = lattice.box_sums(wm, lo, hi)
     # The lattice runs shape by shape with corners in row-major order, so
     # each shape's sums are one grid of its corners.

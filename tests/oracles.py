@@ -911,3 +911,12 @@ def fraction_constant(w, exponent, base, measure, kind):
         if val > best:
             best, arg = val, i
     return best, base.box(arg)
+
+
+def fraction_row_mean(terms, mass):
+    """The exact mean of one row, sum(terms) / mass with every term and the
+    mass an exact ``Fraction``: no rounding at all."""
+    from fractions import Fraction
+
+    return sum(map(Fraction, np.asarray(terms, dtype=float).ravel().tolist()),
+               Fraction(0)) / Fraction(float(mass))

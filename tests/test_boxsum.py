@@ -7,7 +7,9 @@ every comparison here is on the float bits, not within a tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -632,3 +634,242 @@ class TestBlockReduce:
                         (np.exp(terms - shift) * m).tolist()))
                         - math.log(mass[i]))
                 assert _bits(got) == _bits(want), (how, sel)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - errors are compared, not hidden
+        return "raised", type(exc), str(exc)
+
+
+def _reference_max(base, form, mass, cells, members=None):
+    """The unscreened path: ``first_max`` over ``block_reduce``."""
+    return lattice.first_max(lattice.block_reduce(base, form, mass, cells,
+                                                  members=members))
+
+
+# Cell values of the screened terms: near ties (one value on every cell),
+# subnormal and zero tops, inf rows, and sums past the float range.
+_TERM_VALUES = {
+    "tie": [0.1],
+    "spread": [0.0, 0.1, 1.0, 3.0, 1e-3, 7.25, 2.0 ** 60, 2.0 ** -60],
+    "subnormal": [0.0, 5e-324, 1e-310, 3e-320],
+    "zero": [0.0],
+    "inf": [1.0, 2.0, math.inf],
+    "huge": [1.0, 1e308, 1.7e308],
+}
+
+
+@st.composite
+def _screen_case(draw):
+    sides, kind = draw(st.sampled_from([
+        ((16,), "dyadic-cubes"), ((16,), "all-cubes"), ((8, 8), "all-cubes"),
+        ((4, 8), "dyadic-rectangles"), ((4, 8), "all-rectangles")]))
+    base = _family(sides, kind, 0)
+    n, size = len(base), int(np.prod(sides))
+    values = np.array(draw(st.lists(st.sampled_from(
+        _TERM_VALUES[draw(st.sampled_from(sorted(_TERM_VALUES)))]),
+        min_size=size, max_size=size)))
+    # Dense unit cell masses make ties; zeros drop cells from every row.
+    pick = draw(st.sampled_from([[1.0], [1.0, 0.0], [0.5, 1.0, 3.0, 0.0]]))
+    cells = np.array(draw(st.lists(st.sampled_from(pick), min_size=size,
+                                   max_size=size)))
+    scale = np.array(draw(st.lists(st.sampled_from([1.0, 1.0, 2.0, 0.25]),
+                                   min_size=n, max_size=n)))
+    # Masses are positive; 1e-300 sends a mean past the float range.
+    mass = np.array(draw(st.lists(st.sampled_from(
+        [1.0, 1.0, 3.0, 16.0, 0.1, 1e-300]), min_size=n, max_size=n)))
+    # No mask, the prefix before a failing box (as the norm kernel passes
+    # it), or a scatter that splits blocks.
+    members = draw(st.sampled_from([None, "prefix", "scatter"]))
+    if members == "prefix":
+        members = np.arange(n) < draw(st.integers(0, n))
+    elif members == "scatter":
+        members = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)))
+    gather = draw(st.sampled_from([7, 40, 1 << 14]))
+    return base, values, cells, scale, mass, members, gather
+
+
+class TestBlockMax:
+    """``lattice.block_max``, the screened maximum, against the unscreened
+    ``first_max`` over ``block_reduce``, bit for bit, errors included."""
+
+    @given(_screen_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_block_reduce(self, case):
+        base, values, cells, scale, mass, members, gather = case
+        flat = values.ravel()
+
+        def form(rows, idx):
+            return flat[idx] * scale[rows, None]
+
+        with mock.patch("oscillab.lattice._GATHER_CELLS", gather), \
+                np.errstate(over="ignore"):
+            got = _outcome(lattice.block_max, base, form, mass, cells.ravel(),
+                           members)
+            want = _outcome(_reference_max, base, form, mass, cells.ravel(),
+                            members)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got == want
+        else:
+            assert _bits([got[1][0]]) == _bits([want[1][0]])
+            assert got[1][1] == want[1][1]
+
+    @staticmethod
+    def _rows_family(n):
+        """Dyadic cubes on a line of 2 n' cells, n' the least power of two
+        >= n: member 1 is 0:n', the last member a single cell."""
+        side = 1 << (n - 1).bit_length()
+        return _family((2 * side,), "dyadic-cubes", 0)
+
+    @staticmethod
+    def _form(base, table):
+        """Member i's terms are ``table[i]``, zero-padded; others are 0."""
+        def form(rows, idx):
+            out = np.zeros(idx.shape)
+            for k, i in enumerate(np.arange(len(base))[rows].tolist()):
+                if i in table:
+                    out[k, :len(table[i])] = table[i]
+            return out
+        return form
+
+    # Rows where numpy's sum and the exact one part: one large term and
+    # many below half its ulp, many equal terms, and terms over a wide
+    # range of exponents.
+    _ADVERSARIAL = {
+        "tail-8": [1.0] + [2.0 ** -53] * 7,
+        "tail-64": [1.0] + [2.0 ** -53] * 63,
+        "tail-4096": [1.0] + [2.0 ** -53] * 4095,
+        "equal-1000": [0.1] * 1000,
+        "equal-4096": [0.7] * 4096,
+        "wide-4096": (np.random.default_rng(3).uniform(1.0, 2.0, 4096)
+                      * 2.0 ** np.random.default_rng(4).integers(-60, 61, 4096)
+                      ).tolist(),
+        "wide-3000": (np.random.default_rng(5).uniform(1.0, 2.0, 3000)
+                      * 2.0 ** np.random.default_rng(6).integers(-40, 41, 3000)
+                      ).tolist(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+    def test_screen_error_within_the_bound(self, name):
+        # The screen's numpy mean of n terms >= 0 lies within Higham's
+        # gamma_(n-1) and one rounding of the division of the exact mean,
+        # and ``math.fsum`` over the mass rounds the exact mean once.
+        row = np.array([self._ADVERSARIAL[name]])
+        n, u = row.shape[1], 2.0 ** -53
+        for mass in (1.0, 3.0, 0.125):
+            exact = oracles.fraction_row_mean(row, mass)
+            screened = float(row.sum(axis=1)[0] / mass)
+            gamma = (n - 1) * u / (1 - (n - 1) * u)
+            assert abs(Fraction(screened) - exact) <= (gamma + u + gamma * u) * exact
+            if mass != 3.0:  # a power of two divides exactly
+                assert math.fsum(row[0].tolist()) / mass == float(exact)
+
+    @pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+    def test_rival_one_ulp_away(self, name):
+        # A one-cell rival one ulp from the row's exact mean, on the side
+        # where numpy's sum erred, ranks the other way in the screen: only
+        # the margin keeps both rows for ``math.fsum``.
+        terms = self._ADVERSARIAL[name]
+        base = self._rows_family(len(terms))
+        screened = float(np.array([terms]).sum(axis=1)[0])
+        exact = math.fsum(terms)
+        assert exact == float(oracles.fraction_row_mean(terms, 1.0))
+        # Where numpy's sum is exact the rival sits one ulp below.
+        rival = float(np.nextafter(exact, 0.0 if screened == exact else screened))
+        last = len(base) - 1
+        form = self._form(base, {1: terms, last: [rival]})
+        mass, cells = np.ones(len(base)), np.ones(base.domain.num_cells)
+        got = lattice.block_max(base, form, mass, cells)
+        assert got == _reference_max(base, form, mass, cells)
+        assert got == ((exact, 1) if rival < exact else (rival, last))
+
+    def test_row_sum_near_overflow_takes_the_exact_path(self):
+        # numpy rounds DBL_MAX + 3 * 2**969 down to DBL_MAX, finite, but
+        # its exact sum overflows in ``math.fsum``; that row's mean is far
+        # below the top, so only the 2**1023 check sends it to fsum.
+        big = [sys.float_info.max] + [2.0 ** 969] * 3
+        assert math.isfinite(np.array([big]).sum(axis=1)[0])
+        base = self._rows_family(4)
+        last = len(base) - 1
+        form = self._form(base, {1: big, last: [2.0 ** 1000]})
+        mass = np.ones(len(base))
+        mass[1] = 2.0 ** 60
+        cells = np.ones(base.domain.num_cells)
+        want = _outcome(_reference_max, base, form, mass, cells)
+        assert want == ("raised", OverflowError, "intermediate overflow in fsum")
+        assert _outcome(lattice.block_max, base, form, mass, cells) == want
+
+    def test_subnormal_top_takes_the_exact_path(self):
+        # Below 2**-1022 a mean rounds to a multiple of 2**-1074, not
+        # relatively: a mass puts numpy's sum and the exact one on either
+        # side of 2.5 * 2**-1074, so the row's screened mean is 2 * 2**-1074
+        # and its value 3 * 2**-1074, which a later one-cell rival ties.
+        terms = (np.array(self._ADVERSARIAL["tail-4096"]) * 2.0 ** -100).tolist()
+        screened = float(np.array([terms]).sum(axis=1)[0])
+        exact = math.fsum(terms)
+        tiny = 2.0 ** -1074
+        row_mass = float((Fraction(screened) + Fraction(exact)) / 2
+                         / (Fraction(5, 2) * Fraction(tiny)))
+        assert (screened / row_mass, exact / row_mass) == (2 * tiny, 3 * tiny)
+        base = self._rows_family(len(terms))
+        last = len(base) - 1
+        form = self._form(base, {1: terms, last: [3 * tiny]})
+        mass = np.ones(len(base))
+        mass[1] = row_mass
+        cells = np.ones(base.domain.num_cells)
+        want = _reference_max(base, form, mass, cells)
+        assert want == (3 * tiny, 1)
+        assert lattice.block_max(base, form, mass, cells) == want
+
+    def test_infinite_top_takes_the_exact_path(self):
+        # A mass puts the row's exact mean past the float range and numpy's
+        # just inside it: the row's value is inf, and so is a later rival's
+        # mean, 1 over a subnormal mass, the only row an infinite top keeps.
+        terms = (np.array(self._ADVERSARIAL["tail-4096"]) * 2.0 ** 10).tolist()
+        screened = float(np.array([terms]).sum(axis=1)[0])
+        exact = math.fsum(terms)
+        edge = Fraction(2) ** 1024 - Fraction(2) ** 970  # rounds to inf
+        row_mass = float((Fraction(screened) + Fraction(exact)) / 2 / edge)
+        assert math.isfinite(screened / row_mass)
+        assert exact / row_mass == math.inf
+        base = self._rows_family(len(terms))
+        last = len(base) - 1
+        form = self._form(base, {1: terms, last: [1.0]})
+        mass = np.ones(len(base))
+        mass[1], mass[last] = row_mass, 5e-324
+        cells = np.ones(base.domain.num_cells)
+        with np.errstate(over="ignore"):
+            want = _reference_max(base, form, mass, cells)
+            assert want == (math.inf, 1)
+            assert lattice.block_max(base, form, mass, cells) == want
+
+    def test_only_kept_rows_reach_fsum(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        base = _family((8, 8), "all-cubes", 0)
+        flat = rng.uniform(0.0, 1.0, 64)
+        flat[[5, 6]] = 0.999  # a near tie at the top
+        mass = base.set_masses(Measure.uniform(base.domain))
+        cells = np.ones(64)
+
+        def form(rows, idx):
+            return flat[idx] ** 2
+
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+        best = lattice.block_max(base, form, mass, cells)
+        kept = len(calls)
+        calls.clear()
+        assert best == _reference_max(base, form, mass, cells)
+        assert len(calls) == len(base)
+        # The rows whose numpy mean is within (n + 2) 2**-52 of the top.
+        means = np.array([float(form(None, np.array([_member_cells(base, i)]))
+                                .sum() / mass[i]) for i in range(len(base))])
+        width = max(int(np.prod(b)) for b in (base.hi - base.lo))
+        want = np.count_nonzero(means >= means.max() * (1 - (width + 2) * 2.0 ** -52))
+        assert kept == want < len(base)

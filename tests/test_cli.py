@@ -10,13 +10,14 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (GridDomain, cli, corpus, run_suite, verify,
+from oscillab import (GridDomain, Measure, cli, corpus, run_suite, verify,
                       write_field_csv)
 from oscillab.errors import OverflowGuard
 from oscillab.lattice import BASE_KINDS
@@ -185,6 +186,28 @@ class TestNormCommand:
         assert not out.exists()
         assert "finite" in capsys.readouterr().err
 
+
+    def test_underflowing_w_m_exits_three(self, tmp_path, capsys,
+                                          monkeypatch):
+        # The norm command takes the uniform measure; it is handed masses
+        # [1e-300, 1e-300, 1, 1], under which w = [1e-50, 1e-30, 1, 1]
+        # gives w m = 0 on two cells with mass.  It exited 3 with "no
+        # weighted mass on 0:2" (ZeroMass); the w m check now names it.
+        dom = GridDomain((4,))
+        mea = Measure.general(dom, np.array([1e-300, 1e-300, 1.0, 1.0]))
+        monkeypatch.setattr(cli, "Measure", SimpleNamespace(
+            uniform=lambda domain: mea))
+        write_field_csv(tmp_path / "f.csv", dom, np.array([0.0, 1.0, 5.0, 0.0]))
+        write_field_csv(tmp_path / "w.csv", dom,
+                        np.array([1e-50, 1e-30, 1.0, 1.0]))
+        out = tmp_path / "norm.json"
+        rc = main(["norm", "--field", str(tmp_path / "f.csv"), "--weight",
+                   str(tmp_path / "w.csv"), "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "float range" in err and "rescale" in err
+        assert "no weighted mass" not in err
 
     def test_intermediate_overflow_exits_three(self, tmp_path, capsys):
         field = tmp_path / "f.csv"

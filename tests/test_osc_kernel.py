@@ -131,6 +131,70 @@ class TestOscillationNormKernel:
                      measure, per_set=per_set))
 
 
+class TestNormScreen:
+    """Without ``per_set`` the kernel takes ``lattice.block_max``; with it,
+    ``block_reduce`` and ``first_max``.  Both give the same value, extremal
+    set and first error."""
+
+    @given(_instance(), st.sampled_from(POWERS),
+           st.sampled_from(["plain", "unit-dense", "reweighted", "reciprocal",
+                            "massless", "median"]))
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_unscreened_path(self, inst, p, rule):
+        dom, f, w, v, kind, min_scale = inst
+        measure = Measure.uniform(dom)
+        if rule == "reciprocal":
+            spec, w, measure = DualHardy(w), Weight.unit(dom), \
+                Measure.density(dom, w.values)
+        elif rule == "massless":
+            masses = np.where(v.values > 1.0, v.values, 0.0)
+            masses.flat[0] = 1.0
+            spec, measure = CenteredDiff(), Measure.general(dom, masses)
+        elif rule == "unit-dense":
+            # Constant weights on a dense measure: rows tie.
+            spec, w = CenteredDiff(), Weight.unit(dom)
+        else:
+            spec = {"plain": CenteredDiff(), "reweighted": CenteredDiff(v),
+                    "median": oscillation.MedianDiff()}[rule]
+        try:
+            base = build_base(dom, measure, kind, min_scale)
+        except OscillabError:
+            return  # the kind does not fit this grid or scale
+        families = [base]
+        if rule == "massless":
+            # Built on the uniform measure, the family holds boxes without
+            # mass: the walk stops at the prefix before the first of them.
+            families.append(build_base(dom, Measure.uniform(dom), kind,
+                                       min_scale))
+        for fam in families:
+            got = _outcome(oscillation_norm, f, spec, w, p, fam, measure)
+            want = _outcome(oscillation_norm, f, spec, w, p, fam, measure,
+                            per_set=True)
+            assert got[0] == want[0]
+            if got[0] == "raised":
+                assert got == want
+            else:
+                assert _bits(got[1].value) == _bits(want[1].value)
+                assert got[1].extremal_set == want[1].extremal_set
+
+    def test_only_kept_rows_reach_fsum(self, monkeypatch):
+        dom = GridDomain((16,))
+        mea = Measure.uniform(dom)
+        f = np.arange(16.0) ** 2
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(math, "fsum",
+                            lambda xs: calls.append(1) or fsum(xs))
+        counts = {}
+        for per_set in (False, True):
+            base = build_base(dom, mea, "all-cubes")
+            calls.clear()
+            oscillation_norm(f, CenteredDiff(), Weight.unit(dom), 2.0, base,
+                             mea, per_set=per_set)
+            counts[per_set] = len(calls)
+        # One member holds the maximum, far above the rest.
+        assert counts == {False: 1, True: len(base)}
+
+
 @st.composite
 def _sequence_instance(draw):
     """A sequence over some dyadic cubes of a 1-d or square grid, with zero

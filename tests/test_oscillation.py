@@ -204,6 +204,37 @@ def test_overflowing_cell_product_raises(entry):
             _overflowing_products()[entry]()
 
 
+def _underflowing_w_m():
+    """Calls on the 4-cell dyadic line with masses [1e-300, 1e-300, 1, 1]
+    and w = [1e-50, 1e-30, 1, 1]: w m of cells 0 and 1, each with mass,
+    rounds to 0."""
+    dom = GridDomain((4,))
+    mea = Measure.general(dom, np.array([1e-300, 1e-300, 1.0, 1.0]))
+    w = Weight(dom, np.array([1e-50, 1e-30, 1.0, 1.0]))
+    base = build_base(dom, mea, "dyadic-cubes")
+    f = np.array([0.0, 1.0, 5.0, 0.0])
+    return {
+        "norm": lambda: oscillation_norm(f, CenteredDiff(), w, 1.0, base, mea),
+        "norm-per_set": lambda: oscillation_norm(f, CenteredDiff(), w, 1.0,
+                                                 base, mea, per_set=True),
+        "norm-reweighted": lambda: oscillation_norm(
+            f, CenteredDiff(w), Weight.unit(dom), 1.0, base, mea),
+        "doubling": lambda: doubling_constant(w, mea),
+        "jn_exp_moment": lambda: jn_exp_moment(f, base, w, mea),
+        "cz_selection": lambda: cz_selection(f, dom.full_box(), w, 1.0, base,
+                                             mea),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_underflowing_w_m()))
+def test_underflowing_w_m_raises(entry):
+    # The norm raised ZeroMass("no weighted mass on 0:2") where the doubling
+    # constant raised OverflowGuard; every w m (and m v) site now runs the
+    # one check of ``lattice.cell_product``.
+    with pytest.raises(OverflowGuard, match="float range.*rescale"):
+        _underflowing_w_m()[entry]()
+
+
 class TestSharpOscillation:
     def test_second_call_is_a_memo_hit(self, line8):
         dom, mea, base = line8
