@@ -49,9 +49,11 @@ in log space shift + log(fsum(exp(t - shift) * m)) - log(mass), shift the
 row maximum over cells with mass.  ``block_max`` gives the first maximum
 of fsum(t * m) / mass, t >= 0: a numpy row sum of n terms is within
 gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the exact sum (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., 4.2), so only rows within (n +
-2) 2**-52 of the top mean, n the widest row, go to ``math.fsum``; all go
-where the top is not finite or below 2**-1022, or a sum reaches 2**1023.
+Stability of Numerical Algorithms, 2nd ed., 4.2), so its means screen the
+rows with margin (n + 2) 2**-52, n the widest row, or inf where a sum
+reaches 2**1023 (fsum may raise there).  ``screened_max`` confirms only
+the members whose screen is at least top * (1 - margin), top the largest,
+or all where top is not a positive normal float or the margin is inf.
 """
 
 from __future__ import annotations
@@ -92,6 +94,17 @@ def first_max(values, floor: float = -math.inf):
         if val > best:
             best, arg = val, i
     return best, arg
+
+
+def screened_max(screen: np.ndarray, margin: float, confirm):
+    """(value, index) of the first strict maximum of ``confirm(keep)``, the
+    exact values of the members the module docstring keeps, indices in order."""
+    top = np.maximum.reduce(screen, initial=-math.inf)
+    keep = (screen >= top * (1.0 - margin)).nonzero()[0] \
+        if margin < math.inf and 2.0 ** -1022 <= top < math.inf \
+        else np.arange(len(screen))
+    best, j = first_max(confirm(keep))
+    return best, None if j is None else int(keep[j])
 
 
 def checked_field(f, sides) -> np.ndarray:
@@ -580,23 +593,20 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
     return out
 
 
-def block_max(base: BaseFamily, form, mass, cells, members=None):
+def block_max(base: BaseFamily, form, mass, cells=None, members=None):
     """``first_max(block_reduce(...))`` on the same arguments, bit for bit,
     for terms >= 0, masses > 0; keeps 8 bytes a term; caller mutes overflow."""
-    prods = [np.multiply(terms, cells[idx], out=terms)
+    prods = [terms if cells is None else np.multiply(terms, cells[idx], out=terms)
              for _, idx, terms in _formed(base, form, cells, members, 0.0)]
     mass = mass if members is None else mass[members]
     sums = np.concatenate([np.add.reduce(terms, axis=1) for terms in prods] or [[]])
-    means, keep = sums / mass, range(len(sums))
-    if prods and 2.0 ** -1022 <= (top := np.maximum.reduce(means)) < math.inf \
-            and np.maximum.reduce(sums) < 2.0 ** 1023:
-        width = max(terms.shape[1] for terms in prods)
-        keep = (means >= top * (1.0 - (width + 2) * 2.0 ** -52)).nonzero()[0].tolist()
+    margin = math.inf if np.maximum.reduce(sums, initial=0.0) >= 2.0 ** 1023 \
+        else (max((terms.shape[1] for terms in prods), default=0) + 2) * 2.0 ** -52
     # Row i of the walk is row i - starts[b] of block b; fsum confirms it.
     starts = [0, *itertools.accumulate(map(len, prods))]
-    best, j = first_max(math.fsum(prods[b][i - starts[b]].tolist()) / mass.item(i)
-                        for i in keep for b in [bisect.bisect(starts, i) - 1])
-    return best, None if j is None else keep[j]
+    return screened_max(sums / mass, margin, lambda keep: (
+        math.fsum(prods[b][i - starts[b]].tolist()) / mass.item(i)
+        for i in keep.tolist() for b in [bisect.bisect(starts, i) - 1]))
 
 
 def deviations(f, centre: np.ndarray):

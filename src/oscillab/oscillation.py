@@ -168,10 +168,10 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
     ``base.sums`` gives the linear arrays; the ``MedianDiff`` centre is
     each row's exact weighted median; ``TLSeq`` reads one field per level
     (``_level_fields``), kept read-only in the family's memo.
-    local^p with cell masses w m goes into ``lattice.block_max``: a numpy
-    sum per member, ``math.fsum`` only within (n + 2) 2**-52 of the top
-    (Higham's bound for n terms), or on all where the top is not finite or
-    below 2**-1022; ``per_set`` takes ``block_reduce``, a fsum per member.
+    local^p with cell masses w m goes into ``lattice.block_max``, a numpy
+    screen with margin (n + 2) 2**-52 (Higham's bound for n terms) and
+    ``math.fsum`` on the members it keeps (``lattice.screened_max``);
+    ``per_set`` takes ``block_reduce``, a fsum per member.
     Reports are memoised on the family by the content of f (of the level
     fields, for ``TLSeq``), the rule, w, the measure, p (and its type) and
     ``per_set``; errors are raised anew.  Value, extremal set (the first

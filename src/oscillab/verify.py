@@ -22,8 +22,8 @@ from . import operators
 from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
                      ExponentOutOfRange, IncompatibleBase, MissingInput,
                      OverflowGuard)
-from .lattice import (BaseFamily, Measure, block_reduce, build_base,
-                      cell_product, deviations, first_max, fsum)
+from .lattice import (BaseFamily, Measure, block_max, block_reduce,
+                      build_base, cell_product, deviations, first_max, fsum)
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
                           cz_selection, jn_exp_moment, oscillation_norm,
                           plain_means, sharp_oscillation,
@@ -434,8 +434,8 @@ def _certify_two_weight_band(inputs: dict, tol: float):
 def _reciprocal_direct(f: np.ndarray, w: Weight, base_w: BaseFamily) -> float:
     """The reciprocal-rule norm at exponent 1 by its own formula, the kernel's
     cross-check: max over boxes of sum |f - c| / sum w, c the plain mean."""
-    return float(np.max(block_reduce(
-        base_w, deviations(f, plain_means(f, base_w)), base_w.sums(w.values))))
+    return block_max(base_w, deviations(f, plain_means(f, base_w)),
+                     base_w.sums(w.values))[0]
 
 
 def _certify_reciprocal_rule(inputs: dict, tol: float):

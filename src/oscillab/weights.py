@@ -11,8 +11,9 @@ apart, in a bounded cache on the weight keyed by measure digest, so it
 never shows in ``constants_cache`` output.
 
 An A_p or reverse Holder constant takes log space where a w**e m may leave
-e**±690, so rescaling the measure never moves it; plain space costs one
-cached ``box_sums`` pass per exponent, a numpy screen, libm near the top.
+e**±690, so any rescaling of the measure keeps it finite and within a
+relative 1e-11 (not bit for bit); plain space costs one cached
+``box_sums`` pass per exponent, a numpy screen, libm near the top.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import lattice
 from .errors import BadParams, ExponentOutOfRange, OverflowGuard
 from .lattice import (BaseFamily, BaseSet, BoundedCache, GridDomain, Measure,
-                      block_reduce, first_max)
+                      block_reduce)
 from .reports import DEFAULT_TOL, CertificateReport, make_check
 
 # Where an exponentiated cell value times its mass may pass 1e300 or fall
@@ -148,14 +149,13 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
     log space.  Records the value and its attaining set on the weight.
 
     One path for both spaces: the functional runs once on the whole mean
-    arrays, in numpy.  Where their largest, top, is finite and positive,
-    only the boxes within ``_SCREEN_MARGIN`` of top can hold the first
-    strict maximum on Python floats; otherwise every box can.  Only those
-    boxes are confirmed, in one pass on Python floats: the plain value and
-    argmax are libm pow's box by box, which numpy's vectorised pow can miss
-    by an ulp, and the log functionals take only ``+``, ``*`` and ``/``,
-    where numpy and floats agree.  Plain means lie within e**±_LOG_LIMIT,
-    so a functional that raises on floats is out of range: ``OverflowGuard``.
+    arrays, in numpy, and screens the boxes under ``lattice.screened_max``'s
+    keep rule with margin ``_SCREEN_MARGIN``.  Only the kept boxes are
+    confirmed, in one pass on Python floats: the plain value and argmax are
+    libm pow's box by box, which numpy's vectorised pow can miss by an ulp,
+    and the log functionals take only ``+``, ``*`` and ``/``, where numpy
+    and floats agree.  Plain means lie within e**±_LOG_LIMIT, so a
+    functional that raises on floats is out of range: ``OverflowGuard``.
     """
     key = (*key, base.base_id, measure.digest, base.key)
     got = w.record(key)
@@ -173,19 +173,15 @@ def _extremal_constant(w: Weight, key: tuple, exponents, span, plain, log,
         functional = plain
     with np.errstate(all="ignore"):
         screen = functional(*means)
-    # A nan or inf box makes top nan or inf, and log-space tops can be <= 0.
-    top = screen.max()
-    keep = (screen >= top * (1.0 - _SCREEN_MARGIN) if 0.0 < top < math.inf
-            else np.ones(len(base), dtype=bool))
-    del screen  # the confirm holds only the kept means
     try:
-        best, arg = first_max(map(functional, *(m[keep].tolist() for m in means)))
+        best, arg = lattice.screened_max(screen, _SCREEN_MARGIN, lambda keep: map(
+            functional, *(m[keep].tolist() for m in means)))
         if in_logs:
             best = math.exp(best)
     except (OverflowError, ZeroDivisionError):  # raised as OverflowGuard below
         best = math.inf
     result = _finite_or_raise(best, what)
-    w._records[key] = ConstantRecord(result, base.box(np.flatnonzero(keep)[arg]))
+    w._records[key] = ConstantRecord(result, base.box(arg))
     return result
 
 

@@ -873,3 +873,67 @@ class TestBlockMax:
         width = max(int(np.prod(b)) for b in (base.hi - base.lo))
         want = np.count_nonzero(means >= means.max() * (1 - (width + 2) * 2.0 ** -52))
         assert kept == want < len(base)
+
+
+class TestScreenedMax:
+    """``lattice.screened_max``, the one keep rule in front of every exact
+    confirm of a per-box maximum."""
+
+    @staticmethod
+    def _run(screen, margin, exact=None):
+        """(result, the member lists ``confirm`` saw); exact values are the
+        screen's unless given."""
+        seen = []
+        exact = np.asarray(screen if exact is None else exact, dtype=float)
+
+        def confirm(keep):
+            seen.append(list(keep))
+            return (exact.item(i) for i in keep)
+        return lattice.screened_max(np.asarray(screen, dtype=float), margin,
+                                    confirm), seen
+
+    def test_empty(self):
+        assert self._run([], 2.0 ** -40) == ((-math.inf, None), [[]])
+
+    @pytest.mark.parametrize("top", [math.inf, math.nan, 0.0, 5e-324,
+                                     2.0 ** -1023])
+    def test_keeps_all_where_top_is_not_positive_normal(self, top):
+        # A subnormal top times (1 - margin) rounds back to top.
+        _, seen = self._run([0.5 * top, top, 0.0, 0.25 * top], 2.0 ** -40)
+        assert seen == [[0, 1, 2, 3]]
+
+    def test_keeps_all_at_an_infinite_margin(self):
+        got, seen = self._run([1.0, 3.0, 2.0], math.inf)
+        assert (got, seen) == ((3.0, 1), [[0, 1, 2]])
+
+    def test_kept_positions_map_to_members(self):
+        # Members 1 and 3 are within 1% of the top; the exact values put 3
+        # first, and its index comes back as a member index.
+        screen = [1.0, 5.0, 3.0, 4.999, 2.0]
+        exact = [1.0, 4.0, 3.0, 4.5, 2.0]
+        assert self._run(screen, 0.01, exact) == ((4.5, 3), [[1, 3]])
+
+    def test_confirm_sees_only_the_kept_in_order(self):
+        screen = np.array([7.0, 1.0, 7.0, 6.99, 7.0, 0.0])
+        got, seen = self._run(screen, 2.0 ** -20)
+        assert (got, seen) == ((7.0, 0), [[0, 2, 4]])
+
+    @given(_screen_case())
+    @settings(max_examples=60, deadline=None)
+    def test_block_max_without_cell_masses(self, case):
+        base, values, _, scale, mass, members, gather = case
+        flat = values.ravel()
+
+        def form(rows, idx):
+            return flat[idx] * scale[rows, None]
+
+        with mock.patch("oscillab.lattice._GATHER_CELLS", gather), \
+                np.errstate(over="ignore"):
+            got = _outcome(lattice.block_max, base, form, mass, None, members)
+            want = _outcome(_reference_max, base, form, mass, None, members)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got == want
+        else:
+            assert _bits([got[1][0]]) == _bits([want[1][0]])
+            assert got[1][1] == want[1][1]

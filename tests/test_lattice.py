@@ -416,6 +416,19 @@ def test_only_box_sums_reads_the_box_block():
     assert sites == {"lattice.py:box_sums"}
 
 
+def test_only_screened_max_keeps_boxes():
+    # One keep rule in front of every screened maximum.  The maxima left
+    # unscreened: the kernel's ``per_set`` rows (already exact), the JN
+    # probe's log rows (their margin would be absolute) and ``_worst_pair``
+    # (it ranks ``per_set`` rows).
+    assert _call_sites("screened_max") == {"lattice.py:block_max",
+                                           "weights.py:_extremal_constant"}
+    assert _call_sites("first_max") == {"lattice.py:screened_max",
+                                        "oscillation.py:_grouped_report",
+                                        "oscillation.py:jn_exp_moment",
+                                        "verify.py:_worst_pair"}
+
+
 def test_running_sums_only_on_exact_ints():
     # Every float sum is an exact box sum: a running sum (``cumsum``) runs
     # only on exact ints, in the summed-area tables of ``box_sums``, the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from oscillab import (GridDomain, Measure, TheoremId, Weight, build_base,
                       build_majorant, certify, estimate_constant,
                       inputs_digest, make_check, run_suite,
                       theorem_from_string, verify)
+from oscillab import lattice
 from oscillab.corpus import make_standard_corpus, sample_inputs
 from oscillab.errors import (AllDegenerate, BadParams, DegenerateInput,
                              EmptyCorpus, IncompatibleBase)
+from oscillab.oscillation import plain_means
 
 
 class TestTheoremIds:
@@ -122,6 +126,41 @@ class TestWorstSet:
     def test_all_zero_rows_give_member_zero(self):
         assert verify._worst_pair([0.0, 0.0], [1.0, 0.0]) == 0
         assert verify._worst_pair([0.0, 1.0, 2.0], [0.0, 3.0, 3.0]) == 2
+
+
+class TestReciprocalDirect:
+    """The reciprocal rule's cross-check, screened by ``lattice.block_max``."""
+
+    @staticmethod
+    def _unscreened(f, w, base_w):
+        return float(np.max(lattice.block_reduce(
+            base_w, lattice.deviations(f, plain_means(f, base_w)),
+            base_w.sums(w.values))))
+
+    def test_matches_one_fsum_per_box(self):
+        tid = TheoremId.RECIPROCAL_RULE
+        for trial in range(20):
+            inputs = sample_inputs(tid, 3, trial)
+            f, w, base = inputs["f"], inputs["w"], inputs["base"]
+            base_w = build_base(base.domain, Measure.density(
+                base.domain, w.values), base.kind, base.min_scale)
+            got = verify._reciprocal_direct(f, w, base_w)
+            assert np.float64(got).tobytes() == np.float64(
+                self._unscreened(f, w, base_w)).tobytes()
+
+    def test_only_kept_rows_reach_fsum(self, monkeypatch):
+        dom = GridDomain((16,))
+        w = Weight(dom, np.linspace(1.0, 2.0, 16))
+        f = np.arange(16.0) ** 2
+        base_w = build_base(dom, Measure.density(dom, w.values), "all-cubes")
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+        got = verify._reciprocal_direct(f, w, base_w)
+        kept = len(calls)
+        calls.clear()
+        assert got == self._unscreened(f, w, base_w) == 41.125
+        # One member holds the maximum, far above the rest.
+        assert (kept, len(calls)) == (1, len(base_w))
 
 
 class TestRunSuite:

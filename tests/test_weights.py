@@ -322,6 +322,22 @@ class TestScreen:
         record = w.record(("mean", base.base_id, mea.digest, base.key))
         assert record.argmax == BaseSet((7,), (8,))
 
+    def test_subnormal_top_confirms_every_box(self):
+        # numpy's pow is vouched for only to within one 2**-1074 step below
+        # the normal range, where top * (1 - margin) rounds back to top: a
+        # subnormal top keeps every box, not only its ties.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "all-cubes")
+        w = Weight(dom, np.linspace(1.0, 2.0, 8))
+        plain, calls = _counting(lambda m: m ** -3.0 * 2.0 ** -1060)
+        got = weights._extremal_constant(w, ("tiny",), (1.0,), (1.0,), plain,
+                                         None, "tiny", base, mea)
+        assert (len(base), len(calls)) == (36, 36)
+        assert got == 2.0 ** -1060
+        record = w.record(("tiny", base.base_id, mea.digest, base.key))
+        assert record.argmax == BaseSet((0,), (1,))
+
     def test_numpy_pow_within_the_margin_of_libm(self):
         # The screen's premise, over the exponents the constants take:
         # numpy's vectorised x ** e within _SCREEN_MARGIN of libm's pow
