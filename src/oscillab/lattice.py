@@ -11,9 +11,11 @@ on demand.
 
 Three summation primitives share one contract: a sum is the exact sum
 rounded once.  ``fsum`` adds one array with ``math.fsum``.  ``box_sums``
-adds one array over many boxes at once, with O(cells) set-up and O(1) work
+adds one array over many boxes at once, with O(cells) work and O(1) more
 per box, from summed-area tables (Crow 1984): a zero-padded cumulative table
-per axis, and each box's sum from its corners by inclusion-exclusion.  Each
+per axis, and each box's sum from its corners by inclusion-exclusion.  A
+``box_summer`` does the set-up that rests on the boxes alone once (each
+family keeps one, ``BaseFamily.summer``); ``box_sums`` is a one-shot.  Each
 cell x is scaled to an exact integer I = x * 2**(53 - low), low and top the
 least and greatest frexp exponents of a nonzero cell, found (as the exponent
 grows with |x|) by one scan of |x|.  Where the exponents span at most
@@ -141,7 +143,7 @@ def scaled_ints(values: np.ndarray):
     return ints, low, top
 
 
-# Boxes per block of corner gathers in ``box_sums``; bounds the temporaries
+# Boxes per block of corner gathers in ``box_summer``; bounds the temporaries
 # (object arrays on the exact table) on large families.
 _BOX_BLOCK = 4096
 
@@ -155,70 +157,85 @@ def box_sums(values, lo, hi) -> np.ndarray:
     "too large"; the results are scanned for it only on a constant array or
     where top + size.bit_length() passes 1022.
     """
-    values = np.asarray(values, dtype=float)
-    lo = np.asarray(lo, dtype=np.intp).reshape(-1, values.ndim)
-    hi = np.asarray(hi, dtype=np.intp).reshape(-1, values.ndim)
-    flat = values.ravel()
-    mag = np.abs(flat)
-    big = mag.max()
-    if not big < math.inf:  # a NaN or infinite cell
-        return np.array([fsum(values[tuple(map(slice, l, h))])
-                         for l, h in zip(lo.tolist(), hi.tolist())], dtype=float)
-    if flat[0] == flat[-1] and flat.min() == flat.max():
-        # + 0.0 turns the -0.0 of a constant -0.0 into 0.0, as fsum does.
-        with np.errstate(over="ignore"):
-            out = flat[0] * (hi - lo).prod(axis=1) + 0.0
-        return _finite_sums(out)
-    # Not constant, so some cell is nonzero.
-    top = math.frexp(big)[1]
-    low = math.frexp(mag.min(where=mag > 0.0, initial=math.inf))[1]
-    # The exact sum of a box is acc * 2**shift, acc an int, with |acc| below
-    # 2**(top - low + 53 + bits).
-    bits, shift = values.size.bit_length(), low - 53
-    cells = (slice(1, None),) * values.ndim
-    padded = tuple(n + 1 for n in values.shape)
-    if top - low + 2 * bits <= 50 and shift >= -1074:
-        # Two limbs: each cell's int I = H * 2**k + L, 0 <= L < 2**k.  Every
-        # sum of L stays below 2**52, and of H below 2**51, so float64 adds
-        # them exactly; H * 2**k + L per box is the one rounding.
-        k = 2.0 ** (52 - bits)
-        exact = np.ldexp(values, -shift)
-        # One complex table holds both limbs: H as the real part, L as the
-        # imaginary part, each added on its own.
-        table = np.zeros(padded, dtype=complex)
-        high = table.real[cells]
-        np.floor(exact / k, out=high)
-        table.imag[cells] = exact - high * k
-        finish = lambda acc: acc.real * k + acc.imag
-    else:
-        table = np.zeros(padded, dtype=object)
-        table[cells] = scaled_ints(values)[0]
-        # int / int is correctly rounded, subnormal and overflow included.
-        scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
-        finish = lambda acc: acc * scale / den
-        shift = 0  # the quotient is already scaled
-    # A subnormal limb sum is a multiple of 2**-1074 with fewer than 53
-    # significant bits, so the ldexp below keeps it exact.
-    inner = table[cells]
-    for axis in range(values.ndim):
-        np.cumsum(inner, axis=axis, out=inner)
-    out = np.empty(len(lo))
-    for start in range(0, len(lo), _BOX_BLOCK):
-        l = lo[start:start + _BOX_BLOCK]
-        h = hi[start:start + _BOX_BLOCK]
-        # Corners as flat indices into the table: take() beats 2-d
-        # fancy indexing.
-        if values.ndim == 1:
-            acc = table.take(h[:, 0]) - table.take(l[:, 0])
+    return box_summer(lo, hi, np.shape(values))(values)
+
+
+def box_summer(lo, hi, shape):
+    """``values -> box_sums(values, lo, hi)`` for arrays of ``shape``, bit for
+    bit, set up once: ``bits``, ``k``, one limb table and, on the first call
+    that reads a table, the corners' flat indices in ``_BOX_BLOCK`` blocks."""
+    ndim = len(shape)
+    lo, hi = (np.asarray(c, dtype=np.intp).reshape(-1, ndim) for c in (lo, hi))
+    bits = math.prod(shape).bit_length()
+    k = 2.0 ** (52 - bits)
+    cells, padded = (slice(1, None),) * ndim, tuple(n + 1 for n in shape)
+    # One complex table, H real and L imaginary, each added on its own; a
+    # call writes every interior cell and never the zero padding.
+    limbs = np.zeros(padded, dtype=complex)
+    limb_cells, high, low_limb = limbs[cells], limbs.real[cells], limbs.imag[cells]
+    two_limbs = lambda acc: acc.real * k + acc.imag
+    blocks = []
+
+    def summer(values):
+        values = np.asarray(values, dtype=float)
+        flat = values.ravel()
+        mag = np.abs(flat)
+        big = mag.max()
+        if not big < math.inf:  # a NaN or infinite cell
+            return np.array([fsum(values[tuple(map(slice, l, h))])
+                             for l, h in zip(lo.tolist(), hi.tolist())], dtype=float)
+        if flat[0] == flat[-1] and flat.min() == flat.max():
+            # + 0.0 turns the -0.0 of a constant -0.0 into 0.0, as fsum does.
+            with np.errstate(over="ignore"):
+                out = flat[0] * (hi - lo).prod(axis=1) + 0.0
+            return _finite_sums(out)
+        # Not constant, so some cell is nonzero.
+        top = math.frexp(big)[1]
+        low = math.frexp(mag.min(where=mag > 0.0, initial=math.inf))[1]
+        # The exact sum of a box is acc * 2**shift, acc an int, with |acc|
+        # below 2**(top - low + 53 + bits).
+        shift = low - 53
+        if top - low + 2 * bits <= 50 and shift >= -1074:
+            # Two limbs: each cell's int I = H * 2**k + L, 0 <= L < 2**k.
+            # Every sum of L stays below 2**52, and of H below 2**51, so float64
+            # adds them exactly; H * 2**k + L per box is the one rounding.
+            exact = np.ldexp(values, -shift)
+            np.floor(exact / k, out=high)
+            low_limb[...] = exact - high * k
+            table, inner, finish = limbs, limb_cells, two_limbs
         else:
-            hr, lr = h[:, 0] * table.shape[1], l[:, 0] * table.shape[1]
-            acc = (table.take(hr + h[:, 1]) - table.take(lr + h[:, 1])
-                   - table.take(hr + l[:, 1]) + table.take(lr + l[:, 1]))
-        out[start:start + len(acc)] = finish(acc)
-    if top + bits <= 1022:  # every |box sum| is below 2**(top + bits)
-        return np.ldexp(out, shift) if shift else out
-    with np.errstate(over="ignore"):
-        return _finite_sums(np.ldexp(out, shift))
+            table = np.zeros(padded, dtype=object)
+            inner = table[cells]
+            inner[...] = scaled_ints(values)[0]
+            # int / int is correctly rounded, subnormal and overflow included.
+            scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
+            finish = lambda acc: acc * scale / den
+            shift = 0  # the quotient is already scaled
+        # A subnormal limb sum is a multiple of 2**-1074 with fewer than 53
+        # significant bits, so the ldexp below keeps it exact.
+        for axis in range(ndim):
+            inner.cumsum(axis=axis, out=inner)
+        if not blocks:
+            # Flat table indices, signs + - or + - - +: take() beats fancy indexing.
+            for a in range(0, len(lo), _BOX_BLOCK):
+                h, l = hi[a:a + _BOX_BLOCK], lo[a:a + _BOX_BLOCK]
+                if ndim == 1:
+                    corners = h[:, 0], l[:, 0]
+                else:
+                    hr, lr = h[:, 0] * padded[1], l[:, 0] * padded[1]
+                    corners = hr + h[:, 1], lr + h[:, 1], hr + l[:, 1], lr + l[:, 1]
+                blocks.append((slice(a, a + _BOX_BLOCK), corners))
+        out = np.empty(len(lo))
+        take = table.take
+        for rows, c in blocks:
+            out[rows] = finish(take(c[0]) - take(c[1]) if ndim == 1 else
+                               take(c[0]) - take(c[1]) - take(c[2]) + take(c[3]))
+        if top + bits <= 1022:  # every |box sum| is below 2**(top + bits)
+            return np.ldexp(out, shift) if shift else out
+        with np.errstate(over="ignore"):
+            return _finite_sums(np.ldexp(out, shift))
+
+    return summer
 
 
 def _finite_sums(out: np.ndarray) -> np.ndarray:
@@ -434,7 +451,9 @@ class BaseFamily:
     in ``_norms``: reports, each about 1 KB plus 32 bytes per member with
     ``per_set`` values, and a sequence's read-only level fields, 8 x levels
     x cells bytes.  A dyadic family keeps ``tile_index`` for ``maximal``:
-    4 x shapes x cells bytes (0.8 MB on 64x64 dyadic-rectangles).
+    4 x shapes x cells bytes (0.8 MB on 64x64 dyadic-rectangles).  ``summer``
+    keeps 16 x prod(side + 1) bytes, and on a grid 32 bytes per member (0.6
+    MB on 64x64 dyadic-rectangles), from the family's first ``sums`` miss.
     """
 
     kind: str
@@ -528,17 +547,22 @@ class BaseFamily:
             table[row, first[a:b] + offsets] = np.arange(a, b)[:, None]
         return table
 
+    @functools.cached_property
+    def summer(self):
+        """``box_summer`` of the family's corners over the domain's cells."""
+        return box_summer(self.lo, self.hi, self.domain.sides)
+
     def sums(self, values) -> np.ndarray:
         """``box_sums(values, self.lo, self.hi)``, read-only, memoised in the
         family's LRU of ``SUMS_ENTRIES`` results keyed by ``content_key``.
 
-        A miss costs one ``box_sums`` pass, a hit one sha256 of the array.
+        A miss costs one ``summer`` call, a hit one sha256 of the array.
         For the linear passes that repeat on one family (w-masses, centre
         numerators, power means); an array built afresh on every call, such
-        as each maximal-series term, should call ``box_sums`` directly.
+        as each maximal-series term, should call ``summer`` directly.
         """
         def compute():
-            got = box_sums(values, self.lo, self.hi)
+            got = self.summer(values)
             got.setflags(write=False)
             return got
         return self._sums.fetch(content_key(values), compute)

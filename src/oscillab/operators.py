@@ -1,14 +1,14 @@
 """Maximal operators over a base family and the iterated-maximal weight
 construction (geometric series of maximal iterates).
 
-Every mode takes all the base averages from one exact box-sum pass
-(``lattice.box_sums``).  Centered mode only sees odd-sided cubes, each
-scored at its center cell.  The dyadic and uncentered modes share one path:
-each box average is spread over the cells its box covers.  On a dyadic base
-kind the boxes of one shape tile the grid, so the spread is one gather over
-the family's ``tile_index`` and a max over shapes, O(shapes x cells); on
-other kinds it is a separable sliding max per shape, O(cells x log side).
-Dyadic mode differs only in the base kinds it accepts.
+Each mode takes the base averages from one call of the family's exact
+``summer``, the rest set up once by ``_maximal_of``.  Centered mode only sees
+odd-sided cubes, each scored at its center cell.  The dyadic and uncentered
+modes share one path: each box average is spread over the cells its box
+covers.  On a dyadic base kind the boxes of one shape tile the grid, so the
+spread is one gather over the family's ``tile_index`` and a max over shapes,
+O(shapes x cells); on other kinds it is a separable sliding max per shape,
+O(cells x log side).  Dyadic mode differs only in the base kinds it accepts.
 """
 
 from __future__ import annotations
@@ -53,46 +53,56 @@ def maximal(f: np.ndarray, base: BaseFamily, measure: Measure,
 
     Zero-mass cells get 0; a cell's |f| m past the float range raises
     ``OverflowGuard``.  With singletons present (min_scale 0) the result
-    dominates |f| on positive-mass cells.  Cost: checks, the cached set
-    masses, one ``box_sums`` pass and the spread (module docstring).
+    dominates |f| on positive-mass cells.  Cost: checks, the set-up of
+    ``_maximal_of``, one ``summer`` call and the spread (module docstring).
     """
     _check_compat(base, mode)
-    return _maximal_of(cell_product(np.abs(checked_field(
-        f, base.domain.sides)), measure.masses), base,
-        base.set_masses(measure), measure.masses == 0.0, mode)
+    fm = cell_product(np.abs(checked_field(f, base.domain.sides)),
+                      measure.masses)
+    return _maximal_of(base, measure, mode)(fm)
 
 
-def _maximal_of(fm: np.ndarray, base: BaseFamily, set_masses: np.ndarray,
-                zero: np.ndarray, mode: str) -> np.ndarray:
-    """The maximal of a field f, given |f| m, a finite array >= 0 of cell
-    products, the set masses and the zero-mass cells."""
-    lo, hi = base.lo, base.hi
-    avg = lattice.box_sums(fm, lo, hi) / set_masses
-    sides = base.domain.sides
-    if mode != "centered" and base.kind in lattice.DYADIC_KINDS:
-        # Per cell, the max over shapes of its covering box's average (0
-        # where dropped), gathered in blocks of _GATHER_CELLS entries.
-        index, padded = base.tile_index, np.concatenate((avg, [0.0]))
-        out = np.empty(index.shape[1])
+def _maximal_of(base: BaseFamily, measure: Measure, mode: str):
+    """The maximal operator of one family, measure and mode, set up once: a
+    function of |f| m, a finite array >= 0 of cell products."""
+    summer, masses = base.summer, base.set_masses(measure)
+    zero = None if measure.masses.all() else measure.masses == 0.0
+    lo, hi, sides = base.lo, base.hi, base.domain.sides
+    # The averages; a dropped member of a dyadic tiling reads the last 0.
+    padded = np.zeros(len(base) + 1)
+    avg = padded[:-1]
+    tiled = mode != "centered" and base.kind in lattice.DYADIC_KINDS
+    if tiled:
+        # Per cell, the max over shapes of its covering box's average.
+        index = base.tile_index
         step = max(1, lattice._GATHER_CELLS // len(index))
-        for c in range(0, len(out), step):
-            np.maximum.reduce(padded.take(index[:, c:c + step]), axis=0,
-                              out=out[c:c + step])
-        out = out.reshape(sides)
-    else:
-        out = np.zeros(sides)
-        # Runs of boxes of one shape; a canonical family has one per shape.
-        for a, b in base.runs:
-            shape = (hi[a] - lo[a]).tolist()
-            if mode != "centered":
-                np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape, sides),
-                           out=out)
-            elif shape[0] % 2 == 1:
-                # Distinct boxes of one shape have distinct centers.
-                center = tuple((lo[a:b] + (shape[0] - 1) // 2).T)
-                out[center] = np.maximum(out[center], avg[a:b])
-    out[zero] = 0.0
-    return out
+        blocks = [(slice(c, c + step), index[:, c:c + step])
+                  for c in range(0, index.shape[1], step)]
+
+    def maximal_of(fm):
+        np.divide(summer(fm), masses, out=avg)
+        if tiled:
+            out = np.empty(index.shape[1])
+            for cells, idx in blocks:
+                np.maximum.reduce(padded.take(idx), axis=0, out=out[cells])
+            out = out.reshape(sides)
+        else:
+            out = np.zeros(sides)
+            # Runs of boxes of one shape; a canonical family has one per shape.
+            for a, b in base.runs:
+                shape = (hi[a] - lo[a]).tolist()
+                if mode != "centered":
+                    np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape,
+                                                sides), out=out)
+                elif shape[0] % 2 == 1:
+                    # Distinct boxes of one shape have distinct centers.
+                    center = tuple((lo[a:b] + (shape[0] - 1) // 2).T)
+                    out[center] = np.maximum(out[center], avg[a:b])
+        if zero is not None:
+            out[zero] = 0.0
+        return out
+
+    return maximal_of
 
 
 def _spread_max(avg: np.ndarray, lo: np.ndarray, shape, sides) -> np.ndarray:
@@ -149,9 +159,9 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     most 2b times itself up to the recorded truncation slack; those three
     facts are computed post hoc and stored in the provenance.
 
-    Checks and set-mass lookups run once per series; each term costs a
-    finiteness check, one ``box_sums`` pass (mostly its fixed per-call cost
-    on 32-256 cells), the spread of ``maximal`` and two numpy reductions.
+    Checks and the ``_maximal_of`` set-up run once per series, and the guard
+    on the seed bounds every sum; a term is one ``summer`` call (on 32-256
+    cells, mostly its numpy calls), the spread and two numpy reductions.
     """
     if not 1.0 < p < math.inf:
         raise BadParams(f"the series needs 1 < p < inf, got {p}")
@@ -172,13 +182,12 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     denom = 2.0 * b
     term = np.abs(g)
     u = term.copy()
-    core = (base, base.set_masses(measure), ~live, mode)
+    maximal_of = _maximal_of(base, measure, mode)
     cap = max(1, math.ceil(10.0 * max(1, base.domain.max_level())
                            * math.log2(1.0 / tol)))
     iterations = 0
     while True:
-        term = _maximal_of(checked_field(term, g.shape) * measure.masses,
-                           *core) / denom
+        term = maximal_of(term * measure.masses) / denom
         nxt = float(term.max())
         floor = float(u.min(where=u > 0.0, initial=math.inf))
         if nxt < tol * floor:
@@ -194,7 +203,7 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
     # so the result is a valid (strictly positive) weight.
     values = u.copy()
     values[~live] = np.maximum(values[~live], 1.0)
-    mu = _maximal_of(checked_field(u, g.shape) * measure.masses, *core)
+    mu = maximal_of(u * measure.masses)
     ratio = float(np.max(mu[live] / u[live])) if np.any(live) else 0.0
     checks = {
         "dominates_seed": bool(np.all(u[live] >= np.abs(g)[live])),

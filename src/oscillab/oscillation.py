@@ -432,6 +432,7 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
 
     The default eta is 2 e^(D^2), D the doubling constant of w dm; at that
     scale a covering recursion caps the moment at 2e independently of f.
+    Past D^2 = 709.09 it is no float, and ``OverflowGuard`` asks for one.
 
     Cost: the norm, the doubling constant, the w-masses and the centre
     numerators come from the family's and the weight's caches (one
@@ -448,7 +449,11 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
         raise DegenerateInput("constant fields have no oscillation to probe")
     dw = doubling_constant(w, measure)
     if eta is None:
-        eta = 2.0 * math.exp(dw * dw)
+        try:
+            eta = math.ldexp(math.exp(dw * dw), 1)
+        except OverflowError:
+            raise OverflowGuard(f"the default eta = 2 e^(D^2) is past the float "
+                                f"range at D = {dw!r}; pass an explicit eta") from None
     if not 0 < eta < math.inf:
         raise BadParams(f"the tempering scale must lie in (0, inf), got {eta}")
     # Every box has positive w-mass: the norm above raised otherwise.

@@ -481,7 +481,8 @@ def per_box_tl_norm(seq, spec, w, p, base, measure, per_set=False):
 def per_box_jn_exp_moment(f, base, w, measure, eta=None, big_n=64.0):
     import math
 
-    from oscillab.errors import BadParams, DegenerateInput, ZeroMass
+    from oscillab.errors import (BadParams, DegenerateInput, OverflowGuard,
+                                 ZeroMass)
     from oscillab.lattice import fsum
     from oscillab.oscillation import CenteredDiff, JNReport
     from oscillab.weights import doubling_constant
@@ -495,7 +496,11 @@ def per_box_jn_exp_moment(f, base, w, measure, eta=None, big_n=64.0):
         raise DegenerateInput("constant fields have no oscillation to probe")
     dw = doubling_constant(w, measure)
     if eta is None:
-        eta = 2.0 * math.exp(dw * dw)
+        try:
+            eta = math.ldexp(math.exp(dw * dw), 1)
+        except OverflowError:
+            raise OverflowGuard(f"the default eta = 2 e^(D^2) is past the float "
+                                f"range at D = {dw!r}; pass an explicit eta") from None
     if eta <= 0:
         raise BadParams(f"the tempering scale must be positive, got {eta}")
     best_log = -math.inf

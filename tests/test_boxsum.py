@@ -408,6 +408,35 @@ class TestBoxSums:
         assert box_sums(np.ones(4), np.empty((0, 1), int),
                         np.empty((0, 1), int)).shape == (0,)
 
+    @pytest.mark.parametrize("sides", [(64,), (8, 8)])
+    def test_one_summer_across_paths(self, monkeypatch, sides):
+        # A family's summer keeps its corner blocks and one limb table from
+        # call to call.  Fed every path in turn, and the first array again,
+        # it must give what a fresh box_sums and per-box fsum give, so no
+        # table contents leak from one call into the next.
+        monkeypatch.setattr(lattice, "_BOX_BLOCK", 100)
+        dom = _domain(sides)
+        base = build_base(dom, Measure.uniform(dom), "all-cubes")
+        assert len(base) > lattice._BOX_BLOCK
+        rng = np.random.default_rng(12)
+        narrow = _spanned_cells(rng, sides, 4, 0, zeros=True)
+        nan = narrow.copy()
+        nan.flat[5] = math.nan
+        arrays = [narrow, _spanned_cells(rng, sides, 30, -40, cancel=True),
+                  _spanned_cells(rng, sides, 60, -30), np.full(sides, 2.5),
+                  np.full(sides, -0.0), np.zeros(sides), nan, narrow]
+        tables, real = [], lattice.scaled_ints
+        monkeypatch.setattr(lattice, "scaled_ints", lambda values: (
+            tables.append(values) or real(values)))
+        summer = base.summer
+        for values in arrays:
+            got = summer(values)
+            assert _bits(got) == _bits(_fsum_per_box(values, base.sets))
+            assert _bits(got) == _bits(box_sums(values, base.lo, base.hi))
+        # Only the wide span took the exact table: once in the summer and
+        # once in box_sums.
+        assert len(tables) == 2 and tables[0] is tables[1] is arrays[2]
+
 
 @st.composite
 def _general_masses(draw, sides=None):

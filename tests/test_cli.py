@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (GridDomain, Measure, cli, corpus, run_suite, verify,
-                      write_field_csv)
+from oscillab import (GridDomain, Measure, Weight, build_base, cli, corpus,
+                      run_suite, verify, write_field_csv)
 from oscillab.errors import OverflowGuard
 from oscillab.lattice import BASE_KINDS
 from oscillab.cli import main
@@ -487,6 +487,30 @@ class TestSweepCommand:
         for row in rows:
             assert float(row["exp_moment"]) <= float(row["cap"]) * (1 + 1e-12)
             assert float(row["cap"]) == pytest.approx(2.0 * math.e)
+
+    def test_jn_decay_skips_an_overflowing_scale(self, tmp_path,
+                                                  monkeypatch):
+        # Trial 0 has doubling constant D = 1001, past the range of the
+        # default eta = 2 e^(D^2).  Its bare OverflowError made the sweep
+        # exit 3; its OverflowGuard now skips the trial, as any toolkit
+        # error does.  (verify's rectangle-decay suite raises its own guard
+        # on the same D before it reaches the moment.)
+        dom = GridDomain((8,))
+        mea = Measure.general(dom, np.array([1.0, 1e-3, 1, 1, 1, 1, 1, 1]))
+        heavy = {"f": np.arange(8.0), "measure": mea,
+                 "base": build_base(dom, mea, "dyadic-cubes"),
+                 "w": Weight.unit(dom)}
+        real = corpus.sample_inputs
+        monkeypatch.setattr(corpus, "sample_inputs", lambda theorem, seed,
+                            trial: heavy if trial == 0
+                            else real(theorem, seed, trial))
+        out = tmp_path / "jn.csv"
+        rc = main(["sweep", "--quantity", "jn-decay", "--size", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        theorem = verify.TheoremId.RECTANGLE_DECAY
+        assert [r["inputs_digest"] for r in _read_sweep(out)] == [
+            verify.inputs_digest(theorem, real(theorem, 0, t)) for t in (1, 2)]
 
     def test_tl_ratio_rows_finite(self, tmp_path):
         out = tmp_path / "tl.csv"

@@ -161,7 +161,7 @@ class TestBuildBase:
     def test_set_masses_come_from_the_build(self, monkeypatch, sides, kind):
         # build_base sums the measure over every candidate; the kept boxes'
         # masses start the family's sums cache, so the first set_masses
-        # runs no box_sums pass.
+        # makes no call of the family's summer.
         dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
         masses = np.random.default_rng(4).uniform(0.0, 2.0, sides)
         masses.flat[[0, 3]] = 0.0
@@ -169,12 +169,13 @@ class TestBuildBase:
         base = build_base(dom, mea, kind)
         assert base.dropped_zero_mass > 0
         assert len(base._sums) == 1
-        calls, real = [], lattice.box_sums
-        monkeypatch.setattr(lattice, "box_sums",
+        calls, real = [], base.summer
+        monkeypatch.setitem(base.__dict__, "summer",
                             lambda *args: calls.append(args) or real(*args))
         got = base.set_masses(mea)
         assert calls == [] and base._sums.hits == 1
-        assert got.tobytes() == real(mea.masses, base.lo, base.hi).tobytes()
+        assert got.tobytes() == lattice.box_sums(mea.masses, base.lo,
+                                                 base.hi).tobytes()
         assert not got.flags.writeable
         assert base.set_masses(Measure.uniform(dom)).tolist() == np.prod(
             base.hi - base.lo, axis=1).tolist()
@@ -404,8 +405,9 @@ def test_only_lattice_walks_shape_runs():
 
 
 def test_only_box_sums_reads_the_box_block():
-    # ``_BOX_BLOCK`` bounds the corner-gather temporaries of ``box_sums``;
-    # the A_p and reverse Holder maxima confirm their boxes in one pass.
+    # ``_BOX_BLOCK`` bounds the corner-gather temporaries of the box-sum
+    # engine, ``box_summer`` (``box_sums`` is a one-shot summer); the A_p
+    # and reverse Holder maxima confirm their boxes in one pass.
     sites = set()
     for path in sorted(Path(lattice.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
@@ -413,7 +415,7 @@ def test_only_box_sums_reads_the_box_block():
                 name = getattr(node, "id", getattr(node, "attr", None))
                 if name == "_BOX_BLOCK" and isinstance(node.ctx, ast.Load):
                     sites.add(f"{path.name}:{getattr(top, 'name', '?')}")
-    assert sites == {"lattice.py:box_sums"}
+    assert sites == {"lattice.py:box_summer"}
 
 
 def test_only_screened_max_keeps_boxes():
@@ -431,10 +433,10 @@ def test_only_screened_max_keeps_boxes():
 
 def test_running_sums_only_on_exact_ints():
     # Every float sum is an exact box sum: a running sum (``cumsum``) runs
-    # only on exact ints, in the summed-area tables of ``box_sums``, the
+    # only on exact ints, in the summed-area tables of ``box_summer``, the
     # per-shape box counts of ``_boxes_by_shape`` and the scaled masses of
     # ``_medians``.  The sequence rule's level fields go through ``box_sums``.
-    assert _call_sites("cumsum") == {"lattice.py:box_sums",
+    assert _call_sites("cumsum") == {"lattice.py:box_summer",
                                      "lattice.py:_boxes_by_shape",
                                      "oscillation.py:_medians"}
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import (GridDomain, Measure, Weight, build_base,
-                      lp_norm, maximal, rubio_de_francia)
+from oscillab import (GridDomain, Measure, Weight, build_base, lattice,
+                      lp_norm, maximal, operators, rubio_de_francia)
 from oscillab.errors import (BadParams, IncompatibleBase, OscillabError,
                              OverflowGuard, ZeroInput)
 from oscillab.operators import default_norm_bound
@@ -277,6 +277,28 @@ class TestRubioDeFrancia:
         u = rubio_de_francia(g, 2.0, base, mea)
         assert u.provenance["iterations"] >= 2
         assert base._sums.hits + base._sums.misses == before + 1
+
+    def test_one_maximal_set_up_per_series(self, monkeypatch, line8):
+        # The series sets up its maximal once and builds the family's
+        # summer at most once.  Of k computed terms the last falls below
+        # tol and is not added, so k = iterations + 1; with the final
+        # self-bound that makes k + 1 summer calls.
+        dom, mea, base = line8
+        set_ups, built, calls = [], [], []
+        real_set_up, real_summer = operators._maximal_of, lattice.box_summer
+
+        def summer(*args):
+            built.append(args)
+            inner = real_summer(*args)
+            return lambda values: calls.append(values) or inner(values)
+        monkeypatch.setattr(operators, "_maximal_of", lambda *args: (
+            set_ups.append(args) or real_set_up(*args)))
+        monkeypatch.setattr(lattice, "box_summer", summer)
+        g = np.random.default_rng(2).normal(size=8)
+        k = rubio_de_francia(g, 2.0, base, mea).provenance["iterations"] + 1
+        assert k >= 2
+        assert len(set_ups) == 1 and len(built) <= 1
+        assert len(calls) == k + 1
 
     def test_zero_seed_rejected(self, line8):
         dom, mea, base = line8

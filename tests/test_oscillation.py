@@ -430,6 +430,18 @@ class TestJNExpMoment:
             jn_exp_moment(np.arange(8.0), base, Weight.unit(dom), mea,
                           **{name: value})
 
+    def test_default_scale_past_the_float_range(self):
+        # One light cell gives the doubling constant D = 1001, and the
+        # default eta = 2 e^(D^2) is past the float range: it raised a bare
+        # OverflowError ("math range error").  An explicit eta still runs.
+        dom = GridDomain((8,))
+        mea = Measure.general(dom, np.array([1.0, 1e-3, 1, 1, 1, 1, 1, 1]))
+        base, w, f = build_base(dom, mea, "dyadic-cubes"), Weight.unit(dom), \
+            np.arange(8.0)
+        with pytest.raises(OverflowGuard, match=r"D = 1000\.99.*explicit eta"):
+            jn_exp_moment(f, base, w, mea)
+        assert math.isfinite(jn_exp_moment(f, base, w, mea, eta=10.0).t_value)
+
     def test_infinite_truncation_level_runs(self, line8):
         # big_n = inf means no truncation: the same moment as any level
         # above every normalised oscillation.
