@@ -43,24 +43,24 @@ unit weights) skips the tables: a box of k < 2**53 cells sums to c * k
 exactly, so one float product rounds it once, for O(1) float work per box.
 
 ``block_reduce`` and ``block_max`` are the sites of the nonlinear per-box
-sums.  The caller forms the terms t of each (boxes, cells) block of one
-shape, over every member or those a boolean mask selects; cells without
-mass are left out (inf times 0 would make a row NaN).  ``block_reduce``
-gives each member's fsum(t * m) / mass, m the cell masses where given, or
-in log space shift + log(fsum(exp(t - shift) * m)) - log(mass), shift the
-row maximum over cells with mass.  ``block_max`` gives the first maximum
-of fsum(t * m) / mass, t >= 0: a numpy row sum of n terms is within
-gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the exact sum (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., 4.2), so its means screen the
-rows with margin (n + 2) 2**-52, n the widest row, or inf where a sum
-reaches 2**1023 (fsum may raise there).  ``screened_max`` confirms only
-the members whose screen is at least top * (1 - margin), top the largest,
-or all where top is not a positive normal float or the margin is inf.
+sums, on the family's term layout (``BaseFamily.layout``): per chunk of
+whole members one gather, one call of the caller's form, one fill of the
+cells without mass (inf times 0 would make a row NaN) and one ``reduceat``.
+``block_reduce`` gives each member's fsum(t * m) / mass, m the cell masses
+where given, or in log space shift + log(fsum(exp(t - shift) * m)) -
+log(mass), shift the row maximum over cells with mass.  ``block_max`` gives
+the first maximum of fsum(t * m) / mass, t >= 0: a numpy row sum of n terms,
+in any order, is within gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the exact sum
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), so
+its means screen the rows with margin (n + 2) 2**-52, n the widest member,
+or inf where a sum reaches 2**1023 (fsum may raise there); it keeps a row's
+terms only while it is at least the running top * (1 - margin).
+``screened_max`` confirms the members whose screen is at least top * (1 -
+margin), or all where top is not a positive normal float or margin is inf.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import itertools
@@ -290,7 +290,8 @@ NORM_ENTRIES = 32
 
 
 # Cells per gathered block in ``BaseFamily.shape_runs`` and the tiled
-# ``operators.maximal``; bounds the temporaries of the shape-grouped kernels.
+# ``operators.maximal``, and terms per chunk of ``BaseFamily.layout`` (a
+# wider member alone); bounds the temporaries of the per-box kernels.
 _GATHER_CELLS = 1 << 14
 
 
@@ -454,6 +455,8 @@ class BaseFamily:
     4 x shapes x cells bytes (0.8 MB on 64x64 dyadic-rectangles).  ``summer``
     keeps 16 x prod(side + 1) bytes, and on a grid 32 bytes per member (0.6
     MB on 64x64 dyadic-rectangles), from the family's first ``sums`` miss.
+    ``layout`` keeps 4 bytes per term and 16 per member, from the first
+    kernel call (11.8 MB for the 2.83 M terms of 256 all-cubes).
     """
 
     kind: str
@@ -542,10 +545,20 @@ class BaseFamily:
         """
         table = np.full((len(self.runs), self.domain.num_cells), len(self),
                         np.int32)
-        first, patterns = self._gather
-        for row, ((a, b), offsets) in enumerate(zip(self.runs, patterns)):
-            table[row, first[a:b] + offsets] = np.arange(a, b)[:, None]
+        starts, row = {a for a, _ in self.runs}, -1
+        for a, b, idx in self.shape_runs():
+            row += a in starts  # the first block of the next run
+            table[row, idx] = np.arange(a, b)[:, None]
         return table
+
+    @functools.cached_property
+    def layout(self) -> tuple:
+        """(width, chunks), built by the first kernel call: the widest
+        member's cell count and, per chunk of whole members of at most
+        ``_GATHER_CELLS`` terms (or one wider member), its first member, each
+        term's int32 flat cell (row-major in each box) and each member's
+        first term and term count."""
+        return _term_layout(self.lo, self.hi, self.domain.sides)
 
     @functools.cached_property
     def summer(self):
@@ -572,19 +585,45 @@ class BaseFamily:
         return self.sums(measure.masses)
 
 
-def _formed(base: BaseFamily, form, cells, members, fill: float):
-    """(rows, idx, terms) per block of the members ``members`` selects."""
+def _term_layout(lo: np.ndarray, hi: np.ndarray, sides) -> tuple:
+    """``BaseFamily.layout``, a vectorised pass per chunk: term t of a box
+    is its low corner plus the row-major digits of t against its sides."""
+    side, strides = hi - lo, np.cumprod((1, *sides[:0:-1]))[::-1]
+    counts, chunks, a = side.prod(axis=1), [], 0
+    ends = counts.cumsum()
+    while a < len(counts):
+        b = max(a + 1, int(np.searchsorted(
+            ends, ends[a] - counts[a] + _GATHER_CELLS, "right")))
+        n = counts[a:b]
+        starts = n.cumsum() - n
+        rank, cells = np.arange(n.sum()) - starts.repeat(n), (lo[a:b] @ strides).repeat(n)
+        for axis in reversed(range(len(sides))):
+            rank, digit = np.divmod(rank, side[a:b, axis].repeat(n))
+            cells += digit * strides[axis]
+        chunks.append((a, cells.astype(np.int32), starts, n))
+        a = b
+    return int(counts.max(initial=0)), chunks
+
+
+def _terms(base: BaseFamily, form, cells, members, fill: float):
+    """(ids, starts, counts, idx, terms) per chunk of ``base.layout``: the
+    members ``members`` selects, their first terms and term counts, each
+    term's flat cell, and the terms, ``fill`` on cells without mass."""
     dead = None if cells is None or cells.all() else cells == 0.0
-    for start, end, idx in base.shape_runs():
-        rows = slice(start, end)
-        if members is not None and not (pick := members[rows]).all():
+    for a, idx, starts, counts in base.layout[1]:
+        ids = np.arange(a, a + len(starts))
+        rows = ids.repeat(counts)
+        if members is not None and not (pick := members[ids]).all():
             if not pick.any():
                 continue
-            rows, idx = start + np.flatnonzero(pick), idx[pick]
-        terms = form(rows, idx)
+            take = members.take(rows)
+            ids, rows, idx, counts = ids[pick], rows[take], idx[take], counts[pick]
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        idx = idx.astype(np.intp)
+        terms = form(rows, idx[:, None]).ravel()
         if dead is not None:
-            terms[dead[idx]] = fill
-        yield rows, idx, terms
+            terms[dead.take(idx)] = fill
+        yield ids, starts, counts, idx, terms
 
 
 def block_reduce(base: BaseFamily, form, mass=None, cells=None,
@@ -592,24 +631,26 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
     """Per member i, in order, the reduction of its row that the module
     docstring states, one ``math.fsum`` per member; only the members where
     the boolean mask ``members`` holds, when given.  ``form(rows, idx)``
-    gives the terms of the members ``rows`` (a slice, or an index array
-    where ``members`` drops some of a block), row r on flat cells
-    ``idx[r]``, as a fresh array; ``cells`` are the cell masses; ``mass``
-    is an array, or None for row maxima."""
+    gives the terms of a chunk of the family's layout as a fresh array of
+    shape (terms, 1) or (terms,): term t of member ``rows[t]`` on flat cell
+    ``idx[t, 0]``; ``cells`` are the cell masses; ``mass`` is an array, or
+    None for row maxima."""
     out = []
-    for rows, idx, terms in _formed(base, form, cells, members,
-                                    -math.inf if log else 0.0):
+    for ids, starts, counts, idx, terms in _terms(
+            base, form, cells, members, -math.inf if log else 0.0):
         if mass is None:
-            out.extend(terms.max(axis=1).tolist())
+            out.extend(np.maximum.reduceat(terms, starts).tolist())
             continue
         if log:
-            shift = terms.max(axis=1)
-            terms = np.exp(terms - shift[:, None])
+            shift = np.maximum.reduceat(terms, starts)
+            terms = np.exp(terms - shift.repeat(counts))
         if cells is not None:
-            terms = terms * cells[idx]
-        # map over the rows keeps the per-row work in C.
-        sums = map(math.fsum, terms.tolist())
-        div = mass[rows].tolist()
+            terms *= cells.take(idx)
+        # fsum over slices of one list keeps the per-row work in C.
+        vals = terms.tolist()
+        sums = map(math.fsum, map(vals.__getitem__, map(
+            slice, starts.tolist(), (starts + counts).tolist())))
+        div = mass[ids].tolist()
         if log:
             sums = map(operator.add, shift.tolist(), map(math.log, sums))
             div = map(math.log, div)
@@ -619,24 +660,39 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
 
 def block_max(base: BaseFamily, form, mass, cells=None, members=None):
     """``first_max(block_reduce(...))`` on the same arguments, bit for bit,
-    for terms >= 0, masses > 0; keeps 8 bytes a term; caller mutes overflow."""
-    prods = [terms if cells is None else np.multiply(terms, cells[idx], out=terms)
-             for _, idx, terms in _formed(base, form, cells, members, 0.0)]
-    mass = mass if members is None else mass[members]
-    sums = np.concatenate([np.add.reduce(terms, axis=1) for terms in prods] or [[]])
-    margin = math.inf if np.maximum.reduce(sums, initial=0.0) >= 2.0 ** 1023 \
-        else (max((terms.shape[1] for terms in prods), default=0) + 2) * 2.0 ** -52
-    # Row i of the walk is row i - starts[b] of block b; fsum confirms it.
-    starts = [0, *itertools.accumulate(map(len, prods))]
-    return screened_max(sums / mass, margin, lambda keep: (
-        math.fsum(prods[b][i - starts[b]].tolist()) / mass.item(i)
-        for i in keep.tolist() for b in [bisect.bisect(starts, i) - 1]))
+    for terms >= 0, masses > 0; caller mutes overflow.  A row it drops has a
+    sum below 2**1023 and an exact mean below a kept row's, so in ``fsum``
+    it would neither win nor raise."""
+    margin, top, pool, seen = (base.layout[0] + 2) * 2.0 ** -52, -math.inf, [], 0
+    for ids, starts, counts, idx, terms in _terms(base, form, cells, members, 0.0):
+        if cells is not None:
+            np.multiply(terms, cells.take(idx), out=terms)
+        sums = np.add.reduceat(terms, starts)
+        if not np.maximum.reduce(sums) < 2.0 ** 1023:  # or NaN
+            margin = math.inf
+        div = mass[ids]
+        screen = sums / div
+        top = np.maximum(top, np.maximum.reduce(screen))
+        keep = np.arange(len(ids))
+        if margin < math.inf and 2.0 ** -1022 <= top < math.inf:
+            cut = top * (1.0 - margin)
+            pool = [row for row in pool if row[0] >= cut]
+            keep = keep[screen >= cut]
+        # (screen, position among the selected members, terms, mass)
+        pool.extend(zip(screen[keep].tolist(), (keep + seen).tolist(), map(
+            terms.__getitem__, map(slice, starts[keep].tolist(), (
+                starts + counts)[keep].tolist())), div[keep].tolist()))
+        seen += len(ids)
+    best, j = screened_max(np.array([row[0] for row in pool]), margin,
+                           lambda keep: (math.fsum(pool[k][2].tolist())
+                                         / pool[k][3] for k in keep.tolist()))
+    return best, None if j is None else pool[j][1]
 
 
 def deviations(f, centre: np.ndarray):
     """The ``block_reduce`` form |f - centre[i]| on the cells of member i."""
     flat = np.asarray(f, dtype=float).ravel()
-    return lambda rows, idx: np.abs(flat[idx] - centre[rows, None])
+    return lambda rows, idx: np.abs(flat.take(idx) - centre.take(rows)[:, None])
 
 
 def _lengths(side: int, min_scale: int, dyadic: bool) -> list[int]:

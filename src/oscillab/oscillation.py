@@ -162,7 +162,8 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
                      measure: Measure, per_set: bool = False) -> NormReport:
     """max over base sets of ((1/w-mass) sum local^p w m)^(1/p).
 
-    One shape-grouped kernel and one memo serve all four rules.  Under all
+    One kernel on the family's term layout (``BaseFamily.layout``) and one
+    memo serve all four rules.  Under all
     but ``TLSeq``, an f of another shape than the domain's or with a cell
     that is not finite raises ``BadParams`` (``lattice.checked_field``).
     ``base.sums`` gives the linear arrays; the ``MedianDiff`` centre is
@@ -229,19 +230,19 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
             bad = np.ones_like(zero)  # every box fails: the rule does not fit
         centre = plain_means(arr, base)
         spread, scale = deviations(arr, centre), spec.w.values.ravel()
-        local = lambda rows, idx: spread(rows, idx) / scale[idx]
+        local = lambda rows, idx: spread(rows, idx) / scale.take(idx)
     elif isinstance(spec, MedianDiff):
         # A Weight is positive, so the w-mass check covers the median's.
         ints, low, top = scaled_ints(measure.masses.ravel())
         if top - low + 53 + ints.size.bit_length() < 63:
             ints = ints.astype(np.int64)  # no box total reaches 2**62
-        local = lambda rows, idx: np.abs(
-            (cells := arr.take(idx)) - _medians(cells, ints[idx])[:, None])
+        local = lambda rows, idx: np.abs((cells := arr.take(idx)) - _medians(
+            cells.ravel(), ints.take(idx.ravel()), rows)[:, None])
     else:
-        # TLSeq: arr stacks the level fields of ``_level_fields``; a run of
-        # dyadic cubes of side 2^k reads level field k.
-        local = lambda rows, idx: arr[int(
-            base.hi[rows, 0][0] - base.lo[rows, 0][0]).bit_length() - 1][idx]
+        # TLSeq: arr stacks the level fields of ``_level_fields``; a term of
+        # a dyadic cube of side 2^k reads level field k.
+        level = np.frexp(base.hi[:, 0] - base.lo[:, 0])[1] - 1
+        local = lambda rows, idx: arr[level[rows], idx[:, 0]]
     stop = int(np.argmax(bad)) if bad.any() else len(base)
     if isinstance(spec, DualHardy) and not np.isfinite(centre[:stop]).all():
         raise OverflowGuard("a plain cell mean left the float range")
@@ -280,14 +281,20 @@ def plain_means(f: np.ndarray, base: BaseFamily) -> np.ndarray:
         return np.full(len(base), math.inf)
 
 
-def _medians(vals: np.ndarray, ints: np.ndarray) -> np.ndarray:
-    """Per row of ``vals``, the ``weighted_median`` with masses ``ints``
-    (exact scaled ints, ``lattice.scaled_ints``) of the same shape."""
-    order = np.argsort(vals, axis=1, kind="stable")
-    cum = np.cumsum(np.take_along_axis(ints, order, axis=1), axis=1)
-    # For ints, 2 cum >= total exactly when cum >= ceil(total / 2).
-    first = np.argmax(cum >= (cum[:, -1:] + 1) // 2, axis=1)[:, None]
-    return np.take_along_axis(vals, np.take_along_axis(order, first, 1), 1)[:, 0]
+def _medians(vals: np.ndarray, ints: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per term, the ``weighted_median`` of its run of equal ``rows`` (in
+    ascending order) with masses ``ints`` (``lattice.scaled_ints``): a stable
+    sort by row, then value; int64 running sums wrap, exact within a run."""
+    order = np.lexsort((vals, rows))
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    counts = np.diff(first, append=len(rows))
+    srt = ints[order]
+    run = (cum := srt.cumsum()) - (cum[first] - srt[first]).repeat(counts)
+    # 2 run >= total exactly when run >= ceil(total / 2); run never falls,
+    # so the hits are the tail of each run.
+    half = (run[first + counts - 1] + 1) // 2
+    hits = np.add.reduceat(run >= half.repeat(counts), first, dtype=np.intp)
+    return vals[order[first + counts - hits]].repeat(counts)
 
 
 def weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
@@ -301,7 +308,7 @@ def weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
     v = checked_field(np.ravel(values), m.shape)
     if fsum(m) <= 0:
         raise ZeroMass("weighted median of a zero-mass set")
-    return float(_medians(v[None], scaled_ints(m)[0][None])[0])
+    return float(_medians(v, scaled_ints(m)[0], np.zeros(v.size, np.intp))[0])
 
 
 def sharp_oscillation(f: np.ndarray, base: BaseFamily,
@@ -423,6 +430,17 @@ class JNReport:
     c2_hat: float
 
 
+def default_scale(dw: float) -> float:
+    """2 e^(D^2), D the doubling constant: the default tempering scale of
+    ``jn_exp_moment`` and threshold of the rectangle-decay suite.  Past
+    D^2 = 709.09 it is no float, and ``OverflowGuard`` asks for one."""
+    try:
+        return math.ldexp(math.exp(dw * dw), 1)
+    except OverflowError:
+        raise OverflowGuard(f"the default eta = 2 e^(D^2) is past the float "
+                            f"range at D = {dw!r}; pass an explicit eta") from None
+
+
 def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
                   measure: Measure, eta: float | None = None,
                   big_n: float = 64.0) -> JNReport:
@@ -430,15 +448,17 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     osc = |f - c_B| / bmo with c_B the w-average on the set and bmo the
     weighted oscillation norm (exponent 1) of f itself.
 
-    The default eta is 2 e^(D^2), D the doubling constant of w dm; at that
-    scale a covering recursion caps the moment at 2e independently of f.
-    Past D^2 = 709.09 it is no float, and ``OverflowGuard`` asks for one.
+    The default eta is ``default_scale(D)`` = 2 e^(D^2), D the doubling
+    constant of w dm; at that scale a covering recursion caps the moment at
+    2e independently of f.
 
     Cost: the norm, the doubling constant, the w-masses and the centre
     numerators come from the family's and the weight's caches (one
     ``box_sums`` pass each on a miss), then one log-variant ``block_reduce``
-    of min(osc, N)/eta with cell masses w m, as a box-by-box loop gives bit
-    for bit; a cell without w-mass sets neither the shift nor the sum.
+    of min(osc, N)/eta with cell masses w m on the family's term layout: a
+    few numpy calls per chunk of terms and one ``math.fsum`` per member, as
+    a box-by-box loop gives bit for bit; a cell without w-mass sets neither
+    the shift nor the sum.
     """
     if not big_n > 0:
         raise BadParams(f"the truncation level must be positive, got {big_n}")
@@ -449,11 +469,7 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
         raise DegenerateInput("constant fields have no oscillation to probe")
     dw = doubling_constant(w, measure)
     if eta is None:
-        try:
-            eta = math.ldexp(math.exp(dw * dw), 1)
-        except OverflowError:
-            raise OverflowGuard(f"the default eta = 2 e^(D^2) is past the float "
-                                f"range at D = {dw!r}; pass an explicit eta") from None
+        eta = default_scale(dw)
     if not 0 < eta < math.inf:
         raise BadParams(f"the tempering scale must lie in (0, inf), got {eta}")
     # Every box has positive w-mass: the norm above raised otherwise.

@@ -25,8 +25,8 @@ from .errors import (AllDegenerate, BadParams, DegenerateInput, EmptyCorpus,
 from .lattice import (BaseFamily, Measure, block_max, block_reduce,
                       build_base, cell_product, deviations, first_max, fsum)
 from .oscillation import (CenteredDiff, DualHardy, TLSeq, TLSequence,
-                          cz_selection, jn_exp_moment, oscillation_norm,
-                          plain_means, sharp_oscillation,
+                          cz_selection, default_scale, jn_exp_moment,
+                          oscillation_norm, plain_means, sharp_oscillation,
                           tl_equivalence_probe)
 from .reports import (DEFAULT_TOL, CertificateReport, ConstantEstimate,
                       make_check, skipped_check)
@@ -470,13 +470,14 @@ def _certify_rectangle_decay(inputs: dict, tol: float):
         raise DegenerateInput("constant fields cannot exercise the stopping time")
     fn = f / bmo
     dw = doubling_constant(w, measure)
-    if dw * dw > 700.0:
-        raise OverflowGuard("the doubling constant is too large to exponentiate")
     root = base.domain.full_box()
-    lam = float(inputs.get("lam", 2.0 * math.exp(dw * dw)))
+    lam = float(inputs["lam"] if "lam" in inputs else default_scale(dw))
     sel = cz_selection(fn, root, w, lam, base, measure)
 
     window = (dw ** sel.d_max) * max(lam, sel.avg_root)
+    if window == math.inf:
+        raise OverflowGuard("the stopping window D^d max(lam, avg) is past "
+                            "the float range; pass a smaller lam")
     realized = sel.realized_max_over_lam * lam
     checks = [make_check("stopping_window", realized, window, tol)]
     checks.append(make_check("stopping_outside", sel.outside_max, lam, tol))

@@ -60,8 +60,9 @@ def conjugate(p: float) -> float:
 class Weight:
     """Strictly positive cell values plus a provenance tag and constant cache.
 
-    ``_records`` holds the recorded constants; ``_doubling`` holds up to
-    ``DOUBLING_ENTRIES`` doubling constants by measure digest, about 100
+    ``_records`` holds the recorded constants, unbounded: one record, about
+    0.5 KB, per (constant, base, measure) computed; ``_doubling`` holds up
+    to ``DOUBLING_ENTRIES`` doubling constants by measure digest, about 100
     bytes each, for the life of the weight.
     """
 
@@ -83,7 +84,13 @@ class Weight:
 
     @classmethod
     def unit(cls, domain: GridDomain) -> "Weight":
-        return cls(domain, np.ones(domain.sides), provenance={"kind": "unit"})
+        """The unit weight, one per domain instance and held on it: it lives
+        and dies with the domain; its records grow by one per (constant,
+        base, measure) its callers compute."""
+        if (unit := domain.__dict__.get("unit_weight")) is None:
+            unit = domain.__dict__["unit_weight"] = cls(
+                domain, np.ones(domain.sides), provenance={"kind": "unit"})
+        return unit
 
     @functools.cached_property
     def digest(self) -> str:

@@ -760,9 +760,9 @@ class TestBlockMax:
         """Member i's terms are ``table[i]``, zero-padded; others are 0."""
         def form(rows, idx):
             out = np.zeros(idx.shape)
-            for k, i in enumerate(np.arange(len(base))[rows].tolist()):
-                if i in table:
-                    out[k, :len(table[i])] = table[i]
+            for i, terms in table.items():
+                at = np.flatnonzero(rows == i)[:len(terms)]
+                out[at, 0] = terms[:len(at)]
             return out
         return form
 

@@ -9,7 +9,10 @@ raised again on every repeat, never cached.
 
 from __future__ import annotations
 
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,8 +21,9 @@ from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       TLSequence, Weight, build_base, doubling_constant, jn_exp_moment,
-                      muckenhoupt_constant, oscillation_norm,
-                      reverse_holder_constant)
+                      generate_weight, muckenhoupt_constant,
+                      oscillation_norm, reverse_holder_constant, write_weight)
+from oscillab.cli import main
 from oscillab.errors import IncompatibleSpec, ZeroMass
 from oscillab.lattice import NORM_ENTRIES, SUMS_ENTRIES, BoundedCache
 from oscillab.weights import DOUBLING_ENTRIES
@@ -298,6 +302,65 @@ class TestErrorsNotCached:
             with pytest.raises(Exception, match="doubling constant"):
                 doubling_constant(w, mea)
         assert len(w._doubling) == 0
+
+
+class TestUnitWeight:
+    """``Weight.unit``: one weight per domain instance, held on it, whose
+    records serve every caller on that domain and no other weight."""
+
+    def test_one_per_domain_instance(self):
+        dom = GridDomain((8,))
+        unit = Weight.unit(dom)
+        assert Weight.unit(dom) is unit
+        assert unit.provenance == {"kind": "unit"}
+        assert unit.values.tolist() == [1.0] * 8
+        assert not unit.values.flags.writeable
+        other = GridDomain((8,))  # equal, but another instance
+        assert other == dom and hash(other) == hash(dom)
+        assert Weight.unit(other) is not unit
+        assert Weight.unit(other).digest == unit.digest
+
+    def test_lives_and_dies_with_its_domain(self):
+        dom = GridDomain((4, 4))
+        ref = weakref.ref(Weight.unit(dom))
+        assert ref() is Weight.unit(dom)
+        del dom
+        gc.collect()
+        assert ref() is None
+
+    def test_constants_cache_and_sidecar_list_their_own_records(
+            self, tmp_path):
+        # The records a shared unit weight gathers stay on it: a weight's
+        # ``constants_cache`` and sidecar list its own records, and the
+        # CLI's only those of the weight it resolved.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        muckenhoupt_constant(Weight.unit(dom), 2.0, base, mea)
+        reverse_holder_constant(Weight.unit(dom), 1.5, base, mea)
+        tail = f"{base.base_id}|{mea.digest}|{base.key[:8]}"
+        assert list(Weight.unit(dom).cached_constants()) == [
+            f"ap|2.0|{tail}", f"rh|1.5|{tail}"]
+        w = generate_weight("power", {"exponent": 0.5}, 0, dom)
+        value = muckenhoupt_constant(w, 3.0, base, mea)
+        assert w.cached_constants() == {f"ap|3.0|{tail}": {
+            "value": value, "argmax": w.record(
+                ("ap", 3.0, base.base_id, mea.digest, base.key)).argmax.label()}}
+        write_weight(tmp_path / "w.csv", w)
+        sidecar = json.loads((tmp_path / "w.json").read_text())
+        assert sidecar["constants"] == w.cached_constants()
+        write_weight(tmp_path / "u.csv", Weight.unit(dom))
+        assert list(json.loads((tmp_path / "u.json").read_text())[
+            "constants"]) == [f"ap|2.0|{tail}", f"rh|1.5|{tail}"]
+        for _ in range(2):
+            out = tmp_path / "c.json"
+            assert main(["constant", "--kind", "ap", "--gen", "power",
+                         "--grid", "8", "--out", str(out)]) == 0
+            assert list(json.loads(out.read_text())["constants_cache"]) == [
+                f"ap|2.0|{tail}"]
+        assert main(["gen", "--gen", "power", "--grid", "8", "--out",
+                     str(tmp_path / "g.csv")]) == 0
+        assert json.loads((tmp_path / "g.json").read_text())["constants"] == {}
 
 
 def test_doubling_cached_by_measure():

@@ -191,6 +191,80 @@ class TestBuildBase:
         assert a.base_id != c.base_id
 
 
+class TestTermLayout:
+    """``BaseFamily.layout``: every member's flat cells, in chunks of whole
+    members, built on the first kernel call."""
+
+    @pytest.mark.parametrize("sides, kind, min_scale, gather", [
+        ((16,), "dyadic-cubes", 0, 1 << 14), ((16,), "all-cubes", 1, 1 << 14),
+        ((8, 8), "dyadic-cubes", 0, 1 << 14), ((8, 8), "all-cubes", 1, 1 << 14),
+        ((4, 8), "dyadic-rectangles", 0, 1 << 14),
+        ((4, 8), "all-rectangles", 1, 1 << 14),
+        # Several chunks: at the real bound, and at bounds below a member.
+        ((16, 16), "all-cubes", 0, 1 << 14), ((8, 8), "all-cubes", 0, 40),
+        ((16,), "all-cubes", 0, 7)])
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_cells_per_member_in_row_major_order(self, monkeypatch, sides,
+                                                 kind, min_scale, gather,
+                                                 drop):
+        monkeypatch.setattr(lattice, "_GATHER_CELLS", gather)
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        masses = np.ones(sides)
+        if drop:
+            masses.flat[1::3] = 0.0
+        base = build_base(dom, Measure.general(dom, masses), kind, min_scale)
+        assert (base.dropped_zero_mass > 0) == (drop and min_scale == 0)
+        assert "layout" not in base.__dict__  # not built by build_base
+        width, chunks = base.layout
+        grid = np.arange(dom.num_cells).reshape(sides)
+        want = [grid[base.box(i).slices()].ravel().tolist()
+                for i in range(len(base))]
+        got = []
+        for a, cells, starts, counts in chunks:
+            assert a == len(got) and cells.dtype == np.int32
+            assert int(counts.sum()) == len(cells)
+            assert len(cells) <= gather or len(counts) == 1
+            assert starts.tolist() == (np.cumsum(counts) - counts).tolist()
+            got += [cells[i:i + n].tolist()
+                    for i, n in zip(starts.tolist(), counts.tolist())]
+        assert got == want
+        assert width == max(map(len, want))
+        if gather < 1 << 14 or sides == (16, 16):
+            assert len(chunks) > 1
+
+    def test_two_norms_build_the_layout_once(self, monkeypatch):
+        calls, real = [], lattice._term_layout
+        monkeypatch.setattr(lattice, "_term_layout",
+                            lambda *args: calls.append(1) or real(*args))
+        dom = GridDomain((16,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "all-cubes")
+        assert calls == []
+        f, w = np.arange(16.0) ** 2, Weight.unit(dom)
+        values = {oscillation_norm(f, CenteredDiff(), w, p, base, mea).value
+                  for p in (1.5, 3.0)}
+        assert len(values) == 2 and calls == [1]
+
+    def test_traced_peak_of_a_large_norm(self):
+        # One norm on the 2.83 M terms of 256-cell all-cubes: the layout
+        # keeps 4 bytes a term, and ``block_max`` the rows near the top.
+        import tracemalloc
+        dom = GridDomain((256,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "all-cubes")
+        f = np.random.default_rng(3).normal(size=256)
+        w = Weight.unit(dom)
+        base.sums(w.values * mea.masses)
+        base.sums(f * mea.masses)
+        tracemalloc.start()
+        try:
+            oscillation_norm(f, CenteredDiff(), w, 2.0, base, mea)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 23.3e6
+
+
 class TestMeasure:
     def test_density_requires_positive_values(self):
         dom = GridDomain((4,))
@@ -387,21 +461,25 @@ class TestCornerArraysOnly:
         assert main(["constant", *argv, "--out", str(tmp_path / "c.json")]) == 0
 
 
-def _shape_run_uses(path: Path) -> list[str]:
-    """``file:line`` of each ``.shape_runs`` attribute in a source file."""
+def _shape_run_uses(path: Path, attr: str = "shape_runs") -> list[str]:
+    """``file:line`` of each ``.shape_runs`` (or ``attr``) attribute in a
+    source file."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "shape_runs"]
+            if isinstance(node, ast.Attribute) and node.attr == attr]
 
 
 def test_only_lattice_walks_shape_runs():
-    # Every per-box nonlinear sum goes through ``lattice.block_reduce``, so
-    # the gather, the massless-cell rule and the row sums have one site.
+    # Every per-box nonlinear sum goes through ``lattice.block_reduce`` or
+    # ``block_max`` on the family's term layout, so the gather, the
+    # massless-cell rule and the row sums have one site.
     src = Path(lattice.__file__).parent
-    assert _shape_run_uses(src / "lattice.py")  # the check can see a use
-    others = [use for path in sorted(src.glob("*.py"))
-              if path.name != "lattice.py" for use in _shape_run_uses(path)]
-    assert others == []
+    for attr in ("shape_runs", "layout"):
+        assert _shape_run_uses(src / "lattice.py", attr)  # it can see a use
+        others = [use for path in sorted(src.glob("*.py"))
+                  if path.name != "lattice.py"
+                  for use in _shape_run_uses(path, attr)]
+        assert others == [], attr
 
 
 def test_only_box_sums_reads_the_box_block():
@@ -434,10 +512,12 @@ def test_only_screened_max_keeps_boxes():
 def test_running_sums_only_on_exact_ints():
     # Every float sum is an exact box sum: a running sum (``cumsum``) runs
     # only on exact ints, in the summed-area tables of ``box_summer``, the
-    # per-shape box counts of ``_boxes_by_shape`` and the scaled masses of
-    # ``_medians``.  The sequence rule's level fields go through ``box_sums``.
+    # per-shape box counts of ``_boxes_by_shape``, the term counts of the
+    # layout (``_term_layout``) and the scaled masses of ``_medians``.  The
+    # sequence rule's level fields go through ``box_sums``.
     assert _call_sites("cumsum") == {"lattice.py:box_summer",
                                      "lattice.py:_boxes_by_shape",
+                                     "lattice.py:_term_layout",
                                      "oscillation.py:_medians"}
 
 

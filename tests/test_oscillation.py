@@ -341,6 +341,33 @@ class TestWeightedMedian:
         with pytest.raises(BadParams, match="field shape"):
             weighted_median(np.array([1.0, 2.0, 3.0]), np.ones(2))
 
+    @pytest.mark.parametrize("masses", ["ties", "object-ints"])
+    @pytest.mark.parametrize("sides, gather", [((16,), 40), ((8, 8), 1 << 14)])
+    def test_kernel_rows_match_per_box(self, monkeypatch, masses, sides,
+                                       gather):
+        # ``MedianDiff`` takes every member's median in one segmented sort
+        # per chunk of the layout; gather 40 cuts the family into chunks.
+        # Ties: three values on equal masses, so many medians sit where the
+        # running sum is exactly half.  Object ints: masses 2**-500 to
+        # 2**500 overflow int64, so the running sums are Python ints.
+        monkeypatch.setattr("oscillab.lattice._GATHER_CELLS", gather)
+        rng = np.random.default_rng(12)
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        f = rng.integers(0, 3, sides).astype(float)
+        m = np.ones(sides) if masses == "ties" \
+            else 2.0 ** rng.integers(-500, 501, sides)
+        mea = Measure.general(dom, m)
+        base = build_base(dom, mea, "all-cubes")
+        rep = oscillation_norm(f, MedianDiff(), Weight.unit(dom), 1.0, base,
+                               mea, per_set=True)
+        for i, got in enumerate(rep.per_set):
+            sl = base.box(i).slices()
+            med = weighted_median(f[sl], m[sl])
+            assert med == oracles.fraction_weighted_median(f[sl], m[sl])
+            assert got == math.fsum((np.abs(f[sl] - med) * m[sl]).ravel()
+                                    .tolist()) / math.fsum(m[sl].ravel()
+                                                           .tolist())
+
 
 class TestDualHardy:
     def test_requires_matching_measure(self, line8):

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from oscillab import (GridDomain, Measure, TheoremId, Weight, build_base,
-                      build_majorant, certify, estimate_constant,
-                      inputs_digest, make_check, run_suite,
-                      theorem_from_string, verify)
+                      build_majorant, certify, doubling_constant,
+                      estimate_constant, inputs_digest, jn_exp_moment,
+                      make_check, run_suite, theorem_from_string, verify)
 from oscillab import lattice
 from oscillab.corpus import make_standard_corpus, sample_inputs
 from oscillab.errors import (AllDegenerate, BadParams, DegenerateInput,
-                             EmptyCorpus, IncompatibleBase)
-from oscillab.oscillation import plain_means
+                             EmptyCorpus, IncompatibleBase, OverflowGuard)
+from oscillab.oscillation import default_scale, plain_means
 
 
 class TestTheoremIds:
@@ -237,3 +237,51 @@ class TestMajorant:
         base = build_base(dom, mea, "all-cubes")
         with pytest.raises(IncompatibleBase):
             build_majorant(np.arange(8.0), base, mea, 2.0)
+
+
+class TestDefaultScale:
+    """The rectangle-decay suite and the JN probe take their default scale,
+    2 e^(D^2), from one helper, so they accept or refuse D together."""
+
+    @staticmethod
+    def _inputs(d2: float) -> dict:
+        # On 2x2 dyadic rectangles, w = [[1, t], [1, t]] has D = 1 + t.
+        dom = GridDomain((2, 2), split=(1, 1))
+        mea = Measure.uniform(dom)
+        t = math.sqrt(d2) - 1.0
+        return {"f": np.array([[0.0, 1.0], [3.0, 2.0]]),
+                "w": Weight(dom, np.array([[1.0, t], [1.0, t]])),
+                "base": build_base(dom, mea, "dyadic-rectangles"),
+                "measure": mea}
+
+    def _both(self, inputs):
+        probe = (inputs["f"], inputs["base"], inputs["w"], inputs["measure"])
+        return (lambda: certify(TheoremId.RECTANGLE_DECAY, inputs),
+                lambda: jn_exp_moment(*probe))
+
+    def test_both_accept_past_the_old_suite_limit(self):
+        # The suite once refused D^2 > 700 on its own, where the probe ran.
+        inputs = self._inputs(701.0)
+        dw = doubling_constant(inputs["w"], inputs["measure"])
+        assert 700.0 < dw * dw <= 709.09
+        suite, probe = self._both(inputs)
+        report, jn = suite(), probe()
+        assert report.meta["lam"] == report.meta["eta"] == jn.eta \
+            == default_scale(dw) == 2.0 * math.exp(dw * dw)
+        assert all(math.isfinite(c.rhs) and c.status == "pass"
+                   for c in report.checks)
+
+    def test_both_raise_the_same_guard_past_the_float_range(self):
+        suite, probe = self._both(self._inputs(709.5))
+        with pytest.raises(OverflowGuard, match="explicit eta") as got_suite:
+            suite()
+        with pytest.raises(OverflowGuard) as got_probe:
+            probe()
+        assert str(got_suite.value) == str(got_probe.value)
+
+    def test_suite_refuses_an_infinite_window(self):
+        # At D^2 = 709 the scale is a float, but D^2 times it is not.
+        suite, probe = self._both(self._inputs(709.0))
+        assert math.isfinite(probe().t_value)
+        with pytest.raises(OverflowGuard, match="stopping window"):
+            suite()
