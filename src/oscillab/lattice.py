@@ -596,7 +596,8 @@ def _term_layout(lo: np.ndarray, hi: np.ndarray, sides) -> tuple:
             ends, ends[a] - counts[a] + _GATHER_CELLS, "right")))
         n = counts[a:b]
         starts = n.cumsum() - n
-        rank, cells = np.arange(n.sum()) - starts.repeat(n), (lo[a:b] @ strides).repeat(n)
+        rank = np.arange(n.sum()) - starts.repeat(n)
+        cells = (lo[a:b] @ strides).repeat(n)
         for axis in reversed(range(len(sides))):
             rank, digit = np.divmod(rank, side[a:b, axis].repeat(n))
             cells += digit * strides[axis]
@@ -613,7 +614,7 @@ def _terms(base: BaseFamily, form, cells, members, fill: float):
     for a, idx, starts, counts in base.layout[1]:
         ids = np.arange(a, a + len(starts))
         rows = ids.repeat(counts)
-        if members is not None and not (pick := members[ids]).all():
+        if members is not None and not (pick := members[a:a + len(ids)]).all():
             if not pick.any():
                 continue
             take = members.take(rows)
