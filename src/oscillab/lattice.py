@@ -661,18 +661,21 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
 
 def block_max(base: BaseFamily, form, mass, cells=None, members=None):
     """``first_max(block_reduce(...))`` on the same arguments, bit for bit,
-    for terms >= 0, masses > 0; caller mutes overflow.  A row it drops has a
-    sum below 2**1023 and an exact mean below a kept row's, so in ``fsum``
-    it would neither win nor raise."""
+    for terms >= 0, masses > 0.  A row it drops has a sum below 2**1023 and
+    an exact mean below a kept row's, so in ``fsum`` it would neither win
+    nor raise.  An overflowing sum or mean keeps every row, so the screen
+    mutes overflow: ``reduceat`` adds a row's tail to its first term in one
+    step, so a row whose running sum stays finite can still screen as inf."""
     margin, top, pool, seen = (base.layout[0] + 2) * 2.0 ** -52, -math.inf, [], 0
     for ids, starts, counts, idx, terms in _terms(base, form, cells, members, 0.0):
         if cells is not None:
             np.multiply(terms, cells.take(idx), out=terms)
-        sums = np.add.reduceat(terms, starts)
+        div = mass[ids]
+        with np.errstate(over="ignore"):
+            sums = np.add.reduceat(terms, starts)
+            screen = sums / div
         if not np.maximum.reduce(sums) < 2.0 ** 1023:  # or NaN
             margin = math.inf
-        div = mass[ids]
-        screen = sums / div
         top = np.maximum(top, np.maximum.reduce(screen))
         keep = np.arange(len(ids))
         if margin < math.inf and 2.0 ** -1022 <= top < math.inf:
