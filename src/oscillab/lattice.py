@@ -43,20 +43,20 @@ unit weights) skips the tables: a box of k < 2**53 cells sums to c * k
 exactly, so one float product rounds it once, for O(1) float work per box.
 
 ``block_reduce`` and ``block_max`` are the sites of the nonlinear per-box
-sums, on the family's term layout (``BaseFamily.layout``): per chunk of
-whole members one gather, one call of the caller's form, one fill of the
-cells without mass (inf times 0 would make a row NaN) and one ``reduceat``.
-``block_reduce`` gives each member's fsum(t * m) / mass, m the cell masses
-where given, or in log space shift + log(fsum(exp(t - shift) * m)) -
-log(mass), shift the row maximum over cells with mass.  ``block_max`` gives
-the first maximum of fsum(t * m) / mass, t >= 0: a numpy row sum of n terms,
-in any order, is within gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the exact sum
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), so
-its means screen the rows with margin (n + 2) 2**-52, n the widest member,
-or inf where a sum reaches 2**1023 (fsum may raise there); it keeps a row's
-terms only while it is at least the running top * (1 - margin).
-``screened_max`` confirms the members whose screen is at least top * (1 -
-margin), or all where top is not a positive normal float or margin is inf.
+sums, per chunk of whole members of ``BaseFamily.layout``: one gather, one
+call of the caller's form, a fill of the cells without mass (inf times 0
+would make a row NaN) and one ``reduceat``.  ``block_reduce`` gives each
+member's fsum(t * m) / mass, m the cell masses where given, or in log space
+shift + log(fsum(exp(t - shift) * m)) - log(mass), shift the row maximum
+over cells with mass.  ``block_max`` gives the first maximum of fsum(t * m)
+/ mass, t >= 0: a numpy row sum of n terms, in any order, is within
+gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the exact sum (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 4.2), so its means screen the
+rows with margin (n + 2) 2**-52, n the widest member, or inf where a sum
+reaches 2**1023 (fsum may raise there).  Per chunk, ``screened_max``
+confirms the members whose screen is at least top * (1 - margin), top the
+largest screen so far, or all where top is not a positive normal float or
+margin is inf, so no chunk's terms outlive it.
 """
 
 from __future__ import annotations
@@ -98,10 +98,11 @@ def first_max(values, floor: float = -math.inf):
     return best, arg
 
 
-def screened_max(screen: np.ndarray, margin: float, confirm):
+def screened_max(screen: np.ndarray, margin: float, confirm, top=-math.inf):
     """(value, index) of the first strict maximum of ``confirm(keep)``, the
-    exact values of the members the module docstring keeps, indices in order."""
-    top = np.maximum.reduce(screen, initial=-math.inf)
+    exact values of the members the module docstring keeps, indices in
+    order; ``top`` is the largest screen of members before these, if any."""
+    top = np.maximum.reduce(screen, initial=top)
     keep = (screen >= top * (1.0 - margin)).nonzero()[0] \
         if margin < math.inf and 2.0 ** -1022 <= top < math.inf \
         else np.arange(len(screen))
@@ -289,9 +290,9 @@ SUMS_ENTRIES = 16
 NORM_ENTRIES = 32
 
 
-# Cells per gathered block in ``BaseFamily.shape_runs`` and the tiled
-# ``operators.maximal``, and terms per chunk of ``BaseFamily.layout`` (a
-# wider member alone); bounds the temporaries of the per-box kernels.
+# Cells per gathered block of the tiled ``operators.maximal``, and terms per
+# chunk of ``BaseFamily.layout`` (a wider member alone); bounds the
+# temporaries of the per-box kernels.
 _GATHER_CELLS = 1 << 14
 
 
@@ -513,51 +514,24 @@ class BaseFamily:
         return list(itertools.pairwise([0, *cuts.tolist(), len(self)]))
 
     @functools.cached_property
-    def _gather(self) -> tuple:
-        """Flat low-corner index per member, as a column; cell offsets per run."""
-        sides = self.domain.sides
-        first = np.ravel_multi_index(tuple(self.lo.T), sides)[:, None]
-        cells = (np.indices(self.hi[a] - self.lo[a]).reshape(len(sides), -1)
-                 for a, _ in self.runs)
-        return first, [np.ravel_multi_index(tuple(c), sides) for c in cells]
-
-    def shape_runs(self):
-        """Yield (start, stop, idx) over the members in order, one run of
-        boxes of one shape at a time: row i of idx holds the flat (row-major)
-        cell indices of member ``start + i``, in the box's own row-major
-        order.
-
-        A run longer than ``_GATHER_CELLS`` cells comes in several blocks;
-        the family caches ``_gather``, not the index blocks themselves.
-        """
-        first, patterns = self._gather
-        for (start, stop), offsets in zip(self.runs, patterns):
-            rows = max(1, _GATHER_CELLS // len(offsets))
-            for a in range(start, stop, rows):
-                b = min(a + rows, stop)
-                yield a, b, first[a:b] + offsets
-
-    @functools.cached_property
     def tile_index(self) -> np.ndarray:
         """Dyadic kinds: int32 (shapes, cells); row s, flat cell c holds the
         index of the member of the s-th shape covering c (one dyadic shape
         tiles the grid), or ``len(self)`` where it was dropped for zero mass.
         """
+        sides = self.domain.sides
         table = np.full((len(self.runs), self.domain.num_cells), len(self),
                         np.int32)
-        starts, row = {a for a, _ in self.runs}, -1
-        for a, b, idx in self.shape_runs():
-            row += a in starts  # the first block of the next run
-            table[row, idx] = np.arange(a, b)[:, None]
+        first = np.ravel_multi_index(tuple(self.lo.T), sides)[:, None]
+        for row, (a, b) in enumerate(self.runs):
+            box = np.indices(self.hi[a] - self.lo[a]).reshape(len(sides), -1)
+            cells = first[a:b] + np.ravel_multi_index(tuple(box), sides)
+            table[row, cells] = np.arange(a, b)[:, None]
         return table
 
     @functools.cached_property
     def layout(self) -> tuple:
-        """(width, chunks), built by the first kernel call: the widest
-        member's cell count and, per chunk of whole members of at most
-        ``_GATHER_CELLS`` terms (or one wider member), its first member, each
-        term's int32 flat cell (row-major in each box) and each member's
-        first term and term count."""
+        """``_term_layout`` of the members, built by the first kernel call."""
         return _term_layout(self.lo, self.hi, self.domain.sides)
 
     @functools.cached_property
@@ -586,8 +560,11 @@ class BaseFamily:
 
 
 def _term_layout(lo: np.ndarray, hi: np.ndarray, sides) -> tuple:
-    """``BaseFamily.layout``, a vectorised pass per chunk: term t of a box
-    is its low corner plus the row-major digits of t against its sides."""
+    """(width, chunks): the widest box's cell count and, per chunk of whole
+    boxes of at most ``_GATHER_CELLS`` cells (or one wider box), its first
+    box, each term's int32 flat cell and each box's first term and term
+    count.  Term t of a box is its low corner plus the row-major digits of
+    t against its sides, one vectorised pass per chunk."""
     side, strides = hi - lo, np.cumprod((1, *sides[:0:-1]))[::-1]
     counts, chunks, a = side.prod(axis=1), [], 0
     ends = counts.cumsum()
@@ -663,34 +640,28 @@ def block_max(base: BaseFamily, form, mass, cells=None, members=None):
     """``first_max(block_reduce(...))`` on the same arguments, bit for bit,
     for terms >= 0, masses > 0.  A row it drops has a sum below 2**1023 and
     an exact mean below a kept row's, so in ``fsum`` it would neither win
-    nor raise.  An overflowing sum or mean keeps every row, so the screen
-    mutes overflow: ``reduceat`` adds a row's tail to its first term in one
-    step, so a row whose running sum stays finite can still screen as inf."""
-    margin, top, pool, seen = (base.layout[0] + 2) * 2.0 ** -52, -math.inf, [], 0
+    nor raise.  An overflowing sum or mean keeps every row from its chunk
+    on, so the screen mutes overflow: ``reduceat`` adds a row's tail to its
+    first term in one step, so a row whose running sum stays finite can
+    still screen as inf."""
+    margin = (base.layout[0] + 2) * 2.0 ** -52
+    top, best, arg, seen = -math.inf, -math.inf, None, 0
     for ids, starts, counts, idx, terms in _terms(base, form, cells, members, 0.0):
         if cells is not None:
             np.multiply(terms, cells.take(idx), out=terms)
-        div = mass[ids]
+        div, ends = mass[ids], starts + counts
         with np.errstate(over="ignore"):
             sums = np.add.reduceat(terms, starts)
             screen = sums / div
         if not np.maximum.reduce(sums) < 2.0 ** 1023:  # or NaN
             margin = math.inf
-        top = np.maximum(top, np.maximum.reduce(screen))
-        keep = np.arange(len(ids))
-        if margin < math.inf and 2.0 ** -1022 <= top < math.inf:
-            cut = top * (1.0 - margin)
-            pool = [row for row in pool if row[0] >= cut]
-            keep = keep[screen >= cut]
-        # (screen, position among the selected members, terms, mass)
-        pool.extend(zip(screen[keep].tolist(), (keep + seen).tolist(), map(
-            terms.__getitem__, map(slice, starts[keep].tolist(), (
-                starts + counts)[keep].tolist())), div[keep].tolist()))
-        seen += len(ids)
-    best, j = screened_max(np.array([row[0] for row in pool]), margin,
-                           lambda keep: (math.fsum(pool[k][2].tolist())
-                                         / pool[k][3] for k in keep.tolist()))
-    return best, None if j is None else pool[j][1]
+        got, j = screened_max(screen, margin, lambda keep: (
+            math.fsum(terms[starts.item(k):ends.item(k)].tolist()) / div.item(k)
+            for k in keep.tolist()), top)
+        if got > best:
+            best, arg = got, seen + j
+        top, seen = np.maximum.reduce(screen, initial=top), seen + len(ids)
+    return best, arg
 
 
 def deviations(f, centre: np.ndarray):

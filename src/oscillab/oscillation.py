@@ -163,9 +163,9 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
     """max over base sets of ((1/w-mass) sum local^p w m)^(1/p).
 
     One kernel on the family's term layout (``BaseFamily.layout``) and one
-    memo serve all four rules.  Under all
-    but ``TLSeq``, an f of another shape than the domain's or with a cell
-    that is not finite raises ``BadParams`` (``lattice.checked_field``).
+    memo serve all four rules.  Under all but ``TLSeq``, an f of another
+    shape than the domain's or with a cell that is not finite raises
+    ``BadParams`` (``lattice.checked_field``).
     ``base.sums`` gives the linear arrays; the ``MedianDiff`` centre is
     each row's exact weighted median; ``TLSeq`` reads one field per level
     (``_level_fields``), kept read-only in the family's memo.
@@ -430,15 +430,15 @@ class JNReport:
     c2_hat: float
 
 
-def default_scale(dw: float) -> float:
+def default_scale(dw: float, name: str = "eta") -> float:
     """2 e^(D^2), D the doubling constant: the default tempering scale of
     ``jn_exp_moment`` and threshold of the rectangle-decay suite.  Past
-    D^2 = 709.09 it is no float, and ``OverflowGuard`` asks for one."""
+    D^2 = 709.09 it is no float, and ``OverflowGuard`` asks for ``name``."""
     try:
         return math.ldexp(math.exp(dw * dw), 1)
     except OverflowError:
-        raise OverflowGuard(f"the default eta = 2 e^(D^2) is past the float "
-                            f"range at D = {dw!r}; pass an explicit eta") from None
+        raise OverflowGuard(f"the default {name} = 2 e^(D^2) is past the float "
+                            f"range at D = {dw!r}; pass an explicit {name}") from None
 
 
 def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
@@ -455,10 +455,9 @@ def jn_exp_moment(f: np.ndarray, base: BaseFamily, w: Weight,
     Cost: the norm, the doubling constant, the w-masses and the centre
     numerators come from the family's and the weight's caches (one
     ``box_sums`` pass each on a miss), then one log-variant ``block_reduce``
-    of min(osc, N)/eta with cell masses w m on the family's term layout: a
-    few numpy calls per chunk of terms and one ``math.fsum`` per member, as
-    a box-by-box loop gives bit for bit; a cell without w-mass sets neither
-    the shift nor the sum.
+    of min(osc, N)/eta with cell masses w m: a few numpy calls per chunk of
+    the layout and one ``math.fsum`` per member, bit for bit a box-by-box
+    loop's; a cell without w-mass sets neither the shift nor the sum.
     """
     if not big_n > 0:
         raise BadParams(f"the truncation level must be positive, got {big_n}")

@@ -471,10 +471,13 @@ def _certify_rectangle_decay(inputs: dict, tol: float):
     fn = f / bmo
     dw = doubling_constant(w, measure)
     root = base.domain.full_box()
-    lam = float(inputs["lam"] if "lam" in inputs else default_scale(dw))
+    lam = float(inputs["lam"] if "lam" in inputs else default_scale(dw, "lam"))
     sel = cz_selection(fn, root, w, lam, base, measure)
 
-    window = (dw ** sel.d_max) * max(lam, sel.avg_root)
+    try:  # a float ** int past the float range raises, a product gives inf
+        window = (dw ** sel.d_max) * max(lam, sel.avg_root)
+    except OverflowError:
+        window = math.inf
     if window == math.inf:
         raise OverflowGuard("the stopping window D^d max(lam, avg) is past "
                             "the float range; pass a smaller lam")

@@ -86,7 +86,8 @@ class Weight:
     def unit(cls, domain: GridDomain) -> "Weight":
         """The unit weight, one per domain instance and held on it: it lives
         and dies with the domain; its records grow by one per (constant,
-        base, measure) its callers compute."""
+        base, measure) its callers compute.  Every caller on the domain gets
+        this one instance, so none may reassign its ``values``."""
         if (unit := domain.__dict__.get("unit_weight")) is None:
             unit = domain.__dict__["unit_weight"] = cls(
                 domain, np.ones(domain.sides), provenance={"kind": "unit"})

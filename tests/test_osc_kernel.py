@@ -501,7 +501,7 @@ class TestErrorPrecedence:
     def test_sequence_rule_zero_weighted_mass(self):
         dom, mea, _, _ = self._line()
         base = build_base(dom, mea, "dyadic-cubes")
-        w = Weight.unit(dom)
+        w = Weight(dom, np.ones(8))
         w.values = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
         seq = TLSequence(dom, {BaseSet((4,), (8,)): 2.0,
                                BaseSet((0,), (1,)): -1.0})

@@ -244,11 +244,11 @@ class TestDefaultScale:
     2 e^(D^2), from one helper, so they accept or refuse D together."""
 
     @staticmethod
-    def _inputs(d2: float) -> dict:
+    def _inputs(d2: float, t: float | None = None) -> dict:
         # On 2x2 dyadic rectangles, w = [[1, t], [1, t]] has D = 1 + t.
         dom = GridDomain((2, 2), split=(1, 1))
         mea = Measure.uniform(dom)
-        t = math.sqrt(d2) - 1.0
+        t = math.sqrt(d2) - 1.0 if t is None else t
         return {"f": np.array([[0.0, 1.0], [3.0, 2.0]]),
                 "w": Weight(dom, np.array([[1.0, t], [1.0, t]])),
                 "base": build_base(dom, mea, "dyadic-rectangles"),
@@ -273,11 +273,12 @@ class TestDefaultScale:
 
     def test_both_raise_the_same_guard_past_the_float_range(self):
         suite, probe = self._both(self._inputs(709.5))
-        with pytest.raises(OverflowGuard, match="explicit eta") as got_suite:
+        with pytest.raises(OverflowGuard, match="explicit lam") as got_suite:
             suite()
-        with pytest.raises(OverflowGuard) as got_probe:
+        with pytest.raises(OverflowGuard, match="explicit eta") as got_probe:
             probe()
-        assert str(got_suite.value) == str(got_probe.value)
+        # Each names its own input: the suite's lam, the probe's eta.
+        assert str(got_suite.value) == str(got_probe.value).replace("eta", "lam")
 
     def test_suite_refuses_an_infinite_window(self):
         # At D^2 = 709 the scale is a float, but D^2 times it is not.
@@ -285,3 +286,10 @@ class TestDefaultScale:
         assert math.isfinite(probe().t_value)
         with pytest.raises(OverflowGuard, match="stopping window"):
             suite()
+
+    def test_explicit_lam_with_a_huge_doubling_constant(self):
+        # D = 1e160: D ** 2 raises OverflowError as a Python float power,
+        # where the window is past the float range all the same.
+        inputs = {**self._inputs(0.0, t=1e160), "lam": 1.0}
+        with pytest.raises(OverflowGuard, match="stopping window"):
+            certify(TheoremId.RECTANGLE_DECAY, inputs)
