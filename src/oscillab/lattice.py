@@ -12,35 +12,33 @@ on demand.
 Three summation primitives share one contract: a sum is the exact sum
 rounded once.  ``fsum`` adds one array with ``math.fsum``.  ``box_sums``
 adds one array over many boxes at once, with O(cells) work and O(1) more
-per box, from summed-area tables (Crow 1984): a zero-padded cumulative table
+per box, from summed-area tables (Crow 1984): a padded cumulative table
 per axis, and each box's sum from its corners by inclusion-exclusion.  A
 ``box_summer`` does the set-up that rests on the boxes alone once (each
 family keeps one, ``BaseFamily.summer``); ``box_sums`` is a one-shot.  Each
-cell x is scaled to an exact integer I = x * 2**(53 - low), low and top the
-least and greatest frexp exponents of a nonzero cell, found (as the exponent
-grows with |x|) by one scan of |x|.  Where the exponents span at most
-50 - 2 * size.bit_length() binades and no cell is below 2**-1022, I is split
-into two integer-valued float64 limbs, I = H * 2**k + L with 0 <= L < 2**k
-and k = 52 - size.bit_length().  Every partial sum of either limb stays
-below 2**52, so the tables and the corner arithmetic are exact in float64,
-and each box's H * 2**k + L is one IEEE addition, the exact sum rounded
-once: O(cells + boxes) float work, with only exact ``+``, ``-``, ``*``,
-``floor`` and ``ldexp`` besides, so the bits do not depend on the CPU.  The
-rounded limb sum is scaled back by one exact ``ldexp``: a sum in the
-subnormal range is a multiple of 2**-1074 and so already exact.  Otherwise
-the table holds I as Python ints, and each box's int times 2**(low - 53) is
-one int / int quotient, which Python rounds correctly, subnormals and
-overflow included.  On finite cells the result is the exact sum rounded
-once, so it equals ``math.fsum`` over the box bit for bit; an exact sum
-beyond the float range raises ``OverflowError`` as ``fsum`` does.  No
-|box sum| reaches 2**(top + size.bit_length()), so the results are scanned
-for overflow only where that exponent passes 1022.  The one difference:
-``fsum`` can raise "intermediate overflow" on partial sums whose exact
-total is finite, and ``box_sums`` returns that total.  With a NaN or inf
-cell (the scan finds it) every box goes through ``fsum``, which gives inf,
-nan or ``ValueError`` (inf + -inf).  A constant array c (uniform masses,
-unit weights) skips the tables: a box of k < 2**53 cells sums to c * k
-exactly, so one float product rounds it once, for O(1) float work per box.
+cell x is an exact integer I = x * 2**(53 - low), low and top the least and
+greatest frexp exponents of a nonzero cell.  Where top - low <= 50 - 2 *
+bits, N cells < 2**bits, and no cell is below 2**-1022, one ``np.modf``
+splits I / 2**k, k = 52 - bits, into two exact float64 limbs, H = trunc(I /
+2**k) and the signed fraction L / 2**k, |L| < 2**k.  The sums of the
+fractions, multiples of 2**(bits - 52), stay below 2**bits, those of H below
+2**51, and every step of 2-d inclusion-exclusion below twice that, so all
+are exact; each box's H + L / 2**k is one IEEE addition, the exact sum
+rounded once, and one ``ldexp`` scales it back exactly (a subnormal result
+has fewer than 53 significant bits and is a multiple of 2**-1074).  The
+padding is -0.0, so a box of -0.0 cells sums to 0.0, as in ``fsum``; only
+exact ``+``, ``-``, ``modf`` and ``ldexp`` run, so the bits do not depend on
+the CPU.  Otherwise the table holds I as Python ints, and each box's int
+times 2**(low - 53) is one int / int quotient, which Python rounds
+correctly, subnormals and overflow included.  On finite cells the result
+equals ``math.fsum`` over the box bit for bit, and an exact sum beyond the
+float range raises ``OverflowError``; no |box sum| reaches 2**(top + bits),
+so the results are scanned for it only where top + bits passes 1022.  The
+one difference: ``fsum`` can raise "intermediate overflow" on partial sums
+whose exact total is finite, and ``box_sums`` returns that total.  With a
+NaN or inf cell every box goes through ``fsum`` (inf, nan or ``ValueError``).
+A constant array c (uniform masses, unit weights) skips the tables: a box of
+k < 2**53 cells sums to c * k exactly, one float product rounded once.
 
 ``block_reduce`` and ``block_max`` are the sites of the nonlinear per-box
 sums, per chunk of whole members of ``BaseFamily.layout``: one gather, one
@@ -150,70 +148,59 @@ _BOX_BLOCK = 4096
 
 
 def box_sums(values, lo, hi) -> np.ndarray:
-    """Correctly rounded sum of ``values`` over each box ``lo[i] <= cell < hi[i]``.
-
-    ``lo`` and ``hi`` are integer arrays of shape (boxes, dims).  Element i
-    equals ``math.fsum(values[box_i].ravel())`` bit for bit; the module
-    docstring states the contract and the paths.  ``OverflowError`` says
-    "too large"; the results are scanned for it only on a constant array or
-    where top + size.bit_length() passes 1022.
-    """
+    """Correctly rounded sum of ``values`` over each box ``lo[i] <= cell < hi[i]``,
+    ``lo`` and ``hi`` integer arrays of shape (boxes, dims): element i equals
+    ``math.fsum(values[box_i].ravel())`` bit for bit (module docstring)."""
     return box_summer(lo, hi, np.shape(values))(values)
 
 
 def box_summer(lo, hi, shape):
     """``values -> box_sums(values, lo, hi)`` for arrays of ``shape``, bit for
-    bit, set up once: ``bits``, ``k``, one limb table and, on the first call
-    that reads a table, the corners' flat indices in ``_BOX_BLOCK`` blocks."""
+    bit, set up once: one limb table and, from the first call that reads a
+    table, the corners' flat indices in ``_BOX_BLOCK`` blocks.  A two-limb
+    call is one ``modf`` into the table, a ``cumsum`` per axis and per block
+    the corner gathers and one addition, with no copy for one block."""
     ndim = len(shape)
     lo, hi = (np.asarray(c, dtype=np.intp).reshape(-1, ndim) for c in (lo, hi))
     bits = math.prod(shape).bit_length()
-    k = 2.0 ** (52 - bits)
     cells, padded = (slice(1, None),) * ndim, tuple(n + 1 for n in shape)
-    # One complex table, H real and L imaginary, each added on its own; a
-    # call writes every interior cell and never the zero padding.
-    limbs = np.zeros(padded, dtype=complex)
-    limb_cells, high, low_limb = limbs[cells], limbs.real[cells], limbs.imag[cells]
-    two_limbs = lambda acc: acc.real * k + acc.imag
+    # One complex table, H real and L / 2**k imaginary, each added on its
+    # own; a call writes every interior cell and never the -0.0 padding.
+    limbs = np.full(padded, complex(-0.0, -0.0))
+    split = (limb_cells := limbs[cells]).imag, limb_cells.real
     blocks = []
 
     def summer(values):
         values = np.asarray(values, dtype=float)
         flat = values.ravel()
         mag = np.abs(flat)
-        big = mag.max()
+        big = np.maximum.reduce(mag)
         if not big < math.inf:  # a NaN or infinite cell
             return np.array([fsum(values[tuple(map(slice, l, h))])
                              for l, h in zip(lo.tolist(), hi.tolist())], dtype=float)
-        if flat[0] == flat[-1] and flat.min() == flat.max():
+        if flat[0] == flat[-1] and np.minimum.reduce(flat) == np.maximum.reduce(flat):
             # + 0.0 turns the -0.0 of a constant -0.0 into 0.0, as fsum does.
             with np.errstate(over="ignore"):
                 out = flat[0] * (hi - lo).prod(axis=1) + 0.0
             return _finite_sums(out)
         # Not constant, so some cell is nonzero.
         top = math.frexp(big)[1]
-        low = math.frexp(mag.min(where=mag > 0.0, initial=math.inf))[1]
+        low = math.frexp(np.minimum.reduce(mag, where=mag > 0.0, initial=math.inf))[1]
         # The exact sum of a box is acc * 2**shift, acc an int, with |acc|
         # below 2**(top - low + 53 + bits).
         shift = low - 53
         if top - low + 2 * bits <= 50 and shift >= -1074:
-            # Two limbs: each cell's int I = H * 2**k + L, 0 <= L < 2**k.
-            # Every sum of L stays below 2**52, and of H below 2**51, so float64
-            # adds them exactly; H * 2**k + L per box is the one rounding.
-            exact = np.ldexp(values, -shift)
-            np.floor(exact / k, out=high)
-            low_limb[...] = exact - high * k
-            table, inner, finish = limbs, limb_cells, two_limbs
+            shift += 52 - bits  # the limbs of I / 2**k
+            np.modf(np.ldexp(values, -shift), out=split)
+            table, inner, finish = limbs, limb_cells, lambda acc: acc.real + acc.imag
         else:
             table = np.zeros(padded, dtype=object)
             inner = table[cells]
             inner[...] = scaled_ints(values)[0]
             # int / int is correctly rounded, subnormal and overflow included.
             scale, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
-            finish = lambda acc: acc * scale / den
+            finish = lambda acc: (acc * scale / den).astype(float)
             shift = 0  # the quotient is already scaled
-        # A subnormal limb sum is a multiple of 2**-1074 with fewer than 53
-        # significant bits, so the ldexp below keeps it exact.
         for axis in range(ndim):
             inner.cumsum(axis=axis, out=inner)
         if not blocks:
@@ -225,12 +212,11 @@ def box_summer(lo, hi, shape):
                 else:
                     hr, lr = h[:, 0] * padded[1], l[:, 0] * padded[1]
                     corners = hr + h[:, 1], lr + h[:, 1], hr + l[:, 1], lr + l[:, 1]
-                blocks.append((slice(a, a + _BOX_BLOCK), corners))
-        out = np.empty(len(lo))
+                blocks.append(corners)
         take = table.take
-        for rows, c in blocks:
-            out[rows] = finish(take(c[0]) - take(c[1]) if ndim == 1 else
-                               take(c[0]) - take(c[1]) - take(c[2]) + take(c[3]))
+        out = [finish(take(c[0]) - take(c[1]) if ndim == 1 else
+                      take(c[0]) - take(c[1]) - take(c[2]) + take(c[3])) for c in blocks]
+        out = out[0] if len(out) == 1 else np.concatenate([np.empty(0), *out])
         if top + bits <= 1022:  # every |box sum| is below 2**(top + bits)
             return np.ldexp(out, shift) if shift else out
         with np.errstate(over="ignore"):
@@ -270,18 +256,21 @@ class BoundedCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def fetch(self, key, compute):
-        """The entry under ``key``; on a miss, ``compute()`` stored under it.
-        An exception from ``compute`` propagates and stores nothing."""
+    def fetch(self, key, compute, keep=None):
+        """The entry under ``key``; on a miss, ``compute()``, stored under it
+        unless ``keep`` says no.  An exception from ``compute`` propagates
+        and stores nothing."""
         data = self._data
         if key in data:
             self.hits += 1
             data.move_to_end(key)
             return data[key]
         self.misses += 1
-        got = data[key] = compute()
-        if len(data) > self.bound:
-            data.popitem(last=False)
+        got = compute()
+        if keep is None or keep(got):
+            data[key] = got
+            if len(data) > self.bound:
+                data.popitem(last=False)
         return got
 
 
@@ -451,8 +440,10 @@ class BaseFamily:
     16 x len x 8 bytes (4.2 MB for the 32,896 boxes of 256 all-cubes); and
     ``oscillation.oscillation_norm`` keeps up to ``NORM_ENTRIES`` entries
     in ``_norms``: reports, each about 1 KB plus 32 bytes per member with
-    ``per_set`` values, and a sequence's read-only level fields, 8 x levels
-    x cells bytes.  A dyadic family keeps ``tile_index`` for ``maximal``:
+    ``per_set`` values, a sequence's read-only level fields, 8 x levels x
+    cells bytes, and, on a family whose layout is one chunk, each norm
+    group's formed terms and their cell masses, 16 bytes per term, 32 per
+    member and 8 per cell.  A dyadic family keeps ``tile_index`` for ``maximal``:
     4 x shapes x cells bytes (0.8 MB on 64x64 dyadic-rectangles).  ``summer``
     keeps 16 x prod(side + 1) bytes, and on a grid 32 bytes per member (0.6
     MB on 64x64 dyadic-rectangles), from the family's first ``sums`` miss.
@@ -541,13 +532,11 @@ class BaseFamily:
 
     def sums(self, values) -> np.ndarray:
         """``box_sums(values, self.lo, self.hi)``, read-only, memoised in the
-        family's LRU of ``SUMS_ENTRIES`` results keyed by ``content_key``.
-
-        A miss costs one ``summer`` call, a hit one sha256 of the array.
-        For the linear passes that repeat on one family (w-masses, centre
+        family's LRU of ``SUMS_ENTRIES`` results keyed by ``content_key``: a
+        miss costs one ``summer`` call, a hit one sha256 of the array.  For
+        the linear passes that repeat on one family (w-masses, centre
         numerators, power means); an array built afresh on every call, such
-        as each maximal-series term, should call ``summer`` directly.
-        """
+        as each maximal-series term, should call ``summer`` directly."""
         def compute():
             got = self.summer(values)
             got.setflags(write=False)
@@ -584,9 +573,13 @@ def _term_layout(lo: np.ndarray, hi: np.ndarray, sides) -> tuple:
 
 
 def _terms(base: BaseFamily, form, cells, members, fill: float):
-    """(ids, starts, counts, idx, terms) per chunk of ``base.layout``: the
-    members ``members`` selects, their first terms and term counts, each
-    term's flat cell, and the terms, ``fill`` on cells without mass."""
+    """(ids, starts, counts, terms, masses) per chunk of ``base.layout``: the
+    members ``members`` selects, their first terms and counts, the terms,
+    ``fill`` on cells without mass, and their cell masses (or None); or
+    ``form``'s chunks, if it is a list of them (``_chunk``)."""
+    if isinstance(form, list):
+        yield from form
+        return
     dead = None if cells is None or cells.all() else cells == 0.0
     for a, idx, starts, counts in base.layout[1]:
         ids = np.arange(a, a + len(starts))
@@ -601,7 +594,13 @@ def _terms(base: BaseFamily, form, cells, members, fill: float):
         terms = form(rows, idx[:, None]).ravel()
         if dead is not None:
             terms[dead.take(idx)] = fill
-        yield ids, starts, counts, idx, terms
+        yield ids, starts, counts, terms, None if cells is None else cells.take(idx)
+
+
+def _chunk(base: BaseFamily, form, cells):
+    """``_terms``'s one chunk of every member, fill 0, as a list, for a caller
+    that powers the terms more than once; None on a layout of more chunks."""
+    return list(_terms(base, form, cells, None, 0.0)) if len(base.layout[1]) == 1 else None
 
 
 def block_reduce(base: BaseFamily, form, mass=None, cells=None,
@@ -611,10 +610,11 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
     the boolean mask ``members`` holds, when given.  ``form(rows, idx)``
     gives the terms of a chunk of the family's layout as a fresh array of
     shape (terms, 1) or (terms,): term t of member ``rows[t]`` on flat cell
-    ``idx[t, 0]``; ``cells`` are the cell masses; ``mass`` is an array, or
+    ``idx[t, 0]``, or ``_chunk``'s list with fresh terms, in place of
+    ``cells``, the cell masses, and ``members``; ``mass`` is an array, or
     None for row maxima."""
     out = []
-    for ids, starts, counts, idx, terms in _terms(
+    for ids, starts, counts, terms, masses in _terms(
             base, form, cells, members, -math.inf if log else 0.0):
         if mass is None:
             out.extend(np.maximum.reduceat(terms, starts).tolist())
@@ -622,8 +622,8 @@ def block_reduce(base: BaseFamily, form, mass=None, cells=None,
         if log:
             shift = np.maximum.reduceat(terms, starts)
             terms = np.exp(terms - shift.repeat(counts))
-        if cells is not None:
-            terms *= cells.take(idx)
+        if masses is not None:
+            terms *= masses
         # fsum over slices of one list keeps the per-row work in C.
         vals = terms.tolist()
         sums = map(math.fsum, map(vals.__getitem__, map(
@@ -646,9 +646,9 @@ def block_max(base: BaseFamily, form, mass, cells=None, members=None):
     still screen as inf."""
     margin = (base.layout[0] + 2) * 2.0 ** -52
     top, best, arg, seen = -math.inf, -math.inf, None, 0
-    for ids, starts, counts, idx, terms in _terms(base, form, cells, members, 0.0):
-        if cells is not None:
-            np.multiply(terms, cells.take(idx), out=terms)
+    for ids, starts, counts, terms, masses in _terms(base, form, cells, members, 0.0):
+        if masses is not None:
+            np.multiply(terms, masses, out=terms)
         div, ends = mass[ids], starts + counts
         with np.errstate(over="ignore"):
             sums = np.add.reduceat(terms, starts)

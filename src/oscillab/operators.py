@@ -76,16 +76,13 @@ def _maximal_of(base: BaseFamily, measure: Measure, mode: str):
         # Per cell, the max over shapes of its covering box's average.
         index = base.tile_index
         step = max(1, lattice._GATHER_CELLS // len(index))
-        blocks = [(slice(c, c + step), index[:, c:c + step])
-                  for c in range(0, index.shape[1], step)]
+        blocks = [index[:, c:c + step] for c in range(0, index.shape[1], step)]
 
     def maximal_of(fm):
         np.divide(summer(fm), masses, out=avg)
         if tiled:
-            out = np.empty(index.shape[1])
-            for cells, idx in blocks:
-                np.maximum.reduce(padded.take(idx), axis=0, out=out[cells])
-            out = out.reshape(sides)
+            out = [np.maximum.reduce(padded.take(idx), axis=0) for idx in blocks]
+            out = (out[0] if len(out) == 1 else np.concatenate(out)).reshape(sides)
         else:
             out = np.zeros(sides)
             # Runs of boxes of one shape; a canonical family has one per shape.
@@ -161,7 +158,8 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
 
     Checks and the ``_maximal_of`` set-up run once per series, and the guard
     on the seed bounds every sum; a term is one ``summer`` call (on 32-256
-    cells, mostly its numpy calls), the spread and two numpy reductions.
+    cells, mostly its numpy calls), the spread, an in-place division and
+    sum, and two direct ufunc reductions.
     """
     if not 1.0 < p < math.inf:
         raise BadParams(f"the series needs 1 < p < inf, got {p}")
@@ -187,12 +185,12 @@ def rubio_de_francia(g: np.ndarray, p: float, base: BaseFamily,
                            * math.log2(1.0 / tol)))
     iterations = 0
     while True:
-        term = maximal_of(term * measure.masses) / denom
-        nxt = float(term.max())
-        floor = float(u.min(where=u > 0.0, initial=math.inf))
-        if nxt < tol * floor:
+        term = maximal_of(term * measure.masses)
+        term /= denom
+        if np.maximum.reduce(term, axis=None) < tol * np.minimum.reduce(
+                u, axis=None, where=u > 0.0, initial=math.inf):
             break
-        u = u + term
+        u += term
         iterations += 1
         if iterations > cap:
             raise NonConvergence(f"series did not settle within {cap} terms")

@@ -22,7 +22,7 @@ from .errors import (BadParams, DegenerateInput, EmptySequence,
                      ExponentOutOfRange, IncompatibleSpec, NotDyadic,
                      OverflowGuard, ZeroMass)
 from .lattice import (DYADIC_KINDS, BaseFamily, BaseSet, GridDomain, Measure,
-                      block_max, block_reduce, box_sums, cell_product,
+                      _chunk, block_max, block_reduce, box_sums, cell_product,
                       checked_field, content_key, deviations, first_max, fsum,
                       scaled_ints)
 from .weights import Weight, doubling_constant
@@ -162,20 +162,19 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
                      measure: Measure, per_set: bool = False) -> NormReport:
     """max over base sets of ((1/w-mass) sum local^p w m)^(1/p).
 
-    One kernel on the family's term layout (``BaseFamily.layout``) and one
-    memo serve all four rules.  Under all but ``TLSeq``, an f of another
-    shape than the domain's or with a cell that is not finite raises
-    ``BadParams`` (``lattice.checked_field``).
-    ``base.sums`` gives the linear arrays; the ``MedianDiff`` centre is
-    each row's exact weighted median; ``TLSeq`` reads one field per level
-    (``_level_fields``), kept read-only in the family's memo.
-    local^p with cell masses w m goes into ``lattice.block_max``, a numpy
-    screen with margin (n + 2) 2**-52 (Higham's bound for n terms) and
-    ``math.fsum`` on the members it keeps (``lattice.screened_max``);
-    ``per_set`` takes ``block_reduce``, a fsum per member.
+    One kernel and one memo serve all four rules.  Under all but ``TLSeq``,
+    an f of another shape than the domain's or with a cell that is not
+    finite raises ``BadParams`` (``lattice.checked_field``).  ``base.sums``
+    gives the linear arrays; the ``MedianDiff`` centre is each row's exact
+    weighted median; ``TLSeq`` reads one field per level (``_level_fields``),
+    kept read-only in the family's memo.  local^p with cell masses w m goes
+    into ``lattice.block_max``, or with ``per_set`` ``block_reduce``.
     Reports are memoised on the family by the content of f (of the level
     fields, for ``TLSeq``), the rule, w, the measure, p (and its type) and
-    ``per_set``; errors are raised anew.  Value, extremal set (the first
+    ``per_set``; errors are raised anew.  On a family whose layout is one
+    chunk the memo keeps the group of the first four too, once it has no
+    failing box (``_norm_group``), so another p costs only the power, the
+    sums, the screen and the confirm.  Value, extremal set (the first
     strict maximum in canonical order) and first error are a box-by-box
     loop's, except on overflow: a cell product past the float range, or a
     massed cell's w m rounding to 0, raises ``OverflowGuard`` first, and
@@ -201,17 +200,16 @@ def oscillation_norm(f, spec, w: Weight, p: float, base: BaseFamily,
                 if isinstance(spec, MedianDiff) else ("dual", spec.w.digest))
     else:
         raise IncompatibleSpec(f"unknown oscillation rule {type(spec).__name__}")
-    key = (content_key(f), rule, w.digest, p, type(p), measure.digest, per_set)
-    return base._norms.fetch(key, lambda: _grouped_report(
-        f, spec, w, p, base, measure, per_set))
+    group = (content_key(f), rule, w.digest, measure.digest)
+    return base._norms.fetch((*group, p, type(p), per_set), lambda: _grouped_report(
+        f, spec, w, p, base, measure, per_set, group))
 
 
-def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
-                    base: BaseFamily, measure: Measure,
-                    per_set: bool) -> NormReport:
-    """The kernel of ``oscillation_norm``.  On a box that fails a check it
-    raises that box's error once the boxes before it have been evaluated,
-    so that an overflow they raise comes first, as in a box-by-box loop."""
+def _norm_group(arr: np.ndarray, spec, w: Weight, base: BaseFamily,
+                measure: Measure) -> tuple:
+    """(w m, w-masses, stop, form): what a group's exponents share; stop is
+    the first failing box (or ``len(base)``), form the rule's local
+    oscillation, or where no box fails the terms ``lattice._chunk`` keeps."""
     wm = cell_product(w.values, measure.masses, positive=True)
     wmass = base.sums(wm)
     bad = zero = wmass <= 0.0
@@ -246,16 +244,30 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
     stop = int(np.argmax(bad)) if bad.any() else len(base)
     if isinstance(spec, DualHardy) and not np.isfinite(centre[:stop]).all():
         raise OverflowGuard("a plain cell mean left the float range")
+    with np.errstate(over="ignore"):
+        chunk = _chunk(base, local, wm.ravel()) if stop == len(base) else None
+    return wm.ravel(), wmass, stop, chunk or local
 
+
+def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float, base: BaseFamily,
+                    measure: Measure, per_set: bool, group: tuple) -> NormReport:
+    """The kernel of ``oscillation_norm``, on ``_norm_group`` memoised under
+    ``group`` where its terms are formed.  On a box that fails a check it
+    raises that box's error once the boxes before it have been evaluated,
+    so that an overflow they raise comes first, as in a box-by-box loop."""
+    wm, wmass, stop, local = base._norms.fetch(group, lambda: _norm_group(
+        arr, spec, w, base, measure), keep=lambda got: not callable(got[3]))
     # A power past the float range gives inf, which the caller reports as a
     # non-finite norm; numpy's warning would only repeat that.
     before = None if stop == len(base) else np.arange(len(base)) < stop
     with np.errstate(over="ignore"):
+        form = (lambda r, i: local(r, i) ** p) if callable(local) else [
+            (*chunk[:3], chunk[3] ** p, chunk[4]) for chunk in local]
         vals = (block_reduce if per_set else block_max)(
-            base, lambda r, i: local(r, i) ** p, wmass, wm.ravel(), before)
+            base, form, wmass, wm, before)
     if stop < len(base):
         box = base.box(stop)
-        if zero[stop]:
+        if wmass[stop] <= 0.0:
             raise ZeroMass(f"no weighted mass on {box.label()}")
         if isinstance(spec, DualHardy):
             raise IncompatibleSpec(
@@ -264,7 +276,7 @@ def _grouped_report(arr: np.ndarray, spec, w: Weight, p: float,
         raise ZeroMass(f"no mass on {box.label()}")
     best, best_i = first_max(vals, -1.0) if per_set else vals
     if p > 1.0 and best < sys.float_info.min and _grouped_report(
-            arr, spec, w, 1.0, base, measure, False).value > 0.0:
+            arr, spec, w, 1.0, base, measure, False, group).value > 0.0:
         raise OverflowGuard("the norm's p-th powers underflow; rescale the "
                             "field")
     return NormReport(value=best ** (1.0 / p), p=p, weight_id=w.digest,

@@ -6,6 +6,7 @@ every comparison here is on the float bits, not within a tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -200,6 +201,31 @@ def _assert_path_like_fsum(values, boxes, limbs):
                       lambda *a: tables.append(1) or build(*a))
         _assert_like_fsum(values, boxes)
     assert (not tables) == limbs
+
+
+@st.composite
+def _signed_zero_grids(draw):
+    """(values, boxes): cells on the two-limb path, most of them negative with
+    a nonzero fraction L / 2**k, and -0.0 on a strip along each low edge
+    (so the boxes there hold -0.0 cells alone) and on random cells; the
+    boxes are every box of the grid, so -0.0 cells take every corner role
+    of the inclusion-exclusion, the table's -0.0 padding included."""
+    sides = draw(st.sampled_from(((8,), (16,), (32,), (4, 4), (4, 8), (8, 8))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = draw(st.one_of(st.integers(-40, 40), st.integers(-1021, -1016)))
+    expo = rng.integers(low, low + draw(st.integers(0, 6)) + 1, sides)
+    values = np.ldexp(rng.uniform(0.5, 1.0, sides), expo) * np.where(
+        rng.random(sides) < draw(st.sampled_from([0.5, 0.8, 1.0])), -1.0, 1.0)
+    zero = rng.random(sides) < draw(st.sampled_from([0.0, 0.2, 0.5, 0.8]))
+    for axis, side in enumerate(sides):
+        zero[(slice(None),) * axis + (slice(draw(st.integers(0, side - 1))),)] = True
+    zero.flat[-1] = False
+    values[zero] = -0.0
+    values.flat[-1] = -abs(values.flat[-1])
+    axes = [[(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+            for n in sides]
+    boxes = [BaseSet(*zip(*box)) for box in itertools.product(*axes)]
+    return values, boxes
 
 
 class TestBoxSums:
@@ -436,6 +462,26 @@ class TestBoxSums:
         # Only the wide span took the exact table: once in the summer and
         # once in box_sums.
         assert len(tables) == 2 and tables[0] is tables[1] is arrays[2]
+
+    @given(_signed_zero_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_limb_split_with_signed_zeros(self, case):
+        # One ``modf`` splits each cell into trunc(I / 2**k) and a signed
+        # fraction; both limbs of a -0.0 cell are -0.0, and the table's
+        # padding is -0.0, so a box of -0.0 cells sums to 0.0 as in fsum.
+        values, boxes = case
+        bits = values.size.bit_length()
+        mag = np.abs(values[values != 0.0])
+        low = int(np.frexp(mag.min())[1])
+        frac = np.modf(np.ldexp(values, 1 - low - bits))[0]
+        assert ((frac != 0.0) & (values < 0.0)).any()
+        _assert_path_like_fsum(values, boxes, limbs=True)
+        none = np.empty((0, values.ndim), int)
+        assert box_sums(values, none, none).shape == (0,)
+        empty = [b for b in boxes if not values[b.slices()].any()]
+        if empty:
+            got = box_sums(values, [b.lo for b in empty], [b.hi for b in empty])
+            assert not np.signbit(got).any()
 
 
 @st.composite

@@ -23,9 +23,11 @@ from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
                       TLSequence, Weight, build_base, doubling_constant, jn_exp_moment,
                       generate_weight, muckenhoupt_constant,
                       oscillation_norm, reverse_holder_constant, write_weight)
+from oscillab import lattice, oscillation
 from oscillab.cli import main
-from oscillab.errors import IncompatibleSpec, ZeroMass
+from oscillab.errors import IncompatibleSpec, OverflowGuard, ZeroMass
 from oscillab.lattice import NORM_ENTRIES, SUMS_ENTRIES, BoundedCache
+from oscillab.oscillation import MedianDiff
 from oscillab.weights import DOUBLING_ENTRIES
 
 GRIDS = ((8,), (16,), (4, 4), (8, 8))
@@ -206,6 +208,126 @@ class TestMemoisedEqualsFresh:
         for name in ("t_value", "eta", "dw", "bmo_norm", "c1_hat", "c2_hat"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name))
         assert got.extremal_set == want.extremal_set
+
+
+def _group_entries(base) -> list:
+    """The norm groups a family keeps: its memo's tuple entries."""
+    return [v for v in base._norms._data.values() if isinstance(v, tuple)]
+
+
+def _spec_case(kind, dom, wv, vv, masses, rng):
+    """(f, spec, w, measure) of one rule; ``DualHardy`` takes the density
+    measure of its weight, ``TLSeq`` a sequence on the dyadic cubes, and
+    the others a measure with a cell of zero mass at times."""
+    if kind == "dual":
+        return (rng.normal(size=dom.sides), DualHardy(Weight(dom, wv)),
+                Weight.unit(dom), Measure.density(dom, wv))
+    measure = Measure.general(dom, masses * (rng.random(dom.sides) < 0.85))
+    if kind == "sequence":
+        base = build_base(dom, measure, "dyadic-cubes")
+        picks = rng.choice(len(base), size=min(5, len(base)), replace=False)
+        return (TLSequence(dom, {base.box(int(i)): float(rng.normal())
+                                 for i in picks}),
+                TLSeq(alpha=0.3, q=1.5), Weight(dom, wv), measure)
+    spec = {"centered": CenteredDiff(), "reweighted": CenteredDiff(
+        Weight(dom, vv)), "median": MedianDiff()}[kind]
+    return rng.normal(size=dom.sides), spec, Weight(dom, wv), measure
+
+
+class TestNormGroups:
+    """Where a family's layout is one chunk, its norm memo keeps each group
+    (field, rule, weight, measure) once formed, so another exponent costs
+    only the power and the sums; the reports stay a fresh family's."""
+
+    def test_two_exponents_form_once(self, monkeypatch):
+        dom = GridDomain((16,))
+        mea = Measure.density(dom, np.linspace(0.5, 2.0, 16))
+        base = build_base(dom, mea, "all-cubes")
+        w = Weight(dom, np.exp(np.sin(np.arange(16.0))))
+        forms, products = [], []
+        real_dev, real_product = oscillation.deviations, oscillation.cell_product
+
+        def deviations(f, centre):
+            local = real_dev(f, centre)
+            return lambda rows, idx: forms.append(len(rows)) or local(rows, idx)
+
+        monkeypatch.setattr(oscillation, "deviations", deviations)
+        monkeypatch.setattr(oscillation, "cell_product", lambda a, b, **kw: (
+            products.append(a is w.values) or real_product(a, b, **kw)))
+        f = np.cos(np.arange(16.0))
+        got = [oscillation_norm(f, CenteredDiff(), w, p, base, mea)
+               for p in (1.5, 3.0)]
+        assert len(base.layout[1]) == 1 and len(_group_entries(base)) == 1
+        assert forms == [len(base.layout[1][0][1])]  # every term, once
+        assert products.count(True) == 1
+        assert got[0].value != got[1].value
+
+    def test_family_of_several_chunks_keeps_no_terms(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_GATHER_CELLS", 40)
+        dom = GridDomain((16,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "all-cubes")
+        assert len(base.layout[1]) > 1
+        w = Weight(dom, np.linspace(1.0, 3.0, 16))
+        f = np.arange(16.0) ** 1.5
+        for p in (1.5, 3.0, 1.5):
+            got = oscillation_norm(f, CenteredDiff(), w, p, base, mea,
+                                   per_set=True)
+        assert _group_entries(base) == []
+        _, mea2, fam2 = _fresh((16,), "all-cubes", np.ones(16))
+        assert _report_bits(got) == _report_bits(oscillation_norm(
+            f, CenteredDiff(), w, 1.5, fam2, mea2, per_set=True))
+
+    @given(_instance(), st.sampled_from(["centered", "reweighted", "dual",
+                                         "median", "sequence"]),
+           st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+           st.sampled_from([0.75, 1.0, 2.5]), st.booleans(), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_exponents_in_either_order_match_fresh(self, inst, kind, p, q,
+                                                   first_set, second_set,
+                                                   seed):
+        # One family takes q, p and q again; each report must be the one
+        # a fresh family and fresh rule objects give.
+        sides, base_kind, _, wv, vv, masses = inst
+        dom = _domain(sides)
+        if kind == "sequence":
+            base_kind = "dyadic-cubes"
+        f, spec, w, mea = _spec_case(kind, dom, wv, vv, masses,
+                                     np.random.default_rng(seed))
+        base = build_base(dom, mea, base_kind)
+        calls = [(q, first_set), (p, second_set), (q, second_set)]
+        got = [oscillation_norm(f, spec, w, e, base, mea, per_set=s)
+               for e, s in calls]
+        assert len(_group_entries(base)) == 1
+        for (e, s), rep in zip(calls, got):
+            f2, spec2, w2, mea2 = _spec_case(kind, dom, wv, vv, masses,
+                                             np.random.default_rng(seed))
+            want = oscillation_norm(f2, spec2, w2, e, build_base(
+                dom, mea2, base_kind), mea2, per_set=s)
+            assert _report_bits(rep) == _report_bits(want)
+
+    @pytest.mark.parametrize("order", [(1.0, 128.0), (128.0, 1.0)])
+    def test_underflow_repass_on_a_kept_group(self, order):
+        # |f - c| is 5e-4 on every box but the cells: its 128th power
+        # underflows, and the re-pass at exponent 1 reads the kept group.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        f = np.array([0.0, 1e-3] * 4)
+        for p in order:
+            if p == 1.0:
+                got = oscillation_norm(f, CenteredDiff(), Weight.unit(dom), p,
+                                       base, mea)
+                assert got.value == pytest.approx(5e-4, rel=1e-12)
+            else:
+                with pytest.raises(OverflowGuard, match="p-th powers underflow"):
+                    oscillation_norm(f, CenteredDiff(), Weight.unit(dom), p,
+                                     base, mea)
+        assert len(_group_entries(base)) == 1
+        fresh = build_base(dom, mea, "dyadic-cubes")
+        assert _report_bits(got) == _report_bits(oscillation_norm(
+            f, CenteredDiff(), Weight(dom, np.ones(8)), 1.0, fresh, mea))
 
 
 class TestContentKeys:

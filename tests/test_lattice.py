@@ -540,5 +540,5 @@ def test_one_kernel_forms_every_oscillation_norm():
     # medians are taken there and in ``weighted_median``: no norm walks
     # its own blocks.
     assert _call_sites("NormReport") == {"oscillation.py:_grouped_report"}
-    assert _call_sites("_medians") == {"oscillation.py:_grouped_report",
+    assert _call_sites("_medians") == {"oscillation.py:_norm_group",
                                        "oscillation.py:weighted_median"}

@@ -7,6 +7,11 @@ bit-identical under them.  No reference implementation is needed: a path
 that sums in an order-dependent way, or rounds a row twice, fails here.
 Only values are compared; extremal sets move with the grid's labels.
 
+The certificates of seven suites see no order either: their check values
+are bit-identical under the same symmetries.  Gain-exponent and
+two-weight-band are left out: each reports the values of its first worst
+row, and rows tied in relative slack but not in value change places.
+
 Scaling the measure or the weight by a power of two scales every exact box
 sum by that power, so the norms and the plain-space constants move by that
 power (or not at all) bit for bit, as long as no path changes space.
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +30,11 @@ from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, Weight,
                       a1_constant, build_base, doubling_constant,
                       jn_exp_moment, muckenhoupt_constant, oscillation_norm,
                       reverse_holder_constant, sharp_oscillation, weights)
+from oscillab.corpus import sample_inputs
 from oscillab.errors import OscillabError
+from oscillab.lattice import BaseFamily, BaseSet
+from oscillab.oscillation import TLSequence
+from oscillab.verify import TheoremId, certify
 
 NORM_PS = (0.5, 1.0, 1.5, 2.0, 3.7)
 CONSTANT_PS = (1.3, 2.0, 5.0)
@@ -125,6 +135,73 @@ class TestSymmetry:
             got = _values(*(np.ascontiguousarray(move(a))
                             for a in (f, w_vals, masses)), dom, kind)
             assert got == want
+
+
+def _moved_box(box: BaseSet, sides, axis) -> BaseSet:
+    """``box`` under the reflection of ``axis``, or the transpose (None)."""
+    if axis is None:
+        return BaseSet(box.lo[::-1], box.hi[::-1])
+    lo, hi = list(box.lo), list(box.hi)
+    lo[axis], hi[axis] = sides[axis] - box.hi[axis], sides[axis] - box.lo[axis]
+    return BaseSet(lo, hi)
+
+
+def _moved_inputs(inputs: dict, axis) -> dict:
+    """A suite's sampled inputs under the reflection of ``axis`` or the
+    transpose: every cell array moved, the family rebuilt on the moved
+    measure, and each sequence coefficient keyed by its moved cube."""
+    move = np.transpose if axis is None else (lambda a: np.flip(a, axis))
+    base = inputs["base"]
+    dom, mea = base.domain, inputs["measure"]
+    moved_mea = Measure(dom, np.ascontiguousarray(move(mea.masses)), mea.kind)
+    out = {}
+    for key, val in inputs.items():
+        if isinstance(val, np.ndarray):
+            val = np.ascontiguousarray(move(val))
+        elif isinstance(val, Weight):
+            val = Weight(dom, np.ascontiguousarray(move(val.values)),
+                         provenance=val.provenance)
+        elif isinstance(val, Measure):
+            val = moved_mea
+        elif isinstance(val, BaseFamily):
+            val = build_base(dom, moved_mea, val.kind, val.min_scale)
+        elif isinstance(val, TLSequence):
+            val = TLSequence(dom, {_moved_box(cube, dom.sides, axis): c
+                                   for cube, c in val.coeffs.items()})
+        out[key] = val
+    return out
+
+
+def _check_values(theorem, inputs):
+    """Each check's label, bits of both sides, status and reason, or the
+    error's type."""
+    try:
+        checks = certify(theorem, inputs).checks
+    except OscillabError as exc:
+        return type(exc).__name__
+    return [(c.label, None if c.lhs is None else c.lhs.hex(),
+             None if c.rhs is None else c.rhs.hex(), c.status, c.reason)
+            for c in checks]
+
+
+class TestCertificateSymmetry:
+    @pytest.mark.parametrize("theorem", [
+        TheoremId.HOLDER_BRIDGE, TheoremId.WEIGHT_SWAP,
+        TheoremId.MAJORANT_SUFFICIENCY, TheoremId.LOG_CONVEXITY,
+        TheoremId.RECIPROCAL_RULE, TheoremId.RECTANGLE_DECAY,
+        TheoremId.SEQUENCE_SPACES])
+    @given(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16))
+    @settings(max_examples=30, deadline=None)
+    def test_check_values_do_not_see_the_grid_order(self, theorem, seed,
+                                                    trial):
+        # Compared are the checks, not the meta: a reported set's label,
+        # the majorant's digest and the JN tail fit on the extremal set
+        # move with the grid.
+        inputs = sample_inputs(theorem, seed, trial)
+        want = _check_values(theorem, inputs)
+        axes = [*range(inputs["base"].domain.dims)]
+        for axis in axes + ([None] if len(axes) == 2 else []):
+            assert _check_values(theorem, _moved_inputs(inputs, axis)) == want
 
 
 class TestPowerOfTwoScale:
