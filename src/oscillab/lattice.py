@@ -7,7 +7,11 @@ bit-reproducible.
 
 A family is its corner arrays, ``BaseFamily.lo`` and ``hi``, in canonical
 order; every reduction reads them, and ``BaseSet`` objects are built only
-on demand.
+on demand.  What rests on the boxes alone is a ``Geometry``, pooled by
+``build_base`` per (sides, split, kind, min_scale, support), support the
+cells of positive mass; a ``BaseFamily`` is one measure's view of it with
+that measure's caches.  The pool holds at most ``POOL_BYTES`` of
+``Geometry.nbytes``, least recently used out first.
 
 Three summation primitives share one contract: a sum is the exact sum
 rounded once.  ``fsum`` adds one array with ``math.fsum``.  ``box_sums``
@@ -15,7 +19,7 @@ adds one array over many boxes at once, with O(cells) work and O(1) more
 per box, from summed-area tables (Crow 1984): a padded cumulative table
 per axis, and each box's sum from its corners by inclusion-exclusion.  A
 ``box_summer`` does the set-up that rests on the boxes alone once (each
-family keeps one, ``BaseFamily.summer``); ``box_sums`` is a one-shot.  Each
+geometry keeps one, ``Geometry.summer``); ``box_sums`` is a one-shot.  Each
 cell x is an exact integer I = x * 2**(53 - low), low and top the least and
 greatest frexp exponents of a nonzero cell.  Where top - low <= 50 - 2 *
 bits, N cells < 2**bits, and no cell is below 2**-1022, one ``np.modf``
@@ -66,7 +70,7 @@ import json
 import math
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -239,18 +243,20 @@ def content_key(values) -> tuple:
 
 
 class BoundedCache:
-    """At most ``bound`` entries; the least recently used goes first.
+    """At most ``bound`` entries, or a ``total`` ``size`` of at most ``bound``;
+    the least recently used goes first, and a larger entry is never kept.
 
     Every cache in oscillab is one of these, held by the instance it serves
-    (a ``BaseFamily`` or a ``Weight``), so nothing outlives that instance.
+    (a ``BaseFamily`` or a ``Weight``), so nothing outlives that instance,
+    but one: the geometry pool (``build_base``), which its families share.
     ``hits`` and ``misses`` count lookups.
     """
 
-    __slots__ = ("bound", "hits", "misses", "_data")
+    __slots__ = ("bound", "size", "total", "hits", "misses", "_data")
 
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.hits = self.misses = 0
+    def __init__(self, bound: int, size=lambda got: 1):
+        self.bound, self.size = bound, size
+        self.total = self.hits = self.misses = 0
         self._data: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
@@ -267,10 +273,11 @@ class BoundedCache:
             return data[key]
         self.misses += 1
         got = compute()
-        if keep is None or keep(got):
+        if (keep is None or keep(got)) and (size := self.size(got)) <= self.bound:
             data[key] = got
-            if len(data) > self.bound:
-                data.popitem(last=False)
+            self.total += size
+            while self.total > self.bound:
+                self.total -= self.size(data.popitem(last=False)[1])
         return got
 
 
@@ -421,88 +428,54 @@ class Measure:
         return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True, eq=False)
-class BaseFamily:
-    """Canonically ordered family of boxes attached to one domain.
+class Geometry:
+    """The boxes of a family apart from any measure, pooled by ``build_base``:
+    ``lo`` and ``hi``, read-only integer arrays of shape (sets, dims), box i
+    being lo[i] <= cell < hi[i], the count of candidates dropped for zero
+    mass, and, built on first use and read-only, ``runs``, ``key``,
+    ``layout``, ``summer`` (or the candidates' own, if none was dropped) and
+    ``tile_index``."""
 
-    The family is its corner arrays: ``lo`` and ``hi`` are read-only
-    integer arrays of shape (sets, dims), box i being lo[i] <= cell < hi[i].
-    Code refers to a member by its index i; ``box(i)`` builds one
-    ``BaseSet``, for a box a report prints.  ``sets`` builds the whole
-    tuple on first access and caches it; no oscillab path reads it (the
-    benchmark tracer in ``perfbench`` does).
+    def __init__(self, kind, domain, min_scale, lo, hi, dropped_zero_mass=0,
+                 summer=None):
+        self.kind, self.domain, self.min_scale = kind, domain, min_scale
+        self.lo, self.hi = _read_only(lo), _read_only(hi)
+        self.dropped_zero_mass = dropped_zero_mass
+        if summer is not None:
+            self.summer = summer
 
-    Each member has positive measure for the measure it was built against;
-    zero-mass candidates are dropped (and counted) at construction.
-
-    Two bounded caches live and die with the family, both keyed by content:
-    ``sums`` keeps up to ``SUMS_ENTRIES`` read-only result arrays, at most
-    16 x len x 8 bytes (4.2 MB for the 32,896 boxes of 256 all-cubes); and
-    ``oscillation.oscillation_norm`` keeps up to ``NORM_ENTRIES`` entries
-    in ``_norms``: reports, each about 1 KB plus 32 bytes per member with
-    ``per_set`` values, a sequence's read-only level fields, 8 x levels x
-    cells bytes, and, on a family whose layout is one chunk, each norm
-    group's formed terms and their cell masses, 16 bytes per term, 32 per
-    member and 8 per cell.  A dyadic family keeps ``tile_index`` for ``maximal``:
-    4 x shapes x cells bytes (0.8 MB on 64x64 dyadic-rectangles).  ``summer``
-    keeps 16 x prod(side + 1) bytes, and on a grid 32 bytes per member (0.6
-    MB on 64x64 dyadic-rectangles), from the family's first ``sums`` miss.
-    ``layout`` keeps 4 bytes per term and 16 per member, from the first
-    kernel call (11.8 MB for the 2.83 M terms of 256 all-cubes).
-    """
-
-    kind: str
-    domain: GridDomain
-    min_scale: int
-    lo: np.ndarray
-    hi: np.ndarray
-    dropped_zero_mass: int = 0
-    _sums: BoundedCache = field(default_factory=lambda: BoundedCache(
-        SUMS_ENTRIES), compare=False, repr=False)
-    _norms: BoundedCache = field(default_factory=lambda: BoundedCache(
-        NORM_ENTRIES), compare=False, repr=False)
-
-    def __post_init__(self):
-        self.lo.setflags(write=False)
-        self.hi.setflags(write=False)
-
-    @functools.cached_property
-    def base_id(self) -> str:
-        """Short label that reports print; members are not hashed, so two
-        families can share it.  Caches key on ``key``."""
-        token = json.dumps(
-            {"kind": self.kind, "domain": self.domain.to_dict(),
-             "min_scale": self.min_scale, "n": len(self)}, sort_keys=True)
-        return hashlib.sha256(token.encode()).hexdigest()[:12]
-
-    @functools.cached_property
-    def key(self) -> str:
-        """Content key: sha256 of kind, domain, min_scale and the corners."""
-        h = hashlib.sha256(json.dumps(
-            {"kind": self.kind, "domain": self.domain.to_dict(),
-             "min_scale": self.min_scale}, sort_keys=True).encode())
-        h.update(self.lo.tobytes())
-        h.update(self.hi.tobytes())
-        return h.hexdigest()
-
-    @functools.cached_property
-    def sets(self) -> tuple[BaseSet, ...]:
-        """Every member as a ``BaseSet``, in canonical order; built once."""
-        return _box_tuple(self.lo, self.hi)
+    def __len__(self) -> int:
+        return len(self.lo)
 
     def box(self, i: int) -> BaseSet:
         """Member i as a ``BaseSet``, without building ``sets``."""
         return BaseSet(self.lo[i].tolist(), self.hi[i].tolist())
 
-    def __len__(self) -> int:
-        return len(self.lo)
+    def _hash(self, **more):
+        return hashlib.sha256(json.dumps(
+            {"kind": self.kind, "domain": self.domain.to_dict(),
+             "min_scale": self.min_scale, **more}, sort_keys=True).encode())
 
     @functools.cached_property
-    def runs(self) -> list[tuple[int, int]]:
+    def base_id(self) -> str:
+        """Short label that reports print; members are not hashed, so two
+        families can share it.  Caches key on ``key``."""
+        return self._hash(n=len(self)).hexdigest()[:12]
+
+    @functools.cached_property
+    def key(self) -> str:
+        """Content key: sha256 of kind, domain, min_scale and the corners."""
+        h = self._hash()
+        h.update(self.lo.tobytes())
+        h.update(self.hi.tobytes())
+        return h.hexdigest()
+
+    @functools.cached_property
+    def runs(self) -> tuple[tuple[int, int], ...]:
         """(start, stop) of each run of members of one shape, in order."""
         side = self.hi - self.lo
         cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
-        return list(itertools.pairwise([0, *cuts.tolist(), len(self)]))
+        return tuple(itertools.pairwise([0, *cuts.tolist(), len(self)]))
 
     @functools.cached_property
     def tile_index(self) -> np.ndarray:
@@ -518,7 +491,7 @@ class BaseFamily:
             box = np.indices(self.hi[a] - self.lo[a]).reshape(len(sides), -1)
             cells = first[a:b] + np.ravel_multi_index(tuple(box), sides)
             table[row, cells] = np.arange(a, b)[:, None]
-        return table
+        return _read_only(table)
 
     @functools.cached_property
     def layout(self) -> tuple:
@@ -527,8 +500,60 @@ class BaseFamily:
 
     @functools.cached_property
     def summer(self):
-        """``box_summer`` of the family's corners over the domain's cells."""
+        """``box_summer`` of the corners over the domain's cells."""
         return box_summer(self.lo, self.hi, self.domain.sides)
+
+    @functools.cached_property
+    def nbytes(self) -> int:
+        """The most bytes the geometry can hold: the corners, ``layout``'s 4
+        a term and 16 a member, ``summer``'s 16 x prod(side + 1) and 32 a
+        member, ``tile_index``'s 4 x shapes x cells, and the objects around
+        the arrays, 8 KB plus 256 bytes a shape and one per 16 terms."""
+        terms, sides = int((self.hi - self.lo).prod(axis=1).sum()), self.domain.sides
+        return (8192 + 2 * self.lo.nbytes + 4 * terms + terms // 16 + 48 * len(self)
+                + 16 * math.prod(s + 1 for s in sides)
+                + (4 * math.prod(sides) + 256) * len(self.runs))
+
+
+class BaseFamily:
+    """Canonically ordered family of boxes attached to one domain: a pooled
+    ``Geometry`` with one measure's caches.  All but ``domain`` (the
+    caller's), the caches and ``sets`` is the geometry's.
+
+    Code refers to a member by its index i; ``box(i)`` builds one
+    ``BaseSet``, for a box a report prints, and ``sets`` all of them, on
+    first access, cached on the family; no oscillab path reads it (the
+    benchmark tracer in ``perfbench`` does).  Each member has positive
+    measure for the measure it was built against.
+
+    Two bounded caches live and die with the family, both keyed by content:
+    ``sums`` keeps up to ``SUMS_ENTRIES`` read-only result arrays, at most
+    16 x len x 8 bytes (4.2 MB for the 32,896 boxes of 256 all-cubes); and
+    ``oscillation.oscillation_norm`` keeps up to ``NORM_ENTRIES`` entries
+    in ``_norms``: reports, each about 1 KB plus 32 bytes per member with
+    ``per_set`` values, a sequence's read-only level fields, 8 x levels x
+    cells bytes, and, on a family whose layout is one chunk, each norm
+    group's formed terms and their cell masses, 16 bytes per term, 32 per
+    member and 8 per cell.  The geometry's arrays, ``Geometry.nbytes`` at
+    most, stay in the pool where they fit, else die with their families:
+    13.9 MB for 256 all-cubes, 11.8 MB of it the layout of its 2.83 M terms.
+    """
+
+    def __init__(self, geometry: Geometry, domain: GridDomain):
+        self.geometry, self.domain = geometry, domain
+        self._sums = BoundedCache(SUMS_ENTRIES)
+        self._norms = BoundedCache(NORM_ENTRIES)
+
+    def __getattr__(self, name):
+        return getattr(self.geometry, name)
+
+    def __len__(self) -> int:
+        return len(self.geometry.lo)
+
+    @functools.cached_property
+    def sets(self) -> tuple[BaseSet, ...]:
+        """Every member as a ``BaseSet``, in canonical order; built once."""
+        return _box_tuple(self.lo, self.hi)
 
     def sums(self, values) -> np.ndarray:
         """``box_sums(values, self.lo, self.hi)``, read-only, memoised in the
@@ -537,15 +562,17 @@ class BaseFamily:
         the linear passes that repeat on one family (w-masses, centre
         numerators, power means); an array built afresh on every call, such
         as each maximal-series term, should call ``summer`` directly."""
-        def compute():
-            got = self.summer(values)
-            got.setflags(write=False)
-            return got
-        return self._sums.fetch(content_key(values), compute)
+        return self._sums.fetch(content_key(values),
+                                lambda: _read_only(self.summer(values)))
 
     def set_masses(self, measure: Measure) -> np.ndarray:
         """Per-member measure, in canonical order: ``sums(measure.masses)``."""
         return self.sums(measure.masses)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _term_layout(lo: np.ndarray, hi: np.ndarray, sides) -> tuple:
@@ -567,7 +594,7 @@ def _term_layout(lo: np.ndarray, hi: np.ndarray, sides) -> tuple:
         for axis in reversed(range(len(sides))):
             rank, digit = np.divmod(rank, side[a:b, axis].repeat(n))
             cells += digit * strides[axis]
-        chunks.append((a, cells.astype(np.int32), starts, n))
+        chunks.append((a, *map(_read_only, (cells.astype(np.int32), starts, n))))
         a = b
     return int(counts.max(initial=0)), chunks
 
@@ -732,6 +759,13 @@ def _box_tuple(lo: np.ndarray, hi: np.ndarray) -> tuple[BaseSet, ...]:
                  for row in zip(*lo.T.tolist(), *hi.T.tolist()))
 
 
+# Bytes of the geometry pool, ``Geometry.nbytes`` summed: room for dozens of
+# the small families a certificate trial samples (0.35 MB for 16x16
+# all-cubes), while a process's peak memory barely moves.
+POOL_BYTES = 2 << 20
+_GEOMETRIES = BoundedCache(POOL_BYTES, operator.attrgetter("nbytes"))
+
+
 def build_base(domain: GridDomain, measure: Measure, kind: str,
                min_scale: int = 0) -> BaseFamily:
     """Enumerate every box of the requested kind with positive measure.
@@ -740,6 +774,10 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     a zero-mass *mandated* member (the full domain, for dyadic kinds)
     raises ``ZeroMassBaseSet`` instead.  The result is sorted canonically:
     scale descending, then lexicographic corner.
+
+    Cell masses are >= 0, so a box has positive mass iff one of its cells
+    has, and the family's ``Geometry`` is pooled by support; a hit sums the
+    measure with its ``summer``, a miss over every candidate with theirs.
     """
     if kind not in BASE_KINDS:
         raise BadParams(f"unknown base kind {kind!r}")
@@ -751,22 +789,32 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     if (1 << min_scale) > usable:
         raise BadParams(f"min_scale {min_scale} exceeds the domain scale")
 
-    lo, hi = _candidate_corners(domain, kind, min_scale)
-    keep = (masses := box_sums(measure.masses, lo, hi)) > 0.0
-    if kind in DYADIC_KINDS:
-        full = np.all(lo == 0, axis=1) & np.all(hi == domain.sides, axis=1)
-        if np.any(full & ~keep):
+    masses = None
+
+    def geometry():
+        nonlocal masses
+        lo, hi = _candidate_corners(domain, kind, min_scale)
+        summer = box_summer(lo, hi, domain.sides)
+        keep = (masses := summer(measure.masses)) > 0.0
+        # A pooled domain of its own: callers hang caches on theirs.
+        args = kind, GridDomain(domain.sides, domain.split), min_scale
+        if keep.all():
+            return Geometry(*args, lo, hi, summer=summer)
+        masses = masses[keep]
+        return Geometry(*args, lo[keep], hi[keep], len(keep) - len(masses))
+
+    geo = _GEOMETRIES.fetch((domain.sides, domain.split, kind, min_scale,
+                             np.packbits(measure.masses > 0.0).tobytes()), geometry)
+    if not len(geo):
+        # Some candidate covers each cell, the full domain among a dyadic
+        # kind's, so it has no mass exactly when no box has.
+        if kind in DYADIC_KINDS:
             raise ZeroMassBaseSet("the full domain is mandated for dyadic "
                                   "kinds but has zero mass")
-    dropped = int(np.count_nonzero(~keep))
-    if dropped == len(keep):
         raise EmptyBase("no base set has positive mass")
-    # ``_boxes_by_shape`` keeps every box non-empty and inside the domain.
-    family = BaseFamily(kind=kind, domain=domain, min_scale=min_scale,
-                        lo=lo[keep], hi=hi[keep], dropped_zero_mass=dropped)
+    family = BaseFamily(geo, domain)
     # The kept boxes' masses are the family's first ``set_masses``.
-    masses = masses[keep]
-    masses.setflags(write=False)
+    masses = _read_only(geo.summer(measure.masses) if masses is None else masses)
     family._sums.fetch(content_key(measure.masses), lambda: masses)
     return family
 

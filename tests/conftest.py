@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oscillab import GridDomain, Measure, Weight, build_base
+from oscillab import GridDomain, Measure, Weight, build_base, lattice
 
 _SCOREBOARD: dict[int, tuple[bool, str]] = {}
 
@@ -33,6 +33,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         ok, detail = _SCOREBOARD[number]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {verdict} - {detail}")
+
+
+@pytest.fixture(autouse=True)
+def _empty_geometry_pool(monkeypatch):
+    """Each test starts with an empty geometry pool, so that a test that
+    counts set-up calls or patches ``_GATHER_CELLS`` sees its own builds."""
+    monkeypatch.setattr(lattice, "_GEOMETRIES", lattice.BoundedCache(
+        lattice.POOL_BYTES, lattice._GEOMETRIES.size))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from oscillab import (GridDomain, Measure, Weight, build_base, cli, corpus,
                       run_suite, verify, write_field_csv)
-from oscillab.errors import OverflowGuard
+from oscillab.errors import AllDegenerate, OverflowGuard
 from oscillab.lattice import BASE_KINDS
 from oscillab.cli import main
 from oscillab.weights import read_weight
@@ -476,6 +476,33 @@ class TestSweepCommand:
         else:
             row = _read_sweep(out)[1]
             assert float(row["upper_realized"]) >= float(row["c_hat"]) > 1.0
+
+    def test_psi_rows_match_estimate_constant(self, tmp_path):
+        # The success path: each (p, t) row is estimate_constant over the
+        # built-in corpus at config seed 0, or the all-skipped row.
+        out = tmp_path / "psi.csv"
+        assert main(["sweep", "--quantity", "psi", "--size", "4",
+                     "--out", str(out)]) == 0
+        rows = _read_sweep(out)
+        items = corpus.make_standard_corpus(0, 4)
+        used = 0
+        for row, (p, t) in zip(rows, [(p, t) for p in (1.5, 2.0, 3.0)
+                                      for t in (1.5, 3.0, 8.0)], strict=True):
+            assert (row["p"], row["t"]) == (repr(p), repr(t))
+            try:
+                est = verify.estimate_constant("psi", items, {"p": p, "t": t})
+            except AllDegenerate:
+                assert row == {"p": repr(p), "t": repr(t), "psi_hat": "",
+                               "corpus_digest": "", "n_used": "0",
+                               "n_skipped": "4"}
+                continue
+            used += 1
+            assert row == {"p": repr(p), "t": repr(t),
+                           "psi_hat": repr(est.value),
+                           "corpus_digest": est.corpus_digest,
+                           "n_used": str(est.n_used),
+                           "n_skipped": str(est.n_skipped)}
+        assert used > 0
 
     def test_jn_decay_rows_respect_cap(self, tmp_path):
         out = tmp_path / "jn.csv"

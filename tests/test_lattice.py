@@ -20,7 +20,7 @@ from oscillab import (CenteredDiff, DualHardy, GridDomain,
                       reverse_holder_constant, run_suite, write_field_csv)
 from oscillab.cli import main
 from oscillab.errors import BadParams as _BadParams
-from oscillab.errors import OscillabError
+from oscillab.errors import EmptyBase, OscillabError, ZeroMassBaseSet
 from oscillab.lattice import BASE_KINDS, BaseSet
 
 import oracles
@@ -191,6 +191,150 @@ class TestBuildBase:
         assert a.base_id != c.base_id
 
 
+def _fresh_pool() -> None:
+    """Empty the geometry pool within a test (the autouse fixture restores
+    the module's own at teardown)."""
+    lattice._GEOMETRIES = lattice.BoundedCache(lattice.POOL_BYTES,
+                                               lattice._GEOMETRIES.size)
+
+
+def _layout_bytes(layout) -> list:
+    width, chunks = layout
+    return [width] + [(a, *(arr.dtype.str + arr.tobytes().hex() for arr in rest))
+                      for a, *rest in chunks]
+
+
+@st.composite
+def _supported_pair(draw):
+    """(domain, kind, min_scale, two measures of one support): a support
+    with zero cells, on a 1-d or a 2-d grid, and unrelated positive masses."""
+    sides = draw(st.sampled_from([(8,), (16,), (4, 4), (4, 8)]))
+    dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+    n = dom.num_cells
+    support = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    support[draw(st.integers(0, n - 1))] = True
+    values = st.sampled_from([1.0, 0.25, 3.5, 1e-300, 7e200])
+    first, second = (np.where(support, draw(st.lists(
+        values, min_size=n, max_size=n)), 0.0).reshape(sides) for _ in range(2))
+    return (dom, draw(st.sampled_from(BASE_KINDS)), draw(st.integers(0, 1)),
+            Measure.general(dom, first), Measure.general(dom, second))
+
+
+class TestGeometryPool:
+    """``build_base`` pools one ``Geometry`` per (sides, split, kind,
+    min_scale, support): a family built on a pool hit is bit for bit the
+    family a fresh build gives."""
+
+    @given(_supported_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_hit_matches_a_fresh_build(self, case):
+        dom, kind, min_scale, first, second = case
+        _fresh_pool()
+        try:
+            # The full support first: a support of its own.
+            build_base(dom, Measure.uniform(dom), kind, min_scale)
+        except OscillabError:
+            return  # the kind does not fit this grid or scale
+        build_base(dom, first, kind, min_scale)
+        full = bool(first.masses.all())
+        assert lattice._GEOMETRIES.misses == 2 - full
+        hits = lattice._GEOMETRIES.hits
+        hit = build_base(dom, second, kind, min_scale)
+        assert lattice._GEOMETRIES.hits == hits + 1
+        _fresh_pool()
+        fresh = build_base(dom, second, kind, min_scale)
+        assert hit.geometry is not fresh.geometry
+        values = np.random.default_rng(len(hit)).normal(size=dom.sides)
+        for base in (hit, fresh):
+            assert not base.lo.flags.writeable and not base.hi.flags.writeable
+            assert not base.tile_index.flags.writeable
+            assert not any(arr.flags.writeable for chunk in base.layout[1]
+                           for arr in chunk[1:])
+        for got, want in [(hit.lo, fresh.lo), (hit.hi, fresh.hi),
+                          (hit.set_masses(second), fresh.set_masses(second)),
+                          (hit.summer(values), fresh.summer(values)),
+                          (hit.tile_index, fresh.tile_index)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert hit.dropped_zero_mass == fresh.dropped_zero_mass
+        assert _layout_bytes(hit.layout) == _layout_bytes(fresh.layout)
+        assert (hit.key, hit.base_id) == (fresh.key, fresh.base_id)
+        assert hit.domain is dom and hit.geometry.domain is not dom
+
+    @pytest.mark.parametrize("kind", BASE_KINDS)
+    def test_zero_mass_errors_raise_on_a_hit(self, kind):
+        # A valid measure always has mass, so bypass its constructor's check.
+        dom = GridDomain((4, 4), split=(1, 1))
+        measure = Measure.uniform(dom)
+        object.__setattr__(measure, "masses", np.zeros((4, 4)))
+        error = ZeroMassBaseSet if kind in lattice.DYADIC_KINDS else EmptyBase
+        for hits in (0, 1):
+            with pytest.raises(error):
+                build_base(dom, measure, kind)
+            assert lattice._GEOMETRIES.hits == hits
+
+    def test_second_build_reuses_the_set_up(self, monkeypatch):
+        calls = []
+        for name in ("_candidate_corners", "box_summer", "_term_layout"):
+            real = getattr(lattice, name)
+            monkeypatch.setattr(lattice, name, lambda *args, name=name, real=real: (
+                calls.append(name) or real(*args)))
+        dom = GridDomain((16,))
+        f = np.arange(16.0) ** 2
+        masses = np.linspace(1.0, 2.0, 16)
+        masses[3] = 0.0  # some boxes are dropped
+        for scale in (1.0, 3.0):
+            mea = Measure.general(dom, scale * masses)
+            base = build_base(dom, mea, "all-cubes")
+            oscillation_norm(f, CenteredDiff(), Weight.unit(dom), 2.0, base, mea)
+            maximal(f, base, mea, "uncentered")
+            if scale == 1.0:
+                assert sorted(set(calls)) == sorted(
+                    ("_candidate_corners", "box_summer", "_term_layout"))
+                first = len(calls)
+        assert len(calls) == first
+
+    def test_bytes_never_pass_the_budget(self, monkeypatch):
+        sizes = {}
+        cases = [((n,), kind) for n in (8, 16, 64, 256) for kind in
+                 ("dyadic-cubes", "all-cubes")] + [
+            ((16, 16), kind) for kind in BASE_KINDS]
+        for budget in (16 * lattice.POOL_BYTES, lattice.POOL_BYTES, 400_000,
+                       60_000):
+            monkeypatch.setattr(lattice, "_GEOMETRIES", lattice.BoundedCache(
+                budget, lattice._GEOMETRIES.size))
+            pool = lattice._GEOMETRIES
+            for sides, kind in cases * 2:
+                dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+                base = build_base(dom, Measure.uniform(dom), kind)
+                sizes[sides, kind] = base.nbytes
+                held = [geo.nbytes for geo in pool._data.values()]
+                assert pool.total == sum(held) <= budget
+                assert (base.geometry in pool._data.values()) == (
+                    base.nbytes <= budget)
+        # 16x16 all-cubes fits the pool; 256-cell all-cubes (13.9 MB at
+        # most) does not.
+        assert sizes[(16, 16), "all-cubes"] <= lattice.POOL_BYTES \
+            < sizes[(256,), "all-cubes"] < 16 * lattice.POOL_BYTES
+
+    @pytest.mark.parametrize("sides, kind", [
+        ((2,), "dyadic-cubes"), ((8,), "all-cubes"), ((4, 4), "dyadic-cubes"),
+        ((64,), "all-cubes"), ((16, 16), "all-cubes"),
+        ((32, 32), "dyadic-rectangles"), ((16, 16), "all-rectangles")])
+    def test_nbytes_bounds_what_a_geometry_holds(self, sides, kind):
+        import tracemalloc
+        dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+        values = np.random.default_rng(5).normal(size=sides)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            geo = build_base(dom, Measure.uniform(dom), kind).geometry
+            geo.layout, geo.tile_index, geo.summer(values), geo.key, geo.base_id
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= geo.nbytes
+
+
 class TestTermLayout:
     """``BaseFamily.layout``: every member's flat cells, in chunks of whole
     members, built on the first kernel call."""
@@ -214,7 +358,7 @@ class TestTermLayout:
             masses.flat[1::3] = 0.0
         base = build_base(dom, Measure.general(dom, masses), kind, min_scale)
         assert (base.dropped_zero_mass > 0) == (drop and min_scale == 0)
-        assert "layout" not in base.__dict__  # not built by build_base
+        assert "layout" not in vars(base.geometry)  # not built by build_base
         width, chunks = base.layout
         grid = np.arange(dom.num_cells).reshape(sides)
         want = [grid[base.box(i).slices()].ravel().tolist()
@@ -471,7 +615,7 @@ def _shape_run_uses(path: Path) -> list[str]:
             if isinstance(node, ast.Attribute) and node.attr == "layout"]
 
 
-def test_only_lattice_walks_shape_runs():
+def test_only_lattice_reads_the_layout():
     # Every per-box nonlinear sum goes through ``lattice.block_reduce`` or
     # ``block_max`` on the family's term layout, so the gather, the
     # massless-cell rule and the row sums have one site.

@@ -294,6 +294,10 @@ class TestRubioDeFrancia:
         monkeypatch.setattr(operators, "_maximal_of", lambda *args: (
             set_ups.append(args) or real_set_up(*args)))
         monkeypatch.setattr(lattice, "box_summer", summer)
+        # The pooled geometry's summer comes built with the family.
+        built_summer = base.summer
+        monkeypatch.setitem(vars(base.geometry), "summer", lambda values: (
+            calls.append(values) or built_summer(values)))
         g = np.random.default_rng(2).normal(size=8)
         k = rubio_de_francia(g, 2.0, base, mea).provenance["iterations"] + 1
         assert k >= 2

@@ -377,6 +377,20 @@ class TestDualHardy:
         with pytest.raises(IncompatibleSpec):
             oscillation_norm(rng.normal(size=8), DualHardy(w), w, 2.0, base, mea)
 
+    def test_plain_mean_past_the_float_range_raises(self):
+        # Every cell is finite, but each box of two or more sums past the
+        # float range, so its plain mean, the rule's centre, is inf.
+        dom = GridDomain((8,))
+        w = Weight(dom, np.linspace(1.0, 2.0, 8), {"kind": "t"})
+        mea = Measure.density(dom, w.values)
+        base = build_base(dom, mea, "dyadic-cubes")
+        with pytest.raises(OverflowGuard, match="plain cell mean"):
+            oscillation_norm(np.full(8, 1e308), DualHardy(w), Weight.unit(dom),
+                             1.0, base, mea)
+        # At 2e307 every sum is finite, and the field is constant.
+        assert oscillation_norm(np.full(8, 2e307), DualHardy(w),
+                                Weight.unit(dom), 1.0, base, mea).value == 0.0
+
     def test_weighted_local_field(self):
         dom = GridDomain((8,))
         rng = np.random.default_rng(2)
