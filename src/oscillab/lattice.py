@@ -8,9 +8,9 @@ bit-reproducible.
 A family is its corner arrays, ``BaseFamily.lo`` and ``hi``, in canonical
 order; every reduction reads them, and ``BaseSet`` objects are built only
 on demand.  What rests on the boxes alone is a ``Geometry``, pooled by
-``build_base`` per (sides, split, kind, min_scale, support), support the
-cells of positive mass; a ``BaseFamily`` is one measure's view of it with
-that measure's caches.  The pool holds at most ``POOL_BYTES`` of
+``build_base`` per (sides, split, kind, min_scale) with every candidate box;
+a ``BaseFamily`` is one measure's view of it, or of its boxes of positive
+mass, with that measure's caches.  The pool holds at most ``POOL_BYTES`` of
 ``Geometry.nbytes``, least recently used out first.
 
 Three summation primitives share one contract: a sum is the exact sum
@@ -429,20 +429,17 @@ class Measure:
 
 
 class Geometry:
-    """The boxes of a family apart from any measure, pooled by ``build_base``:
-    ``lo`` and ``hi``, read-only integer arrays of shape (sets, dims), box i
-    being lo[i] <= cell < hi[i], the count of candidates dropped for zero
-    mass, and, built on first use and read-only, ``runs``, ``key``,
-    ``layout``, ``summer`` (or the candidates' own, if none was dropped) and
-    ``tile_index``."""
+    """The boxes of a family apart from any measure: ``lo`` and ``hi``,
+    read-only integer arrays of shape (sets, dims), box i being lo[i] <= cell
+    < hi[i], the count of candidates dropped for zero mass, and, built from
+    the corners on first use and read-only, ``runs``, ``key``, ``layout``,
+    ``summer`` and ``tile_index``.  ``build_base`` pools the geometry of
+    every candidate of a kind; a family that drops some has its own."""
 
-    def __init__(self, kind, domain, min_scale, lo, hi, dropped_zero_mass=0,
-                 summer=None):
+    def __init__(self, kind, domain, min_scale, lo, hi, dropped_zero_mass=0):
         self.kind, self.domain, self.min_scale = kind, domain, min_scale
         self.lo, self.hi = _read_only(lo), _read_only(hi)
         self.dropped_zero_mass = dropped_zero_mass
-        if summer is not None:
-            self.summer = summer
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -516,7 +513,7 @@ class Geometry:
 
 
 class BaseFamily:
-    """Canonically ordered family of boxes attached to one domain: a pooled
+    """Canonically ordered family of boxes attached to one domain: a
     ``Geometry`` with one measure's caches.  All but ``domain`` (the
     caller's), the caches and ``sets`` is the geometry's.
 
@@ -535,8 +532,9 @@ class BaseFamily:
     cells bytes, and, on a family whose layout is one chunk, each norm
     group's formed terms and their cell masses, 16 bytes per term, 32 per
     member and 8 per cell.  The geometry's arrays, ``Geometry.nbytes`` at
-    most, stay in the pool where they fit, else die with their families:
-    13.9 MB for 256 all-cubes, 11.8 MB of it the layout of its 2.83 M terms.
+    most (13.9 MB for 256 all-cubes, 11.8 MB of it the layout of its 2.83 M
+    terms), stay in the pool where they fit; those of a geometry past the
+    budget, or of one that drops boxes, die with their families.
     """
 
     def __init__(self, geometry: Geometry, domain: GridDomain):
@@ -759,10 +757,11 @@ def _box_tuple(lo: np.ndarray, hi: np.ndarray) -> tuple[BaseSet, ...]:
                  for row in zip(*lo.T.tolist(), *hi.T.tolist()))
 
 
-# Bytes of the geometry pool, ``Geometry.nbytes`` summed: room for dozens of
-# the small families a certificate trial samples (0.35 MB for 16x16
-# all-cubes), while a process's peak memory barely moves.
-POOL_BYTES = 2 << 20
+# Bytes of the geometry pool, ``Geometry.nbytes`` summed: room for the nine
+# families of the constants-large benchmark together (17.8 MiB, 13.3 of it
+# 256-cell all-cubes) and the 16 that verify-mix's trials draw (1.15 MiB);
+# 64x64 all-cubes, about 155 MB of layout alone, is built per family.
+POOL_BYTES = 32 << 20
 _GEOMETRIES = BoundedCache(POOL_BYTES, operator.attrgetter("nbytes"))
 
 
@@ -775,9 +774,11 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     raises ``ZeroMassBaseSet`` instead.  The result is sorted canonically:
     scale descending, then lexicographic corner.
 
-    Cell masses are >= 0, so a box has positive mass iff one of its cells
-    has, and the family's ``Geometry`` is pooled by support; a hit sums the
-    measure with its ``summer``, a miss over every candidate with theirs.
+    The pooled ``Geometry`` of (sides, split, kind, min_scale) sums each
+    candidate's mass box by box.  A family of every candidate sits on it;
+    one that drops some gets a ``Geometry`` of its kept boxes, with its own
+    summer, layout and tile index: the pooled summer would also sum the
+    dropped boxes, which can overflow where every kept box's sum is finite.
     """
     if kind not in BASE_KINDS:
         raise BadParams(f"unknown base kind {kind!r}")
@@ -789,33 +790,26 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     if (1 << min_scale) > usable:
         raise BadParams(f"min_scale {min_scale} exceeds the domain scale")
 
-    masses = None
-
-    def geometry():
-        nonlocal masses
-        lo, hi = _candidate_corners(domain, kind, min_scale)
-        summer = box_summer(lo, hi, domain.sides)
-        keep = (masses := summer(measure.masses)) > 0.0
-        # A pooled domain of its own: callers hang caches on theirs.
-        args = kind, GridDomain(domain.sides, domain.split), min_scale
-        if keep.all():
-            return Geometry(*args, lo, hi, summer=summer)
-        masses = masses[keep]
-        return Geometry(*args, lo[keep], hi[keep], len(keep) - len(masses))
-
-    geo = _GEOMETRIES.fetch((domain.sides, domain.split, kind, min_scale,
-                             np.packbits(measure.masses > 0.0).tobytes()), geometry)
-    if not len(geo):
+    # A pooled domain of its own: callers hang caches on theirs.
+    geo = pooled = _GEOMETRIES.fetch(
+        (domain.sides, domain.split, kind, min_scale),
+        lambda: Geometry(kind, GridDomain(domain.sides, domain.split), min_scale,
+                         *_candidate_corners(domain, kind, min_scale)))
+    keep = (masses := pooled.summer(measure.masses)) > 0.0
+    if not keep.any():
         # Some candidate covers each cell, the full domain among a dyadic
         # kind's, so it has no mass exactly when no box has.
         if kind in DYADIC_KINDS:
             raise ZeroMassBaseSet("the full domain is mandated for dyadic "
                                   "kinds but has zero mass")
         raise EmptyBase("no base set has positive mass")
+    if not keep.all():
+        masses = masses[keep]
+        geo = Geometry(kind, pooled.domain, min_scale, pooled.lo[keep],
+                       pooled.hi[keep], len(keep) - len(masses))
     family = BaseFamily(geo, domain)
     # The kept boxes' masses are the family's first ``set_masses``.
-    masses = _read_only(geo.summer(measure.masses) if masses is None else masses)
-    family._sums.fetch(content_key(measure.masses), lambda: masses)
+    family._sums.fetch(content_key(measure.masses), lambda: _read_only(masses))
     return family
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -222,8 +223,9 @@ def _supported_pair(draw):
 
 class TestGeometryPool:
     """``build_base`` pools one ``Geometry`` per (sides, split, kind,
-    min_scale, support): a family built on a pool hit is bit for bit the
-    family a fresh build gives."""
+    min_scale), of every candidate box, and derives each support's family
+    from it: a family built on a pool hit is bit for bit the family a fresh
+    build gives."""
 
     @given(_supported_pair())
     @settings(max_examples=150, deadline=None)
@@ -231,13 +233,12 @@ class TestGeometryPool:
         dom, kind, min_scale, first, second = case
         _fresh_pool()
         try:
-            # The full support first: a support of its own.
+            # The full support first: every support shares its geometry.
             build_base(dom, Measure.uniform(dom), kind, min_scale)
         except OscillabError:
             return  # the kind does not fit this grid or scale
         build_base(dom, first, kind, min_scale)
-        full = bool(first.masses.all())
-        assert lattice._GEOMETRIES.misses == 2 - full
+        assert lattice._GEOMETRIES.misses == 1
         hits = lattice._GEOMETRIES.hits
         hit = build_base(dom, second, kind, min_scale)
         assert lattice._GEOMETRIES.hits == hits + 1
@@ -280,18 +281,64 @@ class TestGeometryPool:
                 calls.append(name) or real(*args)))
         dom = GridDomain((16,))
         f = np.arange(16.0) ** 2
-        masses = np.linspace(1.0, 2.0, 16)
-        masses[3] = 0.0  # some boxes are dropped
-        for scale in (1.0, 3.0):
-            mea = Measure.general(dom, scale * masses)
-            base = build_base(dom, mea, "all-cubes")
-            oscillation_norm(f, CenteredDiff(), Weight.unit(dom), 2.0, base, mea)
-            maximal(f, base, mea, "uncentered")
-            if scale == 1.0:
-                assert sorted(set(calls)) == sorted(
-                    ("_candidate_corners", "box_summer", "_term_layout"))
-                first = len(calls)
-        assert len(calls) == first
+        for full in (True, False):
+            _fresh_pool()
+            calls.clear()
+            masses = np.linspace(1.0, 2.0, 16)
+            if not full:
+                masses[3] = 0.0  # some boxes are dropped
+            for scale in (1.0, 3.0):
+                mea = Measure.general(dom, scale * masses)
+                base = build_base(dom, mea, "all-cubes")
+                oscillation_norm(f, CenteredDiff(), Weight.unit(dom), 2.0, base, mea)
+                maximal(f, base, mea, "uncentered")
+                if scale == 1.0:
+                    assert sorted(set(calls)) == sorted(
+                        ("_candidate_corners", "box_summer", "_term_layout"))
+                    first = len(calls)
+            # A family with dropped boxes builds its own summer and layout.
+            assert sorted(calls[first:]) == (
+                [] if full else ["_term_layout", "box_summer"])
+
+    def test_supports_share_one_geometry(self, monkeypatch):
+        corners = []
+        real = lattice._candidate_corners
+        monkeypatch.setattr(lattice, "_candidate_corners",
+                            lambda *args: corners.append(args) or real(*args))
+        dom = GridDomain((8, 8), split=(1, 1))
+        rng = np.random.default_rng(32)
+        cases = []
+        for kind in BASE_KINDS:
+            _fresh_pool()
+            for _ in range(50):
+                support = rng.random(dom.sides) < 0.6
+                support.flat[rng.choice(dom.num_cells, 2, replace=False)] = (False, True)
+                mea = Measure.general(dom, np.where(support, rng.lognormal(
+                    size=dom.sides), 0.0))
+                cases.append((kind, mea, build_base(dom, mea, kind)))
+            assert len(corners) == len(lattice._GEOMETRIES) == 1
+            corners.clear()
+        values = rng.normal(size=dom.sides)
+        for kind, mea, hit in cases:
+            _fresh_pool()
+            fresh = build_base(dom, mea, kind)
+            assert hit.dropped_zero_mass == fresh.dropped_zero_mass > 0
+            for got, want in [(hit.lo, fresh.lo), (hit.hi, fresh.hi),
+                              (hit.set_masses(mea), fresh.set_masses(mea)),
+                              (hit.summer(values), fresh.summer(values)),
+                              (hit.tile_index, fresh.tile_index)]:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert _layout_bytes(hit.layout) == _layout_bytes(fresh.layout)
+
+    def test_dropped_boxes_do_not_overflow_the_kept_sums(self):
+        # [0:2] has no mass and sums f past the float range; no kept box does.
+        dom = GridDomain((4,))
+        base = build_base(dom, Measure.general(dom, np.array([0.0, 0.0, 1.0, 1.0])),
+                          "all-cubes")
+        f = np.array([1e308, 1e308, -1e308, 0.0])
+        want = [float(sum(map(Fraction, f[l:h].tolist())))
+                for l, h in zip(base.lo[:, 0].tolist(), base.hi[:, 0].tolist())]
+        assert base.sums(f).tolist() == want
 
     def test_bytes_never_pass_the_budget(self, monkeypatch):
         sizes = {}
@@ -311,10 +358,20 @@ class TestGeometryPool:
                 assert pool.total == sum(held) <= budget
                 assert (base.geometry in pool._data.values()) == (
                     base.nbytes <= budget)
-        # 16x16 all-cubes fits the pool; 256-cell all-cubes (13.9 MB at
-        # most) does not.
-        assert sizes[(16, 16), "all-cubes"] <= lattice.POOL_BYTES \
-            < sizes[(256,), "all-cubes"] < 16 * lattice.POOL_BYTES
+        # The nine families of the constants-large benchmark fit the pool
+        # together; 64x64 all-cubes (about 155 MB of layout) does not.
+        nbytes = {}
+        for sides, kind in [((64,), "dyadic-cubes"), ((64,), "all-cubes"),
+                            ((256,), "dyadic-cubes"), ((256,), "all-cubes"),
+                            ((16, 16), "dyadic-cubes"), ((16, 16), "all-cubes"),
+                            ((16, 16), "dyadic-rectangles"),
+                            ((64, 64), "dyadic-cubes"),
+                            ((64, 64), "dyadic-rectangles"), ((64, 64), "all-cubes")]:
+            dom = GridDomain(sides, split=(1, 1) if len(sides) == 2 else None)
+            nbytes[sides, kind] = lattice.Geometry(
+                kind, dom, 0, *lattice._candidate_corners(dom, kind, 0)).nbytes
+        large = nbytes.pop(((64, 64), "all-cubes"))
+        assert sum(nbytes.values()) <= lattice.POOL_BYTES < large
 
     @pytest.mark.parametrize("sides, kind", [
         ((2,), "dyadic-cubes"), ((8,), "all-cubes"), ((4, 4), "dyadic-cubes"),
