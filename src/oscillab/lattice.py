@@ -11,7 +11,8 @@ on demand.  What rests on the boxes alone is a ``Geometry``, pooled by
 ``build_base`` per (sides, split, kind, min_scale) with every candidate box;
 a ``BaseFamily`` is one measure's view of it, or of its boxes of positive
 mass, with that measure's caches.  The pool holds at most ``POOL_BYTES`` of
-``Geometry.nbytes``, least recently used out first.
+``Geometry.nbytes``, least recently used out first, and serves the dyadic
+lattice (``dyadic_grids``) of the doubling constant and the stopping time.
 
 Three summation primitives share one contract: a sum is the exact sum
 rounded once.  ``fsum`` adds one array with ``math.fsum``.  ``box_sums``
@@ -19,7 +20,8 @@ adds one array over many boxes at once, with O(cells) work and O(1) more
 per box, from summed-area tables (Crow 1984): a padded cumulative table
 per axis, and each box's sum from its corners by inclusion-exclusion.  A
 ``box_summer`` does the set-up that rests on the boxes alone once (each
-geometry keeps one, ``Geometry.summer``); ``box_sums`` is a one-shot.  Each
+geometry keeps one, ``Geometry.summer``); ``box_sums`` is a one-shot, left
+only to the sequence rule's level fields, whose boxes no geometry holds.  Each
 cell x is an exact integer I = x * 2**(53 - low), low and top the least and
 greatest frexp exponents of a nonzero cell.  Where top - low <= 50 - 2 *
 bits, N cells < 2**bits, and no cell is below 2**-1022, one ``np.modf``
@@ -724,12 +726,6 @@ def _boxes_by_shape(sides, shapes, dyadic: bool):
     return lo, lo + shapes[which]
 
 
-def dyadic_lattice(domain: GridDomain, min_scale: int = 0):
-    """Corner arrays of every product of per-axis dyadic intervals."""
-    per_axis = [_lengths(s, min_scale, True) for s in domain.sides]
-    return _boxes_by_shape(domain.sides, itertools.product(*per_axis), True)
-
-
 def _candidate_corners(domain: GridDomain, kind: str, min_scale: int):
     """Corner arrays of every box of the kind, in canonical order."""
     sides = domain.sides
@@ -765,6 +761,28 @@ POOL_BYTES = 32 << 20
 _GEOMETRIES = BoundedCache(POOL_BYTES, operator.attrgetter("nbytes"))
 
 
+def _pooled(domain: GridDomain, kind: str, min_scale: int) -> Geometry:
+    """The pooled ``Geometry`` of every candidate box of the kind, on a
+    domain of its own: callers hang caches on theirs."""
+    return _GEOMETRIES.fetch(
+        (domain.sides, domain.split, kind, min_scale), lambda: Geometry(
+            kind, GridDomain(domain.sides, domain.split), min_scale,
+            *_candidate_corners(domain, kind, min_scale)))
+
+
+def dyadic_grids(domain: GridDomain, values) -> dict:
+    """``{shape: sums}`` over the domain's per-axis dyadic lattice, shapes in
+    canonical order, ``sums[j]`` the correctly rounded sum of ``values`` on
+    the box at corner j * shape: one call of the pooled summer of the
+    dyadic-cubes geometry on a line, of dyadic-rectangles split (1, 1) in 2-d."""
+    geo = _pooled(domain, "dyadic-cubes", 0) if domain.dims == 1 else _pooled(
+        GridDomain(domain.sides, (1, 1)), "dyadic-rectangles", 0)
+    sums, starts = geo.summer(values), [a for a, _ in geo.runs]
+    shapes = map(tuple, (geo.hi[starts] - geo.lo[starts]).tolist())
+    return {shape: sums[a:b].reshape([n // s for n, s in zip(domain.sides, shape)])
+            for (a, b), shape in zip(geo.runs, shapes)}
+
+
 def build_base(domain: GridDomain, measure: Measure, kind: str,
                min_scale: int = 0) -> BaseFamily:
     """Enumerate every box of the requested kind with positive measure.
@@ -790,11 +808,7 @@ def build_base(domain: GridDomain, measure: Measure, kind: str,
     if (1 << min_scale) > usable:
         raise BadParams(f"min_scale {min_scale} exceeds the domain scale")
 
-    # A pooled domain of its own: callers hang caches on theirs.
-    geo = pooled = _GEOMETRIES.fetch(
-        (domain.sides, domain.split, kind, min_scale),
-        lambda: Geometry(kind, GridDomain(domain.sides, domain.split), min_scale,
-                         *_candidate_corners(domain, kind, min_scale)))
+    geo = pooled = _pooled(domain, kind, min_scale)
     keep = (masses := pooled.summer(measure.masses)) > 0.0
     if not keep.any():
         # Some candidate covers each cell, the full domain among a dyadic

@@ -11,7 +11,6 @@ field check of these norms, the sharp (median) oscillation's included.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -23,8 +22,8 @@ from .errors import (BadParams, DegenerateInput, EmptySequence,
                      OverflowGuard, ZeroMass)
 from .lattice import (DYADIC_KINDS, BaseFamily, BaseSet, GridDomain, Measure,
                       _chunk, block_max, block_reduce, box_sums, cell_product,
-                      checked_field, content_key, deviations, first_max, fsum,
-                      scaled_ints)
+                      checked_field, content_key, deviations, dyadic_grids,
+                      first_max, fsum, scaled_ints)
 from .weights import Weight, doubling_constant
 
 
@@ -351,7 +350,7 @@ class CZSelection:
 
 def cz_selection(f: np.ndarray, root: BaseSet, w: Weight, lam: float,
                  base: BaseFamily, measure: Measure) -> CZSelection:
-    """Stopping-time selection below a root box of the domain.
+    """Stopping-time selection below a dyadic root box of the domain.
 
     Walk the simultaneous-bisection tree; keep a child the first time its
     weighted average of |f - c_root| exceeds lam.  Selected boxes are
@@ -361,69 +360,58 @@ def cz_selection(f: np.ndarray, root: BaseSet, w: Weight, lam: float,
     the pointwise-average sense (their singleton average is the value
     itself when min_scale is 0; here we report the max over leaves).
 
-    The walk goes one level at a time on corner arrays: every frontier box
-    is bisected on each axis of at least 2 cells, one axis after another;
-    the children's w-masses and sums of |f - c_root| w m come from two
-    ``box_sums`` calls, and masks sort them into invisible (no mass),
-    selected (average above lam) and walked on.  Cost: two ``box_sums``
-    passes per level, at most log2 of the longest side, over fewer than
-    2 x cells boxes in all; a ``BaseSet`` is built only for a selected box.
-    Every value equals a recursion with one ``fsum`` per box bit for bit.
+    The root must be the full domain or another box of its per-axis dyadic
+    lattice, else ``BadParams`` before any sum.  A level's boxes then share
+    a shape (each side of 2 or more cells halved): ``dyadic_grids`` sums w m
+    and |f - c_root| w m, zeroed outside the root, over every shape at once,
+    and a boolean grid per level holds the frontier, repeated into the
+    children; visible (w-mass > 0) children above lam are selected, the rest
+    walked on.  Cost: two O(cells) summer calls, then a few passes over one
+    grid per level, at most log2 of the longest side.  ``BaseSet``s are built
+    for the selected boxes alone, in canonical order.  Every value equals a
+    recursion with one ``fsum`` per box bit for bit.
     """
     if base.kind not in DYADIC_KINDS:
         raise NotDyadic("stopping-time selection needs a dyadic base")
     if not 0 < lam < math.inf:
         raise BadParams(f"the threshold must be positive and finite, got {lam}")
-    if root.dims != base.domain.dims or any(
-            map(operator.gt, root.hi, base.domain.sides)):
-        raise BadParams(f"the root {root.label()} is not a box of the domain")
-    f = checked_field(f, base.domain.sides)
-    wm = cell_product(w.values, measure.masses, positive=True)
-    mass_root = fsum(wm[root.slices()])
+    sides, shape = base.domain.sides, root.sides()
+    if root.dims != len(sides) or any(s & (s - 1) or l % s or h > n for l, h, s, n
+                                      in zip(root.lo, root.hi, shape, sides)):
+        raise BadParams(f"the root {root.label()} is not a box of the "
+                        "domain's dyadic lattice")
+    f = checked_field(f, sides)
+    inside = root.slices()
+    wm, owm = np.zeros(sides), np.zeros(sides)
+    wm[inside] = cell_product(w.values[inside], measure.masses[inside], positive=True)
+    mass_root = fsum(wm[inside])
     if mass_root <= 0:
         raise ZeroMass(f"no weighted mass on the root {root.label()}")
-    c = fsum(cell_product(f, wm)[root.slices()]) / mass_root
-    owm = cell_product(np.abs(f - c), wm)
-    avg_root = fsum(owm[root.slices()]) / mass_root
-    # The frontier: boxes walked into, with their averages.
-    lo, hi, avg = np.array([root.lo]), np.array([root.hi]), np.array([avg_root])
-    leaves_max = 0.0
-    picked = [(lo[:0], hi[:0], avg[:0], avg[:0])]  # the root is never selected
-    while True:
-        split = hi - lo >= 2
-        leaf = ~split.any(axis=1)
-        if leaf.any():
-            leaves_max = max(leaves_max, float(avg[leaf].max()))
-        if leaf.all():
-            break
-        lo, hi, split = lo[~leaf], hi[~leaf], split[~leaf]
-        for axis in range(root.dims):
-            # The lower half stays in place, the upper half goes last.
-            twice = np.flatnonzero(split[:, axis])
-            mid = (lo[twice, axis] + hi[twice, axis]) // 2
-            lo, hi, split = (np.concatenate([a, a[twice]])
-                             for a in (lo, hi, split))
-            hi[twice, axis] = mid
-            lo[len(lo) - len(twice):, axis] = mid
-        mass = box_sums(wm, lo, hi)
-        visible = mass > 0
-        avg = np.divide(box_sums(owm, lo, hi), mass,
-                        out=np.full(len(mass), -1.0), where=visible)
-        chosen = avg > lam
-        picked.append((lo[chosen], hi[chosen], avg[chosen], mass[chosen]))
-        walk = visible & ~chosen
-        lo, hi, avg = lo[walk], hi[walk], avg[walk]
-    lo, hi, avg, mass = (np.concatenate(part) for part in zip(*picked))
-    # Canonical order (``BaseSet.sort_key``): sides descending, then corner.
-    order = np.lexsort(np.hstack([lo - hi, lo]).T[::-1])
-    selected = tuple(BaseSet(l, h) for l, h in
-                     zip(lo[order].tolist(), hi[order].tolist()))
-    return CZSelection(selected=selected, lam=lam, root=root,
+    c = fsum(cell_product(f[inside], wm[inside])) / mass_root
+    owm[inside] = cell_product(np.abs(f[inside] - c), wm[inside])
+    avg_root = fsum(owm[inside]) / mass_root
+    masses, sums = dyadic_grids(base.domain, wm), dyadic_grids(base.domain, owm)
+    walk = masses[shape] > 0  # the frontier: of the root's shape, it alone has mass
+    avg, selected, avgs, picked = np.full(walk.shape, avg_root), [], [], []
+    while max(shape) > 1 and walk.any():
+        for axis in np.flatnonzero(np.array(shape) > 1).tolist():
+            walk = walk.repeat(2, axis=axis)
+        shape = tuple(max(s // 2, 1) for s in shape)
+        mass = masses[shape]
+        avg = np.divide(sums[shape], mass, out=np.full(mass.shape, -1.0),
+                        where=mass > 0)
+        chosen = walk & (avg > lam)
+        lo = np.argwhere(chosen) * shape
+        selected += map(BaseSet, lo.tolist(), (lo + shape).tolist())
+        avgs += avg[chosen].tolist()
+        picked += mass[chosen].tolist()
+        walk &= (mass > 0) & ~chosen
+    return CZSelection(selected=tuple(selected), lam=lam, root=root,
                        avg_root=avg_root, dw=doubling_constant(w, measure),
                        d_max=sum(1 for s in root.sides() if s >= 2),
-                       realized_max_over_lam=max(avg.tolist(), default=0.0) / lam,
-                       outside_max=leaves_max, mass_selected=fsum(mass),
-                       mass_root=mass_root)
+                       realized_max_over_lam=max(avgs, default=0.0) / lam,
+                       outside_max=float(avg.max(initial=0.0, where=walk)),
+                       mass_selected=fsum(picked), mass_root=mass_root)
 
 
 @dataclass(frozen=True)

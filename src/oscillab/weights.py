@@ -264,26 +264,17 @@ def doubling_constant(w: Weight, measure: Measure) -> float:
     least 1.  ``OverflowGuard`` where a ratio or a cell's w m leaves the
     float range, a cell with mass whose w m rounds to 0 included.
 
-    One ``box_sums`` pass over the lattice gives every child and parent
-    mass.  Only the constant is cached, on the weight by measure digest
-    (see ``Weight``): the dyadic lattice is not a base family.
+    One ``box_sums`` pass (``lattice.dyadic_grids``) gives every child and
+    parent mass.  Only the constant is cached, on the weight by measure
+    digest (see ``Weight``): the dyadic lattice is not a base family.
     """
     return w._doubling.fetch(measure.digest,
                              lambda: _doubling_constant(w, measure))
 
 
 def _doubling_constant(w: Weight, measure: Measure) -> float:
-    lo, hi = lattice.dyadic_lattice(w.domain)
-    wm = lattice.cell_product(w.values, measure.masses, positive=True)
-    sums = lattice.box_sums(wm, lo, hi)
-    # The lattice runs shape by shape with corners in row-major order, so
-    # each shape's sums are one grid of its corners.
-    grids, start = {}, 0
-    while start < len(sums):
-        shape = tuple((hi[start] - lo[start]).tolist())
-        counts = tuple(n // s for n, s in zip(w.domain.sides, shape))
-        grids[shape] = sums[start:start + math.prod(counts)].reshape(counts)
-        start += grids[shape].size
+    grids = lattice.dyadic_grids(w.domain, lattice.cell_product(
+        w.values, measure.masses, positive=True))
     best = 1.0
     for shape, child in grids.items():
         for axis, side in enumerate(shape):

@@ -247,6 +247,15 @@ class TestBoxSums:
         lo = np.array([b.lo for b in boxes])
         hi = np.array([b.hi for b in boxes])
         assert _bits(box_sums(values, lo, hi)) == _bits(_fsum_per_box(values, boxes))
+        # ``dyadic_grids`` holds the same boxes, one grid of corners a shape.
+        got, grid_boxes = [], []
+        for shape, sums in lattice.dyadic_grids(GridDomain(sides), values).items():
+            got.extend(sums.ravel().tolist())
+            grid_boxes += [BaseSet(j, j + shape) for j in
+                           np.argwhere(np.ones(sums.shape, dtype=bool)) * shape]
+        assert sorted(grid_boxes, key=BaseSet.sort_key) == grid_boxes
+        assert set(grid_boxes) == set(boxes)
+        assert _bits(got) == _bits(_fsum_per_box(values, grid_boxes))
         # One-cell boxes give the cell itself, except that fsum turns -0.0
         # into 0.0.
         cells = np.argwhere(np.ones(sides, dtype=bool))

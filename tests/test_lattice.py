@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from oscillab import (CenteredDiff, DualHardy, GridDomain,
                       Measure, TLSeq, TLSequence, TheoremId, Weight,
-                      a1_constant, build_base, fsum,
-                      jn_exp_moment, lattice, maximal,
+                      a1_constant, build_base, cz_selection,
+                      doubling_constant, fsum, jn_exp_moment, lattice, maximal,
                       muckenhoupt_constant, oscillation_norm, read_field_csv,
                       reverse_holder_constant, run_suite, write_field_csv)
 from oscillab.cli import main
@@ -52,22 +52,32 @@ class TestGridDomain:
         assert GridDomain(tuple(d["sides"]), tuple(d["split"])) == dom
 
 
+def _lattice_boxes(dom: GridDomain) -> dict:
+    """{(lo, hi): sum of ones} over ``lattice.dyadic_grids``'s boxes."""
+    out = {}
+    for shape, sums in lattice.dyadic_grids(dom, np.ones(dom.sides)).items():
+        for j in np.argwhere(np.ones(sums.shape, dtype=bool)):
+            lo = j * shape
+            out[tuple(lo.tolist()), tuple((lo + shape).tolist())] = sums[tuple(j)]
+    return out
+
+
 class TestDyadicEnumeration:
     def test_line_count_matches_brute_force(self):
-        dom = GridDomain((8,))
-        got = {(tuple(lo), tuple(hi))
-               for lo, hi in zip(*lattice.dyadic_lattice(dom))}
-        assert got == oracles.brute_dyadic_cubes((8,))
+        got = _lattice_boxes(GridDomain((8,)))
+        assert set(got) == oracles.brute_dyadic_cubes((8,))
         assert len(got) == 15
+        assert all(cells == hi[0] - lo[0] for (lo, hi), cells in got.items())
 
     def test_square_lattice_is_interval_product(self):
-        # dyadic_lattice walks the full per-axis lattice, mixed scales
+        # dyadic_grids walks the full per-axis lattice, mixed scales
         # included; the cube base family is the simultaneous-halving subset.
         dom = GridDomain((4, 4))
-        got = {(tuple(lo), tuple(hi))
-               for lo, hi in zip(*lattice.dyadic_lattice(dom))}
-        assert got == oracles.brute_dyadic_rectangles((4, 4))
+        got = _lattice_boxes(dom)
+        assert set(got) == oracles.brute_dyadic_rectangles((4, 4))
         assert len(got) == 49
+        assert all(cells == (hi[0] - lo[0]) * (hi[1] - lo[1])
+                   for (lo, hi), cells in got.items())
         base = build_base(dom, Measure.uniform(dom), "dyadic-cubes")
         cube_labels = {(tuple(b.lo), tuple(b.hi)) for b in base.sets}
         assert cube_labels == oracles.brute_dyadic_cubes((4, 4))
@@ -96,11 +106,10 @@ class TestDyadicEnumeration:
             return got
 
         for min_scale in range(4):
-            cases = [lambda: lattice.dyadic_lattice(dom, min_scale)]
-            cases += [lambda kind=kind: lattice._candidate_corners(
-                          dom, kind, min_scale)
-                      for kind in BASE_KINDS
-                      if kind != "all-rectangles" or max(sides) <= 32]
+            cases = [lambda kind=kind: lattice._candidate_corners(
+                         dom, kind, min_scale)
+                     for kind in BASE_KINDS
+                     if kind != "all-rectangles" or max(sides) <= 32]
             for build in cases:
                 got, want = both(build)
                 if isinstance(got, str) or isinstance(want, str):
@@ -329,6 +338,28 @@ class TestGeometryPool:
                               (hit.tile_index, fresh.tile_index)]:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert _layout_bytes(hit.layout) == _layout_bytes(fresh.layout)
+
+    def test_lattice_reads_the_rectangle_geometry(self, monkeypatch):
+        # On a 2-d grid the dyadic lattice is the dyadic-rectangles geometry
+        # of split (1, 1): once that family is built, the doubling constant
+        # and the stopping time enumerate no box, and a grid declared with
+        # no split holds the same one pool entry.
+        corners = []
+        real = lattice._candidate_corners
+        monkeypatch.setattr(lattice, "_candidate_corners",
+                            lambda *args: corners.append(args) or real(*args))
+        rng = np.random.default_rng(33)
+        f = rng.normal(size=(16, 16))
+        split = GridDomain((16, 16), split=(1, 1))
+        mea = Measure.uniform(split)
+        base = build_base(split, mea, "dyadic-rectangles")
+        assert len(corners) == len(lattice._GEOMETRIES) == 1
+        for dom in (split, GridDomain((16, 16))):
+            w = Weight(dom, rng.uniform(0.5, 2.0, (16, 16)))
+            doubling_constant(w, Measure.uniform(dom))
+            if dom is split:
+                cz_selection(f, dom.full_box(), w, 0.5, base, mea)
+        assert len(corners) == len(lattice._GEOMETRIES) == 1
 
     def test_dropped_boxes_do_not_overflow_the_kept_sums(self):
         # [0:2] has no mass and sums f past the float range; no kept box does.
@@ -720,6 +751,15 @@ def test_running_sums_only_on_exact_ints():
                                      "lattice.py:_boxes_by_shape",
                                      "lattice.py:_term_layout",
                                      "oscillation.py:_medians"}
+
+
+def test_one_shot_box_sums_only_in_level_fields():
+    # The doubling constant and the stopping time read the dyadic lattice
+    # through ``dyadic_grids`` and its pooled summer; the sequence rule's
+    # level fields, whose boxes no geometry holds, keep the one-shot.
+    assert _call_sites("box_sums") == {"oscillation.py:_level_fields"}
+    assert _call_sites("dyadic_grids") == {"oscillation.py:cz_selection",
+                                           "weights.py:_doubling_constant"}
 
 
 def _call_sites(name: str) -> set[str]:

@@ -436,6 +436,22 @@ class TestStoppingTimeWalk:
         assert (got.outside_max, got.realized_max_over_lam) == (1.0, 2.0)
         assert got == oracles.recursive_cz_selection(*args)
 
+    def test_no_overflow_guard_outside_the_root(self):
+        # f w m passes the float range on cells 4-7 only, outside the root
+        # 0:4; the walk reads w m and |f - c| w m on the root's cells alone,
+        # as the recursion does.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        f = np.array([0.0, 0.0, 0.0, 2.5] + [1e308] * 4)
+        args = (f, BaseSet((0,), (4,)), Weight(dom, np.full(8, 2.0)), 0.5,
+                base, mea)
+        got = cz_selection(*args)
+        assert [b.label() for b in got.selected] == ["0:2", "2:4"]
+        assert got.avg_root == 0.9375
+        with np.errstate(over="ignore"):  # it forms f w m on every cell
+            assert got == oracles.recursive_cz_selection(*args)
+
 
 class TestErrorPrecedence:
     """The first failing box in canonical order raises, with the message

@@ -19,7 +19,7 @@ from oscillab import (CenteredDiff, DualHardy, GridDomain, Measure, TLSeq,
 from oscillab.errors import (BadParams, DegenerateInput, EmptySequence,
                              ExponentOutOfRange, IncompatibleSpec,
                              OverflowGuard, ZeroMass)
-from oscillab import verify
+from oscillab import oscillation, verify
 from oscillab.lattice import BaseSet
 from oscillab.oscillation import MedianDiff
 
@@ -561,6 +561,42 @@ class TestCZSelection:
         with pytest.raises(BadParams, match="not a box of the domain"):
             cz_selection(np.zeros((4, 4)), root, Weight.unit(dom), 1.0,
                          base, mea)
+
+    @pytest.mark.parametrize("sides, root", [
+        ((8,), BaseSet((1,), (4,))), ((8,), BaseSet((2,), (6,))),
+        ((4, 4), BaseSet((0, 0), (3, 4)))])
+    def test_root_off_the_dyadic_lattice_rejected(self, monkeypatch, sides,
+                                                  root):
+        # A root is the full domain or a box of its per-axis dyadic lattice;
+        # any other is refused by name before any sum.
+        dom = GridDomain(sides)
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        w = Weight.unit(dom)
+
+        def no_sum(*args):
+            raise AssertionError("summed before the root check")
+
+        for name in ("fsum", "cell_product", "dyadic_grids"):
+            monkeypatch.setattr(oscillation, name, no_sum)
+        with pytest.raises(BadParams, match=f"the root {root.label()} is not "
+                                            "a box of the domain's dyadic"):
+            cz_selection(np.zeros(sides), root, w, 1.0, base, mea)
+
+    @pytest.mark.parametrize("sides, root", [
+        ((4, 4), BaseSet((0, 2), (4, 4))), ((4, 4), BaseSet((2, 0), (3, 2))),
+        ((8, 8), BaseSet((0, 4), (8, 8))), ((8, 8), BaseSet((4, 0), (5, 8)))])
+    def test_lattice_roots_outside_the_family_match_the_recursion(self, sides,
+                                                                  root):
+        # Lattice boxes of other shapes than the family's cubes are roots too.
+        dom = GridDomain(sides)
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        rng = np.random.default_rng(len(sides))
+        f = rng.normal(size=sides)
+        w = Weight(dom, rng.uniform(0.5, 2.0, sides))
+        args = (f, root, w, 0.3, base, mea)
+        assert cz_selection(*args) == oracles.recursive_cz_selection(*args)
 
 
 class TestTLSequences:
