@@ -248,10 +248,10 @@ class BoundedCache:
     """At most ``bound`` entries, or a ``total`` ``size`` of at most ``bound``;
     the least recently used goes first, and a larger entry is never kept.
 
-    Every cache in oscillab is one of these, held by the instance it serves
-    (a ``BaseFamily`` or a ``Weight``), so nothing outlives that instance,
-    but one: the geometry pool (``build_base``), which its families share.
-    ``hits`` and ``misses`` count lookups.
+    Most oscillab caches are these, held by the ``BaseFamily`` or ``Weight``
+    they serve, or shared by families: the geometry pool (``build_base``).
+    Two are not: ``Weight._records``, an unbounded dict, and the unit weight,
+    held in its ``GridDomain.__dict__``.  ``hits`` and ``misses`` count lookups.
     """
 
     __slots__ = ("bound", "size", "total", "hits", "misses", "_data")
@@ -434,9 +434,10 @@ class Geometry:
     """The boxes of a family apart from any measure: ``lo`` and ``hi``,
     read-only integer arrays of shape (sets, dims), box i being lo[i] <= cell
     < hi[i], the count of candidates dropped for zero mass, and, built from
-    the corners on first use and read-only, ``runs``, ``key``, ``layout``,
-    ``summer`` and ``tile_index``.  ``build_base`` pools the geometry of
-    every candidate of a kind; a family that drops some has its own."""
+    the corners on first use and read-only, ``runs`` with their shapes,
+    ``key``, ``layout``, ``summer`` and ``tile_index``.  ``build_base`` pools
+    the geometry of every candidate of a kind; a family that drops some has
+    its own."""
 
     def __init__(self, kind, domain, min_scale, lo, hi, dropped_zero_mass=0):
         self.kind, self.domain, self.min_scale = kind, domain, min_scale
@@ -470,11 +471,13 @@ class Geometry:
         return h.hexdigest()
 
     @functools.cached_property
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        """(start, stop) of each run of members of one shape, in order."""
+    def runs(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(start, stop, shape) per run of members of one shape, in order;
+        shape is the members' common sides hi - lo, a tuple of ints."""
         side = self.hi - self.lo
-        cuts = np.flatnonzero(np.any(side[1:] != side[:-1], axis=1)) + 1
-        return tuple(itertools.pairwise([0, *cuts.tolist(), len(self)]))
+        starts = np.flatnonzero(np.r_[True, np.any(side[1:] != side[:-1], axis=1)])
+        return tuple(zip(starts.tolist(), [*starts[1:].tolist(), len(self)],
+                         map(tuple, side[starts].tolist())))
 
     @functools.cached_property
     def tile_index(self) -> np.ndarray:
@@ -486,8 +489,8 @@ class Geometry:
         table = np.full((len(self.runs), self.domain.num_cells), len(self),
                         np.int32)
         first = np.ravel_multi_index(tuple(self.lo.T), sides)[:, None]
-        for row, (a, b) in enumerate(self.runs):
-            box = np.indices(self.hi[a] - self.lo[a]).reshape(len(sides), -1)
+        for row, (a, b, shape) in enumerate(self.runs):
+            box = np.indices(shape).reshape(len(sides), -1)
             cells = first[a:b] + np.ravel_multi_index(tuple(box), sides)
             table[row, cells] = np.arange(a, b)[:, None]
         return _read_only(table)
@@ -777,10 +780,9 @@ def dyadic_grids(domain: GridDomain, values) -> dict:
     dyadic-cubes geometry on a line, of dyadic-rectangles split (1, 1) in 2-d."""
     geo = _pooled(domain, "dyadic-cubes", 0) if domain.dims == 1 else _pooled(
         GridDomain(domain.sides, (1, 1)), "dyadic-rectangles", 0)
-    sums, starts = geo.summer(values), [a for a, _ in geo.runs]
-    shapes = map(tuple, (geo.hi[starts] - geo.lo[starts]).tolist())
+    sums = geo.summer(values)
     return {shape: sums[a:b].reshape([n // s for n, s in zip(domain.sides, shape)])
-            for (a, b), shape in zip(geo.runs, shapes)}
+            for a, b, shape in geo.runs}
 
 
 def build_base(domain: GridDomain, measure: Measure, kind: str,

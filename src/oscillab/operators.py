@@ -67,7 +67,7 @@ def _maximal_of(base: BaseFamily, measure: Measure, mode: str):
     function of |f| m, a finite array >= 0 of cell products."""
     summer, masses = base.summer, base.set_masses(measure)
     zero = None if measure.masses.all() else measure.masses == 0.0
-    lo, hi, sides = base.lo, base.hi, base.domain.sides
+    lo, sides = base.lo, base.domain.sides
     # The averages; a dropped member of a dyadic tiling reads the last 0.
     padded = np.zeros(len(base) + 1)
     avg = padded[:-1]
@@ -86,8 +86,7 @@ def _maximal_of(base: BaseFamily, measure: Measure, mode: str):
         else:
             out = np.zeros(sides)
             # Runs of boxes of one shape; a canonical family has one per shape.
-            for a, b in base.runs:
-                shape = (hi[a] - lo[a]).tolist()
+            for a, b, shape in base.runs:
                 if mode != "centered":
                     np.maximum(out, _spread_max(avg[a:b], lo[a:b], shape,
                                                 sides), out=out)

@@ -109,38 +109,33 @@ def _power_means(f: np.ndarray, base: BaseFamily, measure: Measure,
     member whose largest |f - c| on cells with mass, L > 0, has |s log L|
     >= 600 is taken in log space, as its powers or their sum may leave the
     float range (where the unit-weight norm's ``per_set`` would raise).
-    Cost: ``block_reduce`` passes for L and the means, and one in log
-    space over the far members only."""
+    Cost: ``block_reduce`` passes for L, for the other members' powers and,
+    in log space, for the far members; each pass forms only its own rows."""
     m, mass = measure.masses.ravel(), base.set_masses(measure)
     local = deviations(f, base.sums(cell_product(f, measure.masses)) / mass)
     far = np.array([top > 0.0 and abs(s * math.log(top)) >= 600.0
                     for top in block_reduce(base, local, cells=m)])
-    any_far = far.any()
-
-    def powers(rows, idx):
-        terms = local(rows, idx) ** s
-        if any_far:
-            terms[far[rows]] = 0.0  # their sum may overflow
-        return terms
-
+    # A cell without mass may overflow before ``_terms`` fills it with 0.
     with np.errstate(over="ignore"):
-        means = block_reduce(base, powers, mass, m)
-    logs = iter(())
-    if any_far:
-        # A cell where f equals the centre adds log 0 = -inf, exp 0.
-        with np.errstate(divide="ignore"):
-            logs = iter(block_reduce(base, lambda rows, idx: s * np.log(
-                local(rows, idx)) + np.log(m[idx]), mass, members=far,
-                log=True))
-    return [math.exp(next(logs) / s) if out else val ** (1.0 / s)
-            for val, out in zip(means, far.tolist())]
+        plain = iter(block_reduce(base, lambda rows, idx: local(rows, idx) ** s,
+                                  mass, m, members=~far))
+    # A cell where f equals the centre adds log 0 = -inf, exp 0.
+    with np.errstate(divide="ignore"):
+        logs = iter(block_reduce(base, lambda rows, idx: s * np.log(
+            local(rows, idx)) + np.log(m[idx]), mass, members=far, log=True))
+    return [math.exp(next(logs) / s) if out else next(plain) ** (1.0 / s)
+            for out in far.tolist()]
+
+
+def _slack(lhs: float, rhs: float) -> float:
+    """Relative slack (rhs - lhs) / |rhs| of a check; below 0 it fails."""
+    return (rhs - lhs) / max(abs(rhs), 1e-300)
 
 
 def _worst_pair(lhs, rhs) -> int:
-    """Index of the first row of least relative slack (rhs - lhs) / |rhs|
-    among the rows with lhs > 0, else 0: every rhs is >= 0, so a row with
-    lhs 0 cannot fail."""
-    return first_max((l - r) / max(abs(r), 1e-300) if l > 0.0 else -math.inf
+    """Index of the first row of least ``_slack`` among the rows with
+    lhs > 0, else 0: every rhs is >= 0, so a row with lhs 0 cannot fail."""
+    return first_max(-_slack(l, r) if l > 0.0 else -math.inf
                      for l, r in zip(lhs, rhs))[1] or 0
 
 
@@ -575,13 +570,8 @@ def run_suite(theorem: TheoremId | str, trials: int, seed: int = 0,
             records.append(str(exc))
     reports = [r for r in records if not isinstance(r, str)]
     failures = sum(1 for r in reports if not r.passed)
-    worst = math.inf
-    for r in reports:
-        for c in r.checks:
-            if c.status == "skipped" or c.rhs is None:
-                continue
-            rel = (c.rhs - c.lhs) / max(abs(c.rhs), 1e-300)
-            worst = min(worst, rel)
+    worst = min([math.inf, *(_slack(c.lhs, c.rhs) for r in reports for c in r.checks
+                             if c.status != "skipped" and c.rhs is not None)])
     return {"theorem": theorem.value, "trials": trials, "seed": seed,
             "tol": tol, "records": records, "reports": reports,
             "failures": failures,

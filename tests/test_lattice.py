@@ -269,6 +269,12 @@ class TestGeometryPool:
         assert _layout_bytes(hit.layout) == _layout_bytes(fresh.layout)
         assert (hit.key, hit.base_id) == (fresh.key, fresh.base_id)
         assert hit.domain is dom and hit.geometry.domain is not dom
+        assert hit.runs == fresh.runs
+        stop = 0
+        for a, b, shape in hit.runs:
+            assert a == stop < b and (hit.hi[a:b] - hit.lo[a:b] == shape).all()
+            stop = b
+        assert stop == len(hit)
 
     @pytest.mark.parametrize("kind", BASE_KINDS)
     def test_zero_mass_errors_raise_on_a_hit(self, kind):
@@ -696,7 +702,7 @@ class TestCornerArraysOnly:
         assert main(["constant", *argv, "--out", str(tmp_path / "c.json")]) == 0
 
 
-def _shape_run_uses(path: Path) -> list[str]:
+def _layout_reads(path: Path) -> list[str]:
     """``file:line`` of each ``.layout`` attribute in a source file."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
@@ -708,9 +714,9 @@ def test_only_lattice_reads_the_layout():
     # ``block_max`` on the family's term layout, so the gather, the
     # massless-cell rule and the row sums have one site.
     src = Path(lattice.__file__).parent
-    assert _shape_run_uses(src / "lattice.py")  # the check can see a use
+    assert _layout_reads(src / "lattice.py")  # the check can see a use
     others = [use for path in sorted(src.glob("*.py"))
-              if path.name != "lattice.py" for use in _shape_run_uses(path)]
+              if path.name != "lattice.py" for use in _layout_reads(path)]
     assert others == []
 
 

@@ -695,6 +695,31 @@ class TestReportBlocks:
         assert got == oracles.per_box_gain_sides(f, Weight.unit(dom), base,
                                                  mea, 3e3)[1]
 
+    def test_power_means_form_each_row_in_one_pass(self, monkeypatch):
+        # The field above at s = 3e3 sends the 7 boxes of 2 or more cells to
+        # log space: the plain pass forms no term of theirs (their powers may
+        # leave the float range), the log pass none of the 8 single cells'.
+        dom = GridDomain((8,))
+        mea = Measure.uniform(dom)
+        base = build_base(dom, mea, "dyadic-cubes")
+        formed, reduce = {}, verify.block_reduce
+
+        def spy(base, form, mass=None, cells=None, members=None, log=False):
+            rows = formed.setdefault(
+                "max" if mass is None else "log" if log else "plain", set())
+
+            def recorded(r, idx):
+                rows.update(r.tolist())
+                return form(r, idx)
+
+            return reduce(base, recorded, mass, cells, members, log)
+
+        monkeypatch.setattr(verify, "block_reduce", spy)
+        got = verify._power_means(np.array([0.0, 1.0] * 4), base, mea, 3e3)
+        assert got == pytest.approx([0.5] * 7 + [0.0] * 8, rel=1e-15)
+        assert formed == {"max": set(range(15)), "plain": set(range(7, 15)),
+                          "log": set(range(7))}
+
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_gain_exponent_log_space_threshold(self, side):
         # s puts |s log L| of the full box just below or just above 600;

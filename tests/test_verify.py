@@ -16,6 +16,7 @@ from oscillab.corpus import make_standard_corpus, sample_inputs
 from oscillab.errors import (AllDegenerate, BadParams, DegenerateInput,
                              EmptyCorpus, IncompatibleBase, OverflowGuard)
 from oscillab.oscillation import default_scale, plain_means
+from oscillab.reports import CertificateReport, skipped_check
 
 
 class TestTheoremIds:
@@ -177,6 +178,16 @@ class TestRunSuite:
         ra = [r.to_dict() for r in a["reports"]]
         rb = [r.to_dict() for r in b["reports"]]
         assert ra == rb
+
+    def test_min_slack_passes_over_a_nan(self, monkeypatch):
+        # An infinite rhs has slack inf / inf = NaN; the least slack is taken
+        # as a running min from inf, so the NaN never wins, first or not.
+        checks = [make_check("inf", 1.0, math.inf), make_check("tight", 2.0, 1.0),
+                  skipped_check("off", "no inputs")]
+        monkeypatch.setattr(verify, "certify", lambda *a: CertificateReport(
+            "log-convexity", "0", checks))
+        out = run_suite(TheoremId.LOG_CONVEXITY, 2, seed=2)
+        assert out["min_relative_slack"] == -1.0 and out["failures"] == 2
 
 
 class TestEstimators:
