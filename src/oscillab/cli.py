@@ -257,7 +257,7 @@ def _sweep_c1p(args, cfg: RunConfig):
         # norm bound over dyadic cubes is p, so the strength ceiling is
         # t = 2p; the gain pair (delta, kcap) at that ceiling then caps the
         # weighted-to-plain bridge, giving c_hat(p) <= 2*kcap*c_hat(dual).
-        params = SelfImprovementParams(setting="euclidean-cubes", dims=1)
+        params = SelfImprovementParams()
         tbound = 2.0 * p
         gain, kcap = self_improvement(params, conjugate(p), tbound)
         dual = conjugate(gain)

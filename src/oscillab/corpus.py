@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParams
-from .lattice import DYADIC_KINDS, GridDomain, Measure, build_base
+from .lattice import DYADIC_KINDS, GridDomain, Measure, build_base, centre_radius
 from .oscillation import TLSequence
 from .verify import TheoremId
 from .weights import SelfImprovementParams, Weight, generate_weight
@@ -97,13 +97,8 @@ def _sample_field(rng, domain: GridDomain) -> np.ndarray:
         return np.clip(rng.normal(0.0, 1.0, size=domain.sides), -4.0, 4.0)
     if u < 0.7:
         # Logarithmic profile: the classic unbounded-mean-oscillation shape.
-        if domain.dims == 1:
-            n = domain.sides[0]
-            return np.log((np.arange(n) + 0.5) / n)
-        n0, n1 = domain.sides
-        x = (np.arange(n0) + 0.5)[:, None] / n0
-        y = (np.arange(n1) + 0.5)[None, :] / n1
-        return 0.5 * np.log(x ** 2 + y ** 2)
+        r, k = centre_radius(domain)
+        return k * np.log(r)
     f = np.zeros(domain.sides)
     k = max(1, domain.num_cells // 8)
     idx = rng.choice(domain.num_cells, size=k, replace=False)
@@ -147,8 +142,7 @@ def sample_inputs(theorem: TheoremId, seed: int, trial: int) -> dict:
         w = _sample_weight(rng, domain, base, measure)
         pick = rng.random()
         if pick < 0.7:
-            params = SelfImprovementParams(setting="euclidean-cubes",
-                                           dims=domain.dims)
+            params = SelfImprovementParams(dims=domain.dims)
         elif pick < 0.85:
             params = SelfImprovementParams(setting="non-doubling",
                                            dims=domain.dims, besicovitch=2.0)

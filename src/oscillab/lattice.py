@@ -340,6 +340,13 @@ class GridDomain:
         return d
 
 
+def centre_radius(domain: GridDomain) -> tuple[np.ndarray, float]:
+    """(r, k), r ** k each cell centre's distance to the origin in units of the
+    sides: r = (i + 0.5) / n, k = 1 on a line; r = x**2 + y**2, k = 1/2 in 2-d."""
+    x, *y = [(np.arange(n) + 0.5) / n for n in domain.sides]
+    return (x[:, None] ** 2 + y[0] ** 2, 0.5) if y else (x, 1.0)
+
+
 @dataclass(frozen=True, slots=True)
 class BaseSet:
     """Half-open axis-aligned box of whole cells: lo <= cell < hi.

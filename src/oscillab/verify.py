@@ -81,12 +81,13 @@ def inputs_digest(theorem: TheoremId, inputs: dict) -> str:
 
 
 def _need(inputs: dict, *keys):
-    """The inputs at ``keys``, numbers as floats."""
+    """The inputs at ``keys``: numbers as floats, ``f`` as a float array."""
     missing = [k for k in keys if k not in inputs]
     if missing:
         raise MissingInput(f"certificate inputs lack {missing}")
-    return [float(v) if isinstance(v, numbers.Real) else v
-            for v in map(inputs.__getitem__, keys)]
+    return [np.asarray(inputs[k], dtype=float) if k == "f"
+            else float(inputs[k]) if isinstance(inputs[k], numbers.Real)
+            else inputs[k] for k in keys]
 
 
 def _chain_exponents(inputs: dict):
@@ -227,8 +228,7 @@ def _certify_weight_swap(inputs: dict, tol: float):
 
 def _certify_gain_exponent(inputs: dict, tol: float):
     f, w, base, measure, p = _need(inputs, "f", "w", "base", "measure", "p")
-    params = inputs.get("params") or SelfImprovementParams(
-        setting="euclidean-cubes", dims=base.domain.dims)
+    params = inputs.get("params") or SelfImprovementParams(dims=base.domain.dims)
     ap = muckenhoupt_constant(w, p, base, measure)
     t_in = float(inputs.get("t", ap))
     t_used = max(t_in, ap, 1.0)
@@ -237,7 +237,6 @@ def _certify_gain_exponent(inputs: dict, tol: float):
     rh_gain = reverse_holder_constant(w, delta_exp, base, measure)
     checks = [make_check("improved_constant_cap", rh_gain, kcap, tol)]
 
-    f = np.asarray(f, dtype=float)
     lhs = oscillation_norm(f, CenteredDiff(), w, 1.0, base, measure,
                            per_set=True).per_set
     rhs = [rh_gain * val for val in _power_means(f, base, measure, dual)]
@@ -287,7 +286,6 @@ def build_majorant(f, base: BaseFamily, measure: Measure, p: float):
 
 def _certify_majorant_sufficiency(inputs: dict, tol: float):
     f, base, measure, p = _need(inputs, "f", "base", "measure", "p")
-    f = np.asarray(f, dtype=float)
     spec = CenteredDiff()
     u, star, plain_norm, local_star, g = build_majorant(f, base, measure, p)
     dual = conjugate(p)
@@ -378,7 +376,6 @@ def _certify_two_weight_band(inputs: dict, tol: float):
     if not p > 0 or not q > 1.0 or not delta > 1.0:
         raise ExponentOutOfRange(
             f"need p > 0, q > 1, delta > 1, got {p}, {q}, {delta}")
-    f = np.asarray(f, dtype=float)
     ddual = conjugate(delta)
     eps = p / (q * ddual)
     spec_v = CenteredDiff(v)
@@ -436,7 +433,6 @@ def _reciprocal_direct(f: np.ndarray, w: Weight, base_w: BaseFamily) -> float:
 def _certify_reciprocal_rule(inputs: dict, tol: float):
     f, w, v, base = _need(inputs, "f", "w", "v", "base")
     p0, q, p = _chain_exponents(inputs)
-    f = np.asarray(f, dtype=float)
     mu_w = Measure.density(base.domain, w.values)
     base_w = build_base(base.domain, mu_w, base.kind, base.min_scale)
     rep = oscillation_norm(f, DualHardy(w), Weight.unit(base.domain), 1.0,
@@ -458,7 +454,6 @@ def _certify_reciprocal_rule(inputs: dict, tol: float):
 
 def _certify_rectangle_decay(inputs: dict, tol: float):
     f, w, base, measure = _need(inputs, "f", "w", "base", "measure")
-    f = np.asarray(f, dtype=float)
     spec = CenteredDiff()
     bmo = _norm(f, spec, w, 1.0, base, measure)
     if bmo <= 0.0:
@@ -626,8 +621,8 @@ def estimate_constant(kind: str, corpus, args: dict) -> ConstantEstimate:
             if muckenhoupt_constant(w, p, base, measure) > t:
                 skipped += 1
                 continue
-            params = item.get("params") or SelfImprovementParams(
-                setting="euclidean-cubes", dims=base.domain.dims)
+            params = (item.get("params")
+                      or SelfImprovementParams(dims=base.domain.dims))
             delta_exp, _ = self_improvement(params, p, max(t, 1.0))
             denom = _norm(f, spec, unit, conjugate(delta_exp), base, measure)
             if denom <= 0.0:

@@ -241,16 +241,11 @@ def a1_constant(w: Weight, base: BaseFamily, measure: Measure,
     got = w.record(key)
     if got is not None:
         return got.value
-    mw = operators.maximal(w.values, base, measure, mode)
-    live = measure.masses > 0
-    ratios = np.zeros(w.values.shape)
-    with np.errstate(over="ignore"):  # an infinite ratio raises below
-        ratios[live] = mw[live] / w.values[live]
-    flat_idx = int(np.argmax(ratios.ravel()))
-    result = _finite_or_raise(float(ratios.ravel()[flat_idx]), "A_1 constant")
-    cell = np.unravel_index(flat_idx, w.values.shape)
-    arg = BaseSet(tuple(int(c) for c in cell), tuple(int(c) + 1 for c in cell))
-    w._records[key] = ConstantRecord(result, arg)
+    with np.errstate(over="ignore"):  # 0 on massless cells; inf raises below
+        ratios = operators.maximal(w.values, base, measure, mode) / w.values
+    cell = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    result = _finite_or_raise(float(ratios[cell]), "A_1 constant")
+    w._records[key] = ConstantRecord(result, BaseSet(cell, np.add(cell, 1)))
     return result
 
 
@@ -394,32 +389,21 @@ def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
     params = dict(params or {})
     if kind == "power":
         a = _number(params, "exponent", 1.0, low=-domain.dims)
-        # A power past the float range is inf, which ``Weight`` rejects.
-        with np.errstate(over="ignore"):
-            if domain.dims == 1:
-                n = domain.sides[0]
-                x = (np.arange(n) + 0.5) / n
-                vals = x ** a
-            else:
-                n0, n1 = domain.sides
-                x = (np.arange(n0) + 0.5)[:, None] / n0
-                y = (np.arange(n1) + 0.5)[None, :] / n1
-                vals = (x ** 2 + y ** 2) ** (a / 2.0)
-        return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
-                                                "params": {"exponent": a}})
-    if kind == "random-log-bounded":
+        r, k = lattice.centre_radius(domain)
+        with np.errstate(over="ignore"):  # ``Weight`` rejects an inf power
+            vals = r ** (a * k)
+        shown = {"exponent": a}
+    elif kind == "random-log-bounded":
         bound = _number(params, "bound", 1.0, low=0.0)
         rng = np.random.default_rng(seed)
         vals = np.exp(rng.uniform(-bound, bound, size=domain.sides))
-        return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
-                                                "params": {"bound": bound}})
-    if kind == "checkerboard":
+        shown = {"bound": bound}
+    elif kind == "checkerboard":
         contrast = _number(params, "contrast", 2.0, low=0.0)
         idx = np.indices(domain.sides).sum(axis=0)
         vals = np.where(idx % 2 == 0, contrast, 1.0 / contrast).astype(float)
-        return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
-                                                "params": {"contrast": contrast}})
-    if kind == "rubio-a1":
+        shown = {"contrast": contrast}
+    elif kind == "rubio-a1":
         from . import operators
 
         if base is None or measure is None:
@@ -442,7 +426,10 @@ def generate_weight(kind: str, params: dict, seed: int, domain: GridDomain,
         u = operators.rubio_de_francia(g, p, base, measure, mode, tol=tol)
         u.provenance.setdefault("seed", int(seed))
         return u
-    raise BadParams(f"unknown weight kind {kind!r}")
+    else:
+        raise BadParams(f"unknown weight kind {kind!r}")
+    return Weight(domain, vals, provenance={"kind": kind, "seed": int(seed),
+                                            "params": shown})
 
 
 # ---------------------------------------------------------------------------

@@ -720,7 +720,7 @@ def test_only_lattice_reads_the_layout():
     assert others == []
 
 
-def test_only_box_sums_reads_the_box_block():
+def test_only_box_summer_reads_the_box_block():
     # ``_BOX_BLOCK`` bounds the corner-gather temporaries of the box-sum
     # engine, ``box_summer`` (``box_sums`` is a one-shot summer); the A_p
     # and reverse Holder maxima confirm their boxes in one pass.

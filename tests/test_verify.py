@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from oscillab import (GridDomain, Measure, TheoremId, Weight, build_base,
                       estimate_constant, inputs_digest, jn_exp_moment,
                       make_check, run_suite, theorem_from_string, verify)
 from oscillab import lattice
-from oscillab.corpus import make_standard_corpus, sample_inputs
+from oscillab.corpus import _sample_field, make_standard_corpus, sample_inputs
 from oscillab.errors import (AllDegenerate, BadParams, DegenerateInput,
                              EmptyCorpus, IncompatibleBase, OverflowGuard)
 from oscillab.oscillation import default_scale, plain_means
@@ -162,6 +163,20 @@ class TestReciprocalDirect:
         assert got == self._unscreened(f, w, base_w) == 41.125
         # One member holds the maximum, far above the rest.
         assert (kept, len(calls)) == (1, len(base_w))
+
+
+@pytest.mark.parametrize("sides", [(8,), (4, 4), (4, 8)])
+def test_log_profile_bits_match_the_closed_form(sides):
+    # The sampler's log profile (a draw in [0.5, 0.7)): the log of each cell
+    # centre's distance to the origin, bit for bit.
+    f = _sample_field(SimpleNamespace(random=lambda: 0.6), GridDomain(sides))
+    x = (np.arange(sides[0]) + 0.5) / sides[0]
+    if len(sides) == 1:
+        want = np.log(x)
+    else:
+        y = (np.arange(sides[1]) + 0.5) / sides[1]
+        want = 0.5 * np.log(x[:, None] ** 2 + y[None, :] ** 2)
+    assert f.tobytes() == want.tobytes()
 
 
 class TestRunSuite:

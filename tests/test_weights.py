@@ -72,6 +72,17 @@ class TestAgainstBruteForce:
             oracles.brute_a1(w.values, mea.masses, boxes), rel=1e-10)
         assert doubling_constant(w, mea) == pytest.approx(
             oracles.brute_doubling(w.values, mea.masses, (8,)), rel=1e-10)
+        # A measure with massless cells: the maximal function is 0 there,
+        # and the recorded argmax is one cell with mass.
+        masses = rng.uniform(0.2, 1.5, size=8)
+        masses[rng.choice(8, size=3, replace=False)] = 0.0
+        holed = Measure.general(dom, masses)
+        holed_base = build_base(dom, holed, "dyadic-cubes")
+        assert a1_constant(w, holed_base, holed) == pytest.approx(
+            oracles.brute_a1(w.values, holed.masses, boxes), rel=1e-10)
+        arg = w.record(("a1", "dyadic", holed_base.base_id, holed.digest,
+                        holed_base.key)).argmax
+        assert arg.cell_count() == 1 and holed.masses[arg.slices()].item() > 0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
@@ -571,6 +582,19 @@ class TestGenerateAndSerialize:
         # midpoints (i + 1/2)/8, increasing along the line
         assert w.values[0] == pytest.approx(1.0 / 16.0)
         assert np.all(np.diff(w.values) > 0)
+
+    @pytest.mark.parametrize("sides", [(8,), (4, 4), (4, 8)])
+    @pytest.mark.parametrize("a", [-0.7, 0.3, 1.0, 1.37])
+    def test_power_bits_match_the_closed_form(self, sides, a):
+        # The distance to the origin of the cell centres, bit for bit.
+        w = generate_weight("power", {"exponent": a}, 0, GridDomain(sides))
+        x = (np.arange(sides[0]) + 0.5) / sides[0]
+        if len(sides) == 1:
+            want = x ** a
+        else:
+            y = (np.arange(sides[1]) + 0.5) / sides[1]
+            want = (x[:, None] ** 2 + y[None, :] ** 2) ** (a / 2)
+        assert w.values.tobytes() == want.tobytes()
 
     def test_round_trip_preserves_digest(self, line8):
         dom, mea, base = line8
